@@ -10,7 +10,7 @@ import (
 // TestBroadcastAllocFree is the alloc contract for the frame hot path: a
 // broadcast delivery — transmission start, per-neighbor air tracking,
 // end-of-air adjudication, tx-done — must not allocate once the medium's
-// pools and per-radio air maps are warm. The path used to cost 20+
+// pools and per-radio air slices are warm. The path used to cost 20+
 // allocations per broadcast (transmission record, end-of-air closure,
 // per-neighbor rxContext, event heap nodes); this pins it at zero.
 func TestBroadcastAllocFree(t *testing.T) {
@@ -35,7 +35,7 @@ func TestBroadcastAllocFree(t *testing.T) {
 		}
 	}
 	// Warm every pool this path touches: one broadcast from each node
-	// sizes the per-radio air maps and the event/transmission free lists.
+	// sizes the per-radio air slices and the event/transmission free lists.
 	for i := 0; i < n; i++ {
 		broadcast(NodeID(i))
 	}
@@ -45,5 +45,19 @@ func TestBroadcastAllocFree(t *testing.T) {
 		src = (src + 1) % NodeID(n)
 	}); allocs != 0 {
 		t.Fatalf("broadcast delivery allocates %v per frame, want 0", allocs)
+	}
+}
+
+// TestDutyCycledAllocFree extends the alloc contract to the duty-cycled
+// field of BenchmarkMediumDutyCycled: with most receivers asleep or
+// transmitting and four frames overlapping, a step must not allocate
+// once every sender rotation has warmed the air slices and pools.
+func TestDutyCycledAllocFree(t *testing.T) {
+	d := newDutyCycledField(t)
+	for i := 0; i < d.m.NumNodes(); i++ {
+		d.run(t)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { d.run(t) }); allocs != 0 {
+		t.Fatalf("duty-cycled step allocates %v, want 0", allocs)
 	}
 }

@@ -124,3 +124,69 @@ func BenchmarkMediumScale(b *testing.B) {
 		})
 	}
 }
+
+// dutyCycledField is the duty-cycled delivery workload shared by
+// BenchmarkMediumDutyCycled and TestDutyCycledAllocFree: a 100-node field
+// at refgrid density where about 30% of radios listen while the rest
+// sleep, as under low-power listening, and four broadcasts overlap per
+// step. Most receivers are asleep or transmitting when a frame starts,
+// the case the fully-awake one-frame-at-a-time benchmarks never see.
+type dutyCycledField struct {
+	eng   *sim.Engine
+	m     *Medium
+	frame *Frame
+	step  int
+}
+
+// dutyCycledSenders is the number of overlapping broadcasts per step.
+const dutyCycledSenders = 4
+
+func newDutyCycledField(tb testing.TB) *dutyCycledField {
+	eng := sim.NewEngine()
+	m, err := NewMedium(eng, benchDeployment(10, 1), nil, benchParams(GainPerLink), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < m.NumNodes(); i++ {
+		m.Radio(NodeID(i)).SetOn(listensDutyCycled(i))
+	}
+	return &dutyCycledField{eng: eng, m: m, frame: &Frame{Kind: FrameData, Dst: BroadcastID, Size: 30}}
+}
+
+// listensDutyCycled scatters the 30% of listening radios over the field.
+func listensDutyCycled(i int) bool { return i*37%10 < 3 }
+
+// run performs one step: four senders spread over the field wake, put
+// overlapping broadcasts on the air, and return to their duty state once
+// the frames have left it.
+func (d *dutyCycledField) run(tb testing.TB) {
+	n := d.m.NumNodes()
+	var senders [dutyCycledSenders]NodeID
+	for k := range senders {
+		senders[k] = NodeID((d.step*dutyCycledSenders + k*n/dutyCycledSenders) % n)
+		r := d.m.Radio(senders[k])
+		r.SetOn(true)
+		d.frame.Src = senders[k]
+		if err := r.Transmit(d.frame, 0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := d.eng.Run(d.eng.Now() + 10*time.Millisecond); err != nil {
+		tb.Fatal(err)
+	}
+	for _, s := range senders {
+		d.m.Radio(s).SetOn(listensDutyCycled(int(s)))
+	}
+	d.step++
+}
+
+// BenchmarkMediumDutyCycled measures one duty-cycled step (four
+// overlapping broadcasts into a field with ~30% of radios listening).
+func BenchmarkMediumDutyCycled(b *testing.B) {
+	d := newDutyCycledField(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.run(b)
+	}
+}

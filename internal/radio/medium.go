@@ -428,7 +428,7 @@ func (m *Medium) noiseAt(id NodeID, t time.Duration) float64 {
 
 // transmission is an in-flight frame on the air. Records are pooled by
 // the medium (freeTx); the id stays unique across reuse, so anything that
-// keys on it — the per-radio air map in particular — is stale-safe.
+// keys on it — the per-radio air sets in particular — is stale-safe.
 type transmission struct {
 	id       uint64
 	src      NodeID

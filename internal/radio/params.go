@@ -196,6 +196,14 @@ func mwToDBm(mw float64) float64 {
 	return 10 * math.Log10(mw)
 }
 
+// prrSaturatedSNR is the linear SNR (7.8 dB) at and above which the PRR
+// curve is exactly 1 for any frame length: every bit-error term is then
+// at most C(16,8)·e⁻⁶⁰ ≈ 1e-22, far below half an ulp of 1, so 1−Pb
+// rounds to 1.0 and so does its power. prrFromSNR returns 1 there without
+// evaluating the sum — the same value, bit for bit (the curve already
+// rounds to exactly 1 above SNR ≈ 3.88).
+const prrSaturatedSNR = 6.0
+
 // prrFromSNR returns the packet reception ratio for the given linear SNR
 // and frame length in bytes, using the analytic CC2420 (802.15.4 DSSS
 // O-QPSK) bit-error model used by TOSSIM-class simulators:
@@ -203,6 +211,14 @@ func mwToDBm(mw float64) float64 {
 //	Pb = (8/15)·(1/16)·Σ_{k=2}^{16} (−1)^k · C(16,k) · exp(20·SNR·(1/k − 1))
 //	PRR = (1 − Pb)^(8·f)
 func prrFromSNR(snrLinear float64, frameBytes int) float64 {
+	if snrLinear >= prrSaturatedSNR {
+		return 1
+	}
+	return prrCurve(snrLinear, frameBytes)
+}
+
+// prrCurve evaluates the analytic curve of prrFromSNR in full.
+func prrCurve(snrLinear float64, frameBytes int) float64 {
 	if snrLinear <= 0 {
 		return 0
 	}
@@ -221,6 +237,20 @@ func prrFromSNR(snrLinear float64, frameBytes int) float64 {
 	}
 	prr := math.Pow(1-pb, float64(8*frameBytes))
 	return prr
+}
+
+// rxPRR adjudicates a locked reception: the reception ratio of a frame of
+// frameBytes (MAC size) received at signalMW against the worst
+// interference seen while it was on the air plus the noise at its end,
+// and the SINR it was judged at. The capture gate against co-channel
+// 802.15.4 frames is checked first: a frame it rejects has PRR 0 whatever
+// the curve says, so the curve is never evaluated for it.
+func (p Params) rxPRR(signalMW, maxInterfMW, noiseMW float64, frameBytes int) (prr, snr float64) {
+	snr = signalMW / (noiseMW + maxInterfMW)
+	if maxInterfMW > 0 && mwToDBm(signalMW/maxInterfMW) < p.CaptureThresholdDB {
+		return 0, snr
+	}
+	return prrFromSNR(snr, frameBytes+p.PhyOverheadBytes), snr
 }
 
 // binom16 holds C(16, k).

@@ -50,10 +50,11 @@ type Radio struct {
 	handler Handler
 
 	state State
-	// air tracks the received power (mW) of every in-flight transmission
-	// audible at this node, keyed by transmission id. Maintained even
-	// while off so CCA is correct right after waking.
-	air map[uint64]float64
+	// air holds every in-flight transmission audible at this node, in
+	// arrival order. Maintained even while off so CCA is correct right
+	// after waking. Power sums iterate it in that fixed order, so they
+	// are reproducible to the last bit.
+	air []airEntry
 
 	// rx is the in-progress reception context, valid only while rxActive
 	// is set. It is a value field: locking onto a frame used to allocate
@@ -73,6 +74,25 @@ type Radio struct {
 // noiseSource abstracts the CPM source so tests can run without a model.
 type noiseSource interface {
 	ReadAt(t time.Duration) float64
+}
+
+// airEntry is one in-flight transmission audible at a radio. The linear
+// power mW is converted from rxDBm on first read only (negative until
+// then): a radio that is off or transmitting when a frame arrives — most
+// receivers under LPL duty cycling — records it and never pays for the
+// dBm→mW conversion.
+type airEntry struct {
+	txID  uint64
+	rxDBm float64
+	mW    float64
+}
+
+// powerMW returns the entry's received power in mW, converting once.
+func (a *airEntry) powerMW() float64 {
+	if a.mW < 0 {
+		a.mW = dbmToMW(a.rxDBm)
+	}
+	return a.mW
 }
 
 type rxContext struct {
@@ -151,11 +171,17 @@ func (r *Radio) CCABusy() bool {
 	if r.State() == StateOff {
 		return false
 	}
+	return mwToDBm(r.channelMW()) > r.medium.params.CCAThresholdDBm
+}
+
+// channelMW is the total power at the antenna that CCA thresholds: the
+// noise floor plus every frame on the air, summed in arrival order.
+func (r *Radio) channelMW() float64 {
 	total := r.medium.noiseAt(r.id, r.medium.eng.Now())
-	for _, p := range r.air {
-		total += p
+	for i := range r.air {
+		total += r.air[i].powerMW()
 	}
-	return mwToDBm(total) > r.medium.params.CCAThresholdDBm
+	return total
 }
 
 // Transmit puts frame f on the air at powerDBm. The handler's OnTxDone
@@ -194,16 +220,12 @@ func (r *Radio) Transmitting() bool { return r.State() == StateTransmitting }
 
 // onAirStart is called by the medium when a transmission begins in range.
 func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
-	if r.air == nil {
-		r.air = make(map[uint64]float64, 8)
-	}
-	mw := dbmToMW(rxPowerDBm)
-	r.air[tx.id] = mw
+	r.air = append(r.air, airEntry{txID: tx.id, rxDBm: rxPowerDBm, mW: -1})
 	switch r.State() {
 	case StateListening:
 		if rxPowerDBm >= r.medium.params.SensitivityDBm {
 			// Lock onto this frame; everything else on the air interferes.
-			r.rx = rxContext{tx: tx, signalMW: mw}
+			r.rx = rxContext{tx: tx, signalMW: r.air[len(r.air)-1].powerMW()}
 			r.rx.maxInterfMW = r.interferenceMW(tx.id)
 			r.rxActive = true
 			r.state = StateReceiving
@@ -220,17 +242,33 @@ func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 // interferenceMW sums audible power excluding the given transmission.
 func (r *Radio) interferenceMW(exclude uint64) float64 {
 	var sum float64
-	for id, p := range r.air {
-		if id != exclude {
-			sum += p
+	for i := range r.air {
+		if r.air[i].txID != exclude {
+			sum += r.air[i].powerMW()
 		}
 	}
 	return sum
 }
 
+// removeAir drops a transmission from the air set, keeping arrival order.
+func (r *Radio) removeAir(id uint64) {
+	air := r.air
+	for i := range air {
+		if air[i].txID == id {
+			// Air sets hold a handful of entries: shifting by hand beats
+			// a memmove call.
+			for ; i+1 < len(air); i++ {
+				air[i] = air[i+1]
+			}
+			r.air = air[:len(air)-1]
+			return
+		}
+	}
+}
+
 // onAirEnd is called by the medium when a transmission leaves the air.
 func (r *Radio) onAirEnd(tx *transmission) {
-	delete(r.air, tx.id)
+	r.removeAir(tx.id)
 	if r.State() != StateReceiving || !r.rxActive || r.rx.tx != tx {
 		return
 	}
@@ -238,15 +276,10 @@ func (r *Radio) onAirEnd(tx *transmission) {
 	r.dropRx()
 	r.state = StateListening
 	nowNoise := r.medium.noiseAt(r.id, r.medium.eng.Now())
-	snr := ctx.signalMW / (nowNoise + ctx.maxInterfMW)
-	prr := prrFromSNR(snr, tx.frame.Size+r.medium.params.PhyOverheadBytes)
-	if ctx.maxInterfMW > 0 {
-		// Capture gate against co-channel 802.15.4 frames.
-		sir := ctx.signalMW / ctx.maxInterfMW
-		if mwToDBm(sir) < r.medium.params.CaptureThresholdDB {
-			prr = 0
-		}
-	}
+	prr, snr := r.medium.params.rxPRR(ctx.signalMW, ctx.maxInterfMW, nowNoise, tx.frame.Size)
+	// The draw is unconditional — even a frame the capture gate already
+	// rejected consumes it — so each adjudication advances the radio's
+	// RNG stream by exactly one value.
 	ok := r.rng.Float64() < prr
 	if ok && r.medium.dropFn != nil && r.medium.dropFn(r.id, tx.frame) {
 		// Injected loss window: the frame decoded fine but the fault
@@ -256,13 +289,19 @@ func (r *Radio) onAirEnd(tx *transmission) {
 	}
 	if ok {
 		r.counters.RxDelivered++
-		r.medium.trace(TraceEvent{Kind: TraceRxOK, Node: r.id, Frame: tx.frame, SINRdB: mwToDBm(snr)})
-		if r.handler != nil {
-			r.handler.OnFrame(tx.frame)
-		}
 	} else {
 		r.counters.RxCorrupted++
-		r.medium.trace(TraceEvent{Kind: TraceRxCorrupt, Node: r.id, Frame: tx.frame, SINRdB: mwToDBm(snr)})
+	}
+	if r.medium.traceFn != nil {
+		// The SINR costs a logarithm, so only a trace consumer pays it.
+		kind := TraceRxCorrupt
+		if ok {
+			kind = TraceRxOK
+		}
+		r.medium.trace(TraceEvent{Kind: kind, Node: r.id, Frame: tx.frame, SINRdB: mwToDBm(snr)})
+	}
+	if ok && r.handler != nil {
+		r.handler.OnFrame(tx.frame)
 	}
 }
 
