@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint test test-fault test-scale test-scale-full race fuzz test-fuzz bench bench-smoke profile profile-smoke check
+.PHONY: all build benchmark-build vet fmt-check lint test test-fault test-scale test-scale-full race fuzz test-fuzz bench bench-smoke profile profile-smoke check
 
 all: check
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark module (its own go.mod) compiles against internal/ but is
+# outside root ./...; -o /dev/null keeps its package-main binary out of
+# the tree.
+benchmark-build:
+	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

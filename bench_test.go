@@ -83,7 +83,7 @@ func controlStudy(b *testing.B, proto experiment.Proto, wifi bool) *experiment.C
 		scn.TuneControlTimeouts(18 * time.Second)
 		return scn
 	}
-	res, err := experiment.RunControlStudySeeds(build, proto, opts, []uint64{1, 2})
+	res, err := experiment.ControlStudy(proto, opts).Replicate(build, []uint64{1, 2}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,16 +326,14 @@ func BenchmarkReplicationSpeedup(b *testing.B) {
 	seeds := experiment.DeriveSeeds(1, 8)
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		serial, err := experiment.Replicator{Workers: 1}.ControlStudy(
-			benchLineScenario, experiment.ProtoTele, opts, seeds)
+		serial, err := experiment.ControlStudy(experiment.ProtoTele, opts).Replicate(benchLineScenario, seeds, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		serialDur := time.Since(t0)
 
 		t1 := time.Now()
-		par, err := experiment.Replicator{}.ControlStudy(
-			benchLineScenario, experiment.ProtoTele, opts, seeds)
+		par, err := experiment.ControlStudy(experiment.ProtoTele, opts).Replicate(benchLineScenario, seeds, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,8 +372,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			o.Trace = trace
 			var events int
 			for i := 0; i < b.N; i++ {
-				res, err := experiment.Replicator{Workers: 1}.ControlStudy(
-					benchLineScenario, experiment.ProtoTele, o, seeds)
+				res, err := experiment.ControlStudy(experiment.ProtoTele, o).Replicate(benchLineScenario, seeds, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -483,7 +480,7 @@ func BenchmarkAblationWakeInterval(b *testing.B) {
 				scn.Tele.AllocDelay = 10 * wi
 				return scn
 			}
-			res, err := experiment.RunControlStudySeeds(build, experiment.ProtoTele, opts, []uint64{1})
+			res, err := experiment.ControlStudy(experiment.ProtoTele, opts).Replicate(build, []uint64{1}, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -510,7 +507,7 @@ func BenchmarkAblationFeedbackIntercept(b *testing.B) {
 				scn.Tele.FeedbackIntercept = intercept
 				return scn
 			}
-			res, err := experiment.RunControlStudySeeds(build, experiment.ProtoTele, opts, []uint64{1})
+			res, err := experiment.ControlStudy(experiment.ProtoTele, opts).Replicate(build, []uint64{1}, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

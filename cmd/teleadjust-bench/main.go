@@ -20,54 +20,93 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"teleadjust/internal/core"
 	"teleadjust/internal/experiment"
 	"teleadjust/internal/prof"
+	"teleadjust/internal/radio"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "teleadjust-bench:", err)
 		os.Exit(1)
 	}
 }
 
 type settings struct {
+	out        io.Writer
 	exp        string
 	quick      bool
 	seeds      int
 	seed       uint64
 	packet     int
 	parallel   int
-	reps       int
 	csvDir     string
 	cpuprofile string
 	memprofile string
 	exectrace  string
 }
 
-func run() (retErr error) {
-	var s settings
-	flag.StringVar(&s.exp, "exp", "all", "experiment: fig6, table2, compare26, compare19, ablation, scope, replication, all")
-	flag.BoolVar(&s.quick, "quick", false, "reduced durations and seed counts")
-	flag.IntVar(&s.seeds, "seeds", 3, "seeds per protocol for comparison studies")
-	flag.Uint64Var(&s.seed, "seed", 1, "base seed")
-	flag.IntVar(&s.packet, "packets", 40, "control packets per run")
-	flag.IntVar(&s.parallel, "parallel", 0, "replication workers for multi-seed studies (0 = GOMAXPROCS, 1 = serial)")
-	flag.IntVar(&s.reps, "reps", 8, "replications for the replication speedup experiment")
-	flag.StringVar(&s.csvDir, "csv", "", "also write plot-ready CSV files into this directory")
-	flag.StringVar(&s.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-	flag.StringVar(&s.memprofile, "memprofile", "", "write a pprof heap profile at exit to this file")
-	flag.StringVar(&s.exectrace, "exectrace", "", "write a runtime execution trace to this file")
-	flag.Parse()
+// benchExperiment is one -exp choice.
+type benchExperiment struct {
+	name string
+	run  func(settings) error
+}
+
+// experiments are the -exp choices, in the order -exp all runs them.
+var experiments = []benchExperiment{
+	{"fig6", runFig6},
+	{"table2", runTable2},
+	{"compare26", func(s settings) error { return runComparison(s, false) }},
+	{"compare19", func(s settings) error { return runComparison(s, true) }},
+	{"ablation", runAblation},
+	{"scope", runScope},
+}
+
+func experimentNames() string {
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
+func run(args []string, out io.Writer) (retErr error) {
+	s := settings{out: out}
+	fs := flag.NewFlagSet("teleadjust-bench", flag.ContinueOnError)
+	fs.StringVar(&s.exp, "exp", "all", "experiment: "+experimentNames())
+	fs.BoolVar(&s.quick, "quick", false, "reduced durations and seed counts")
+	fs.IntVar(&s.seeds, "seeds", 3, "seeds per protocol for comparison studies")
+	fs.Uint64Var(&s.seed, "seed", 1, "base seed")
+	fs.IntVar(&s.packet, "packets", 40, "control packets per run")
+	fs.IntVar(&s.parallel, "parallel", 0, "replication workers for multi-seed studies (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&s.csvDir, "csv", "", "also write plot-ready CSV files into this directory")
+	fs.StringVar(&s.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+	fs.StringVar(&s.memprofile, "memprofile", "", "write a pprof heap profile at exit to this file")
+	fs.StringVar(&s.exectrace, "exectrace", "", "write a runtime execution trace to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	one := -1 // index of the selected experiment; -1 runs them all
+	if s.exp != "all" {
+		one = slices.IndexFunc(experiments, func(e benchExperiment) bool { return e.name == s.exp })
+		if one < 0 {
+			return fmt.Errorf("unknown experiment %q: %s", s.exp, experimentNames())
+		}
+	}
 	if s.csvDir != "" {
 		if err := os.MkdirAll(s.csvDir, 0o755); err != nil {
 			return err
@@ -87,28 +126,14 @@ func run() (retErr error) {
 		s.seeds = 1
 		s.packet = 15
 	}
-	steps := map[string]func(settings) error{
-		"fig6":        runFig6,
-		"table2":      runTable2,
-		"compare26":   func(st settings) error { return runComparison(st, false) },
-		"compare19":   func(st settings) error { return runComparison(st, true) },
-		"ablation":    runAblation,
-		"scope":       runScope,
-		"replication": runReplication,
+	if one >= 0 {
+		return experiments[one].run(s)
 	}
-	order := []string{"fig6", "table2", "compare26", "compare19", "ablation", "scope"}
-	if s.exp != "all" {
-		fn, ok := steps[s.exp]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q", s.exp)
+	for _, e := range experiments {
+		if err := e.run(s); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		return fn(s)
-	}
-	for _, name := range order {
-		if err := steps[name](s); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Println()
+		fmt.Fprintln(s.out)
 	}
 	return nil
 }
@@ -128,44 +153,36 @@ func runFig6(s settings) error {
 		if s.quick {
 			dur /= 2
 		}
-		res, err := experiment.RunCodingStudy(tc.build(s.seed), dur)
+		res, err := experiment.CodingStudy(dur).Run(tc.build(s.seed))
 		if err != nil {
 			return err
 		}
-		experiment.WriteCodingReport(os.Stdout, res)
-		if err := writeCodingCSV(s, res); err != nil {
+		experiment.WriteCodingReport(s.out, res)
+		if err := writeCSV(s, "coding_"+res.Scenario+".csv", func(w io.Writer) error {
+			return experiment.WriteCodingCSV(w, res)
+		}); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(s.out)
 	}
 	return nil
 }
 
-// writeCodingCSV exports a coding study when -csv is set.
-func writeCodingCSV(s settings, res *experiment.CodingResult) error {
+// writeCSV exports one study into the -csv directory when it is set,
+// returning the first of the write and close errors.
+func writeCSV(s settings, name string, write func(io.Writer) error) error {
 	if s.csvDir == "" {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(s.csvDir, "coding_"+res.Scenario+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return experiment.WriteCodingCSV(f, res)
-}
-
-// writeControlCSV exports a control study when -csv is set.
-func writeControlCSV(s settings, res *experiment.ControlResult) error {
-	if s.csvDir == "" {
-		return nil
-	}
-	name := fmt.Sprintf("control_%s_%s.csv", res.Scenario, res.Proto)
 	f, err := os.Create(filepath.Join(s.csvDir, name))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return experiment.WriteControlCSV(f, res)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // runTable2 regenerates the indoor code-length table.
@@ -174,13 +191,23 @@ func runTable2(s settings) error {
 	if s.quick {
 		dur = 4 * time.Minute
 	}
-	res, err := experiment.RunCodingStudy(experiment.Indoor(s.seed, false), dur)
+	res, err := experiment.CodingStudy(dur).Run(experiment.Indoor(s.seed, false))
 	if err != nil {
 		return err
 	}
-	fmt.Println("Table II — indoor testbed code length by hop (paper: avg 4.2→15.8 bits over 6 hops, max ≤20):")
-	experiment.WriteCodingReport(os.Stdout, res)
+	fmt.Fprintln(s.out, "Table II — indoor testbed code length by hop (paper: avg 4.2→15.8 bits over 6 hops, max ≤20):")
+	experiment.WriteCodingReport(s.out, res)
 	return nil
+}
+
+// indoorControl is the tuned indoor-testbed scenario the control-plane
+// comparisons replicate over.
+func indoorControl(wifi bool) func(seed uint64) experiment.Scenario {
+	return func(seed uint64) experiment.Scenario {
+		scn := experiment.Indoor(seed, wifi)
+		scn.TuneControlTimeouts(18 * time.Second)
+		return scn
+	}
 }
 
 // runComparison regenerates Fig 7–10 and Table III on one channel.
@@ -196,12 +223,6 @@ func runComparison(s settings, wifi bool) error {
 	for i := range seeds {
 		seeds[i] = s.seed + uint64(i)
 	}
-	build := func(seed uint64) experiment.Scenario {
-		scn := experiment.Indoor(seed, wifi)
-		scn.TuneControlTimeouts(18 * time.Second)
-		return scn
-	}
-	rep := experiment.Replicator{Workers: s.parallel}
 	var results []*experiment.ControlResult
 	for _, proto := range []experiment.Proto{
 		experiment.ProtoTele,
@@ -209,18 +230,19 @@ func runComparison(s settings, wifi bool) error {
 		experiment.ProtoDrip,
 		experiment.ProtoRPL,
 	} {
-		res, err := rep.ControlStudy(build, proto, opts, seeds)
+		res, err := experiment.ControlStudy(proto, opts).Replicate(indoorControl(wifi), seeds, s.parallel)
 		if err != nil {
 			return err
 		}
 		results = append(results, res)
-		experiment.WriteControlReport(os.Stdout, res)
-		if err := writeControlCSV(s, res); err != nil {
+		experiment.WriteControlReport(s.out, res)
+		name := fmt.Sprintf("control_%s_%s.csv", res.Scenario, res.Proto)
+		if err := writeCSV(s, name, func(w io.Writer) error { return experiment.WriteControlCSV(w, res) }); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(s.out)
 	}
-	experiment.WriteComparisonSummary(os.Stdout, results)
+	experiment.WriteComparisonSummary(s.out, results)
 	return nil
 }
 
@@ -232,8 +254,8 @@ func runAblation(s settings) error {
 	if s.quick {
 		dur = 3 * time.Minute
 	}
-	fmt.Println("--- Ablation: Algorithm 1 reserve policy (indoor testbed) ---")
-	fmt.Printf("%-10s %14s %14s %12s\n", "policy", "avg code bits", "max code bits", "extensions")
+	fmt.Fprintln(s.out, "--- Ablation: Algorithm 1 reserve policy (indoor testbed) ---")
+	fmt.Fprintf(s.out, "%-10s %14s %14s %12s\n", "policy", "avg code bits", "max code bits", "extensions")
 	for _, p := range []struct {
 		name   string
 		policy core.ReservePolicy
@@ -244,7 +266,9 @@ func runAblation(s settings) error {
 	} {
 		scn := experiment.Indoor(s.seed, false)
 		scn.Tele.Reserve = p.policy
-		res, err := experiment.RunCodingStudy(scn, dur)
+		var net *experiment.Net
+		scn.OnNetBuilt = func(n *experiment.Net) { net = n }
+		res, err := experiment.CodingStudy(dur).Run(scn)
 		if err != nil {
 			return err
 		}
@@ -261,28 +285,31 @@ func runAblation(s settings) error {
 		if count > 0 {
 			avg = sum / count
 		}
-		fmt.Printf("%-10s %14.1f %14.0f %12s\n", p.name, avg, maxBits, "(see stats)")
+		// Algorithm 1's cost side: bit-space extensions summed over the
+		// live stacks.
+		var extensions uint64
+		for i := range net.Stacks {
+			if te := net.Tele(radio.NodeID(i)); te != nil {
+				extensions += te.Stats().SpaceExtensions
+			}
+		}
+		fmt.Fprintf(s.out, "%-10s %14.1f %14.0f %12d\n", p.name, avg, maxBits, extensions)
 	}
 
-	fmt.Println("\n--- Ablation: opportunistic vs strict-path forwarding ---")
+	fmt.Fprintln(s.out, "\n--- Ablation: opportunistic vs strict-path forwarding ---")
 	opts := experiment.DefaultControlOpts()
 	opts.Warmup = 6 * time.Minute
 	opts.Packets = s.packet
 	opts.Interval = 20 * time.Second
-	build := func(seed uint64) experiment.Scenario {
-		scn := experiment.Indoor(seed, false)
-		scn.TuneControlTimeouts(18 * time.Second)
-		return scn
-	}
 	var results []*experiment.ControlResult
 	for _, proto := range []experiment.Proto{experiment.ProtoTele, experiment.ProtoTeleStrict} {
-		res, err := experiment.RunControlStudySeeds(build, proto, opts, []uint64{s.seed})
+		res, err := experiment.ControlStudy(proto, opts).Run(indoorControl(false)(s.seed))
 		if err != nil {
 			return err
 		}
 		results = append(results, res)
 	}
-	experiment.WriteComparisonSummary(os.Stdout, results)
+	experiment.WriteComparisonSummary(s.out, results)
 	return nil
 }
 
@@ -298,64 +325,10 @@ func runScope(s settings) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("--- Extension: subtree-scoped dissemination (indoor testbed) ---")
-	fmt.Printf("operations=%d members=%d acked=%d mean-coverage=%.1f%%\n",
+	fmt.Fprintln(s.out, "--- Extension: subtree-scoped dissemination (indoor testbed) ---")
+	fmt.Fprintf(s.out, "operations=%d members=%d acked=%d mean-coverage=%.1f%%\n",
 		res.Operations, res.Members, res.Acked, 100*res.Coverage.Mean())
-	fmt.Printf("scoped flood:     %.2f tx per addressed member\n", res.TxPerMember)
-	fmt.Printf("per-member unicast: %.2f tx per addressed member\n", res.UnicastTxPerMember)
-	return nil
-}
-
-// runReplication measures the wall-clock speedup of the parallel
-// replication runner: the same -reps-seed control study once on one
-// worker and once on the full pool, verifying the merged reports match.
-func runReplication(s settings) error {
-	opts := experiment.DefaultControlOpts()
-	opts.Warmup = 4 * time.Minute
-	opts.Packets = s.packet
-	opts.Interval = 15 * time.Second
-	if s.quick {
-		opts.Packets = 10
-	}
-	seeds := experiment.DeriveSeeds(s.seed, s.reps)
-	build := func(seed uint64) experiment.Scenario {
-		scn := experiment.Indoor(seed, false)
-		scn.TuneControlTimeouts(12 * time.Second)
-		return scn
-	}
-	workers := s.parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("--- Replication runner: %d replications, 1 vs %d workers ---\n", s.reps, workers)
-
-	t0 := time.Now()
-	serial, err := experiment.Replicator{Workers: 1}.ControlStudy(build, experiment.ProtoTele, opts, seeds)
-	if err != nil {
-		return err
-	}
-	serialDur := time.Since(t0)
-
-	t1 := time.Now()
-	par, err := experiment.Replicator{Workers: workers}.ControlStudy(build, experiment.ProtoTele, opts, seeds)
-	if err != nil {
-		return err
-	}
-	parDur := time.Since(t1)
-
-	var sb, pb strings.Builder
-	experiment.WriteControlReport(&sb, serial)
-	experiment.WriteControlReport(&pb, par)
-	match := "byte-identical"
-	if sb.String() != pb.String() {
-		match = "MISMATCH (determinism bug)"
-	}
-	experiment.WriteControlReport(os.Stdout, par)
-	fmt.Printf("serial:   %v\nparallel: %v (%d workers)\nspeedup:  %.2fx — merged reports %s\n",
-		serialDur.Round(time.Millisecond), parDur.Round(time.Millisecond), workers,
-		float64(serialDur)/float64(parDur), match)
-	if match != "byte-identical" {
-		return fmt.Errorf("parallel replication diverged from serial")
-	}
+	fmt.Fprintf(s.out, "scoped flood:     %.2f tx per addressed member\n", res.TxPerMember)
+	fmt.Fprintf(s.out, "per-member unicast: %.2f tx per addressed member\n", res.UnicastTxPerMember)
 	return nil
 }

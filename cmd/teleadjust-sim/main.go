@@ -53,7 +53,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -66,19 +68,6 @@ import (
 	"teleadjust/internal/radio"
 	"teleadjust/internal/telemetry"
 )
-
-// writeTrace exports the collected event stream as JSONL.
-func writeTrace(path string, events []telemetry.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteJSONL(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 // cliConfig carries every parsed flag; validate checks the mutually
 // dependent combinations before any simulation work starts.
@@ -133,6 +122,109 @@ type cliConfig struct {
 	shed        string
 }
 
+// study is one -study value: the study-scoped flags it accepts, its own
+// flag checks (optional), and the function that runs it and writes its
+// outputs.
+type study struct {
+	name  string
+	flags []string
+	check func(*cliConfig) error
+	run   func(*runner) error
+}
+
+// studies is the -study table; validate derives the study-scoped flag
+// checks from it.
+var studies = []study{
+	{name: "coding", run: runCoding},
+	{name: "control", flags: []string{"-trace", "-trace-op", "-progress", "-convergence"}, run: runControl},
+	{name: "scope", check: checkScope, run: runScope},
+	{name: "throughput", flags: []string{"-trace", "-csv", "-workload", "-rates", "-conc", "-ops", "-dist", "-window"},
+		check: checkThroughput, run: runThroughput},
+	{name: "service", flags: []string{"-trace", "-csv", "-rates", "-ops", "-dist", "-window",
+		"-batch-window", "-batch-bits", "-max-batch", "-cache-ttl", "-cache-cap", "-queue-depth", "-high-water", "-shed"},
+		check: checkService, run: runService},
+	{name: "coding-schemes", flags: []string{"-csv", "-codecs", "-joins"}, check: checkCodingSchemes, run: runCodingSchemes},
+}
+
+// studyNamed looks a study up in the table.
+func studyNamed(name string) (study, bool) {
+	i := slices.IndexFunc(studies, func(st study) bool { return st.name == name })
+	if i < 0 {
+		return study{}, false
+	}
+	return studies[i], true
+}
+
+func studyNames() []string {
+	var names []string
+	for _, st := range studies {
+		names = append(names, st.name)
+	}
+	return names
+}
+
+func protoNames() []string {
+	var names []string
+	for _, p := range experiment.Protocols() {
+		names = append(names, string(p))
+	}
+	return names
+}
+
+// scopedFlag is a study-scoped flag and whether it was given.
+type scopedFlag struct {
+	name string
+	set  bool
+}
+
+// scopedFlags lists every study-scoped flag in a fixed order, so the
+// first misplaced one is always the one reported.
+func (c *cliConfig) scopedFlags() []scopedFlag {
+	return []scopedFlag{
+		{"-trace", c.trace != ""},
+		{"-trace-op", c.traceOp >= 0},
+		{"-progress", c.progress > 0},
+		{"-convergence", c.convergence != ""},
+		{"-csv", c.csv != ""},
+		{"-workload", c.workload != ""},
+		{"-rates", c.rates != ""},
+		{"-conc", c.conc != ""},
+		{"-ops", c.ops != 0},
+		{"-dist", c.dist != ""},
+		{"-window", c.window != 0},
+		{"-codecs", c.codecs != ""},
+		{"-joins", c.joins >= 0},
+		{"-batch-window", c.batchWindow >= 0},
+		{"-batch-bits", c.batchBits >= 0},
+		{"-max-batch", c.maxBatch >= 0},
+		{"-cache-ttl", c.cacheTTL >= 0},
+		{"-cache-cap", c.cacheCap >= 0},
+		{"-queue-depth", c.queueDepth >= 0},
+		{"-high-water", c.highWater >= 0},
+		{"-shed", c.shed != ""},
+	}
+}
+
+// acceptedBy lists the studies that accept a study-scoped flag.
+func acceptedBy(flagName string) string {
+	var names []string
+	for _, st := range studies {
+		if slices.Contains(st.flags, flagName) {
+			names = append(names, st.name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// scenarios lists the -scenario names: a comma-separated list for the
+// coding-schemes study, one name for every other study.
+func (c *cliConfig) scenarios() []string {
+	if c.study == "coding-schemes" {
+		return splitList(c.scenario)
+	}
+	return []string{c.scenario}
+}
+
 // validate fails fast on flag combinations that would otherwise be
 // silently ignored or crash mid-run.
 func (c *cliConfig) validate() error {
@@ -164,39 +256,8 @@ func (c *cliConfig) validate() error {
 	if c.warmup < 0 {
 		return fmt.Errorf("-warmup must be >= 0")
 	}
-	throughput := c.study == "throughput"
-	schemes := c.study == "coding-schemes"
-	service := c.study == "service"
-	if !service {
-		for _, sf := range []struct {
-			name string
-			set  bool
-		}{
-			{"-batch-window", c.batchWindow >= 0},
-			{"-batch-bits", c.batchBits >= 0},
-			{"-max-batch", c.maxBatch >= 0},
-			{"-cache-ttl", c.cacheTTL >= 0},
-			{"-cache-cap", c.cacheCap >= 0},
-			{"-queue-depth", c.queueDepth >= 0},
-			{"-high-water", c.highWater >= 0},
-			{"-shed", c.shed != ""},
-		} {
-			if sf.set {
-				return fmt.Errorf("%s applies to command-service studies only (-study service)", sf.name)
-			}
-		}
-	}
-	if c.trace != "" && c.study != "control" && !throughput && !service {
-		return fmt.Errorf("-trace applies to control, throughput, and service studies only")
-	}
-	if c.traceOp >= 0 && c.study != "control" {
-		return fmt.Errorf("-trace-op applies to control studies only")
-	}
 	if c.progress < 0 {
 		return fmt.Errorf("-progress must be a positive period")
-	}
-	if c.progress > 0 && c.study != "control" {
-		return fmt.Errorf("-progress applies to control studies only")
 	}
 	if c.progress > 0 && c.reps > 1 {
 		// Replications run concurrently on the worker pool; their live
@@ -204,19 +265,25 @@ func (c *cliConfig) validate() error {
 		// -convergence report has no such restriction.
 		return fmt.Errorf("-progress requires -reps 1")
 	}
-	if c.convergence != "" && c.study != "control" {
-		return fmt.Errorf("-convergence applies to control studies only")
-	}
 	if c.traceSample < 0 {
 		return fmt.Errorf("-trace-sample must be >= 1 (export every 1-in-N operation)")
 	}
 	if c.traceSample > 0 && c.trace == "" {
 		return fmt.Errorf("-trace-sample requires -trace")
 	}
+	if c.joins < -1 { // -1 is the unset default
+		return fmt.Errorf("-joins must be >= 0")
+	}
+	if c.ops < 0 {
+		return fmt.Errorf("-ops must be >= 1")
+	}
+	if c.window < 0 {
+		return fmt.Errorf("-window must be >= 1")
+	}
+	if !slices.Contains(experiment.Protocols(), experiment.Proto(c.proto)) {
+		return fmt.Errorf("unknown protocol %q: %s", c.proto, strings.Join(protoNames(), ", "))
+	}
 	if c.codec != "" {
-		if schemes {
-			return fmt.Errorf("-codec conflicts with -study coding-schemes: use -codecs to pick the compared schemes")
-		}
 		if _, err := core.CodecByName(c.codec); err != nil {
 			return err
 		}
@@ -224,80 +291,38 @@ func (c *cliConfig) validate() error {
 			return fmt.Errorf("-codec applies to TeleAdjusting variants only, not -proto %s", c.proto)
 		}
 	}
-	if c.codecs != "" && !schemes {
-		return fmt.Errorf("-codecs applies to coding-schemes studies only (-study coding-schemes)")
+	st, ok := studyNamed(c.study)
+	if !ok {
+		return fmt.Errorf("unknown study %q: %s", c.study, strings.Join(studyNames(), ", "))
 	}
-	if c.joins >= 0 && !schemes {
-		return fmt.Errorf("-joins applies to coding-schemes studies only (-study coding-schemes)")
+	names := c.scenarios()
+	if len(names) == 0 {
+		return fmt.Errorf("-scenario must name at least one scenario")
 	}
-	if c.joins < -1 { // -1 is the unset default
-		return fmt.Errorf("-joins must be >= 0")
+	for _, name := range names {
+		if _, err := pickScenario(name, c.seed); err != nil {
+			return err
+		}
 	}
-	if schemes {
-		for _, name := range splitList(c.codecs) {
-			if _, err := core.CodecByName(name); err != nil {
-				return err
-			}
+	for _, f := range c.scopedFlags() {
+		if f.set && !slices.Contains(st.flags, f.name) {
+			return fmt.Errorf("%s applies only to -study %s", f.name, acceptedBy(f.name))
 		}
-		if c.svg != "" {
-			// The study builds one network per (scenario, codec) cell; no
-			// single topology represents the run.
-			return fmt.Errorf("-svg does not apply to coding-schemes studies")
-		}
-		return nil
 	}
-	if service {
-		if c.workload != "" {
-			return fmt.Errorf("-workload does not apply to service studies: the command service is always driven open-loop")
-		}
-		if c.conc != "" {
-			return fmt.Errorf("-conc does not apply to service studies: sweep offered load with -rates instead")
-		}
-		switch c.shed {
-		case "", "reject", "delay":
-		default:
-			return fmt.Errorf("unknown -shed policy %q: reject or delay", c.shed)
-		}
-		if c.batchBits > 56 {
-			return fmt.Errorf("-batch-bits must be <= 56 (prefix key width)")
-		}
-		if c.maxBatch >= 0 && (c.maxBatch < 2 || c.maxBatch > core.MaxBatchMembers) {
-			return fmt.Errorf("-max-batch must be between 2 and %d (wire member bound)", core.MaxBatchMembers)
-		}
-		if c.queueDepth > 0 && c.highWater > c.queueDepth {
-			return fmt.Errorf("-high-water must not exceed -queue-depth: the hard bound would shed before the soft one engages")
-		}
-		if c.ops < 0 {
-			return fmt.Errorf("-ops must be >= 1")
-		}
-		if c.window < 0 {
-			return fmt.Errorf("-window must be >= 1")
-		}
-		return nil
+	if st.check != nil {
+		return st.check(c)
 	}
-	if !throughput {
-		for flagName, set := range map[string]bool{
-			"-workload": c.workload != "",
-			"-rates":    c.rates != "",
-			"-conc":     c.conc != "",
-			"-ops":      c.ops != 0,
-			"-dist":     c.dist != "",
-			"-window":   c.window != 0,
-			"-csv":      c.csv != "",
-		} {
-			if set {
-				switch flagName {
-				case "-csv":
-					return fmt.Errorf("-csv applies to throughput, service, and coding-schemes studies only")
-				case "-workload", "-conc":
-					return fmt.Errorf("%s applies to throughput studies only (-study throughput)", flagName)
-				default:
-					return fmt.Errorf("%s applies to throughput and service studies only", flagName)
-				}
-			}
-		}
-		return nil
+	return nil
+}
+
+func checkScope(c *cliConfig) error {
+	if c.reps > 1 {
+		return fmt.Errorf("the scope study does not support -reps")
 	}
+	return nil
+}
+
+func checkThroughput(c *cliConfig) error {
 	switch c.workload {
 	case "", "closed":
 		if c.rates != "" {
@@ -313,11 +338,40 @@ func (c *cliConfig) validate() error {
 	default:
 		return fmt.Errorf("unknown workload mode %q: closed or open", c.workload)
 	}
-	if c.ops < 0 {
-		return fmt.Errorf("-ops must be >= 1")
+	return nil
+}
+
+func checkService(c *cliConfig) error {
+	switch c.shed {
+	case "", "reject", "delay":
+	default:
+		return fmt.Errorf("unknown -shed policy %q: reject or delay", c.shed)
 	}
-	if c.window < 0 {
-		return fmt.Errorf("-window must be >= 1")
+	if c.batchBits > 56 {
+		return fmt.Errorf("-batch-bits must be <= 56 (prefix key width)")
+	}
+	if c.maxBatch >= 0 && (c.maxBatch < 2 || c.maxBatch > core.MaxBatchMembers) {
+		return fmt.Errorf("-max-batch must be between 2 and %d (wire member bound)", core.MaxBatchMembers)
+	}
+	if c.queueDepth > 0 && c.highWater > c.queueDepth {
+		return fmt.Errorf("-high-water must not exceed -queue-depth: the hard bound would shed before the soft one engages")
+	}
+	return nil
+}
+
+func checkCodingSchemes(c *cliConfig) error {
+	if c.codec != "" {
+		return fmt.Errorf("-codec conflicts with -study coding-schemes: use -codecs to pick the compared schemes")
+	}
+	for _, name := range splitList(c.codecs) {
+		if _, err := core.CodecByName(name); err != nil {
+			return err
+		}
+	}
+	if c.svg != "" {
+		// The study builds one network per (scenario, codec) cell; no
+		// single topology represents the run.
+		return fmt.Errorf("-svg does not apply to coding-schemes studies")
 	}
 	return nil
 }
@@ -452,8 +506,8 @@ func main() {
 func run() (retErr error) {
 	var c cliConfig
 	flag.StringVar(&c.scenario, "scenario", "indoor", "scenario: tight, sparse, indoor, indoor-wifi, refgrid, grid1k, line")
-	flag.StringVar(&c.study, "study", "control", "study: coding, control, scope, throughput, service, coding-schemes")
-	flag.StringVar(&c.proto, "proto", "tele", "protocol: tele, retele, strict, teleadjust, drip, rpl")
+	flag.StringVar(&c.study, "study", "control", "study: "+strings.Join(studyNames(), ", "))
+	flag.StringVar(&c.proto, "proto", "tele", "protocol: "+strings.Join(protoNames(), ", "))
 	flag.StringVar(&c.codec, "codec", "", "tree-coding scheme for TeleAdjusting variants: "+strings.Join(core.CodecNames(), ", "))
 	flag.StringVar(&c.codecs, "codecs", "", "coding-schemes study: comma-separated codecs to compare (default all)")
 	flag.IntVar(&c.joins, "joins", -1, "coding-schemes study: mid-probe crash-reboots per codec (default 3)")
@@ -505,269 +559,217 @@ func run() (retErr error) {
 		}
 	}()
 
-	var plan *fault.Plan
+	r := &runner{cliConfig: &c}
 	if c.plan != "" {
-		p, err := fault.LoadPlan(c.plan)
-		if err != nil {
+		if r.plan, err = fault.LoadPlan(c.plan); err != nil {
 			return err
 		}
-		plan = p
 	}
-	if c.study == "coding-schemes" {
-		return runCodingSchemes(&c, plan)
+	st, _ := studyNamed(c.study)
+	if err := st.run(r); err != nil {
+		return err
 	}
-	scn, err := pickScenario(c.scenario, c.seed)
+	if r.built != nil {
+		if err := writeFile(c.svg, r.built.WriteTopologySVG); err != nil {
+			return err
+		}
+		fmt.Printf("topology SVG written to %s\n", c.svg)
+	}
+	return nil
+}
+
+// runner is what every study run shares: the validated flags, the loaded
+// fault plan, and the last network built, kept for -svg.
+type runner struct {
+	*cliConfig
+	plan  *fault.Plan
+	built *experiment.Net
+}
+
+// build returns the scenario constructor a study replicates over: the
+// named scenario at each seed with the fault plan and -codec applied and,
+// under -svg, a hook that keeps the network for the topology export.
+func (r *runner) build(name string) func(seed uint64) experiment.Scenario {
+	return func(seed uint64) experiment.Scenario {
+		scn, _ := pickScenario(name, seed)
+		scn.Fault = r.plan
+		scn.Codec = r.codec
+		if r.svg != "" {
+			scn.OnNetBuilt = func(net *experiment.Net) { r.built = net }
+		}
+		return scn
+	}
+}
+
+// seeds returns the -reps consecutive replication seeds from -seed.
+func (r *runner) seeds() []uint64 {
+	seeds := make([]uint64, r.reps)
+	for i := range seeds {
+		seeds[i] = r.seed + uint64(i)
+	}
+	return seeds
+}
+
+// writeFile creates path, fills it with write, and returns the first of
+// the write and close errors.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	scn.Fault = plan
-	scn.Codec = c.codec
-	var builtNet *experiment.Net
-	prevHook := scn.OnNetBuilt
-	scn.OnNetBuilt = func(net *experiment.Net) {
-		builtNet = net
-		if prevHook != nil {
-			prevHook(net)
-		}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if c.svg != "" {
-		defer func() {
-			if builtNet == nil {
-				return
-			}
-			f, err := os.Create(c.svg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "svg:", err)
-				return
-			}
-			defer f.Close()
-			if err := builtNet.WriteTopologySVG(f); err != nil {
-				fmt.Fprintln(os.Stderr, "svg:", err)
-				return
-			}
-			fmt.Printf("topology SVG written to %s\n", c.svg)
-		}()
-	}
+	return err
+}
 
-	seeds := make([]uint64, c.reps)
-	for i := range seeds {
-		seeds[i] = c.seed + uint64(i)
+// writeTrace exports an event stream as JSONL and reports it; note
+// qualifies the count (e.g. the sampling).
+func writeTrace(path string, events []telemetry.Event, note string) error {
+	if err := writeFile(path, func(w io.Writer) error { return telemetry.WriteJSONL(w, events) }); err != nil {
+		return err
 	}
-	build := func(s uint64) experiment.Scenario {
-		b, _ := pickScenario(c.scenario, s)
-		b.Fault = plan
-		b.Codec = c.codec
-		return b
-	}
-	rep := experiment.Replicator{Workers: c.parallel}
+	fmt.Printf("\n%d telemetry events written to %s%s\n", len(events), path, note)
+	return nil
+}
 
-	switch c.study {
-	case "coding":
-		if c.reps == 1 {
-			res, err := experiment.RunCodingStudy(scn, c.dur)
-			if err != nil {
-				return err
-			}
-			experiment.WriteCodingReport(os.Stdout, res)
+func runCoding(r *runner) error {
+	res, err := experiment.CodingStudy(r.dur).Replicate(r.build(r.scenario), r.seeds(), r.parallel)
+	if err != nil {
+		return err
+	}
+	experiment.WriteCodingReport(os.Stdout, res)
+	return nil
+}
+
+func runControl(r *runner) error {
+	opts := experiment.DefaultControlOpts()
+	opts.Warmup = r.warmup
+	opts.Packets = r.packets
+	opts.Interval = r.interval
+	opts.Trace = r.trace != "" || r.traceOp >= 0
+	opts.Window = r.progress
+	if r.convergence != "" && opts.Window == 0 {
+		// -convergence without -progress still needs a window period;
+		// 30 s matches the report/golden defaults.
+		opts.Window = 30 * time.Second
+	}
+	if r.progress > 0 {
+		opts.Progress = os.Stderr
+	}
+	res, err := experiment.ControlStudy(experiment.Proto(r.proto), opts).Replicate(r.build(r.scenario), r.seeds(), r.parallel)
+	if err != nil {
+		return err
+	}
+	experiment.WriteControlReport(os.Stdout, res)
+	if r.convergence != "" {
+		err := writeFile(r.convergence, func(w io.Writer) error {
+			obs.WriteConvergenceReport(w, res.Convergence)
 			return nil
-		}
-		res, err := rep.CodingStudy(build, c.dur, seeds)
+		})
 		if err != nil {
 			return err
 		}
-		experiment.WriteCodingReport(os.Stdout, res)
-	case "control":
-		p, err := pickProto(c.proto)
-		if err != nil {
-			return err
-		}
-		opts := experiment.DefaultControlOpts()
-		opts.Warmup = c.warmup
-		opts.Packets = c.packets
-		opts.Interval = c.interval
-		opts.Trace = c.trace != "" || c.traceOp >= 0
-		opts.Window = c.progress
-		if c.convergence != "" && opts.Window == 0 {
-			// -convergence without -progress still needs a window period;
-			// 30 s matches the report/golden defaults.
-			opts.Window = 30 * time.Second
-		}
-		if c.progress > 0 {
-			opts.Progress = os.Stderr
-		}
-		var res *experiment.ControlResult
-		if c.reps == 1 {
-			res, err = experiment.RunControlStudy(scn, p, opts)
-		} else {
-			res, err = rep.ControlStudy(build, p, opts, seeds)
-		}
-		if err != nil {
-			return err
-		}
-		experiment.WriteControlReport(os.Stdout, res)
-		if c.convergence != "" {
-			f, err := os.Create(c.convergence)
-			if err != nil {
-				return err
-			}
-			obs.WriteConvergenceReport(f, res.Convergence)
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("\nconvergence report written to %s\n", c.convergence)
-		}
-		if c.trace != "" {
-			events := res.Events
-			sampled := ""
-			if c.traceSample > 1 {
-				events = telemetry.SampleOps(events, c.traceSample)
-				sampled = fmt.Sprintf(" (1-in-%d op sample of %d)", c.traceSample, len(res.Events))
-			}
-			if err := writeTrace(c.trace, events); err != nil {
-				return err
-			}
-			fmt.Printf("\n%d telemetry events written to %s%s\n", len(events), c.trace, sampled)
-		}
-		if c.traceOp >= 0 {
-			dst := radio.NodeID(c.traceOp)
-			fmt.Printf("\n--- operation spans to node %d ---\n", dst)
-			telemetry.RenderOpSpans(os.Stdout, res.Events, func(s *telemetry.OpSpan) bool {
-				return s.Dst == dst
-			})
-		}
-	case "throughput":
-		p, err := pickProto(c.proto)
-		if err != nil {
-			return err
-		}
-		opts, err := c.throughputOpts()
-		if err != nil {
-			return err
-		}
-		var res *experiment.ThroughputResult
-		if c.reps == 1 {
-			res, err = experiment.RunThroughputStudy(scn, p, opts)
-		} else {
-			res, err = rep.ThroughputStudy(build, p, opts, seeds)
-		}
-		if err != nil {
-			return err
-		}
-		experiment.WriteThroughputReport(os.Stdout, res)
-		if c.csv != "" {
-			f, err := os.Create(c.csv)
-			if err != nil {
-				return err
-			}
-			if err := experiment.WriteThroughputCSV(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("\nthroughput sweep written to %s\n", c.csv)
-		}
-		if c.trace != "" {
-			if err := writeTrace(c.trace, res.Events); err != nil {
-				return err
-			}
-			fmt.Printf("\n%d telemetry events written to %s\n", len(res.Events), c.trace)
-		}
-	case "service":
-		p, err := pickProto(c.proto)
-		if err != nil {
-			return err
-		}
-		opts, err := c.serviceOpts()
-		if err != nil {
-			return err
-		}
-		var res *experiment.ServiceResult
-		if c.reps == 1 {
-			res, err = experiment.RunServiceStudy(scn, p, opts)
-		} else {
-			res, err = rep.ServiceStudy(build, p, opts, seeds)
-		}
-		if err != nil {
-			return err
-		}
-		experiment.WriteServiceReport(os.Stdout, res)
-		if c.csv != "" {
-			f, err := os.Create(c.csv)
-			if err != nil {
-				return err
-			}
-			if err := experiment.WriteServiceCSV(f, res); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("\nservice sweep written to %s\n", c.csv)
-		}
-		if c.trace != "" {
-			// The service sub-runs' events (including the svc.batch
-			// membership spans); a transparent study exports the baseline,
-			// byte-identical to the open-loop throughput trace.
-			if err := writeTrace(c.trace, res.EventsSvc); err != nil {
-				return err
-			}
-			fmt.Printf("\n%d telemetry events written to %s\n", len(res.EventsSvc), c.trace)
-		}
-	case "scope":
-		if c.reps > 1 {
-			return fmt.Errorf("the scope study does not support -reps")
-		}
-		opts := experiment.DefaultScopeOpts()
-		opts.Warmup = c.warmup
-		res, err := experiment.RunScopeStudy(scn, opts)
-		if err != nil {
-			return err
-		}
-		experiment.WriteScopeReport(os.Stdout, res)
-	default:
-		return fmt.Errorf("unknown study %q", c.study)
+		fmt.Printf("\nconvergence report written to %s\n", r.convergence)
 	}
+	if r.trace != "" {
+		events, note := res.Events, ""
+		if r.traceSample > 1 {
+			events = telemetry.SampleOps(events, r.traceSample)
+			note = fmt.Sprintf(" (1-in-%d op sample of %d)", r.traceSample, len(res.Events))
+		}
+		if err := writeTrace(r.trace, events, note); err != nil {
+			return err
+		}
+	}
+	if r.traceOp >= 0 {
+		dst := radio.NodeID(r.traceOp)
+		fmt.Printf("\n--- operation spans to node %d ---\n", dst)
+		telemetry.RenderOpSpans(os.Stdout, res.Events, func(s *telemetry.OpSpan) bool {
+			return s.Dst == dst
+		})
+	}
+	return nil
+}
+
+func runThroughput(r *runner) error {
+	opts, err := r.throughputOpts()
+	if err != nil {
+		return err
+	}
+	res, err := experiment.ThroughputStudy(experiment.Proto(r.proto), opts).Replicate(r.build(r.scenario), r.seeds(), r.parallel)
+	if err != nil {
+		return err
+	}
+	experiment.WriteThroughputReport(os.Stdout, res)
+	if r.csv != "" {
+		if err := writeFile(r.csv, func(w io.Writer) error { return experiment.WriteThroughputCSV(w, res) }); err != nil {
+			return err
+		}
+		fmt.Printf("\nthroughput sweep written to %s\n", r.csv)
+	}
+	if r.trace != "" {
+		return writeTrace(r.trace, res.Events, "")
+	}
+	return nil
+}
+
+func runService(r *runner) error {
+	opts, err := r.serviceOpts()
+	if err != nil {
+		return err
+	}
+	res, err := experiment.ServiceStudy(experiment.Proto(r.proto), opts).Replicate(r.build(r.scenario), r.seeds(), r.parallel)
+	if err != nil {
+		return err
+	}
+	experiment.WriteServiceReport(os.Stdout, res)
+	if r.csv != "" {
+		if err := writeFile(r.csv, func(w io.Writer) error { return experiment.WriteServiceCSV(w, res) }); err != nil {
+			return err
+		}
+		fmt.Printf("\nservice sweep written to %s\n", r.csv)
+	}
+	if r.trace != "" {
+		// The service sub-runs' events (including the svc.batch
+		// membership spans); a transparent study exports the baseline,
+		// byte-identical to the open-loop throughput trace.
+		return writeTrace(r.trace, res.EventsSvc, "")
+	}
+	return nil
+}
+
+func runScope(r *runner) error {
+	opts := experiment.DefaultScopeOpts()
+	opts.Warmup = r.warmup
+	res, err := experiment.RunScopeStudy(r.build(r.scenario)(r.seed), opts)
+	if err != nil {
+		return err
+	}
+	experiment.WriteScopeReport(os.Stdout, res)
 	return nil
 }
 
 // runCodingSchemes sweeps the codec list over every scenario in the
 // comma-separated -scenario value, printing one comparison per scenario
 // and optionally exporting all rows to one CSV file.
-func runCodingSchemes(c *cliConfig, plan *fault.Plan) error {
-	codecs := splitList(c.codecs)
+func runCodingSchemes(r *runner) error {
+	codecs := splitList(r.codecs)
 	if len(codecs) == 0 {
 		codecs = core.CodecNames()
 	}
 	opts := experiment.DefaultCodingSchemesOpts()
-	opts.Warmup = c.warmup
-	opts.Packets = c.packets
-	opts.Interval = c.interval
-	if c.joins >= 0 {
-		opts.Joins = c.joins
+	opts.Warmup = r.warmup
+	opts.Packets = r.packets
+	opts.Interval = r.interval
+	if r.joins >= 0 {
+		opts.Joins = r.joins
 	}
-	scenarios := splitList(c.scenario)
-	if len(scenarios) == 0 {
-		return fmt.Errorf("-scenario must name at least one scenario")
-	}
-	seeds := make([]uint64, c.reps)
-	for i := range seeds {
-		seeds[i] = c.seed + uint64(i)
-	}
-	rep := experiment.Replicator{Workers: c.parallel}
+	study := experiment.CodingSchemesStudy(codecs, opts)
 	var results []*experiment.CodingSchemesResult
-	for i, name := range scenarios {
-		if _, err := pickScenario(name, c.seed); err != nil {
-			return err
-		}
-		build := func(s uint64) experiment.Scenario {
-			b, _ := pickScenario(name, s)
-			b.Fault = plan
-			return b
-		}
-		res, err := rep.CodingSchemesStudy(build, codecs, opts, seeds)
+	for i, name := range r.scenarios() {
+		res, err := study.Replicate(r.build(name), r.seeds(), r.parallel)
 		if err != nil {
 			return err
 		}
@@ -777,19 +779,11 @@ func runCodingSchemes(c *cliConfig, plan *fault.Plan) error {
 		experiment.WriteCodingSchemesReport(os.Stdout, res)
 		results = append(results, res)
 	}
-	if c.csv != "" {
-		f, err := os.Create(c.csv)
-		if err != nil {
+	if r.csv != "" {
+		if err := writeFile(r.csv, func(w io.Writer) error { return experiment.WriteCodingSchemesCSV(w, results...) }); err != nil {
 			return err
 		}
-		if err := experiment.WriteCodingSchemesCSV(f, results...); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\ncodec comparison written to %s\n", c.csv)
+		fmt.Printf("\ncodec comparison written to %s\n", r.csv)
 	}
 	return nil
 }
@@ -812,22 +806,4 @@ func pickScenario(name string, seed uint64) (experiment.Scenario, error) {
 		return experiment.Line(seed), nil
 	}
 	return experiment.Scenario{}, fmt.Errorf("unknown scenario %q", name)
-}
-
-func pickProto(name string) (experiment.Proto, error) {
-	switch name {
-	case "tele":
-		return experiment.ProtoTele, nil
-	case "retele":
-		return experiment.ProtoReTele, nil
-	case "strict":
-		return experiment.ProtoTeleStrict, nil
-	case "teleadjust":
-		return experiment.ProtoTeleAdjust, nil
-	case "drip":
-		return experiment.ProtoDrip, nil
-	case "rpl":
-		return experiment.ProtoRPL, nil
-	}
-	return experiment.ProtoNone, fmt.Errorf("unknown protocol %q", name)
 }

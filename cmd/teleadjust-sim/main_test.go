@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"teleadjust/internal/experiment"
 )
 
 // baseConfig mirrors the flag defaults.
@@ -108,6 +110,11 @@ func TestValidateRejections(t *testing.T) {
 		}, "-high-water"},
 		{"service ops negative", func(c *cliConfig) { c.study = "service"; c.ops = -1 }, "-ops"},
 		{"service window negative", func(c *cliConfig) { c.study = "service"; c.window = -1 }, "-window"},
+		{"unknown protocol", func(c *cliConfig) { c.proto = "bogus" }, "unknown protocol"},
+		{"unknown study", func(c *cliConfig) { c.study = "bogus" }, "unknown study"},
+		{"unknown scenario", func(c *cliConfig) { c.scenario = "bogus" }, "unknown scenario"},
+		{"unknown scenario in list", func(c *cliConfig) { c.study = "coding-schemes"; c.scenario = "indoor,bogus" }, "unknown scenario"},
+		{"scope with reps", func(c *cliConfig) { c.study = "scope"; c.reps = 2 }, "-reps"},
 	}
 	for _, tc := range cases {
 		c := baseConfig()
@@ -119,6 +126,36 @@ func TestValidateRejections(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
+		}
+	}
+}
+
+// TestValidateReportsFirstMisplacedFlag: with several study-scoped flags
+// misplaced at once, validate reports the same one every time.
+func TestValidateReportsFirstMisplacedFlag(t *testing.T) {
+	c := baseConfig()
+	c.rates = "0.2"
+	c.csv = "x.csv"
+	c.dist = "uniform"
+	want := c.validate()
+	if want == nil {
+		t.Fatal("misplaced throughput flags accepted")
+	}
+	for i := 0; i < 200; i++ {
+		if got := c.validate(); got == nil || got.Error() != want.Error() {
+			t.Fatalf("call %d: error %v, first call gave %v", i, got, want)
+		}
+	}
+}
+
+// TestValidateAcceptsEveryRegisteredProtocol: -proto takes exactly the
+// experiment registry's keys.
+func TestValidateAcceptsEveryRegisteredProtocol(t *testing.T) {
+	for _, p := range experiment.Protocols() {
+		c := baseConfig()
+		c.proto = string(p)
+		if err := c.validate(); err != nil {
+			t.Errorf("-proto %s rejected: %v", p, err)
 		}
 	}
 }

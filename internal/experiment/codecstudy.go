@@ -251,12 +251,11 @@ func runCodecCell(scn Scenario, codec string, opts CodingSchemesOpts) (*CodecCel
 // mergeCodingSchemesResults merges per-seed results in slice order; all
 // inputs ran the same codec list.
 func mergeCodingSchemesResults(results []*CodingSchemesResult) *CodingSchemesResult {
-	var merged *CodingSchemesResult
-	for _, res := range results {
-		if merged == nil {
-			merged = res
-			continue
-		}
+	if len(results) == 0 {
+		return nil
+	}
+	merged := results[0]
+	for _, res := range results[1:] {
 		for i, cell := range res.Codecs {
 			m := merged.Codecs[i]
 			m.Converged += cell.Converged
@@ -272,39 +271,8 @@ func mergeCodingSchemesResults(results []*CodingSchemesResult) *CodingSchemesRes
 			m.Skipped += cell.Skipped
 		}
 	}
-	if merged == nil {
-		return nil
-	}
-	if n := len(results); n > 1 {
-		for _, m := range merged.Codecs {
-			m.Converged /= float64(n)
-		}
+	for _, m := range merged.Codecs {
+		m.Converged /= float64(len(results))
 	}
 	return merged
-}
-
-// CodingSchemesStudy runs RunCodingSchemesStudy once per seed and merges
-// the results in seed order.
-func (r Replicator) CodingSchemesStudy(build func(seed uint64) Scenario, codecs []string, opts CodingSchemesOpts, seeds []uint64) (*CodingSchemesResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: no seeds given")
-	}
-	results := make([]*CodingSchemesResult, len(seeds))
-	err := r.each(len(seeds), func(i int) error {
-		res, err := RunCodingSchemesStudy(build(seeds[i]), codecs, opts)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeCodingSchemesResults(results), nil
-}
-
-// RunCodingSchemesStudySeeds is the serial replication convenience.
-func RunCodingSchemesStudySeeds(build func(seed uint64) Scenario, codecs []string, opts CodingSchemesOpts, seeds []uint64) (*CodingSchemesResult, error) {
-	return Replicator{Workers: 1}.CodingSchemesStudy(build, codecs, opts, seeds)
 }

@@ -134,7 +134,7 @@ func TestCodingSchemesStudySmall(t *testing.T) {
 	}
 }
 
-// TestCodingSchemesParallelReplication extends the Replicator determinism
+// TestCodingSchemesParallelReplication extends the Replicate determinism
 // contract to the codec study: a multi-worker merge must render
 // byte-identically to the serial merge.
 func TestCodingSchemesParallelReplication(t *testing.T) {
@@ -146,11 +146,11 @@ func TestCodingSchemesParallelReplication(t *testing.T) {
 		Drain:    20 * time.Second,
 	}
 	codecs := []string{"paper", "treeexplorer"}
-	serial, err := Replicator{Workers: 1}.CodingSchemesStudy(smallScenario, codecs, opts, seeds)
+	serial, err := CodingSchemesStudy(codecs, opts).Replicate(smallScenario, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 2}.CodingSchemesStudy(smallScenario, codecs, opts, seeds)
+	parallel, err := CodingSchemesStudy(codecs, opts).Replicate(smallScenario, seeds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestCodingSchemesParallelReplication(t *testing.T) {
 	if got := serial.Codecs[0].Sent; got != 3*len(seeds) {
 		t.Fatalf("merged sent = %d, want %d", got, 3*len(seeds))
 	}
-	if _, err := (Replicator{}).CodingSchemesStudy(smallScenario, codecs, opts, nil); err == nil {
+	if _, err := CodingSchemesStudy(codecs, opts).Replicate(smallScenario, nil, 0); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 }
@@ -182,11 +182,11 @@ func TestPaperCodecTraceByteIdentical(t *testing.T) {
 		s.Codec = "paper"
 		return s
 	}
-	base, err := Replicator{Workers: 1}.ControlStudy(smallScenario, ProtoReTele, opts, seeds)
+	base, err := ControlStudy(ProtoReTele, opts).Replicate(smallScenario, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper, err := Replicator{Workers: 2}.ControlStudy(withCodec, ProtoReTele, opts, seeds)
+	paper, err := ControlStudy(ProtoReTele, opts).Replicate(withCodec, seeds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestPaperCodecTraceByteIdenticalRefGrid(t *testing.T) {
 		}
 	}
 	seeds := []uint64{1}
-	base, err := Replicator{Workers: 1}.ControlStudy(build(""), ProtoReTele, opts, seeds)
+	base, err := ControlStudy(ProtoReTele, opts).Replicate(build(""), seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper, err := Replicator{Workers: 1}.ControlStudy(build("paper"), ProtoReTele, opts, seeds)
+	paper, err := ControlStudy(ProtoReTele, opts).Replicate(build("paper"), seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

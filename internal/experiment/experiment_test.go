@@ -174,14 +174,14 @@ func TestSeedsRunnerMerges(t *testing.T) {
 		Interval: 16 * time.Second,
 		Drain:    20 * time.Second,
 	}
-	res, err := RunControlStudySeeds(smallScenario, ProtoTele, opts, []uint64{1, 2})
+	res, err := ControlStudy(ProtoTele, opts).Replicate(smallScenario, []uint64{1, 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Sent != 6 {
 		t.Fatalf("merged sent = %d, want 6", res.Sent)
 	}
-	if _, err := RunControlStudySeeds(smallScenario, ProtoTele, opts, nil); err == nil {
+	if _, err := ControlStudy(ProtoTele, opts).Replicate(smallScenario, nil, 1); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 }
@@ -365,6 +365,26 @@ func TestScopeStudySmall(t *testing.T) {
 	if res.TxPerMember >= res.UnicastTxPerMember {
 		t.Logf("note: scoped %.2f vs unicast %.2f tx/member (chain topology keeps them close)",
 			res.TxPerMember, res.UnicastTxPerMember)
+	}
+}
+
+// TestScopeStudyDeterministic: the same seed gives the same result, so
+// the unicast pass must not depend on the registry's map order.
+func TestScopeStudyDeterministic(t *testing.T) {
+	opts := ScopeOpts{Warmup: 2 * time.Minute, Operations: 1, Settle: 45 * time.Second}
+	first, err := RunScopeStudy(smallScenario(9), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		again, err := RunScopeStudy(smallScenario(9), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.TxPerMember != first.TxPerMember || again.UnicastTxPerMember != first.UnicastTxPerMember ||
+			again.Acked != first.Acked {
+			t.Fatalf("run %d diverged: %+v vs %+v", i+1, again, first)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func TestLongIndoorComparison(t *testing.T) {
 	}
 	results := map[Proto]*ControlResult{}
 	for _, proto := range []Proto{ProtoTele, ProtoReTele, ProtoDrip, ProtoRPL} {
-		res, err := RunControlStudySeeds(build, proto, opts, []uint64{1, 2})
+		res, err := ControlStudy(proto, opts).Replicate(build, []uint64{1, 2}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,11 +156,11 @@ func TestLongChurnRobustness(t *testing.T) {
 		s.Fault = plan
 		return s
 	}
-	tele, err := RunControlStudySeeds(build, ProtoReTele, opts, []uint64{1, 2})
+	tele, err := ControlStudy(ProtoReTele, opts).Replicate(build, []uint64{1, 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpl, err := RunControlStudySeeds(build, ProtoRPL, opts, []uint64{1, 2})
+	rpl, err := ControlStudy(ProtoRPL, opts).Replicate(build, []uint64{1, 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

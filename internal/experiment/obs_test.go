@@ -64,11 +64,11 @@ func TestControlConvergenceGoldenLine(t *testing.T) {
 func TestConvergenceSerialParallelByteIdentical(t *testing.T) {
 	seeds := DeriveSeeds(9, 4)
 	opts := convergenceOpts()
-	serial, err := Replicator{Workers: 1}.ControlStudy(Line, ProtoReTele, opts, seeds)
+	serial, err := ControlStudy(ProtoReTele, opts).Replicate(Line, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 2}.ControlStudy(Line, ProtoReTele, opts, seeds)
+	parallel, err := ControlStudy(ProtoReTele, opts).Replicate(Line, seeds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

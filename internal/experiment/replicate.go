@@ -7,26 +7,99 @@ import (
 	"time"
 
 	"teleadjust/internal/sim"
+	"teleadjust/internal/telemetry"
 )
 
-// Replicator runs independent replications of a study — one fully
-// separate (sim.Engine, Net) pair per seed — on a bounded worker pool.
-// Each replication is single-threaded and deterministic, so parallelism
-// across replications is safe: no engine, medium, or RNG stream is shared
-// between seeds. Results are merged in seed order, making the aggregate
-// byte-identical no matter how the scheduler interleaves workers (and
-// identical to the serial Workers=1 run).
-type Replicator struct {
-	// Workers bounds the worker pool; <=0 means runtime.GOMAXPROCS(0).
-	Workers int
+// Study is one seed-replicable experiment: Run executes it once on a
+// scenario, Merge folds per-seed results — given in seed order — into one
+// aggregate. A one-result Merge is the identity, so a one-seed Replicate
+// reports exactly what a direct Run does.
+type Study[R any] struct {
+	Run   func(Scenario) (R, error)
+	Merge func([]R) R
 }
 
-// workers resolves the effective pool size.
-func (r Replicator) workers() int {
-	if r.Workers > 0 {
-		return r.Workers
+// ControlStudy replicates RunControlStudy (Fig 7–10, Table III).
+func ControlStudy(proto Proto, opts ControlOpts) Study[*ControlResult] {
+	return Study[*ControlResult]{
+		Run:   func(scn Scenario) (*ControlResult, error) { return RunControlStudy(scn, proto, opts) },
+		Merge: mergeControlResults,
 	}
-	return runtime.GOMAXPROCS(0)
+}
+
+// CodingStudy replicates RunCodingStudy (Fig 6, Table II).
+func CodingStudy(dur time.Duration) Study[*CodingResult] {
+	return Study[*CodingResult]{
+		Run:   func(scn Scenario) (*CodingResult, error) { return RunCodingStudy(scn, dur) },
+		Merge: mergeCodingResults,
+	}
+}
+
+// ThroughputStudy replicates RunThroughputStudy.
+func ThroughputStudy(proto Proto, opts ThroughputOpts) Study[*ThroughputResult] {
+	return Study[*ThroughputResult]{
+		Run:   func(scn Scenario) (*ThroughputResult, error) { return RunThroughputStudy(scn, proto, opts) },
+		Merge: mergeThroughputResults,
+	}
+}
+
+// ServiceStudy replicates RunServiceStudy.
+func ServiceStudy(proto Proto, opts ServiceOpts) Study[*ServiceResult] {
+	return Study[*ServiceResult]{
+		Run:   func(scn Scenario) (*ServiceResult, error) { return RunServiceStudy(scn, proto, opts) },
+		Merge: mergeServiceResults,
+	}
+}
+
+// CodingSchemesStudy replicates RunCodingSchemesStudy.
+func CodingSchemesStudy(codecs []string, opts CodingSchemesOpts) Study[*CodingSchemesResult] {
+	return Study[*CodingSchemesResult]{
+		Run: func(scn Scenario) (*CodingSchemesResult, error) {
+			return RunCodingSchemesStudy(scn, codecs, opts)
+		},
+		Merge: mergeCodingSchemesResults,
+	}
+}
+
+// Replicate runs the study once per seed — one fully separate (sim.Engine,
+// Net) pair each, built by build(seed) — on a pool of at most workers
+// goroutines (<=0 means runtime.GOMAXPROCS(0)), and merges the results in
+// seed order. Each replication is single-threaded and deterministic and
+// shares no engine, medium or RNG stream with another, so the aggregate is
+// byte-identical for every worker count. On failure the error of the
+// lowest seed index is returned, keeping failures deterministic too.
+func (s Study[R]) Replicate(build func(seed uint64) Scenario, seeds []uint64, workers int) (R, error) {
+	var zero R
+	if len(seeds) == 0 {
+		return zero, fmt.Errorf("experiment: no seeds given")
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	results := make([]R, len(seeds))
+	errs := make([]error, len(seeds))
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for k := 0; k < min(workers, len(seeds)); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				results[i], errs[i] = s.Run(build(seeds[i]))
+			}
+		}()
+	}
+	for i := range seeds {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return zero, err
+		}
+	}
+	return s.Merge(results), nil
 }
 
 // DeriveSeeds expands a base seed into n decorrelated replication seeds
@@ -40,82 +113,16 @@ func DeriveSeeds(base uint64, n int) []uint64 {
 	return seeds
 }
 
-// each runs fn once per seed index on the bounded pool and returns the
-// first error (lowest seed index wins, so failures are deterministic too).
-func (r Replicator) each(n int, fn func(i int) error) error {
-	w := r.workers()
-	if w > n {
-		w = n
-	}
-	errs := make([]error, n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for k := 0; k < w; k++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+// mergeEvents concatenates the replications' event streams in seed order,
+// tagging each event with its replication index, so a parallel
+// replication's merged stream is byte-identical to the serial one.
+func mergeEvents[R any](results []R, events func(R) []telemetry.Event) []telemetry.Event {
+	var out []telemetry.Event
+	for ri, res := range results {
+		for _, ev := range events(res) {
+			ev.Run = ri
+			out = append(out, ev)
 		}
 	}
-	return nil
-}
-
-// ControlStudy runs RunControlStudy once per seed (fresh topology and
-// channel per seed) and merges the results in seed order.
-func (r Replicator) ControlStudy(build func(seed uint64) Scenario, proto Proto, opts ControlOpts, seeds []uint64) (*ControlResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: no seeds given")
-	}
-	results := make([]*ControlResult, len(seeds))
-	err := r.each(len(seeds), func(i int) error {
-		res, err := RunControlStudy(build(seeds[i]), proto, opts)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeControlResults(results), nil
-}
-
-// CodingStudy runs RunCodingStudy once per seed and merges the results in
-// seed order.
-func (r Replicator) CodingStudy(build func(seed uint64) Scenario, dur time.Duration, seeds []uint64) (*CodingResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: no seeds given")
-	}
-	results := make([]*CodingResult, len(seeds))
-	err := r.each(len(seeds), func(i int) error {
-		res, err := RunCodingStudy(build(seeds[i]), dur)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeCodingResults(results), nil
+	return out
 }

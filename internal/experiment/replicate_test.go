@@ -3,10 +3,12 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
 	"teleadjust/internal/fault"
+	"teleadjust/internal/obs"
 	"teleadjust/internal/telemetry"
 )
 
@@ -20,18 +22,19 @@ func replicateOpts() ControlOpts {
 	}
 }
 
-// TestParallelReplicationByteIdentical is the determinism contract of the
-// Replicator: N replications merged on a multi-worker pool must produce a
-// byte-identical report to the serial merge, regardless of scheduling.
+// TestParallelReplicationByteIdentical is the determinism contract of
+// Study.Replicate: N replications merged on a multi-worker pool must
+// produce a byte-identical report to the serial merge, regardless of
+// scheduling.
 func TestParallelReplicationByteIdentical(t *testing.T) {
 	seeds := DeriveSeeds(7, 4)
 	opts := replicateOpts()
 
-	serial, err := Replicator{Workers: 1}.ControlStudy(smallScenario, ProtoTele, opts, seeds)
+	serial, err := ControlStudy(ProtoTele, opts).Replicate(smallScenario, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 4}.ControlStudy(smallScenario, ProtoTele, opts, seeds)
+	parallel, err := ControlStudy(ProtoTele, opts).Replicate(smallScenario, seeds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +62,11 @@ func TestParallelReplicationTraceByteIdentical(t *testing.T) {
 	opts := replicateOpts()
 	opts.Trace = true
 
-	serial, err := Replicator{Workers: 1}.ControlStudy(smallScenario, ProtoReTele, opts, seeds)
+	serial, err := ControlStudy(ProtoReTele, opts).Replicate(smallScenario, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 3}.ControlStudy(smallScenario, ProtoReTele, opts, seeds)
+	parallel, err := ControlStudy(ProtoReTele, opts).Replicate(smallScenario, seeds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +95,14 @@ func TestParallelReplicationTraceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelCodingReplication checks the coding-study path of the
-// Replicator the same way.
+// TestParallelCodingReplication checks the coding study the same way.
 func TestParallelCodingReplication(t *testing.T) {
 	seeds := DeriveSeeds(9, 3)
-	serial, err := Replicator{Workers: 1}.CodingStudy(smallScenario, 2*time.Minute, seeds)
+	serial, err := CodingStudy(2*time.Minute).Replicate(smallScenario, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 3}.CodingStudy(smallScenario, 2*time.Minute, seeds)
+	parallel, err := CodingStudy(2*time.Minute).Replicate(smallScenario, seeds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +136,11 @@ func TestFaultPlanReplicationByteIdentical(t *testing.T) {
 	opts := replicateOpts()
 	opts.DataIPI = 20 * time.Second // exercise the ticker bookkeeping across crash/reboot
 
-	serial, err := Replicator{Workers: 1}.ControlStudy(build, ProtoReTele, opts, seeds)
+	serial, err := ControlStudy(ProtoReTele, opts).Replicate(build, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 4}.ControlStudy(build, ProtoReTele, opts, seeds)
+	parallel, err := ControlStudy(ProtoReTele, opts).Replicate(build, seeds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +177,10 @@ func TestDeriveSeedsDeterministic(t *testing.T) {
 }
 
 func TestReplicatorEmptySeeds(t *testing.T) {
-	if _, err := (Replicator{}).ControlStudy(smallScenario, ProtoTele, replicateOpts(), nil); err == nil {
+	if _, err := ControlStudy(ProtoTele, replicateOpts()).Replicate(smallScenario, nil, 0); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
-	if _, err := (Replicator{}).CodingStudy(smallScenario, time.Minute, nil); err == nil {
+	if _, err := CodingStudy(time.Minute).Replicate(smallScenario, nil, 0); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 }
@@ -193,13 +195,13 @@ func TestReplicatorPropagatesErrors(t *testing.T) {
 		}
 		return s
 	}
-	_, err := Replicator{Workers: 4}.ControlStudy(bad, ProtoTele, replicateOpts(), []uint64{1, 2, 3})
+	_, err := ControlStudy(ProtoTele, replicateOpts()).Replicate(bad, []uint64{1, 2, 3}, 4)
 	if err == nil {
 		t.Fatal("replication error swallowed")
 	}
 	want := fmt.Sprintf("%v", err)
 	for i := 0; i < 3; i++ {
-		_, err2 := Replicator{Workers: 4}.ControlStudy(bad, ProtoTele, replicateOpts(), []uint64{1, 2, 3})
+		_, err2 := ControlStudy(ProtoTele, replicateOpts()).Replicate(bad, []uint64{1, 2, 3}, 4)
 		if got := fmt.Sprintf("%v", err2); got != want {
 			t.Fatalf("error not deterministic: %q vs %q", got, want)
 		}
@@ -211,14 +213,105 @@ func TestReplicatorPropagatesErrors(t *testing.T) {
 func TestReplicatorWorkerCaps(t *testing.T) {
 	seeds := DeriveSeeds(5, 2)
 	opts := replicateOpts()
-	res, err := Replicator{Workers: 16}.ControlStudy(smallScenario, ProtoTele, opts, seeds)
+	res, err := ControlStudy(ProtoTele, opts).Replicate(smallScenario, seeds, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Sent != 6 {
 		t.Fatalf("sent = %d, want 6", res.Sent)
 	}
-	if w := (Replicator{Workers: 0}).workers(); w < 1 {
-		t.Fatalf("default workers = %d", w)
+	res, err = ControlStudy(ProtoTele, opts).Replicate(smallScenario, seeds, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if res.Sent != 6 {
+		t.Fatalf("default pool: sent = %d, want 6", res.Sent)
+	}
+}
+
+// TestOneSeedReplicateMatchesRun is the contract that lets the CLIs run
+// every study through Replicate: over one seed, each study's report, CSV
+// and JSONL outputs are byte-identical to those of the direct run.
+func TestOneSeedReplicateMatchesRun(t *testing.T) {
+	ctl := replicateOpts()
+	ctl.Trace = true
+	ctl.Window = 30 * time.Second
+	checkOneSeed(t, "control", ControlStudy(ProtoReTele, ctl),
+		func(scn Scenario) (*ControlResult, error) { return RunControlStudy(scn, ProtoReTele, ctl) },
+		func(w io.Writer, r *ControlResult) error {
+			WriteControlReport(w, r)
+			obs.WriteConvergenceReport(w, r.Convergence)
+			if err := WriteControlCSV(w, r); err != nil {
+				return err
+			}
+			return telemetry.WriteJSONL(w, r.Events)
+		})
+	checkOneSeed(t, "coding", CodingStudy(2*time.Minute),
+		func(scn Scenario) (*CodingResult, error) { return RunCodingStudy(scn, 2*time.Minute) },
+		func(w io.Writer, r *CodingResult) error {
+			WriteCodingReport(w, r)
+			return WriteCodingCSV(w, r)
+		})
+	tp := throughputOpts()
+	tp.Trace = true
+	checkOneSeed(t, "throughput", ThroughputStudy(ProtoTele, tp),
+		func(scn Scenario) (*ThroughputResult, error) { return RunThroughputStudy(scn, ProtoTele, tp) },
+		func(w io.Writer, r *ThroughputResult) error {
+			WriteThroughputReport(w, r)
+			if err := WriteThroughputCSV(w, r); err != nil {
+				return err
+			}
+			return telemetry.WriteJSONL(w, r.Events)
+		})
+	svc := svcTestOpts()
+	svc.Trace = true
+	checkOneSeed(t, "service", ServiceStudy(ProtoTele, svc),
+		func(scn Scenario) (*ServiceResult, error) { return RunServiceStudy(scn, ProtoTele, svc) },
+		func(w io.Writer, r *ServiceResult) error {
+			WriteServiceReport(w, r)
+			if err := WriteServiceCSV(w, r); err != nil {
+				return err
+			}
+			if err := telemetry.WriteJSONL(w, r.EventsBase); err != nil {
+				return err
+			}
+			return telemetry.WriteJSONL(w, r.EventsSvc)
+		})
+	codecs := []string{"paper", "treeexplorer"}
+	checkOneSeed(t, "coding-schemes", CodingSchemesStudy(codecs, codecStudyOpts()),
+		func(scn Scenario) (*CodingSchemesResult, error) {
+			return RunCodingSchemesStudy(scn, codecs, codecStudyOpts())
+		},
+		func(w io.Writer, r *CodingSchemesResult) error {
+			WriteCodingSchemesReport(w, r)
+			return WriteCodingSchemesCSV(w, r)
+		})
+}
+
+// checkOneSeed renders a direct run and a one-seed replication of the same
+// study and scenario, and requires identical bytes.
+func checkOneSeed[R any](t *testing.T, name string, study Study[R],
+	direct func(Scenario) (R, error), render func(io.Writer, R) error) {
+	t.Run(name, func(t *testing.T) {
+		const seed = 3
+		want, err := direct(smallScenario(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := study.Replicate(smallScenario, []uint64{seed}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wb, gb bytes.Buffer
+		if err := render(&wb, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := render(&gb, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
+			t.Fatalf("one-seed replication diverged from the direct run:\n--- direct ---\n%s\n--- replicated ---\n%s",
+				wb.String(), gb.String())
+		}
+	})
 }

@@ -424,27 +424,19 @@ func (s *deliverySink) Consume(ev telemetry.Event) {
 // caller guarantees that order is the seed order regardless of which
 // worker finished first, keeping the merge deterministic.
 func mergeControlResults(results []*ControlResult) *ControlResult {
-	var merged *ControlResult
+	if len(results) == 0 {
+		return nil
+	}
+	merged := results[0]
 	var txSum, dutySum float64
-	// Telemetry events are concatenated in seed order, each tagged with
-	// its replication index, so a parallel replication's merged stream is
-	// byte-identical to the serial one.
-	var events []telemetry.Event
 	var convs []*obs.Report
-	for ri, res := range results {
-		for _, ev := range res.Events {
-			ev.Run = ri
-			events = append(events, ev)
-		}
+	for i, res := range results {
+		txSum += res.TxPerPacket
+		dutySum += res.AvgDutyCycle
 		if res.Convergence != nil {
 			convs = append(convs, res.Convergence)
 		}
-	}
-	for _, res := range results {
-		txSum += res.TxPerPacket
-		dutySum += res.AvgDutyCycle
-		if merged == nil {
-			merged = res
+		if i == 0 {
 			continue
 		}
 		merged.Sent += res.Sent
@@ -458,30 +450,28 @@ func mergeControlResults(results []*ControlResult) *ControlResult {
 			merged.Detail[k] += v
 		}
 	}
-	if merged == nil {
-		return nil
-	}
-	merged.TxPerPacket = txSum / float64(len(results))
-	merged.AvgDutyCycle = dutySum / float64(len(results))
-	merged.Events = events
+	n := float64(len(results))
+	merged.TxPerPacket = txSum / n
+	merged.AvgDutyCycle = dutySum / n
+	merged.Events = mergeEvents(results, func(r *ControlResult) []telemetry.Event { return r.Events })
 	merged.Convergence = obs.Merge(convs...)
-	if len(results) > 1 {
-		for k := range merged.Detail {
-			merged.Detail[k] /= float64(len(results))
-		}
+	for k := range merged.Detail {
+		merged.Detail[k] /= n
 	}
 	return merged
 }
 
 // mergeCodingResults merges per-seed coding results in slice order.
 func mergeCodingResults(results []*CodingResult) *CodingResult {
-	var merged *CodingResult
+	if len(results) == 0 {
+		return nil
+	}
+	merged := results[0]
 	var ratioSum, convSum float64
-	for _, res := range results {
+	for i, res := range results {
 		ratioSum += res.HopRatio
 		convSum += res.Converged
-		if merged == nil {
-			merged = res
+		if i == 0 {
 			continue
 		}
 		merged.CodeLenByHop.Merge(res.CodeLenByHop)
@@ -491,23 +481,7 @@ func mergeCodingResults(results []*CodingResult) *CodingResult {
 		}
 		merged.ReverseVsCTP.Merge(res.ReverseVsCTP)
 	}
-	if merged == nil {
-		return nil
-	}
 	merged.HopRatio = ratioSum / float64(len(results))
 	merged.Converged = convSum / float64(len(results))
 	return merged
-}
-
-// RunControlStudySeeds runs the study across several seeds (fresh topology
-// and channel per seed) and merges the results, reducing single-run
-// variance the way the paper averages over at least 5 runs. Replications
-// run serially; use Replicator for the parallel version.
-func RunControlStudySeeds(build func(seed uint64) Scenario, proto Proto, opts ControlOpts, seeds []uint64) (*ControlResult, error) {
-	return Replicator{Workers: 1}.ControlStudy(build, proto, opts, seeds)
-}
-
-// RunCodingStudySeeds merges coding studies over several seeds.
-func RunCodingStudySeeds(build func(seed uint64) Scenario, dur time.Duration, seeds []uint64) (*CodingResult, error) {
-	return Replicator{Workers: 1}.CodingStudy(build, dur, seeds)
 }

@@ -77,11 +77,11 @@ func TestGrid1kParallelReplicationByteIdentical(t *testing.T) {
 		Trace:    true,
 		Window:   30 * time.Second,
 	}
-	serial, err := Replicator{Workers: 1}.ControlStudy(Grid1K, ProtoReTele, opts, seeds)
+	serial, err := ControlStudy(ProtoReTele, opts).Replicate(Grid1K, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Replicator{Workers: 2}.ControlStudy(Grid1K, ProtoReTele, opts, seeds)
+	parallel, err := ControlStudy(ProtoReTele, opts).Replicate(Grid1K, seeds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -154,6 +155,9 @@ func topScopes(sink *core.Engine, n int) ([]core.PathCode, [][]radio.NodeID) {
 	}
 	list := make([]*subtree, 0, len(byPrefix))
 	for _, st := range byPrefix {
+		// Members arrive in registry map order; the unicast pass addresses
+		// them in this order, so fix it.
+		slices.Sort(st.members)
 		list = append(list, st)
 	}
 	sort.Slice(list, func(i, j int) bool {

@@ -382,24 +382,11 @@ func RunServiceStudy(scn Scenario, proto Proto, opts ServiceOpts) (*ServiceResul
 // mergeServiceResults merges per-seed studies point-by-point in slice
 // (seed) order: counters sum, sample series pool, and rates average.
 func mergeServiceResults(results []*ServiceResult) *ServiceResult {
-	var merged *ServiceResult
-	var eventsBase, eventsSvc []telemetry.Event
-	for ri, res := range results {
-		for _, ev := range res.EventsBase {
-			ev.Run = ri
-			eventsBase = append(eventsBase, ev)
-		}
-		for _, ev := range res.EventsSvc {
-			ev.Run = ri
-			eventsSvc = append(eventsSvc, ev)
-		}
+	if len(results) == 0 {
+		return nil
 	}
-	n := float64(len(results))
-	for _, res := range results {
-		if merged == nil {
-			merged = res
-			continue
-		}
+	merged := results[0]
+	for _, res := range results[1:] {
 		for i, pt := range res.Points {
 			m := merged.Points[i]
 			m.Offered += pt.Offered
@@ -427,39 +414,14 @@ func mergeServiceResults(results []*ServiceResult) *ServiceResult {
 			}
 		}
 	}
-	if merged == nil {
-		return nil
+	n := float64(len(results))
+	for _, m := range merged.Points {
+		m.Offered /= n
+		m.OfferedBase /= n
+		m.GoodputBase /= n
+		m.GoodputSvc /= n
 	}
-	if len(results) > 1 {
-		for _, m := range merged.Points {
-			m.Offered /= n
-			m.OfferedBase /= n
-			m.GoodputBase /= n
-			m.GoodputSvc /= n
-		}
-	}
-	merged.EventsBase = eventsBase
-	merged.EventsSvc = eventsSvc
+	merged.EventsBase = mergeEvents(results, func(r *ServiceResult) []telemetry.Event { return r.EventsBase })
+	merged.EventsSvc = mergeEvents(results, func(r *ServiceResult) []telemetry.Event { return r.EventsSvc })
 	return merged
-}
-
-// ServiceStudy runs RunServiceStudy once per seed (fresh topology and
-// channel per seed) and merges the studies in seed order.
-func (r Replicator) ServiceStudy(build func(seed uint64) Scenario, proto Proto, opts ServiceOpts, seeds []uint64) (*ServiceResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: no seeds given")
-	}
-	results := make([]*ServiceResult, len(seeds))
-	err := r.each(len(seeds), func(i int) error {
-		res, err := RunServiceStudy(build(seeds[i]), proto, opts)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeServiceResults(results), nil
 }

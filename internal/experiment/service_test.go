@@ -151,7 +151,7 @@ func TestServiceReplicationDeterministic(t *testing.T) {
 	opts.Trace = true
 
 	render := func(workers int) ([]byte, []byte, []byte) {
-		res, err := Replicator{Workers: workers}.ServiceStudy(smallScenario, ProtoTele, opts, seeds)
+		res, err := ServiceStudy(ProtoTele, opts).Replicate(smallScenario, seeds, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

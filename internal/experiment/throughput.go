@@ -334,20 +334,11 @@ func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*Throug
 // mergeThroughputResults merges per-seed sweeps point-by-point in slice
 // (seed) order: counters sum, sample series pool, and rates average.
 func mergeThroughputResults(results []*ThroughputResult) *ThroughputResult {
-	var merged *ThroughputResult
-	var events []telemetry.Event
-	for ri, res := range results {
-		for _, ev := range res.Events {
-			ev.Run = ri
-			events = append(events, ev)
-		}
+	if len(results) == 0 {
+		return nil
 	}
-	n := float64(len(results))
-	for _, res := range results {
-		if merged == nil {
-			merged = res
-			continue
-		}
+	merged := results[0]
+	for _, res := range results[1:] {
 		for i, pt := range res.Points {
 			m := merged.Points[i]
 			m.Offered += pt.Offered
@@ -368,36 +359,11 @@ func mergeThroughputResults(results []*ThroughputResult) *ThroughputResult {
 			}
 		}
 	}
-	if merged == nil {
-		return nil
+	n := float64(len(results))
+	for _, m := range merged.Points {
+		m.Offered /= n
+		m.Goodput /= n
 	}
-	if len(results) > 1 {
-		for _, m := range merged.Points {
-			m.Offered /= n
-			m.Goodput /= n
-		}
-	}
-	merged.Events = events
+	merged.Events = mergeEvents(results, func(r *ThroughputResult) []telemetry.Event { return r.Events })
 	return merged
-}
-
-// ThroughputStudy runs RunThroughputStudy once per seed (fresh topology
-// and channel per seed) and merges the sweeps in seed order.
-func (r Replicator) ThroughputStudy(build func(seed uint64) Scenario, proto Proto, opts ThroughputOpts, seeds []uint64) (*ThroughputResult, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: no seeds given")
-	}
-	results := make([]*ThroughputResult, len(seeds))
-	err := r.each(len(seeds), func(i int) error {
-		res, err := RunThroughputStudy(build(seeds[i]), proto, opts)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeThroughputResults(results), nil
 }

@@ -98,7 +98,7 @@ func TestThroughputReplicationDeterministic(t *testing.T) {
 	opts.Trace = true
 
 	render := func(workers int) ([]byte, []byte, []byte) {
-		res, err := Replicator{Workers: workers}.ThroughputStudy(smallScenario, ProtoTele, opts, seeds)
+		res, err := ThroughputStudy(ProtoTele, opts).Replicate(smallScenario, seeds, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
