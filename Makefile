@@ -76,15 +76,16 @@ bench:
 # One-iteration smoke pass over the benchmarks that assert contracts (the
 # telemetry plane's disabled/traced split, the sink scheduler's
 # concurrency speedup, the sparse medium's construction/per-frame
-# scaling and duty-cycled delivery, and the windowed aggregator's
-# alloc-free fold) — fast enough for CI, still failing on regression.
+# scaling and duty-cycled delivery, the windowed aggregator's alloc-free
+# fold, and the CPM chain step and model build) — fast enough for CI,
+# still failing on regression.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead|BenchmarkSinkSchedulerGoodput|BenchmarkCmdSvcBatching' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMediumConstruction|BenchmarkMediumScale|BenchmarkMediumDutyCycled' -benchtime=1x ./internal/radio/
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorFold' -benchmem -benchtime=1x ./internal/obs/
-	$(GO) test -run '^$$' -bench 'BenchmarkSourceNext|BenchmarkSourceReadAt' -benchmem -benchtime=1x ./internal/noise/
+	$(GO) test -run '^$$' -bench 'BenchmarkSourceNext|BenchmarkSourceReadAt|BenchmarkTrain' -benchmem -benchtime=1x ./internal/noise/
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkTimerRestart' -benchmem -benchtime=1x ./internal/sim/
-	$(GO) test -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestBroadcastAllocFree|TestDutyCycledAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/
+	$(GO) test -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/
 	$(GO) test -run 'TestBenchSpeedTrajectory' .
 
 # Reference profile capture of the frame hot path: the 8-node line control

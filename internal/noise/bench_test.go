@@ -33,8 +33,8 @@ func BenchmarkSourceReadAt(b *testing.B) {
 	}
 }
 
-// BenchmarkTrain measures model construction (cold path; here to catch
-// accidental blowups from the pattern-index representation).
+// BenchmarkTrain measures model construction, paid once per built network
+// (the benchmark's setup_s); TestTrainAllocBound pins its alloc count.
 func BenchmarkTrain(b *testing.B) {
 	trace := GenerateTrace(100000, 2)
 	b.ReportAllocs()

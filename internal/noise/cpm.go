@@ -3,6 +3,7 @@ package noise
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 )
 
@@ -32,53 +33,17 @@ const (
 // indistinguishable and keeps long idle gaps O(1)).
 const maxCatchUpSteps = 64
 
-// dist is a sparse categorical distribution over quantized noise bins.
-type dist struct {
-	bins   []uint8
-	counts []uint32
-	total  uint32
-}
-
-func (d *dist) add(bin uint8) {
-	for i, b := range d.bins {
-		if b == bin {
-			d.counts[i]++
-			d.total++
-			return
-		}
-	}
-	d.bins = append(d.bins, bin)
-	d.counts = append(d.counts, 1)
-	d.total++
-}
-
-func (d *dist) sample(rng *rand.Rand) uint8 {
-	if d.total == 0 {
-		return quantize(quietFloorDBm) // quiet floor bin
-	}
-	target := rng.Uint32N(d.total)
-	var acc uint32
-	for i, c := range d.counts {
-		acc += c
-		if target < acc {
-			return d.bins[i]
-		}
-	}
-	return d.bins[len(d.bins)-1]
-}
-
 // patEntry is one bucket of a patTable: a packed history key and its
-// distribution slot in Model.dists (-1 marks an empty bucket). Key and
-// slot share a bucket so a probe touches one cache line, not two.
+// model slot (-1 marks an empty bucket). Key and slot share a bucket so a
+// probe touches one cache line, not two.
 type patEntry struct {
 	key  uint64
 	slot int32
 }
 
 // patTable is an open-addressed hash index from a packed history key to a
-// distribution slot in Model.dists. It replaces the former
-// map[string]*dist: lookups are one multiply-shift hash plus a linear
-// probe over a flat bucket array — no map machinery, no string([]byte)
+// model slot. Lookups are one multiply-shift hash plus a linear probe
+// over a flat bucket array — no map machinery, no string([]byte)
 // conversion, no per-lookup allocation. Bucket count is always a power
 // of two, so probing wraps with a mask.
 type patTable struct {
@@ -100,8 +65,9 @@ func hashKey(key uint64) uint64 {
 	return key
 }
 
-// get returns the distribution slot for key, or -1 when the pattern was
-// never seen in training. This is the per-sample hot path.
+// get returns the model slot for key, or -1 when the pattern was
+// never seen in training. A chain step probes only when its successor
+// slot is not precomputed (after a shorter-history match or a reseed).
 func (t *patTable) get(key uint64) int32 {
 	if t.n == 0 {
 		return -1
@@ -158,18 +124,37 @@ func (t *patTable) grow() {
 	}
 }
 
+// unknown marks a successor slot the model cannot precompute: after a
+// shorter-history match the next history's longest match depends on bins
+// older than the slot's own pattern, so the Source resolves it through
+// the pattern tables.
+const unknown int32 = -1
+
+// transition is one bin of a slot's conditional distribution. cum is the
+// running count through this bin, so a draw target picks the first
+// transition with target < cum; next is the slot the chain moves to
+// after emitting bin (unknown outside the longest history length).
+type transition struct {
+	cum  uint32
+	next int32
+	bin  uint8
+}
+
 // Model is a trained CPM noise model. It is immutable after Train and safe
 // to share across all node Sources.
 type Model struct {
 	histLens []int
 	// histMask[i] selects the low histLens[i] bins of a packed rolling
-	// history; tables[i] indexes the patterns of that length.
+	// history; tables[i] maps the patterns of that length to slots.
 	histMask []uint64
 	tables   []patTable
-	// dists holds every conditional distribution, addressed by the slot
-	// values stored in tables.
-	dists    []dist
-	marginal dist
+	// Slot s's distribution is trans[slotOff[s]:slotOff[s+1]], bins in
+	// first-seen training order. Longest-history slots come first, in
+	// training order, so a chain walking the training trace reads
+	// adjacent memory; the last slot is the marginal.
+	slotOff  []uint32
+	trans    []transition
+	marginal int32
 }
 
 // histMaskFor returns the packed-key mask covering hl bins.
@@ -196,28 +181,144 @@ func Train(trace []float64) *Model {
 	for i, v := range trace {
 		q[i] = quantize(v)
 	}
-	// packed carries the most recent bins of the trace, newest in the low
-	// byte, so packed&histMask[li] is exactly the length-hl window that
-	// used to be string(q[i-hl:i]).
-	var packed uint64
-	for i, bin := range q {
-		m.marginal.add(bin)
-		for li, hl := range m.histLens {
-			if i < hl {
-				continue
-			}
-			key := packed & m.histMask[li]
-			slot := m.tables[li].get(key)
-			if slot < 0 {
-				slot = int32(len(m.dists))
-				m.dists = append(m.dists, dist{})
-				m.tables[li].put(key, slot)
-			}
-			m.dists[slot].add(bin)
-		}
-		packed = packed<<histShift | uint64(bin)
-	}
+	m.layout(m.index(q))
+	m.linkSuccessors()
 	return m
+}
+
+// index fills the pattern tables from the quantized trace and returns
+// every training observation as a (slot, bin) pair: one per sample and
+// history length, level by level so the longest history's slots are
+// numbered first, then one per sample for the marginal, the last slot.
+func (m *Model) index(q []uint8) (pairSlot []int32, pairBin []uint8) {
+	nPairs := len(q)
+	for _, hl := range m.histLens {
+		nPairs += max(len(q)-hl, 0)
+	}
+	pairSlot = make([]int32, 0, nPairs)
+	pairBin = make([]uint8, 0, nPairs)
+	var nSlots int32
+	for li, hl := range m.histLens {
+		// packed carries the most recent bins, newest in the low byte,
+		// so packed&histMask[li] is the length-hl window q[i-hl:i].
+		var packed uint64
+		for i, bin := range q {
+			if i >= hl {
+				key := packed & m.histMask[li]
+				slot := m.tables[li].get(key)
+				if slot < 0 {
+					slot = nSlots
+					nSlots++
+					m.tables[li].put(key, slot)
+				}
+				pairSlot = append(pairSlot, slot)
+				pairBin = append(pairBin, bin)
+			}
+			packed = packed<<histShift | uint64(bin)
+		}
+	}
+	m.marginal = nSlots
+	for _, bin := range q {
+		pairSlot = append(pairSlot, m.marginal)
+		pairBin = append(pairBin, bin)
+	}
+	return pairSlot, pairBin
+}
+
+// layout builds slotOff and trans from the observation pairs, sized
+// exactly, with no per-pattern allocation.
+func (m *Model) layout(pairSlot []int32, pairBin []uint8) {
+	nSlots := m.marginal + 1
+	// Stable counting sort by slot: each slot's bins stay in trace order,
+	// so their first occurrences give the bin order of the distribution.
+	start := make([]uint32, nSlots+1)
+	for _, s := range pairSlot {
+		start[s+1]++
+	}
+	for s := int32(1); s <= nSlots; s++ {
+		start[s] += start[s-1]
+	}
+	sorted := make([]uint8, len(pairBin))
+	cursor := slices.Clone(start[:nSlots])
+	for p, s := range pairSlot {
+		sorted[cursor[s]] = pairBin[p]
+		cursor[s]++
+	}
+
+	// Two walks over the sorted bins: count each slot's distinct bins to
+	// size the layout, then fill it. seen[b] marks bin b as already met
+	// in slot s (s+1 in the first walk, -(s+1) in the second, so neither
+	// walk needs a reset); at[b] is its transition.
+	var seen [quantBins]int32
+	m.slotOff = make([]uint32, nSlots+1)
+	for s := int32(0); s < nSlots; s++ {
+		distinct := uint32(0)
+		for _, b := range sorted[start[s]:start[s+1]] {
+			if seen[b] != s+1 {
+				seen[b] = s + 1
+				distinct++
+			}
+		}
+		m.slotOff[s+1] = m.slotOff[s] + distinct
+	}
+	m.trans = make([]transition, m.slotOff[nSlots])
+	var at [quantBins]uint32
+	for s := int32(0); s < nSlots; s++ {
+		w := m.slotOff[s]
+		for _, b := range sorted[start[s]:start[s+1]] {
+			if seen[b] != -(s + 1) {
+				seen[b] = -(s + 1)
+				at[b] = w
+				m.trans[w] = transition{bin: b, next: unknown}
+				w++
+			}
+			m.trans[at[b]].cum++
+		}
+		for t := m.slotOff[s] + 1; t < w; t++ {
+			m.trans[t].cum += m.trans[t-1].cum
+		}
+	}
+}
+
+// linkSuccessors fills next for every longest-history slot: after such a
+// match the next history is the pattern shifted by the emitted bin, so
+// its longest match is fixed at train time.
+func (m *Model) linkSuccessors() {
+	for _, e := range m.tables[0].entries {
+		if e.slot < 0 {
+			continue
+		}
+		for t := m.slotOff[e.slot]; t < m.slotOff[e.slot+1]; t++ {
+			m.trans[t].next = m.resolve(e.key<<histShift | uint64(m.trans[t].bin))
+		}
+	}
+}
+
+// resolve returns the slot of the longest trained pattern matching the
+// packed history, backing off to the marginal: closest-pattern matching.
+func (m *Model) resolve(packed uint64) int32 {
+	for li := range m.tables {
+		if slot := m.tables[li].get(packed & m.histMask[li]); slot >= 0 {
+			return slot
+		}
+	}
+	return m.marginal
+}
+
+// draw samples slot's distribution with one Uint32N over its total count
+// and returns the bin and the successor slot. An empty slot (only the
+// marginal of an empty trace) draws nothing and yields the quiet floor.
+func (m *Model) draw(slot int32, rng *rand.Rand) (bin uint8, next int32) {
+	ts := m.trans[m.slotOff[slot]:m.slotOff[slot+1]]
+	if len(ts) == 0 {
+		return quantize(quietFloorDBm), unknown
+	}
+	target := rng.Uint32N(ts[len(ts)-1].cum)
+	i := 0
+	for target >= ts[i].cum {
+		i++
+	}
+	return ts[i].bin, ts[i].next
 }
 
 // Patterns returns the number of distinct patterns at the longest history
@@ -250,13 +351,12 @@ type Source struct {
 	model *Model
 	rng   *rand.Rand
 	// packed is the rolling quantized history, newest bin in the low
-	// byte — the same representation the model's pattern tables key on,
-	// so one mask per history length replaces the former slice-to-string
-	// map key.
+	// byte — the same representation the model's pattern tables key on.
 	packed uint64
-	filled int // history bins populated (maxHist after reseed)
-	last   float64
-	step   int64 // chain position, in SamplePeriodMS units
+	// slot is the model slot matching packed, or unknown until resolved.
+	slot int32
+	last float64
+	step int64 // chain position, in SamplePeriodMS units
 }
 
 // NewSource creates an independent noise stream. Different sources should
@@ -269,34 +369,24 @@ func (m *Model) NewSource(rng *rand.Rand) *Source {
 
 // reseed fills the history from the marginal distribution.
 func (s *Source) reseed() {
-	maxHist := s.model.histLens[0]
+	m := s.model
 	var bin uint8
-	for i := 0; i < maxHist; i++ {
-		bin = s.model.marginal.sample(s.rng)
+	for i := 0; i < m.histLens[0]; i++ {
+		bin, _ = m.draw(m.marginal, s.rng)
 		s.packed = s.packed<<histShift | uint64(bin)
 	}
-	s.filled = maxHist
+	s.slot = unknown
 	s.last = dequantize(bin, s.rng)
 }
 
 // next advances the chain one step using closest-pattern matching.
 func (s *Source) next() float64 {
+	slot := s.slot
+	if slot == unknown {
+		slot = s.model.resolve(s.packed)
+	}
 	var bin uint8
-	matched := false
-	m := s.model
-	for li, hl := range m.histLens {
-		if hl > s.filled {
-			continue
-		}
-		if slot := m.tables[li].get(s.packed & m.histMask[li]); slot >= 0 {
-			bin = m.dists[slot].sample(s.rng)
-			matched = true
-			break
-		}
-	}
-	if !matched {
-		bin = m.marginal.sample(s.rng)
-	}
+	bin, s.slot = s.model.draw(slot, s.rng)
 	// Slide history: the shift drops the oldest bin off the top.
 	s.packed = s.packed<<histShift | uint64(bin)
 	s.last = dequantize(bin, s.rng)

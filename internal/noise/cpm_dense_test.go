@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -10,22 +11,59 @@ import (
 
 // --- Reference implementation ---
 //
-// mapModel is the pre-dense-index CPM implementation, string-keyed maps
-// and all, kept verbatim as the behavioural reference: the dense model
-// must consume the RNG identically and emit bit-identical samples, or
-// every pinned scenario trace in the repo shifts.
+// mapModel is the original CPM implementation, string-keyed maps of
+// sparse count distributions and all, kept verbatim as the behavioural
+// reference: the flat model must consume the RNG identically and emit
+// bit-identical samples, or every pinned scenario trace in the repo
+// shifts.
+
+// refDist is a sparse categorical distribution over quantized noise bins,
+// bins in first-seen order.
+type refDist struct {
+	bins   []uint8
+	counts []uint32
+	total  uint32
+}
+
+func (d *refDist) add(bin uint8) {
+	for i, b := range d.bins {
+		if b == bin {
+			d.counts[i]++
+			d.total++
+			return
+		}
+	}
+	d.bins = append(d.bins, bin)
+	d.counts = append(d.counts, 1)
+	d.total++
+}
+
+func (d *refDist) sample(rng *rand.Rand) uint8 {
+	if d.total == 0 {
+		return quantize(quietFloorDBm) // quiet floor bin
+	}
+	target := rng.Uint32N(d.total)
+	var acc uint32
+	for i, c := range d.counts {
+		acc += c
+		if target < acc {
+			return d.bins[i]
+		}
+	}
+	return d.bins[len(d.bins)-1]
+}
 
 type mapModel struct {
 	histLens []int
-	tables   []map[string]*dist
-	marginal dist
+	tables   []map[string]*refDist
+	marginal refDist
 }
 
 func trainMap(trace []float64) *mapModel {
 	m := &mapModel{histLens: defaultHistLens}
-	m.tables = make([]map[string]*dist, len(m.histLens))
+	m.tables = make([]map[string]*refDist, len(m.histLens))
 	for i := range m.tables {
-		m.tables[i] = make(map[string]*dist)
+		m.tables[i] = make(map[string]*refDist)
 	}
 	q := make([]uint8, len(trace))
 	for i, v := range trace {
@@ -40,7 +78,7 @@ func trainMap(trace []float64) *mapModel {
 			key := string(q[i-hl : i])
 			d := m.tables[li][key]
 			if d == nil {
-				d = &dist{}
+				d = &refDist{}
 				m.tables[li][key] = d
 			}
 			d.add(bin)
@@ -54,10 +92,13 @@ type mapSource struct {
 	rng   *rand.Rand
 	hist  []uint8
 	last  float64
+	// matched[li] counts steps matched at history level li;
+	// matched[len(histLens)] counts marginal fallbacks.
+	matched []int
 }
 
 func (m *mapModel) newSource(rng *rand.Rand) *mapSource {
-	s := &mapSource{model: m, rng: rng}
+	s := &mapSource{model: m, rng: rng, matched: make([]int, len(m.histLens)+1)}
 	s.reseed()
 	return s
 }
@@ -82,11 +123,13 @@ func (s *mapSource) next() float64 {
 		if d, ok := s.model.tables[li][key]; ok {
 			bin = d.sample(s.rng)
 			matched = true
+			s.matched[li]++
 			break
 		}
 	}
 	if !matched {
 		bin = s.model.marginal.sample(s.rng)
+		s.matched[len(s.model.histLens)]++
 	}
 	copy(s.hist, s.hist[1:])
 	s.hist[len(s.hist)-1] = bin
@@ -94,95 +137,210 @@ func (s *mapSource) next() float64 {
 	return s.last
 }
 
-// TestDenseModelMatchesMapModel pins the dense-index model bit-for-bit
-// against the map-based reference on a trained trace: same pattern
-// counts, same RNG consumption, identical sample streams.
-func TestDenseModelMatchesMapModel(t *testing.T) {
-	trace := GenerateTrace(120000, 11)
-	dense := Train(trace)
-	ref := trainMap(trace)
+// packKey packs a string-keyed history the way the flat model keys it:
+// newest bin in the low byte.
+func packKey(key string) uint64 {
+	var packed uint64
+	for i := 0; i < len(key); i++ {
+		packed = packed<<histShift | uint64(key[i])
+	}
+	return packed
+}
 
-	if got, want := dense.Patterns(), len(ref.tables[0]); got != want {
-		t.Fatalf("Patterns() = %d, map reference has %d", got, want)
+// equivTraces are the training traces the flat model is pinned on: the
+// scenario profile at several seeds and lengths (the short one leaves
+// many length-8 histories unseen, so chains back off to shorter levels),
+// the quiet-channel profile, and a crafted trace of four levels ending in
+// a bin seen nowhere else: a chain that emits it has no history match at
+// all, falls back to the marginal, and then matches at length 1 only.
+func equivTraces() map[string][]float64 {
+	rng := sim.NewRNG(13)
+	crafted := make([]float64, 500)
+	for i := range crafted {
+		crafted[i] = []float64{-98, -90, -80, -70}[rng.IntN(4)]
 	}
-	// Every table level must index the identical pattern set with
-	// identical distributions (bin order and counts, not just totals —
-	// sampling walks the bins in insertion order).
-	for li := range dense.histLens {
-		if dense.tables[li].n != len(ref.tables[li]) {
-			t.Fatalf("level %d: dense %d patterns, map %d",
-				li, dense.tables[li].n, len(ref.tables[li]))
-		}
-		for key, rd := range ref.tables[li] {
-			var packed uint64
-			for i := 0; i < len(key); i++ {
-				packed = packed<<histShift | uint64(key[i])
-			}
-			slot := dense.tables[li].get(packed)
-			if slot < 0 {
-				t.Fatalf("level %d: pattern %x missing from dense index", li, key)
-			}
-			dd := &dense.dists[slot]
-			if len(dd.bins) != len(rd.bins) || dd.total != rd.total {
-				t.Fatalf("level %d pattern %x: dense dist %v/%d, map %v/%d",
-					li, key, dd.bins, dd.total, rd.bins, rd.total)
-			}
-			for i := range dd.bins {
-				if dd.bins[i] != rd.bins[i] || dd.counts[i] != rd.counts[i] {
-					t.Fatalf("level %d pattern %x: bin slot %d differs", li, key, i)
-				}
-			}
-		}
+	crafted = append(crafted, -40)
+	return map[string][]float64{
+		"heavy-120k-s11": GenerateTrace(120000, 11),
+		"heavy-60k-s2":   GenerateTrace(60000, 2),
+		"heavy-3k-s5":    GenerateTrace(3000, 5),
+		"quiet-60k-s7":   GenerateTraceProfile(60000, 7, QuietChannel()),
+		"crafted-501":    crafted,
 	}
+}
 
-	// Identical sample streams from identically seeded RNGs, across both
-	// the plain chain and the lazy ReadAt path (catch-up and reseed).
-	const seed = 77
-	ds := dense.NewSource(sim.NewRNG(seed))
-	ms := ref.newSource(sim.NewRNG(seed))
-	for i := 0; i < 20000; i++ {
-		if dv, mv := ds.next(), ms.next(); dv != mv {
-			t.Fatalf("step %d: dense %v, map %v", i, dv, mv)
-		}
+// assertSlot checks one flat slot against a reference distribution: the
+// same bins in insertion order, and cumulative counts equal to the
+// reference's running sums.
+func assertSlot(t *testing.T, m *Model, slot int32, rd *refDist, what string) {
+	t.Helper()
+	ts := m.trans[m.slotOff[slot]:m.slotOff[slot+1]]
+	if len(ts) != len(rd.bins) {
+		t.Fatalf("%s: flat slot has %d bins, reference %d", what, len(ts), len(rd.bins))
 	}
-	// Drive ReadAt through catch-up gaps of every size up to past the
-	// reseed threshold; mirror each gap on the reference chain.
-	now := ds.step
-	for gap := int64(1); gap <= maxCatchUpSteps+3; gap++ {
-		now += gap
-		dv := ds.ReadAt(time.Duration(now) * SamplePeriodMS * time.Millisecond)
-		var mv float64
-		if gap > maxCatchUpSteps {
-			ms.reseed()
-			mv = ms.last
-		} else {
-			for i := int64(0); i < gap; i++ {
-				mv = ms.next()
-			}
-		}
-		if dv != mv {
-			t.Fatalf("gap %d: dense %v, map %v", gap, dv, mv)
+	var acc uint32
+	for i, tr := range ts {
+		acc += rd.counts[i]
+		if tr.bin != rd.bins[i] || tr.cum != acc {
+			t.Fatalf("%s: transition %d is bin %d cum %d, reference bin %d running sum %d",
+				what, i, tr.bin, tr.cum, rd.bins[i], acc)
 		}
 	}
 }
 
-// TestEmptyDistQuietFloor covers the empty-distribution fallback: it must
-// return the properly quantized quiet-floor bin (rounded and clamped via
-// quantize), not raw float-to-uint8 arithmetic.
+// TestDenseModelMatchesMapModel pins the flat model bit-for-bit against
+// the map-based reference: the same pattern sets and distributions
+// (bin order and cumulative counts), the same RNG consumption, and
+// identical sample streams over several traces and source seeds, across
+// the plain chain and every ReadAt catch-up and reseed gap.
+func TestDenseModelMatchesMapModel(t *testing.T) {
+	steps := 200000
+	if testing.Short() {
+		steps = 20000
+	}
+	matched := make([]int, len(defaultHistLens)+1)
+	for name, trace := range equivTraces() {
+		flat := Train(trace)
+		ref := trainMap(trace)
+
+		if got, want := flat.Patterns(), len(ref.tables[0]); got != want {
+			t.Fatalf("%s: Patterns() = %d, map reference has %d", name, got, want)
+		}
+		slots := 1 // the marginal
+		for li := range flat.histLens {
+			if flat.tables[li].n != len(ref.tables[li]) {
+				t.Fatalf("%s level %d: flat %d patterns, map %d",
+					name, li, flat.tables[li].n, len(ref.tables[li]))
+			}
+			slots += len(ref.tables[li])
+			for key, rd := range ref.tables[li] {
+				slot := flat.tables[li].get(packKey(key))
+				if slot < 0 {
+					t.Fatalf("%s level %d: pattern %x missing from flat index", name, li, key)
+				}
+				assertSlot(t, flat, slot, rd, name+" pattern "+fmt.Sprintf("%x", key))
+			}
+		}
+		if got := len(flat.slotOff) - 1; got != slots {
+			t.Fatalf("%s: flat layout has %d slots, reference %d patterns + marginal", name, got, slots)
+		}
+		assertSlot(t, flat, flat.marginal, &ref.marginal, name+" marginal")
+
+		for _, seed := range []uint64{77, 3, 1 << 40} {
+			fs := flat.NewSource(sim.NewRNG(seed))
+			ms := ref.newSource(sim.NewRNG(seed))
+			if fs.last != ms.last {
+				t.Fatalf("%s seed %d: reseed value flat %v, map %v", name, seed, fs.last, ms.last)
+			}
+			for i := 0; i < steps; i++ {
+				if fv, mv := fs.next(), ms.next(); fv != mv {
+					t.Fatalf("%s seed %d step %d: flat %v, map %v", name, seed, i, fv, mv)
+				}
+			}
+			// Drive ReadAt through catch-up gaps of every size up to
+			// past the reseed threshold; mirror each gap on the
+			// reference chain.
+			now := fs.step
+			for gap := int64(1); gap <= maxCatchUpSteps+3; gap++ {
+				now += gap
+				fv := fs.ReadAt(time.Duration(now) * SamplePeriodMS * time.Millisecond)
+				var mv float64
+				if gap > maxCatchUpSteps {
+					ms.reseed()
+					mv = ms.last
+				} else {
+					for i := int64(0); i < gap; i++ {
+						mv = ms.next()
+					}
+				}
+				if fv != mv {
+					t.Fatalf("%s seed %d gap %d: flat %v, map %v", name, seed, gap, fv, mv)
+				}
+			}
+			for i, c := range ms.matched {
+				matched[i] += c
+			}
+		}
+	}
+	// The streams must have exercised every back-off level, or the
+	// successor links and the probe fallback were not both compared.
+	for i, c := range matched {
+		if c == 0 {
+			t.Fatalf("no step matched at back-off level %d (counts %v)", i, matched)
+		}
+	}
+}
+
+// TestSuccessorLinksMatchResolve checks every precomputed successor
+// against a fresh longest-first hash resolve of the shifted history,
+// and that only longest-history slots carry one.
+func TestSuccessorLinksMatchResolve(t *testing.T) {
+	for name, trace := range equivTraces() {
+		m := Train(trace)
+		top := int32(m.tables[0].n)
+		linked := 0
+		for _, e := range m.tables[0].entries {
+			if e.slot < 0 {
+				continue
+			}
+			if e.slot >= top {
+				t.Fatalf("%s: longest-history slot %d not numbered before the %d others", name, e.slot, top)
+			}
+			for _, tr := range m.trans[m.slotOff[e.slot]:m.slotOff[e.slot+1]] {
+				hist := e.key<<histShift | uint64(tr.bin)
+				want := m.marginal
+				for li, hl := range m.histLens {
+					if slot := m.tables[li].get(hist & histMaskFor(hl)); slot >= 0 {
+						want = slot
+						break
+					}
+				}
+				if tr.next != want {
+					t.Fatalf("%s: pattern %016x bin %d links to slot %d, resolve gives %d",
+						name, e.key, tr.bin, tr.next, want)
+				}
+				linked++
+			}
+		}
+		if want := int(m.slotOff[top]); linked != want {
+			t.Fatalf("%s: checked %d links, longest-history slots hold %d transitions", name, linked, want)
+		}
+		for i, tr := range m.trans[m.slotOff[top]:] {
+			if tr.next != unknown {
+				t.Fatalf("%s: shorter-history transition %d has successor %d, want unknown", name, i, tr.next)
+			}
+		}
+	}
+}
+
+// TestTrainAllocBound pins the flat build: a handful of slices per model
+// plus the pattern tables' growth, not a distribution per pattern.
+func TestTrainAllocBound(t *testing.T) {
+	trace := GenerateTrace(60000, 2)
+	if allocs := testing.AllocsPerRun(3, func() { Train(trace) }); allocs > 100 {
+		t.Fatalf("Train allocates %v times for a 60k-sample trace, want <= 100", allocs)
+	}
+}
+
+// TestEmptyDistQuietFloor covers the empty-distribution fallback: a model
+// trained on an empty trace has an empty marginal, whose draw must return
+// the properly quantized quiet-floor bin (rounded and clamped via
+// quantize, not raw float-to-uint8 arithmetic) without touching the RNG.
 func TestEmptyDistQuietFloor(t *testing.T) {
-	var d dist
-	rng := sim.NewRNG(1)
-	got := d.sample(rng)
+	m := Train(nil)
+	rng, twin := sim.NewRNG(1), sim.NewRNG(1)
+	got, _ := m.draw(m.marginal, rng)
 	want := quantize(quietFloorDBm)
 	if got != want {
-		t.Fatalf("empty dist sampled bin %d, want quantize(%v) = %d", got, quietFloorDBm, want)
+		t.Fatalf("empty marginal drew bin %d, want quantize(%v) = %d", got, quietFloorDBm, want)
+	}
+	if rng.Uint64() != twin.Uint64() {
+		t.Fatal("drawing from an empty distribution consumed the RNG")
 	}
 	if dbm := dequantize(got, rng); dbm < quietFloorDBm-1 || dbm > quietFloorDBm+1 {
 		t.Fatalf("empty dist bin dequantizes to %v, want ~%v", dbm, quietFloorDBm)
 	}
-	// A model trained on an empty trace has an empty marginal: every
-	// sample must sit on the quiet floor and never panic.
-	m := Train(nil)
+	// Every sample must sit on the quiet floor and never panic.
 	src := m.NewSource(sim.NewRNG(2))
 	for i := 0; i < 10; i++ {
 		v := src.next()
@@ -193,8 +351,8 @@ func TestEmptyDistQuietFloor(t *testing.T) {
 }
 
 // TestSourceNextAllocFree is the alloc contract for the per-sample hot
-// path: the dense index does zero map lookups, zero string conversions,
-// and zero allocations per chain step.
+// path: zero map lookups, zero string conversions and zero allocations
+// per chain step.
 func TestSourceNextAllocFree(t *testing.T) {
 	m := Train(GenerateTrace(50000, 3))
 	src := m.NewSource(sim.NewRNG(4))
@@ -258,7 +416,7 @@ func TestSourceReadAtBoundaries(t *testing.T) {
 	// consuming exactly histLens[0] marginal draws plus one dequantize.
 	var bin uint8
 	for i := 0; i < defaultHistLens[0]; i++ {
-		bin = m.marginal.sample(refRNG)
+		bin, _ = m.draw(m.marginal, refRNG)
 	}
 	reseedWant := dequantize(bin, refRNG)
 	if got != reseedWant {

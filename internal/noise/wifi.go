@@ -46,9 +46,22 @@ func NewWifiInterferer(rng *rand.Rand, powerDBm float64) *WifiInterferer {
 	}
 }
 
-// InterferenceAt returns the WiFi interference power (dBm) at time t, or
-// -200 (negligible) when no burst is on. Calls must be monotone in t.
+// WifiOffDBm is the interference power reported between bursts: negligible.
+const WifiOffDBm = -200.0
+
+// InterferenceAt returns the WiFi interference power (dBm) at time t:
+// PowerDBm while a burst is on, WifiOffDBm otherwise. Calls must be
+// monotone in t.
 func (w *WifiInterferer) InterferenceAt(t time.Duration) float64 {
+	if w.On(t) {
+		return w.PowerDBm
+	}
+	return WifiOffDBm
+}
+
+// On reports whether a burst is on at time t. Calls must be monotone in t
+// (shared with InterferenceAt: both advance the same schedule).
+func (w *WifiInterferer) On(t time.Duration) bool {
 	for t >= w.epochEnd {
 		w.epochActive = w.rng.Float64() < w.activeFrac
 		w.epochEnd += w.activePhase
@@ -62,7 +75,7 @@ func (w *WifiInterferer) InterferenceAt(t time.Duration) float64 {
 		}
 	}
 	if !w.epochActive {
-		return -200
+		return false
 	}
 	for t >= w.segEnd {
 		w.on = !w.on
@@ -72,8 +85,5 @@ func (w *WifiInterferer) InterferenceAt(t time.Duration) float64 {
 		}
 		w.segEnd += time.Duration(w.rng.ExpFloat64() * float64(mean))
 	}
-	if w.on {
-		return w.PowerDBm
-	}
-	return -200
+	return w.on
 }

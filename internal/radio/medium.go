@@ -62,6 +62,10 @@ type Medium struct {
 	// injection: probabilistic loss/corruption windows).
 	dropFn func(rx NodeID, f *Frame) bool
 
+	// wifiOnMW and wifiOffMW are the interferer's two power levels in mW,
+	// converted once when it is installed.
+	wifiOnMW, wifiOffMW float64
+
 	interferer *noise.WifiInterferer
 	jitterRNG  *rand.Rand
 	traceFn    func(TraceEvent)
@@ -111,9 +115,10 @@ func newMedium(eng *sim.Engine, dep *topology.Deployment, model *noise.Model, pa
 	m.radios = make([]*Radio, n)
 	for i := 0; i < n; i++ {
 		r := &Radio{
-			medium: m,
-			id:     NodeID(i),
-			rng:    sim.DeriveRNG(seed, 0x10000+uint64(i)),
+			medium:   m,
+			id:       NodeID(i),
+			rng:      sim.DeriveRNG(seed, 0x10000+uint64(i)),
+			noiseDBm: math.NaN(),
 		}
 		if model != nil {
 			r.noise = model.NewSource(sim.DeriveRNG(seed, uint64(i)+1))
@@ -287,7 +292,13 @@ func (m *Medium) linkIndex(from, to NodeID) int {
 }
 
 // SetInterferer installs a WiFi interference process affecting all nodes.
-func (m *Medium) SetInterferer(w *noise.WifiInterferer) { m.interferer = w }
+// Its PowerDBm is read once, here.
+func (m *Medium) SetInterferer(w *noise.WifiInterferer) {
+	m.interferer = w
+	if w != nil {
+		m.wifiOnMW, m.wifiOffMW = dbmToMW(w.PowerDBm), dbmToMW(noise.WifiOffDBm)
+	}
+}
 
 // Radio returns the radio attached to node id.
 func (m *Medium) Radio(id NodeID) *Radio { return m.radios[id] }
@@ -413,15 +424,22 @@ func (m *Medium) ExpectedPRR(from, to NodeID, txPowerDBm float64, sizeBytes int)
 // ExpectedPRR view (the live simulation samples CPM noise instead).
 const quietFloorDBm = -98.0
 
-// noiseAt returns total non-802.15.4 noise power (mW) at node id.
-func (m *Medium) noiseAt(id NodeID, t time.Duration) float64 {
+// noiseAt returns total non-802.15.4 noise power (mW) at radio r.
+func (m *Medium) noiseAt(r *Radio, t time.Duration) float64 {
 	var dbm float64 = quietFloorDBm
-	if src := m.radios[id].noise; src != nil {
-		dbm = src.ReadAt(t)
+	if r.noise != nil {
+		dbm = r.noise.ReadAt(t)
 	}
-	total := dbmToMW(dbm)
+	if dbm != r.noiseDBm {
+		r.noiseDBm, r.noiseMW = dbm, dbmToMW(dbm)
+	}
+	total := r.noiseMW
 	if m.interferer != nil {
-		total += dbmToMW(m.interferer.InterferenceAt(t))
+		if m.interferer.On(t) {
+			total += m.wifiOnMW
+		} else {
+			total += m.wifiOffMW
+		}
 	}
 	return total
 }

@@ -48,6 +48,11 @@ type Radio struct {
 	noise   noiseSource
 	rng     *rand.Rand
 	handler Handler
+	// noiseDBm and noiseMW memoise the last noise-floor conversion (NaN
+	// until the first read, so it always converts): a CPM source changes
+	// once per 1 ms sample and the quiet floor never, so most reads skip
+	// math.Pow.
+	noiseDBm, noiseMW float64
 
 	state State
 	// air holds every in-flight transmission audible at this node, in
@@ -177,7 +182,7 @@ func (r *Radio) CCABusy() bool {
 // channelMW is the total power at the antenna that CCA thresholds: the
 // noise floor plus every frame on the air, summed in arrival order.
 func (r *Radio) channelMW() float64 {
-	total := r.medium.noiseAt(r.id, r.medium.eng.Now())
+	total := r.medium.noiseAt(r, r.medium.eng.Now())
 	for i := range r.air {
 		total += r.air[i].powerMW()
 	}
@@ -275,7 +280,7 @@ func (r *Radio) onAirEnd(tx *transmission) {
 	ctx := r.rx
 	r.dropRx()
 	r.state = StateListening
-	nowNoise := r.medium.noiseAt(r.id, r.medium.eng.Now())
+	nowNoise := r.medium.noiseAt(r, r.medium.eng.Now())
 	prr, snr := r.medium.params.rxPRR(ctx.signalMW, ctx.maxInterfMW, nowNoise, tx.frame.Size)
 	// The draw is unconditional — even a frame the capture gate already
 	// rejected consumes it — so each adjudication advances the radio's

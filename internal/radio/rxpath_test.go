@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"teleadjust/internal/noise"
 	"teleadjust/internal/sim"
 	"teleadjust/internal/topology"
 )
@@ -252,5 +253,68 @@ func TestAirSumsDeterministic(t *testing.T) {
 	interf2, channel2, busy2, _ := airSums(t, 9, calls)
 	if !slices.Equal(interf, interf2) || !slices.Equal(channel, channel2) || !slices.Equal(busy, busy2) {
 		t.Fatal("a fresh build from the same seed sums the air set differently")
+	}
+}
+
+// TestNoiseAtMemoMatchesConversion pins the noise-floor memo: on every
+// read, noiseAt must equal converting the twin sources' dBm values
+// afresh, bit for bit — with a CPM source per radio, with no model (the
+// constant quiet floor) and with a WiFi interferer on top. Reads jump
+// between radios and include repeated times, sub-sample steps and gaps
+// past the CPM reseed threshold.
+func TestNoiseAtMemoMatchesConversion(t *testing.T) {
+	const seed, nodes = 7, 4
+	model := noise.Train(noise.GenerateTrace(20000, 3))
+	cases := []struct {
+		name  string
+		model *noise.Model
+		wifi  bool
+	}{
+		{"cpm", model, false},
+		{"quiet-floor", nil, false},
+		{"cpm+wifi", model, true},
+		{"quiet-floor+wifi", nil, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := NewMedium(sim.NewEngine(), topology.Line(nodes, 5), c.model, DefaultParams(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var twins []*noise.Source
+			if c.model != nil {
+				for i := 0; i < nodes; i++ {
+					twins = append(twins, c.model.NewSource(sim.DeriveRNG(seed, uint64(i)+1)))
+				}
+			}
+			var twinWifi *noise.WifiInterferer
+			if c.wifi {
+				m.SetInterferer(noise.NewWifiInterferer(sim.DeriveRNG(seed, 0xbeef), -58))
+				twinWifi = noise.NewWifiInterferer(sim.DeriveRNG(seed, 0xbeef), -58)
+			}
+			rng := rand.New(rand.NewPCG(seed, 1))
+			var now time.Duration
+			for i := 0; i < 20000; i++ {
+				switch rng.IntN(10) {
+				case 0: // same instant again
+				case 1:
+					now += time.Duration(65+rng.IntN(100)) * time.Millisecond
+				default:
+					now += time.Duration(rng.IntN(1500)) * time.Microsecond
+				}
+				id := rng.IntN(nodes)
+				dbm := quietFloorDBm
+				if twins != nil {
+					dbm = twins[id].ReadAt(now)
+				}
+				want := dbmToMW(dbm)
+				if twinWifi != nil {
+					want += dbmToMW(twinWifi.InterferenceAt(now))
+				}
+				if got := m.noiseAt(m.Radio(NodeID(id)), now); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("read %d (node %d, t=%v): noiseAt %v, fresh conversion %v", i, id, now, got, want)
+				}
+			}
+		})
 	}
 }
