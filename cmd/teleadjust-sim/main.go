@@ -12,7 +12,7 @@
 // is identical to a serial run.
 //
 // TeleAdjusting variants accept -codec to swap the tree-coding scheme
-// (paper, treeexplorer, huffman); the coding-schemes study instead sweeps
+// (paper, treeexplorer); the coding-schemes study instead sweeps
 // the -codecs list over one or more -scenario entries (comma-separated).
 //
 // Control studies can capture the unified telemetry stream: -trace
@@ -46,7 +46,7 @@
 //	teleadjust-sim -scenario refgrid -study throughput -workload open -rates 0.1,0.2,0.4 -csv sweep.csv
 //	teleadjust-sim -scenario refgrid -study service -rates 0.5,1.8 -dist hotspot -csv svc.csv
 //	teleadjust-sim -scenario refgrid -study service -queue-depth 32 -high-water 24 -shed delay
-//	teleadjust-sim -scenario indoor -study control -proto retele -codec huffman
+//	teleadjust-sim -scenario indoor -study control -proto retele -codec treeexplorer
 //	teleadjust-sim -scenario refgrid,sparse -study coding-schemes -csv codecs.csv
 package main
 

@@ -79,10 +79,11 @@ func TestValidateRejections(t *testing.T) {
 		{"open loop without rates", func(c *cliConfig) { c.study = "throughput"; c.workload = "open" }, "-rates"},
 		{"unknown workload", func(c *cliConfig) { c.study = "throughput"; c.workload = "bursty" }, "workload"},
 		{"unknown codec", func(c *cliConfig) { c.codec = "morse" }, "codec"},
-		{"codec with drip", func(c *cliConfig) { c.codec = "huffman"; c.proto = "drip" }, "-codec"},
+		{"retired huffman codec", func(c *cliConfig) { c.codec = "huffman" }, "unknown codec"},
+		{"codec with drip", func(c *cliConfig) { c.codec = "treeexplorer"; c.proto = "drip" }, "-codec"},
 		{"codec with rpl", func(c *cliConfig) { c.codec = "paper"; c.proto = "rpl" }, "-codec"},
 		{"codec with coding-schemes", func(c *cliConfig) { c.study = "coding-schemes"; c.codec = "paper" }, "-codecs"},
-		{"codecs outside coding-schemes", func(c *cliConfig) { c.codecs = "paper,huffman" }, "-codecs"},
+		{"codecs outside coding-schemes", func(c *cliConfig) { c.codecs = "paper,treeexplorer" }, "-codecs"},
 		{"joins outside coding-schemes", func(c *cliConfig) { c.joins = 2 }, "-joins"},
 		{"joins below unset sentinel", func(c *cliConfig) { c.study = "coding-schemes"; c.joins = -2 }, "-joins"},
 		{"unknown codec in codecs list", func(c *cliConfig) { c.study = "coding-schemes"; c.codecs = "paper,morse" }, "codec"},
@@ -236,13 +237,13 @@ func TestValidateAcceptsCodecCombos(t *testing.T) {
 	// The coding-schemes study with its own knobs.
 	s := baseConfig()
 	s.study = "coding-schemes"
-	s.codecs = "paper, huffman"
+	s.codecs = "paper, treeexplorer"
 	s.joins = 0
 	s.csv = "codecs.csv"
 	if err := s.validate(); err != nil {
 		t.Fatalf("coding-schemes combo rejected: %v", err)
 	}
-	if got := splitList(s.codecs); len(got) != 2 || got[0] != "paper" || got[1] != "huffman" {
+	if got := splitList(s.codecs); len(got) != 2 || got[0] != "paper" || got[1] != "treeexplorer" {
 		t.Fatalf("splitList = %v", got)
 	}
 	if got := splitList(""); got != nil {

@@ -265,22 +265,6 @@ func (t *ChildTable) LabelOf(child radio.NodeID) PathCode {
 	return PathCode{}
 }
 
-// SetWeight feeds a subtree-size estimate for a child into the codec.
-// Weight-sensitive codecs (huffman) may relabel, reported as true; the
-// changed labels are already refreshed into the entries (and unconfirmed)
-// on return.
-func (t *ChildTable) SetWeight(child radio.NodeID, weight int) bool {
-	e, ok := t.entries[child]
-	if !ok {
-		return false
-	}
-	if !t.alloc.SetWeight(e.Position, weight) {
-		return false
-	}
-	t.refreshLabels()
-	return true
-}
-
 // Entries returns allocated entries sorted by child id (a stable view for
 // beacon piggybacking).
 func (t *ChildTable) Entries() []ChildEntry {

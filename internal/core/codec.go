@@ -10,7 +10,7 @@ package core
 // prefix relations between full path codes, so it is codec-agnostic by
 // construction.
 //
-// Three codecs ship:
+// Two codecs ship:
 //
 //   - paper: Algorithm 1 verbatim. Positions are encoded fixed-width (π
 //     bits, π sized for children + reserve); space exhaustion widens π by
@@ -22,11 +22,6 @@ package core
 //     cost tracks ⌈log2 χ⌉ instead of the paper's next power of two.
 //     Reserve slots are pre-labeled, so joins within the reserve cause no
 //     relabeling; exhaustion grows χ by one slot at a time.
-//   - huffman: Huffman-by-subtree-size. Children are weighted by an
-//     estimate of their subtree population (observed grandchild counts fed
-//     in by the engine), so heavy subtrees get short labels. Weight changes
-//     and joins rebuild the code; the resulting relabel churn is the cost
-//     the coding-schemes study measures against the shorter codes.
 //
 // Variable-length codecs announce their labels explicitly (beacon
 // allocation entries and allocation acks carry label bits); the paper codec
@@ -43,7 +38,7 @@ import (
 // allocators plus the properties the protocol needs to know about the
 // scheme as a whole.
 type Codec interface {
-	// Name is the registry key ("paper", "treeexplorer", "huffman").
+	// Name is the registry key ("paper", "treeexplorer").
 	Name() string
 	// Positional reports whether children can derive their label from
 	// (position, space width) alone, as in Algorithm 1. Positional codecs
@@ -84,10 +79,6 @@ type Allocator interface {
 	// length otherwise. It is 0 before AllocateInitial and positive after
 	// (receivers use π > 0 as the "parent has allocated" signal).
 	SpaceBits() int
-	// SetWeight records a subtree-size estimate for an allocated position.
-	// Weight-sensitive codecs may relabel (returned as true); others
-	// ignore it.
-	SetWeight(pos uint16, weight int) (relabel bool)
 }
 
 // --- registry ---
@@ -96,7 +87,6 @@ type Allocator interface {
 var codecs = map[string]Codec{
 	"paper":        paperCodec{},
 	"treeexplorer": treeExplorerCodec{},
-	"huffman":      huffmanCodec{},
 }
 
 // PaperCodec returns the default codec: the paper's Algorithm 1.
@@ -104,9 +94,6 @@ func PaperCodec() Codec { return paperCodec{} }
 
 // TreeExplorerCodec returns the quasi-balanced variable-length codec.
 func TreeExplorerCodec() Codec { return treeExplorerCodec{} }
-
-// HuffmanCodec returns the Huffman-by-subtree-size codec.
-func HuffmanCodec() Codec { return huffmanCodec{} }
 
 // CodecByName resolves a registry key; the empty name means the paper
 // codec (the pre-refactor default).
@@ -221,8 +208,6 @@ func (a *paperAllocator) Label(pos uint16) (PathCode, error) {
 }
 
 func (a *paperAllocator) SpaceBits() int { return a.spaceBits }
-
-func (a *paperAllocator) SetWeight(uint16, int) bool { return false }
 
 // --- treeexplorer codec ---
 
@@ -352,226 +337,4 @@ func (a *teAllocator) SpaceBits() int {
 		return shortLen
 	}
 	return shortLen + 1
-}
-
-func (a *teAllocator) SetWeight(uint16, int) bool { return false }
-
-// --- huffman codec ---
-
-type huffmanCodec struct{}
-
-func (huffmanCodec) Name() string     { return "huffman" }
-func (huffmanCodec) Positional() bool { return false }
-func (huffmanCodec) NewAllocator(reserve ReservePolicy) Allocator {
-	if reserve == nil {
-		reserve = DefaultReserve
-	}
-	return &huffAllocator{
-		reserve: reserve,
-		weights: make(map[uint16]int),
-		labels:  make(map[uint16]PathCode),
-	}
-}
-
-// maxHuffWeight caps subtree-size estimates so one enormous subtree cannot
-// starve its siblings into arbitrarily long labels (and bounds relabel
-// churn: weights saturate).
-const maxHuffWeight = 64
-
-// huffAllocator assigns canonical Huffman labels over the allocated
-// positions plus one permanent reserve pseudo-leaf (position 0, weight 1):
-// the reserve leaf guarantees at least two leaves (labels never empty) and
-// keeps a deep branch of label space unassigned for future joins. Any
-// join or effective weight change rebuilds the code; the allocator reports
-// a relabel only when an assigned label actually changed.
-type huffAllocator struct {
-	reserve   ReservePolicy
-	allocated bool
-	weights   map[uint16]int // allocated positions → weight ≥ 1
-	labels    map[uint16]PathCode
-	maxLen    int
-}
-
-func (a *huffAllocator) Allocated() bool { return a.allocated }
-
-func (a *huffAllocator) AllocateInitial(n int) error {
-	if a.allocated {
-		return fmt.Errorf("core: initial allocation already done")
-	}
-	a.allocated = true
-	for p := 1; p <= n; p++ {
-		a.weights[uint16(p)] = 1
-	}
-	a.rebuild()
-	return nil
-}
-
-func (a *huffAllocator) Add() (uint16, bool, error) {
-	if !a.allocated {
-		return 0, false, fmt.Errorf("core: request before initial allocation")
-	}
-	// Lowest free position (freed slots are reused, like the paper codec).
-	p := uint16(1)
-	for a.weights[p] != 0 {
-		p++
-	}
-	a.weights[p] = 1
-	return p, a.rebuild(), nil
-}
-
-func (a *huffAllocator) Release(pos uint16) {
-	// Freeing must not relabel (the protocol has no churn to announce for
-	// a departed child); the remaining labels stay prefix-free since the
-	// set only shrank. The next Add or weight change rebuilds.
-	delete(a.weights, pos)
-	delete(a.labels, pos)
-}
-
-func (a *huffAllocator) Label(pos uint16) (PathCode, error) {
-	l, ok := a.labels[pos]
-	if !ok {
-		return PathCode{}, fmt.Errorf("core: label of unallocated position %d", pos)
-	}
-	return l, nil
-}
-
-func (a *huffAllocator) SpaceBits() int {
-	if !a.allocated {
-		return 0
-	}
-	if a.maxLen < 1 {
-		return 1
-	}
-	return a.maxLen
-}
-
-func (a *huffAllocator) SetWeight(pos uint16, weight int) bool {
-	if a.weights[pos] == 0 {
-		return false
-	}
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > maxHuffWeight {
-		weight = maxHuffWeight
-	}
-	if a.weights[pos] == weight {
-		return false
-	}
-	a.weights[pos] = weight
-	return a.rebuild()
-}
-
-// huffNode is one node of the Huffman merge forest.
-type huffNode struct {
-	weight int
-	// minPos is the smallest leaf position in the subtree — the
-	// deterministic tie-breaker (no RNG, no map order).
-	minPos uint16
-	leaf   bool
-	pos    uint16
-	left   *huffNode
-	right  *huffNode
-}
-
-// rebuild recomputes canonical Huffman labels over the current weights
-// plus the reserve pseudo-leaf and reports whether any assigned label
-// changed.
-func (a *huffAllocator) rebuild() bool {
-	// Deterministic leaf order: reserve leaf (pos 0, weight 1) first, then
-	// positions ascending.
-	positions := make([]uint16, 0, len(a.weights))
-	for p := range a.weights {
-		positions = append(positions, p)
-	}
-	sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
-
-	nodes := make([]*huffNode, 0, len(positions)+1)
-	nodes = append(nodes, &huffNode{weight: 1, minPos: 0, leaf: true, pos: 0})
-	for _, p := range positions {
-		nodes = append(nodes, &huffNode{weight: a.weights[p], minPos: p, leaf: true, pos: p})
-	}
-
-	// Merge the two lightest forests until one remains; ties break on the
-	// smallest contained position so the tree is unique.
-	depth := map[uint16]int{}
-	if len(nodes) == 1 {
-		depth[0] = 1 // lone reserve leaf: nothing allocated yet
-	} else {
-		forest := append([]*huffNode(nil), nodes...)
-		for len(forest) > 1 {
-			sort.Slice(forest, func(i, j int) bool {
-				if forest[i].weight != forest[j].weight {
-					return forest[i].weight < forest[j].weight
-				}
-				return forest[i].minPos < forest[j].minPos
-			})
-			l, r := forest[0], forest[1]
-			merged := &huffNode{weight: l.weight + r.weight, minPos: l.minPos, left: l, right: r}
-			if r.minPos < merged.minPos {
-				merged.minPos = r.minPos
-			}
-			forest = append([]*huffNode{merged}, forest[2:]...)
-		}
-		var walk func(n *huffNode, d int)
-		walk = func(n *huffNode, d int) {
-			if n.leaf {
-				if d == 0 {
-					d = 1 // two-leaf degenerate guard; cannot happen with ≥2 leaves
-				}
-				depth[n.pos] = d
-				return
-			}
-			walk(n.left, d+1)
-			walk(n.right, d+1)
-		}
-		walk(forest[0], 0)
-	}
-
-	// Canonical assignment: sort leaves by (length, position) and hand out
-	// sequential codewords.
-	type leafLen struct {
-		pos uint16
-		len int
-	}
-	leaves := make([]leafLen, 0, len(depth))
-	for _, p := range positions {
-		leaves = append(leaves, leafLen{pos: p, len: depth[p]})
-	}
-	leaves = append(leaves, leafLen{pos: 0, len: depth[0]}) // reserve leaf holds its slot
-	sort.Slice(leaves, func(i, j int) bool {
-		if leaves[i].len != leaves[j].len {
-			return leaves[i].len < leaves[j].len
-		}
-		return leaves[i].pos < leaves[j].pos
-	})
-	changed := false
-	var codeVal uint64
-	prevLen := 0
-	a.maxLen = 0
-	next := make(map[uint16]PathCode, len(leaves))
-	for i, lf := range leaves {
-		if i > 0 {
-			codeVal = (codeVal + 1) << (lf.len - prevLen)
-		}
-		prevLen = lf.len
-		label, err := codeFromValue(codeVal, lf.len)
-		if err != nil {
-			// Label space exhausted (beyond MaxCodeBits): keep the previous
-			// assignment for this leaf rather than corrupting the table.
-			continue
-		}
-		if lf.len > a.maxLen {
-			a.maxLen = lf.len
-		}
-		if lf.pos == 0 {
-			continue // the reserve leaf's codeword is never assigned
-		}
-		next[lf.pos] = label
-		if old, ok := a.labels[lf.pos]; !ok || !old.Equal(label) {
-			changed = true
-		}
-	}
-	a.labels = next
-	return changed
 }

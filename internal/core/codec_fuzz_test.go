@@ -5,7 +5,13 @@ package core
 // invariant the forwarding plane depends on. Seed inputs live both in
 // f.Add calls and in the committed corpus under testdata/fuzz/FuzzCodecLabels/.
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // nthLive returns the i-th (mod size) live position in ascending order —
 // a deterministic way to turn a fuzz byte into a victim position.
@@ -15,8 +21,9 @@ func nthLive(live map[uint16]bool, i int) uint16 {
 }
 
 // FuzzCodecLabels drives one registered codec's allocator through an
-// arbitrary join/leave/weight-churn sequence, re-checking the seam's
-// invariants (via checkLabelInvariants) after every op.
+// arbitrary join/leave sequence, re-checking the seam's invariants (via
+// checkLabelInvariants) after every op. An op byte leaves when its low two
+// bits are 2 and joins otherwise.
 func FuzzCodecLabels(f *testing.F) {
 	f.Add(uint8(0), uint8(3), []byte{0x00, 0x41, 0x82, 0x10})
 	f.Add(uint8(1), uint8(1), []byte{0x00, 0x00, 0x01, 0x81, 0x02})
@@ -42,7 +49,17 @@ func FuzzCodecLabels(f *testing.F) {
 		parent := RootCode()
 		for _, op := range ops {
 			switch op & 3 {
-			case 0, 1: // join
+			case 2: // leave
+				if len(live) == 0 {
+					continue
+				}
+				pos := nthLive(live, int(op>>2))
+				alloc.Release(pos)
+				delete(live, pos)
+				if _, err := alloc.Label(pos); err == nil {
+					t.Fatalf("Label of released position %d succeeded", pos)
+				}
+			default: // join
 				if len(live) >= 64 {
 					continue
 				}
@@ -54,23 +71,44 @@ func FuzzCodecLabels(f *testing.F) {
 					t.Fatalf("Add returned invalid position %d", pos)
 				}
 				live[pos] = true
-			case 2: // leave
-				if len(live) == 0 {
-					continue
-				}
-				pos := nthLive(live, int(op>>2))
-				alloc.Release(pos)
-				delete(live, pos)
-				if _, err := alloc.Label(pos); err == nil {
-					t.Fatalf("Label of released position %d succeeded", pos)
-				}
-			case 3: // subtree-size estimate churn
-				if len(live) == 0 {
-					continue
-				}
-				alloc.SetWeight(nthLive(live, int(op>>5)), 1+int(op>>2))
 			}
 			checkLabelInvariants(t, alloc, parent, live, codec.Positional())
 		}
 	})
+}
+
+// TestCodecFuzzCorpusTargets keeps the committed FuzzCodecLabels corpus
+// aimed where its file names say: each seed is named "<codec>-<case>", and
+// its first argument must still select that codec through CodecNames, so
+// a registry change cannot silently retarget a seed at another codec.
+func TestCodecFuzzCorpusTargets(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzCodecLabels", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed FuzzCodecLabels corpus")
+	}
+	names := CodecNames()
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(data), "\n")
+		if len(lines) < 2 || lines[0] != "go test fuzz v1" {
+			t.Fatalf("%s: not a fuzz corpus file", path)
+		}
+		lit, ok := strings.CutPrefix(lines[1], "byte(")
+		lit, ok2 := strings.CutSuffix(lit, ")")
+		unq, err := strconv.Unquote(lit)
+		sel := []rune(unq)
+		if !ok || !ok2 || err != nil || len(sel) != 1 || sel[0] > 0xff {
+			t.Fatalf("%s: first argument %q is not a byte literal", path, lines[1])
+		}
+		want, _, _ := strings.Cut(filepath.Base(path), "-")
+		if got := names[int(sel[0])%len(names)]; got != want {
+			t.Errorf("%s: selector %d drives codec %q, name says %q", path, sel[0], got, want)
+		}
+	}
 }

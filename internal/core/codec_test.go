@@ -20,7 +20,7 @@ func TestCodecRegistry(t *testing.T) {
 		t.Fatalf("unknown-codec error %q does not list the registry", err)
 	}
 	names := CodecNames()
-	if want := []string{"huffman", "paper", "treeexplorer"}; !reflect.DeepEqual(names, want) {
+	if want := []string{"paper", "treeexplorer"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("CodecNames() = %v, want %v", names, want)
 	}
 	for _, name := range names {
@@ -95,42 +95,6 @@ func TestTreeExplorerReserveJoins(t *testing.T) {
 	}
 }
 
-// TestHuffmanWeightsShortenHeavyLabels pins the huffman codec's headline
-// property: a position carrying a large subtree-size estimate gets a label
-// no longer than any weight-1 sibling's.
-func TestHuffmanWeightsShortenHeavyLabels(t *testing.T) {
-	alloc := HuffmanCodec().NewAllocator(nil)
-	if err := alloc.AllocateInitial(6); err != nil {
-		t.Fatal(err)
-	}
-	if !alloc.SetWeight(3, 40) {
-		t.Fatal("weight change on a fresh uniform code must relabel")
-	}
-	heavy, err := alloc.Label(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := uint16(1); p <= 6; p++ {
-		if p == 3 {
-			continue
-		}
-		l, err := alloc.Label(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if heavy.Len() > l.Len() {
-			t.Fatalf("heavy subtree's label %v longer than sibling %d's %v", heavy, p, l)
-		}
-	}
-	alloc.SetWeight(3, 200) // clamps to the saturation cap
-	if alloc.SetWeight(3, 300) {
-		t.Fatal("weight beyond the saturation cap must be a no-op after saturating")
-	}
-	if alloc.SetWeight(9, 5) {
-		t.Fatal("SetWeight on an unallocated position must be ignored")
-	}
-}
-
 // sortedPositions returns the live set in ascending order.
 func sortedPositions(live map[uint16]bool) []uint16 {
 	out := make([]uint16, 0, len(live))
@@ -194,7 +158,7 @@ func checkLabelInvariants(t *testing.T, alloc Allocator, parent PathCode, live m
 }
 
 // TestCodecPrefixFreeRandomizedJoinLeave is the cross-codec property test:
-// a long randomized join/leave/weight-churn sequence must keep every
+// a long randomized join/leave sequence must keep every
 // codec's label set prefix-free with every child code strictly extending
 // the parent's, after every single step.
 func TestCodecPrefixFreeRandomizedJoinLeave(t *testing.T) {
@@ -221,12 +185,8 @@ func TestCodecPrefixFreeRandomizedJoinLeave(t *testing.T) {
 			}
 			live := map[uint16]bool{1: true, 2: true, 3: true}
 			rng := sim.NewRNG(0xc0dec + uint64(len(name)))
-			pick := func() uint16 {
-				ids := sortedPositions(live)
-				return ids[rng.IntN(len(ids))]
-			}
 			for step := 0; step < 300; step++ {
-				switch op := rng.IntN(10); {
+				switch op := rng.IntN(8); {
 				case op < 5 || len(live) == 0: // join
 					pos, _, err := alloc.Add()
 					if err != nil {
@@ -236,15 +196,14 @@ func TestCodecPrefixFreeRandomizedJoinLeave(t *testing.T) {
 						t.Fatalf("step %d: Add returned invalid position %d", step, pos)
 					}
 					live[pos] = true
-				case op < 8: // leave
-					pos := pick()
+				default: // leave
+					ids := sortedPositions(live)
+					pos := ids[rng.IntN(len(ids))]
 					alloc.Release(pos)
 					delete(live, pos)
 					if _, err := alloc.Label(pos); err == nil {
 						t.Fatalf("step %d: Label of released position %d succeeded", step, pos)
 					}
-				default: // subtree-size estimate churn
-					alloc.SetWeight(pick(), 1+rng.IntN(40))
 				}
 				checkLabelInvariants(t, alloc, parent, live, codec.Positional())
 			}

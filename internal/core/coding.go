@@ -109,52 +109,6 @@ func (e *Engine) onBeacon(from radio.NodeID, b *ctp.Beacon) {
 			e.children.Remove(from)
 		}
 	}
-	if !e.codecPositional {
-		e.observeGrandchild(from, ext.Parent)
-	}
-}
-
-// observeGrandchild tracks which of my children each overheard neighbor
-// sits under (its beacon names its parent), maintaining the subtree-size
-// estimates weight-sensitive codecs use to hand heavier subtrees shorter
-// labels. Positional codecs never get here.
-func (e *Engine) observeGrandchild(from, parent radio.NodeID) {
-	old, had := e.grandkids[from]
-	if parent == e.node.ID() || e.children.Position(parent) == 0 {
-		// from is my direct child, or sits under a node that is not my
-		// child: it contributes to no child subtree of mine.
-		if had {
-			delete(e.grandkids, from)
-			e.updateWeight(old)
-		}
-		return
-	}
-	if had && old == parent {
-		return
-	}
-	e.grandkids[from] = parent
-	if had {
-		e.updateWeight(old)
-	}
-	e.updateWeight(parent)
-}
-
-// updateWeight recomputes a child's subtree estimate (itself plus its
-// observed grandchildren) and feeds it to the codec; a resulting relabel
-// is announced like a space extension.
-func (e *Engine) updateWeight(child radio.NodeID) {
-	if e.children.Position(child) == 0 {
-		return
-	}
-	w := 1
-	for _, p := range e.grandkids {
-		if p == child {
-			w++
-		}
-	}
-	if e.children.SetWeight(child, w) {
-		e.relabeled()
-	}
 }
 
 // onParentBeacon implements the child side (Algorithm 3).

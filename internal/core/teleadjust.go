@@ -171,10 +171,6 @@ type Engine struct {
 	// codecPositional caches Codec.Positional(): true for the paper codec,
 	// whose hot paths must stay exactly as before the codec seam.
 	codecPositional bool
-	// grandkids maps overheard grandchildren to the child whose subtree
-	// they belong to — the weight estimate feed for weight-sensitive
-	// codecs (nil for positional codecs).
-	grandkids map[radio.NodeID]radio.NodeID
 
 	neighborCodes map[radio.NodeID]*neighborCode
 	unreachable   map[radio.NodeID]bool
@@ -274,9 +270,6 @@ func New(n *node.Node, c *ctp.CTP, cfg Config, rng *rand.Rand) *Engine {
 		unreachable:     make(map[radio.NodeID]bool),
 		ctrl:            make(map[uint32]*ctrlState),
 		batchSeen:       make(map[uint32]time.Duration),
-	}
-	if !e.codecPositional {
-		e.grandkids = make(map[radio.NodeID]radio.NodeID)
 	}
 	if e.isSink {
 		e.myCode = RootCode()

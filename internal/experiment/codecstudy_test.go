@@ -86,17 +86,17 @@ func TestMergeCodingSchemesResults(t *testing.T) {
 	}
 }
 
-// TestCodingSchemesStudySmall runs the full three-codec comparison on the
-// 8-node line: every codec must converge, deliver probes, and put
-// destination-code header bytes on the air. The mid-probe reboot exercises
-// each codec's late-join path.
+// TestCodingSchemesStudySmall runs the comparison over every registered
+// codec on the 8-node line: every codec must converge, deliver probes, and
+// put destination-code header bytes on the air. The mid-probe reboot
+// exercises each codec's late-join path.
 func TestCodingSchemesStudySmall(t *testing.T) {
 	res, err := RunCodingSchemesStudy(smallScenario(21), core.CodecNames(), codecStudyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Codecs) != 3 {
-		t.Fatalf("cells = %d, want 3", len(res.Codecs))
+	if want := len(core.CodecNames()); len(res.Codecs) != want {
+		t.Fatalf("cells = %d, want %d", len(res.Codecs), want)
 	}
 	for i, name := range core.CodecNames() {
 		c := res.Codecs[i]

@@ -54,3 +54,13 @@ func TestControlTraceGoldenLine(t *testing.T) {
 func TestControlTraceGoldenRefGrid(t *testing.T) {
 	pinTrace(t, "trace_refgrid.jsonl.golden", ReferenceGrid(3), ProtoTele)
 }
+
+// TestControlTraceGoldenLineTreeExplorer pins the line scenario under the
+// variable-length treeexplorer codec, the only trace pin whose labels are
+// not fixed-width positions: relabeling, label-bearing beacons and the
+// codec seam's non-positional paths all feed this stream.
+func TestControlTraceGoldenLineTreeExplorer(t *testing.T) {
+	scn := smallScenario(5)
+	scn.Codec = "treeexplorer"
+	pinTrace(t, "trace_line_treeexplorer.jsonl.golden", scn, ProtoReTele)
+}
