@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build benchmark-build vet fmt-check lint test test-fault test-scale test-scale-full race fuzz test-fuzz bench bench-smoke profile profile-smoke check
+.PHONY: all build benchmark-build benchmark-test vet fmt-check lint test test-fault test-scale test-scale-full race fuzz test-fuzz bench bench-smoke profile profile-smoke check
 
 all: check
 
@@ -15,6 +15,11 @@ vet:
 # the tree.
 benchmark-build:
 	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+
+# The benchmark module's own tests (workload wiring, ledger and report
+# checks), which root `go test ./...` does not reach.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -402,5 +405,26 @@ func TestServiceOptsFromFlags(t *testing.T) {
 	}
 	if !opts.Transparent() {
 		t.Fatalf("zeroed service opts not transparent: %+v", opts)
+	}
+}
+
+// TestScopeStudyWritesSVG drives the CLI end to end: -svg on the scope
+// study must leave a topology file, as it does for every other study
+// that accepts the flag.
+func TestScopeStudyWritesSVG(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scope.svg")
+	args, cmdline := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = args, cmdline }()
+	flag.CommandLine = flag.NewFlagSet("teleadjust-sim", flag.ContinueOnError)
+	os.Args = []string{"teleadjust-sim", "-scenario", "line", "-study", "scope", "-warmup", "3m", "-svg", path}
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	svg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(svg), "<svg") {
+		t.Fatalf("scope -svg wrote %d bytes that are not an SVG", len(svg))
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"teleadjust/internal/radio"
 	"teleadjust/internal/sim"
 	"teleadjust/internal/stats"
-	"teleadjust/internal/telemetry"
 )
 
 // CodecCell is one codec's column of the coding-schemes comparison on one
@@ -117,17 +116,8 @@ func RunCodingSchemesStudy(scn Scenario, codecs []string, opts CodingSchemesOpts
 func runCodecCell(scn Scenario, codec string, opts CodingSchemesOpts) (*CodecCell, error) {
 	s := scn
 	s.Codec = codec
-	net, err := Build(s.config(ProtoTeleAdjust))
+	net, err := converge(s, ProtoTeleAdjust, opts.Warmup, nil)
 	if err != nil {
-		return nil, err
-	}
-	delivery := &deliverySink{at: make(map[uint32]time.Duration)}
-	net.Bus.Subscribe(delivery, telemetry.LayerRun)
-	if scn.OnNetBuilt != nil {
-		scn.OnNetBuilt(net)
-	}
-	net.Start()
-	if err := net.Run(opts.Warmup); err != nil {
 		return nil, err
 	}
 
@@ -151,83 +141,42 @@ func runCodecCell(scn Scenario, codec string, opts CodingSchemesOpts) (*CodecCel
 	}
 	cell.Converged = float64(withCode) / float64(net.Dep.Len()-1)
 
-	// Delivery hooks publish run-layer events consumed by the delivery
-	// sink, exactly like the control study.
-	for i, st := range net.Stacks {
-		id := radio.NodeID(i)
-		if id == net.Sink || st.Ctrl == nil {
-			continue
-		}
-		st.Ctrl.SetDeliveredFn(func(uid uint32, hops uint8) {
-			net.Bus.Emit(telemetry.Event{Layer: telemetry.LayerRun,
-				Kind: telemetry.KindOpDelivered, Node: id, Op: uid, Hops: hops})
-		})
-	}
-
 	// Probe phase: the destination and join streams derive from the
 	// scenario seed alone, so every codec's cell sees the same sequence.
-	destRNG := sim.DeriveRNG(scn.Seed, 0xc0dec)
-	joinRNG := sim.DeriveRNG(scn.Seed, 0x10145)
-	joinEvery := 0
-	if opts.Joins > 0 {
-		joinEvery = opts.Packets / (opts.Joins + 1)
-		if joinEvery < 1 {
-			joinEvery = 1
-		}
-	}
-	joined := 0
 	var sentUIDs []uint32
 	ctrl := net.SinkCtrl()
-	for p := 0; p < opts.Packets; p++ {
-		if joinEvery > 0 && joined < opts.Joins && p > 0 && p%joinEvery == 0 {
-			// Crash-reboot a random non-sink node: the fresh stack re-joins
-			// the code tree, driving the codec's late-allocation path.
-			for tries := 0; tries < 100; tries++ {
-				v := radio.NodeID(joinRNG.IntN(net.Dep.Len()))
-				if v != net.Sink && net.Alive(v) {
-					joined++
-					net.KillNode(v)
-					net.RebootNode(v)
-					break
-				}
-			}
-		}
-		dst := radio.BroadcastID
-		for tries := 0; tries < 50*net.Dep.Len(); tries++ {
-			v := radio.NodeID(destRNG.IntN(net.Dep.Len()))
-			if v != net.Sink && net.Alive(v) {
-				dst = v
-				break
-			}
-		}
-		if dst == radio.BroadcastID {
-			cell.Skipped++
-			if err := net.Run(opts.Interval); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		uid, err := ctrl.SendControl(dst, "adjust", func(protocol.Result) {})
-		switch {
-		case err == nil:
+	deliveredAt, skipped, err := net.probe(probePlan{
+		packets:  opts.Packets,
+		churns:   opts.Joins,
+		interval: opts.Interval,
+		drain:    opts.Drain,
+		destRNG:  sim.DeriveRNG(scn.Seed, 0xc0dec),
+		churnRNG: sim.DeriveRNG(scn.Seed, 0x10145),
+		// Crash-reboot: the fresh stack re-joins the code tree, driving
+		// the codec's late-allocation path.
+		churn: func(v radio.NodeID) {
+			net.KillNode(v)
+			net.RebootNode(v)
+		},
+		send: func(dst radio.NodeID) {
 			cell.Sent++
+			uid, err := ctrl.SendControl(dst, "adjust", func(protocol.Result) {})
+			if err != nil {
+				// Undeliverable at send time (no code registered yet,
+				// e.g. right after a join): counts against delivery
+				// accuracy.
+				cell.Skipped++
+				return
+			}
 			sentUIDs = append(sentUIDs, uid)
-		default:
-			// Undeliverable at send time (no code registered yet, e.g.
-			// right after a join): counts against delivery accuracy.
-			cell.Sent++
-			cell.Skipped++
-		}
-		if err := net.Run(opts.Interval); err != nil {
-			return nil, err
-		}
-	}
-	if err := net.Run(opts.Drain); err != nil {
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
-
+	cell.Skipped += skipped
 	for _, uid := range sentUIDs {
-		if _, ok := delivery.at[uid]; ok {
+		if _, ok := deliveredAt[uid]; ok {
 			cell.Delivered++
 		}
 	}
@@ -259,9 +208,7 @@ func mergeCodingSchemesResults(results []*CodingSchemesResult) *CodingSchemesRes
 		for i, cell := range res.Codecs {
 			m := merged.Codecs[i]
 			m.Converged += cell.Converged
-			for _, v := range cell.CodeLen.Values() {
-				m.CodeLen.Add(v)
-			}
+			m.CodeLen.Merge(cell.CodeLen)
 			m.Churn += cell.Churn
 			m.CodeChanges += cell.CodeChanges
 			m.HeaderBytes += cell.HeaderBytes

@@ -424,3 +424,59 @@ func TestControlStudyWithChurn(t *testing.T) {
 		t.Fatal("nothing sent under churn")
 	}
 }
+
+// TestEveryStudyInvokesOnNetBuilt: every runner hands each network it
+// builds to the scenario's OnNetBuilt hook exactly once — the seam the
+// CLIs' -svg export and the fault-matrix oracle hang on.
+func TestEveryStudyInvokesOnNetBuilt(t *testing.T) {
+	codecs := core.CodecNames()
+	tp := throughputOpts()
+	svc := svcTestOpts()
+	cases := []struct {
+		name string
+		want int // networks the study builds
+		run  func(Scenario) error
+	}{
+		{"control", 1, func(scn Scenario) error {
+			_, err := RunControlStudy(scn, ProtoTele, replicateOpts())
+			return err
+		}},
+		{"coding", 1, func(scn Scenario) error {
+			_, err := RunCodingStudy(scn, time.Minute)
+			return err
+		}},
+		{"coding-schemes", len(codecs), func(scn Scenario) error {
+			_, err := RunCodingSchemesStudy(scn, codecs, codecStudyOpts())
+			return err
+		}},
+		{"throughput", len(tp.Concurrency), func(scn Scenario) error {
+			_, err := RunThroughputStudy(scn, ProtoTele, tp)
+			return err
+		}},
+		{"service", 2 * len(svc.Rates), func(scn Scenario) error {
+			_, err := RunServiceStudy(scn, ProtoTele, svc)
+			return err
+		}},
+		{"scope", 2, func(scn Scenario) error {
+			_, err := RunScopeStudy(scn, ScopeOpts{Warmup: 2 * time.Minute, Operations: 1, Settle: 30 * time.Second})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			scn := smallScenario(3)
+			seen := make(map[*Net]int)
+			calls := 0
+			scn.OnNetBuilt = func(n *Net) {
+				calls++
+				seen[n]++
+			}
+			if err := c.run(scn); err != nil {
+				t.Fatal(err)
+			}
+			if calls != c.want || len(seen) != c.want {
+				t.Fatalf("OnNetBuilt: %d calls over %d networks, want one call per network for %d", calls, len(seen), c.want)
+			}
+		})
+	}
+}

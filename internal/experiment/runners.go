@@ -38,28 +38,20 @@ type CodingResult struct {
 // RunCodingStudy builds the scenario with TeleAdjusting, runs it for dur,
 // and extracts the Fig-6/Table-II metrics.
 func RunCodingStudy(scn Scenario, dur time.Duration) (*CodingResult, error) {
-	net, err := Build(scn.config(ProtoTeleAdjust))
-	if err != nil {
-		return nil, err
-	}
-	if scn.OnNetBuilt != nil {
-		scn.OnNetBuilt(net)
-	}
 	// Record each node's routing-found time.
-	foundAt := make([]time.Duration, net.Dep.Len())
-	for i := range foundAt {
-		foundAt[i] = -1
-	}
-	for i, st := range net.Stacks {
-		i := i
-		st.Ctp.OnParentChange(func(old, new radio.NodeID) {
-			if foundAt[i] < 0 {
-				foundAt[i] = net.Eng.Now()
-			}
-		})
-	}
-	net.Start()
-	if err := net.Run(dur); err != nil {
+	var foundAt []time.Duration
+	net, err := converge(scn, ProtoTeleAdjust, dur, func(net *Net) {
+		foundAt = make([]time.Duration, net.Dep.Len())
+		for i, st := range net.Stacks {
+			foundAt[i] = -1
+			st.Ctp.OnParentChange(func(old, new radio.NodeID) {
+				if foundAt[i] < 0 {
+					foundAt[i] = net.Eng.Now()
+				}
+			})
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -213,34 +205,22 @@ func DefaultControlOpts() ControlOpts {
 // registered protocol key works, and all interaction goes through the
 // protocol.ControlProtocol interface.
 func RunControlStudy(scn Scenario, proto Proto, opts ControlOpts) (*ControlResult, error) {
-	net, err := Build(scn.config(proto))
-	if err != nil {
-		return nil, err
-	}
-	// The Fig-7/Fig-10 delivery bookkeeping consumes the unified telemetry
-	// stream: the per-protocol delivered hooks (installed below) emit
-	// run-layer delivery events, and this sink is their only consumer —
-	// there is no second aggregation path.
-	delivery := &deliverySink{at: make(map[uint32]time.Duration)}
-	net.Bus.Subscribe(delivery, telemetry.LayerRun)
 	var collector *telemetry.Collector
-	if opts.Trace {
-		collector = telemetry.NewCollector()
-		net.Bus.Subscribe(collector, telemetry.LayerCore, telemetry.LayerRun)
-	}
 	var agg *obs.Aggregator
-	if opts.Window > 0 {
-		agg = obs.NewAggregator(net.Dep.Len(), opts.Window)
-		if opts.Progress != nil {
-			agg.OnWindow(obs.ProgressPrinter(opts.Progress, net.Dep.Len(), opts.Window))
+	net, err := converge(scn, proto, opts.Warmup, func(net *Net) {
+		if opts.Trace {
+			collector = telemetry.NewCollector()
+			net.Bus.Subscribe(collector, telemetry.LayerCore, telemetry.LayerRun)
 		}
-		agg.Attach(net.Bus)
-	}
-	if scn.OnNetBuilt != nil {
-		scn.OnNetBuilt(net)
-	}
-	net.Start()
-	if err := net.Run(opts.Warmup); err != nil {
+		if opts.Window > 0 {
+			agg = obs.NewAggregator(net.Dep.Len(), opts.Window)
+			if opts.Progress != nil {
+				agg.OnWindow(obs.ProgressPrinter(opts.Progress, net.Dep.Len(), opts.Window))
+			}
+			agg.Attach(net.Bus)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	if opts.DataIPI > 0 {
@@ -266,102 +246,50 @@ func RunControlStudy(scn Scenario, proto Proto, opts ControlOpts) (*ControlResul
 
 	type sent struct {
 		at   time.Duration
-		dst  radio.NodeID
 		hops int
 	}
 	sentByUID := make(map[uint32]*sent)
-	deliveredAt := delivery.at
-
-	// Register delivered hooks once, uniformly over all stacks: each hook
-	// publishes a run-layer delivery event onto the bus, which the
-	// delivery sink (and an optional trace collector) consume.
-	for i, st := range net.Stacks {
-		id := radio.NodeID(i)
-		if id == net.Sink || st.Ctrl == nil {
-			continue
-		}
-		st.Ctrl.SetDeliveredFn(func(uid uint32, hops uint8) {
-			net.Bus.Emit(telemetry.Event{Layer: telemetry.LayerRun,
-				Kind: telemetry.KindOpDelivered, Node: id, Op: uid, Hops: hops})
-		})
-	}
-
 	ackOK := 0
-	destRNG := sim.DeriveRNG(scn.Seed, 0xd057)
-	killRNG := sim.DeriveRNG(scn.Seed, 0x1c11)
-	killEvery := 0
-	if opts.KillNodes > 0 {
-		killEvery = opts.Packets / (opts.KillNodes + 1)
-		if killEvery < 1 {
-			killEvery = 1
-		}
-	}
-	killed := 0
 	ctrl := net.SinkCtrl()
-	for p := 0; p < opts.Packets; p++ {
-		if killEvery > 0 && killed < opts.KillNodes && p > 0 && p%killEvery == 0 {
-			// Fail a random live non-sink node. Liveness is tracked by the
-			// network itself, so scripted fault-plan crashes and reboots
-			// compose with the runner's own churn.
-			for tries := 0; tries < 100; tries++ {
-				v := radio.NodeID(killRNG.IntN(net.Dep.Len()))
-				if v != net.Sink && net.Alive(v) {
-					killed++
-					net.KillNode(v)
-					break
+	// The Fig-7/Fig-10 delivery bookkeeping consumes the unified telemetry
+	// stream: probe's delivered hooks emit run-layer delivery events and
+	// its delivery sink is their only consumer.
+	deliveredAt, skipped, err := net.probe(probePlan{
+		packets:  opts.Packets,
+		churns:   opts.KillNodes,
+		interval: opts.Interval,
+		drain:    opts.Drain,
+		destRNG:  sim.DeriveRNG(scn.Seed, 0xd057),
+		churnRNG: sim.DeriveRNG(scn.Seed, 0x1c11),
+		churn:    net.KillNode,
+		send: func(dst radio.NodeID) {
+			hops := net.CTPHops(dst)
+			uid, err := ctrl.SendControl(dst, "adjust", func(r protocol.Result) {
+				if r.OK {
+					ackOK++
 				}
+			})
+			switch {
+			case err == nil:
+				res.Sent++
+				sentByUID[uid] = &sent{at: net.Eng.Now(), hops: hops}
+			case errors.Is(err, protocol.ErrNoRoute):
+				// The stored route evaporated: that is the protocol's
+				// failure mode under dynamics (RPL's storing mode,
+				// notably) and counts against its delivery ratio, like
+				// any other undeliverable packet.
+				res.Sent++
+				res.Skipped++
+				res.PDRByHop.Add(max(1, hops), 0)
+			default:
+				res.Skipped++
 			}
-		}
-		// Pick a random live destination (uniform over non-sink nodes). The
-		// attempt bound guards against a fault plan that kills every
-		// non-sink node; packets without a live destination are skipped.
-		dst := radio.BroadcastID
-		for tries := 0; tries < 50*net.Dep.Len(); tries++ {
-			v := radio.NodeID(destRNG.IntN(net.Dep.Len()))
-			if v != net.Sink && net.Alive(v) {
-				dst = v
-				break
-			}
-		}
-		if dst == radio.BroadcastID {
-			res.Skipped++
-			if err := net.Run(opts.Interval); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		hops := net.CTPHops(dst)
-		uid, err := ctrl.SendControl(dst, "adjust", func(r protocol.Result) {
-			if r.OK {
-				ackOK++
-			}
-		})
-		switch {
-		case err == nil:
-			res.Sent++
-			sentByUID[uid] = &sent{at: net.Eng.Now(), dst: dst, hops: hops}
-		case errors.Is(err, protocol.ErrNoRoute):
-			// The stored route evaporated: that is the protocol's failure
-			// mode under dynamics (RPL's storing mode, notably) and counts
-			// against its delivery ratio, like any other undeliverable
-			// packet.
-			res.Sent++
-			res.Skipped++
-			h := hops
-			if h < 1 {
-				h = 1
-			}
-			res.PDRByHop.Add(h, 0)
-		default:
-			res.Skipped++
-		}
-		if err := net.Run(opts.Interval); err != nil {
-			return nil, err
-		}
-	}
-	if err := net.Run(opts.Drain); err != nil {
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
+	res.Skipped += skipped
 
 	// Aggregate in ascending-UID order so the result is independent of map
 	// iteration order (byte-identical reports across runs and runners).
@@ -374,10 +302,7 @@ func RunControlStudy(scn Scenario, proto Proto, opts ControlOpts) (*ControlResul
 	for _, uid := range uids {
 		s := sentByUID[uid]
 		at, ok := deliveredAt[uid]
-		hop := s.hops
-		if hop < 1 {
-			hop = 1
-		}
+		hop := max(1, s.hops)
 		if ok {
 			res.Delivered++
 			res.PDRByHop.Add(hop, 1)
@@ -403,21 +328,6 @@ func RunControlStudy(scn Scenario, proto Proto, opts ControlOpts) (*ControlResul
 		res.Convergence = agg.Finalize(net.Eng.Now())
 	}
 	return res, nil
-}
-
-// deliverySink indexes run-layer delivery events by operation id: the
-// first arrival per op is the Fig-10 one-way latency sample.
-type deliverySink struct {
-	at map[uint32]time.Duration
-}
-
-func (s *deliverySink) Consume(ev telemetry.Event) {
-	if ev.Kind != telemetry.KindOpDelivered {
-		return
-	}
-	if _, ok := s.at[ev.Op]; !ok {
-		s.at[ev.Op] = ev.At
-	}
 }
 
 // mergeControlResults merges per-seed control results in slice order; the
@@ -476,9 +386,7 @@ func mergeCodingResults(results []*CodingResult) *CodingResult {
 		}
 		merged.CodeLenByHop.Merge(res.CodeLenByHop)
 		merged.ChildrenByHop.Merge(res.ChildrenByHop)
-		for _, v := range res.ConvergenceBeacons.Values() {
-			merged.ConvergenceBeacons.Add(v)
-		}
+		merged.ConvergenceBeacons.Merge(res.ConvergenceBeacons)
 		merged.ReverseVsCTP.Merge(res.ReverseVsCTP)
 	}
 	merged.HopRatio = ratioSum / float64(len(results))

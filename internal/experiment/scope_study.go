@@ -54,12 +54,8 @@ func RunScopeStudy(scn Scenario, opts ScopeOpts) (*ScopeStudyResult, error) {
 	res := &ScopeStudyResult{Scenario: scn.Name, Coverage: &stats.Series{}}
 
 	// Pass 1: scoped floods.
-	net, err := Build(scn.config(ProtoTeleAdjust))
+	net, err := converge(scn, ProtoTeleAdjust, opts.Warmup, nil)
 	if err != nil {
-		return nil, err
-	}
-	net.Start()
-	if err := net.Run(opts.Warmup); err != nil {
 		return nil, err
 	}
 	scopes, memberSets := topScopes(net.SinkTele(), opts.Operations)
@@ -90,12 +86,8 @@ func RunScopeStudy(scn Scenario, opts ScopeOpts) (*ScopeStudyResult, error) {
 
 	// Pass 2: the same member sets via per-member unicast on a twin
 	// network (same seed ⇒ same topology; tree details may differ).
-	net2, err := Build(scn.config(ProtoTeleAdjust))
+	net2, err := converge(scn, ProtoTeleAdjust, opts.Warmup, nil)
 	if err != nil {
-		return nil, err
-	}
-	net2.Start()
-	if err := net2.Run(opts.Warmup); err != nil {
 		return nil, err
 	}
 	tx2Base := net2.controlTx()

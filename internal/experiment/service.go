@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"teleadjust/internal/cmdsvc"
-	"teleadjust/internal/sim"
 	"teleadjust/internal/sink"
 	"teleadjust/internal/stats"
 	"teleadjust/internal/telemetry"
-	"teleadjust/internal/workload"
 )
 
 // ServiceOpts tunes a command-service study: an open-loop offered-load
@@ -213,72 +211,39 @@ type subRunMetrics struct {
 // runServicePoint drives one sub-run: fresh network, warmup, a command
 // service over the sink scheduler, and an open-loop Poisson workload at
 // the point's rate. svcCfg zero-valued gives the transparent baseline.
+// The point index picks the stream the throughput study derives for it:
+// identical destinations and arrival gaps, so the baseline sub-run is an
+// exact open-loop replay.
 func runServicePoint(scn Scenario, proto Proto, opts ServiceOpts, pi int, svcCfg cmdsvc.Config, ticketBase uint32) (*subRunMetrics, error) {
-	net, err := Build(scn.config(proto))
+	lp := loadPoint{
+		pi:     pi,
+		warmup: opts.Warmup,
+		dist:   opts.Dist,
+		trace:  opts.Trace,
+		sched: sink.Config{
+			Window:     opts.Window,
+			PerGroup:   opts.PerGroup,
+			GroupBits:  opts.GroupBits,
+			Retries:    opts.Retries,
+			OpBudget:   opts.OpBudget,
+			TicketBase: ticketBase,
+		},
+		rate:   opts.Rates[pi],
+		ops:    opts.Ops,
+		maxRun: opts.MaxRun,
+	}
+	var svc *cmdsvc.Service
+	run, err := runLoadPoint(scn, proto, lp, func(net *Net, cfg sink.Config) commandPlane {
+		svc = cmdsvc.New(net.Eng, net.SinkCtrl(), cfg, svcCfg)
+		svc.AttachFaults(net.FaultInjector())
+		return svc
+	})
 	if err != nil {
 		return nil, err
 	}
-	var collector *telemetry.Collector
-	if opts.Trace {
-		collector = telemetry.NewCollector()
-		net.Bus.Subscribe(collector, telemetry.LayerSink)
-	}
-	if scn.OnNetBuilt != nil {
-		scn.OnNetBuilt(net)
-	}
-	net.Start()
-	if err := net.Run(opts.Warmup); err != nil {
-		return nil, err
-	}
 
-	dist, err := throughputDist(net, opts.Dist)
-	if err != nil {
-		return nil, err
-	}
-
-	schedCfg := sink.Config{
-		Window:     opts.Window,
-		PerGroup:   opts.PerGroup,
-		GroupBits:  opts.GroupBits,
-		Retries:    opts.Retries,
-		OpBudget:   opts.OpBudget,
-		TicketBase: ticketBase,
-	}
-	svc := cmdsvc.New(net.Eng, net.SinkCtrl(), schedCfg, svcCfg)
-	svc.SetTelemetry(net.Metrics, net.Bus, net.Sink)
-	if te := net.SinkTele(); te != nil {
-		svc.SetCoder(te.DstCode)
-	}
-	svc.AttachFaults(net.FaultInjector())
-
-	// The same stream the throughput study derives for this point index:
-	// identical destinations and arrival gaps, so the baseline sub-run is
-	// an exact open-loop replay.
-	rng := sim.DeriveRNG(scn.Seed, 0x3077+uint64(pi))
-	gen := workload.NewOpenLoop(net.Eng, svc, dist, rng, opts.Rates[pi], opts.Ops)
-
-	maxRun := opts.MaxRun
-	if maxRun <= 0 {
-		maxRun = 30 * time.Minute
-	}
-	start := net.Eng.Now()
-	gen.Start()
-	for !gen.Done() && net.Eng.Now()-start < maxRun {
-		chunk := 30 * time.Second
-		if left := maxRun - (net.Eng.Now() - start); left < chunk {
-			chunk = left
-		}
-		if err := net.Run(chunk); err != nil {
-			return nil, err
-		}
-	}
-	elapsed := net.Eng.Now() - start
-	if gen.Done() && gen.FinishedAt() > start {
-		elapsed = gen.FinishedAt() - start
-	}
-
-	m := &subRunMetrics{latency: &stats.Series{}}
-	for _, o := range gen.Outcomes() {
+	m := &subRunMetrics{latency: &stats.Series{}, events: run.events}
+	for _, o := range run.outcomes {
 		switch {
 		case o.OK:
 			m.ok++
@@ -289,19 +254,13 @@ func runServicePoint(scn Scenario, proto Proto, opts ServiceOpts, pi int, svcCfg
 			m.failed++
 		}
 	}
-	m.unresolved = opts.Ops - len(gen.Outcomes())
-	if secs := elapsed.Seconds(); secs > 0 {
-		m.offered = float64(len(gen.Outcomes())) / secs
-		m.goodput = float64(m.ok) / secs
-	}
+	m.unresolved = opts.Ops - len(run.outcomes)
+	m.offered, m.goodput = run.rates(m.ok)
 	for _, tn := range svc.Tenants() {
 		m.delayed += int(tn.Delayed)
 	}
 	m.batch = svc.BatcherStats()
 	m.cache = svc.CacheStats()
-	if collector != nil {
-		m.events = collector.Events()
-	}
 	return m, nil
 }
 
@@ -342,13 +301,10 @@ func RunServiceStudy(scn Scenario, proto Proto, opts ServiceOpts) (*ServiceResul
 		} else {
 			// The point carries two latency series; give the reused
 			// sub-run its own copy so a later merge cannot double-pool.
-			cl := &stats.Series{}
-			for _, v := range base.latency.Values() {
-				cl.Add(v)
-			}
 			svc = &subRunMetrics{}
 			*svc = *base
-			svc.latency = cl
+			svc.latency = &stats.Series{}
+			svc.latency.Merge(base.latency)
 		}
 		pt := &ServicePoint{
 			Label:          fmt.Sprintf("rate=%.2f", rate),
@@ -406,12 +362,8 @@ func mergeServiceResults(results []*ServiceResult) *ServiceResult {
 			m.BatchedCmds += pt.BatchedCmds
 			m.CacheHits += pt.CacheHits
 			m.CacheMisses += pt.CacheMisses
-			for _, v := range pt.LatencyBase.Values() {
-				m.LatencyBase.Add(v)
-			}
-			for _, v := range pt.LatencySvc.Values() {
-				m.LatencySvc.Add(v)
-			}
+			m.LatencyBase.Merge(pt.LatencyBase)
+			m.LatencySvc.Merge(pt.LatencySvc)
 		}
 	}
 	n := float64(len(results))

@@ -6,7 +6,6 @@ import (
 
 	"teleadjust/internal/ctp"
 	"teleadjust/internal/radio"
-	"teleadjust/internal/sim"
 	"teleadjust/internal/sink"
 	"teleadjust/internal/stats"
 	"teleadjust/internal/telemetry"
@@ -207,10 +206,6 @@ func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*Throug
 	if err != nil {
 		return nil, err
 	}
-	maxRun := opts.MaxRun
-	if maxRun <= 0 {
-		maxRun = 30 * time.Minute
-	}
 	res := &ThroughputResult{
 		Proto:    proto.String(),
 		Scenario: scn.Name,
@@ -225,84 +220,48 @@ func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*Throug
 	}
 
 	for pi, label := range labels {
-		net, err := Build(scn.config(proto))
-		if err != nil {
-			return nil, err
+		lp := loadPoint{
+			pi:     pi,
+			warmup: opts.Warmup,
+			dist:   opts.Dist,
+			trace:  opts.Trace,
+			sched: sink.Config{
+				Window:    opts.Window,
+				PerGroup:  opts.PerGroup,
+				GroupBits: opts.GroupBits,
+				Retries:   opts.Retries,
+				OpBudget:  opts.OpBudget,
+				// Disjoint ticket ranges per load point keep the merged
+				// telemetry spans of the sweep from colliding.
+				TicketBase: uint32(pi) << 20,
+			},
+			ops:    opts.Ops,
+			maxRun: opts.MaxRun,
 		}
-		var collector *telemetry.Collector
-		if opts.Trace {
-			collector = telemetry.NewCollector()
-			net.Bus.Subscribe(collector, telemetry.LayerSink)
-		}
-		if scn.OnNetBuilt != nil {
-			scn.OnNetBuilt(net)
-		}
-		net.Start()
-		if err := net.Run(opts.Warmup); err != nil {
-			return nil, err
-		}
-
-		dist, err := throughputDist(net, opts.Dist)
-		if err != nil {
-			return nil, err
-		}
-
-		cfg := sink.Config{
-			Window:    opts.Window,
-			PerGroup:  opts.PerGroup,
-			GroupBits: opts.GroupBits,
-			Retries:   opts.Retries,
-			OpBudget:  opts.OpBudget,
-			// Disjoint ticket ranges per load point keep the merged
-			// telemetry spans of the sweep from colliding.
-			TicketBase: uint32(pi) << 20,
-		}
-		closed := res.Mode == "closed"
-		if closed {
+		if lp.closed = res.Mode == "closed"; lp.closed {
 			// The swept knob: the admission window is the concurrency level.
-			cfg.Window = opts.Concurrency[pi]
-		}
-		sched := sink.New(net.Eng, net.SinkCtrl(), cfg)
-		sched.SetTelemetry(net.Metrics, net.Bus, net.Sink)
-		if te := net.SinkTele(); te != nil {
-			sched.SetCoder(te.DstCode)
-		}
-
-		// One decorrelated stream per load point, so adding a point never
-		// perturbs the destinations of the others.
-		rng := sim.DeriveRNG(scn.Seed, 0x3077+uint64(pi))
-		var gen workload.Generator
-		if closed {
-			gen = workload.NewClosedLoop(net.Eng, sched, dist, rng, opts.Concurrency[pi], opts.Ops)
+			lp.conc = opts.Concurrency[pi]
+			lp.sched.Window = lp.conc
 		} else {
-			gen = workload.NewOpenLoop(net.Eng, sched, dist, rng, opts.Rates[pi], opts.Ops)
+			lp.rate = opts.Rates[pi]
+		}
+		var sched *sink.Scheduler
+		run, err := runLoadPoint(scn, proto, lp, func(net *Net, cfg sink.Config) commandPlane {
+			sched = sink.New(net.Eng, net.SinkCtrl(), cfg)
+			return sched
+		})
+		if err != nil {
+			return nil, err
 		}
 
-		start := net.Eng.Now()
-		gen.Start()
-		for !gen.Done() && net.Eng.Now()-start < maxRun {
-			chunk := 30 * time.Second
-			if left := maxRun - (net.Eng.Now() - start); left < chunk {
-				chunk = left
-			}
-			if err := net.Run(chunk); err != nil {
-				return nil, err
-			}
-		}
-
-		elapsed := net.Eng.Now() - start
-		if gen.Done() && gen.FinishedAt() > start {
-			elapsed = gen.FinishedAt() - start
-		}
 		pt := &ThroughputPoint{
 			Label:     label,
 			Ops:       opts.Ops,
+			Retries:   int(sched.Stats().Retried),
 			Latency:   &stats.Series{},
 			QueueWait: &stats.Series{},
 		}
-		st := sched.Stats()
-		pt.Retries = int(st.Retried)
-		for _, o := range gen.Outcomes() {
+		for _, o := range run.outcomes {
 			switch {
 			case o.OK:
 				pt.OK++
@@ -318,15 +277,10 @@ func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*Throug
 				pt.Unroutable++
 			}
 		}
-		pt.Unresolved = opts.Ops - len(gen.Outcomes())
-		if secs := elapsed.Seconds(); secs > 0 {
-			pt.Offered = float64(len(gen.Outcomes())) / secs
-			pt.Goodput = float64(pt.OK) / secs
-		}
+		pt.Unresolved = opts.Ops - len(run.outcomes)
+		pt.Offered, pt.Goodput = run.rates(pt.OK)
 		res.Points = append(res.Points, pt)
-		if collector != nil {
-			res.Events = append(res.Events, collector.Events()...)
-		}
+		res.Events = append(res.Events, run.events...)
 	}
 	return res, nil
 }
@@ -351,12 +305,8 @@ func mergeThroughputResults(results []*ThroughputResult) *ThroughputResult {
 			m.Expired += pt.Expired
 			m.Retries += pt.Retries
 			m.Unresolved += pt.Unresolved
-			for _, v := range pt.Latency.Values() {
-				m.Latency.Add(v)
-			}
-			for _, v := range pt.QueueWait.Values() {
-				m.QueueWait.Add(v)
-			}
+			m.Latency.Merge(pt.Latency)
+			m.QueueWait.Merge(pt.QueueWait)
 		}
 	}
 	n := float64(len(results))

@@ -112,6 +112,14 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
+// Merge appends all samples of other, in their order.
+func (s *Series) Merge(other *Series) {
+	if other == nil {
+		return
+	}
+	s.vals = append(s.vals, other.vals...)
+}
+
 // ByKey groups samples by an integer key (typically hop count).
 type ByKey struct {
 	m map[int]*Series

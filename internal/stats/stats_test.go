@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -111,6 +112,30 @@ func TestByKey(t *testing.T) {
 	tbl := b.Table("hop", "x")
 	if !strings.Contains(tbl, "hop") || !strings.Contains(tbl, "15.000") {
 		t.Fatalf("table rendering broken:\n%s", tbl)
+	}
+}
+
+func TestSeriesMerge(t *testing.T) {
+	var empty, into Series
+	empty.Merge(&Series{})
+	empty.Merge(nil)
+	if empty.Count() != 0 {
+		t.Fatalf("empty into empty: count %d", empty.Count())
+	}
+	var src Series
+	for _, v := range []float64{3, 1, 2} {
+		src.Add(v)
+	}
+	into.Merge(&src)
+	src.Add(9) // the merged copy must not alias src's samples
+	into.Add(4)
+	into.Merge(&Series{})
+	if got, want := into.Values(), []float64{3, 1, 2, 4}; !slices.Equal(got, want) {
+		t.Fatalf("into empty then Add: %v, want %v", got, want)
+	}
+	into.Merge(&src)
+	if got, want := into.Values(), []float64{3, 1, 2, 4, 3, 1, 2, 9}; !slices.Equal(got, want) {
+		t.Fatalf("merge order: %v, want %v", got, want)
 	}
 }
 
