@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build benchmark-build benchmark-test vet fmt-check lint test test-fault test-scale test-scale-full race fuzz test-fuzz bench bench-smoke profile profile-smoke check
+.PHONY: all build benchmark-build benchmark-test vet fmt-check lint test test-fault test-scale test-scale-full race fuzz test-fuzz bench bench-smoke profile-smoke check
 
 all: check
 
@@ -93,26 +93,11 @@ bench-smoke:
 	$(GO) test -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/
 	$(GO) test -run 'TestBenchSpeedTrajectory' .
 
-# Reference profile capture of the frame hot path: the 8-node line control
-# study (deep tree, every hop exercised) and the 1024-node grid opening.
-# Writes pprof/exec-trace captures into profiles/; inspect with
-# `go tool pprof -top -cum profiles/line_cpu.pprof`. The recorded summary
-# of a full pass lives in BENCH_profile.json.
-PROFILE_DIR ?= profiles
-profile:
-	mkdir -p $(PROFILE_DIR)
-	$(GO) run ./cmd/teleadjust-sim -scenario line -study control -proto retele \
-		-warmup 10m -packets 40 -interval 15s -reps 64 \
-		-cpuprofile $(PROFILE_DIR)/line_cpu.pprof \
-		-memprofile $(PROFILE_DIR)/line_mem.pprof \
-		-exectrace $(PROFILE_DIR)/line_trace.out
-	$(GO) run ./cmd/teleadjust-sim -scenario grid1k -study control -proto retele \
-		-warmup 10m -packets 24 -interval 8s -progress 2m \
-		-cpuprofile $(PROFILE_DIR)/grid1k_cpu.pprof \
-		-memprofile $(PROFILE_DIR)/grid1k_mem.pprof
-
 # CI-sized profile capture: a short line-scenario run proving the
 # -cpuprofile/-memprofile/-exectrace plumbing produces loadable captures.
+# For a real profile, run a study with the same flags; the benchmark
+# module's traced per-layer ledger (benchmark/) records where CPU goes.
+PROFILE_DIR ?= profiles
 profile-smoke:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) run ./cmd/teleadjust-sim -scenario line -study control -proto retele \

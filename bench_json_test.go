@@ -18,7 +18,7 @@ func TestCommittedBenchRecordsValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(paths) < 3 {
-		t.Fatalf("found %d BENCH_*.json records, want at least scale, telemetry and profile", len(paths))
+		t.Fatalf("found %d BENCH_*.json records, want at least scale, telemetry and speed", len(paths))
 	}
 	for _, path := range paths {
 		rec, err := benchjson.Load(path)

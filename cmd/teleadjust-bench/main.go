@@ -16,7 +16,7 @@
 // Use -exp to select one experiment, -quick for a fast pass, -csv DIR to
 // also emit plot-ready CSV files. -cpuprofile, -memprofile and -exectrace
 // bracket the selected experiments with pprof/runtime-trace captures
-// (see make profile).
+// (see make profile-smoke).
 package main
 
 import (

@@ -30,7 +30,7 @@
 // writes the full depth-binned windowed report at the end. The merged
 // -convergence report from -reps > 1 is byte-identical regardless of
 // -parallel. -cpuprofile, -memprofile and -exectrace bracket the whole
-// run with pprof/runtime-trace captures (see make profile).
+// run with pprof/runtime-trace captures (see make profile-smoke).
 //
 // Examples:
 //

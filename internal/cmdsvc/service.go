@@ -123,9 +123,10 @@ func (s *Service) SetCoder(fn func(radio.NodeID) (core.PathCode, bool)) {
 	s.batcher.SetCoder(fn)
 }
 
-// SetTelemetry binds scheduler counters and service events to the
-// registry and bus, and subscribes the route cache (if any) to the
-// invalidation layers.
+// SetTelemetry attaches the bus for scheduler and service events and
+// subscribes the route cache (if any) to the invalidation layers. reg is
+// ignored: the counters are read through Stats. The parameter stays
+// because the benchmark module calls this signature.
 func (s *Service) SetTelemetry(reg *telemetry.Registry, bus *telemetry.Bus, node radio.NodeID) {
 	s.bus = bus
 	s.node = node

@@ -154,10 +154,6 @@ func (e *Engine) resolveAck(ack *E2EAck) {
 	delete(e.pending, ack.UID)
 	p.timeout.Cancel()
 	lat := e.eng.Now() - p.sentAt
-	if e.e2eLat != nil {
-		e.e2eLat.Observe(lat.Seconds())
-		e.e2eHops.Observe(float64(ack.Hops))
-	}
 	if e.bus.Wants(telemetry.LayerCore) {
 		e.emitOp(telemetry.Event{Kind: telemetry.KindOpE2EAck, Op: p.op, UID: ack.UID,
 			Src: ack.From, Hops: ack.Hops, Value: lat.Seconds()})

@@ -202,10 +202,8 @@ type Engine struct {
 	athx  []ATHXSample
 	stats Stats
 
-	// Telemetry (optional; nil bus and handles are valid and near-free).
-	bus     *telemetry.Bus
-	e2eLat  *telemetry.Histogram
-	e2eHops *telemetry.Histogram
+	// Telemetry (optional; a nil bus is valid and near-free).
+	bus *telemetry.Bus
 }
 
 // CodeInfo is a controller-side registry entry.
@@ -369,34 +367,9 @@ func (e *Engine) ATHX() []ATHXSample {
 // SetOracle installs the controller's topology oracle (sink only).
 func (e *Engine) SetOracle(o Oracle) { e.oracle = o }
 
-// SetTelemetry binds the node's statistics counters into the registry (as
-// externally-owned storage, so the hot-path `stats.X++` sites stay as
-// they are) and attaches the event bus for operation span emissions. Both
-// arguments may be nil; re-binding after a reboot replaces the previous
-// node's counters, modeling volatile-state loss.
-func (e *Engine) SetTelemetry(reg *telemetry.Registry, bus *telemetry.Bus) {
-	e.bus = bus
-	id := e.node.ID()
-	reg.BindCounter(telemetry.LayerCore, id, "code-changes", &e.stats.CodeChanges)
-	reg.BindCounter(telemetry.LayerCore, id, "position-reqs", &e.stats.PositionReqs)
-	reg.BindCounter(telemetry.LayerCore, id, "allocation-acks", &e.stats.AllocationAcks)
-	reg.BindCounter(telemetry.LayerCore, id, "confirms", &e.stats.Confirms)
-	reg.BindCounter(telemetry.LayerCore, id, "space-extensions", &e.stats.SpaceExtensions)
-	reg.BindCounter(telemetry.LayerCore, id, "relabels", &e.stats.Relabels)
-	reg.BindCounter(telemetry.LayerCore, id, "header-bytes", &e.stats.HeaderBytes)
-	reg.BindCounter(telemetry.LayerCore, id, "control-sends", &e.stats.ControlSends)
-	reg.BindCounter(telemetry.LayerCore, id, "control-relayed", &e.stats.ControlRelayed)
-	reg.BindCounter(telemetry.LayerCore, id, "control-deliv", &e.stats.ControlDeliv)
-	reg.BindCounter(telemetry.LayerCore, id, "control-dup-deliv", &e.stats.ControlDupDeliv)
-	reg.BindCounter(telemetry.LayerCore, id, "feedback-sends", &e.stats.FeedbackSends)
-	reg.BindCounter(telemetry.LayerCore, id, "backtracks", &e.stats.Backtracks)
-	reg.BindCounter(telemetry.LayerCore, id, "rescues", &e.stats.Rescues)
-	reg.BindCounter(telemetry.LayerCore, id, "send-failures", &e.stats.SendFailures)
-	if e.isSink {
-		e.e2eLat = reg.Histogram(telemetry.LayerCore, id, "e2e-latency-s")
-		e.e2eHops = reg.Histogram(telemetry.LayerCore, id, "e2e-hops")
-	}
-}
+// SetTelemetry attaches the event bus for operation span emissions (nil
+// disables them). The engine's counters are read through Stats.
+func (e *Engine) SetTelemetry(bus *telemetry.Bus) { e.bus = bus }
 
 // emitOp publishes a core-layer event attributed to this node. The bus
 // rejects it on one mask test when nobody listens; hot paths additionally

@@ -10,6 +10,7 @@ import (
 	"teleadjust/internal/mac"
 	"teleadjust/internal/radio"
 	"teleadjust/internal/rpl"
+	"teleadjust/internal/telemetry"
 	"teleadjust/internal/topology"
 )
 
@@ -218,6 +219,54 @@ func TestKillNodeSilencesRadio(t *testing.T) {
 	net.KillNode(net.Sink)
 	if !net.Alive(net.Sink) {
 		t.Fatal("KillNode reached the sink")
+	}
+}
+
+// TestOnTimeGaugeReadsMedium pins the registry gauge Fig 9's duty cycle
+// reads: every node's "on-time-s" equals the medium radio's cumulative
+// on-time, a reboot does not reset it (the mote's energy history outlives
+// the stack), and unregistered names are reported absent.
+func TestOnTimeGaugeReadsMedium(t *testing.T) {
+	scn := smallScenario(6)
+	net, err := Build(scn.config(ProtoTeleAdjust))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Start()
+	if err := net.Run(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	onTime := func(id radio.NodeID) float64 {
+		t.Helper()
+		v, ok := net.Metrics.Gauge(telemetry.LayerRadio, id, "on-time-s")
+		if !ok {
+			t.Fatalf("node %d has no on-time-s gauge", id)
+		}
+		if want := net.Medium.Radio(id).OnTime().Seconds(); v != want {
+			t.Fatalf("node %d on-time-s = %v, medium reads %v", id, v, want)
+		}
+		return v
+	}
+	for i := range net.Stacks {
+		onTime(radio.NodeID(i))
+	}
+	before := onTime(3)
+	if before <= 0 {
+		t.Fatalf("node 3 on-time %v after 30 s of duty cycling", before)
+	}
+	net.KillNode(3)
+	if err := net.Run(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	net.RebootNode(3)
+	if err := net.Run(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if after := onTime(3); after <= before {
+		t.Fatalf("rebooted node's on-time %v did not extend the pre-kill %v", after, before)
+	}
+	if _, ok := net.Metrics.Gauge(telemetry.LayerRadio, 3, "no-such-gauge"); ok {
+		t.Fatal("unregistered gauge name reported present")
 	}
 }
 

@@ -82,9 +82,11 @@ type Net struct {
 	// operation spans all emit into it. With no subscribers it is
 	// near-free (every emission dies on one mask test).
 	Bus *telemetry.Bus
-	// Metrics is the cross-layer metrics registry: protocol and MAC
-	// counters are bound into it per node, and per-node radio duty-cycle
-	// gauges read the medium directly (so they survive reboots).
+	// Metrics is the per-node gauge table. It holds each node's radio
+	// "on-time-s" gauge (LayerRadio), which reads the medium directly and
+	// so survives reboots. Event counters are not in it: each layer's
+	// Stats() accessor (MAC, CTP, the control protocol, the sink) is
+	// their read path.
 	Metrics *telemetry.Registry
 
 	cfg Config
@@ -166,8 +168,15 @@ func Build(cfg Config) (*Net, error) {
 		if build != nil {
 			st.Ctrl = build(&net.cfg, st.Node, st.Ctp, i)
 		}
-		net.wireTelemetry(st, id)
+		net.wireTelemetry(st)
 		net.Stacks[i] = st
+		// The on-time gauge reads the radio through the medium, which
+		// survives reboots: it measures the mote's energy history, not the
+		// current stack instance's, so it is registered once per node.
+		r := med.Radio(id)
+		net.Metrics.GaugeFunc(telemetry.LayerRadio, id, "on-time-s", func() float64 {
+			return r.OnTime().Seconds()
+		})
 	}
 	net.alive = make([]bool, n)
 	for i := range net.alive {
@@ -189,33 +198,18 @@ func Build(cfg Config) (*Net, error) {
 	return net, nil
 }
 
-// telemetrySettable is implemented by stack components that bind their
-// statistics into the registry and emit events onto the bus.
+// telemetrySettable is implemented by control protocols that emit events
+// onto the bus.
 type telemetrySettable interface {
-	SetTelemetry(*telemetry.Registry, *telemetry.Bus)
+	SetTelemetry(*telemetry.Bus)
 }
 
-// wireTelemetry binds a (fresh) stack's counters into the registry and
-// hands it the event bus. The per-node duty-cycle gauge reads the radio
-// through the medium, which survives reboots — it measures the mote's
-// energy history, not the current stack instance's.
-func (n *Net) wireTelemetry(st *Stack, id radio.NodeID) {
-	st.Mac.SetTelemetry(n.Metrics, n.Bus)
+// wireTelemetry hands a (fresh) stack the event bus.
+func (n *Net) wireTelemetry(st *Stack) {
+	st.Mac.SetTelemetry(n.Bus)
 	if ts, ok := st.Ctrl.(telemetrySettable); ok {
-		ts.SetTelemetry(n.Metrics, n.Bus)
+		ts.SetTelemetry(n.Bus)
 	}
-	r := n.Medium.Radio(id)
-	eng := n.Eng
-	n.Metrics.GaugeFunc(telemetry.LayerRadio, id, "duty-cycle", func() float64 {
-		now := eng.Now()
-		if now == 0 {
-			return 0
-		}
-		return float64(r.OnTime()) / float64(now)
-	})
-	n.Metrics.GaugeFunc(telemetry.LayerRadio, id, "on-time-s", func() float64 {
-		return r.OnTime().Seconds()
-	})
 }
 
 // Start launches the MAC, the collection substrate, and the control
@@ -309,9 +303,7 @@ func (n *Net) RebootNode(id radio.NodeID) {
 	if build, err := builderFor(n.cfg.Protocol); err == nil && build != nil {
 		st.Ctrl = build(&n.cfg, st.Node, st.Ctp, i)
 	}
-	// Re-bind the fresh stack's counters: the registry replaces the dead
-	// stack's bindings, modeling the volatile-state loss of a reboot.
-	n.wireTelemetry(st, id)
+	n.wireTelemetry(st)
 	n.Stacks[i] = st
 	n.alive[i] = true
 	st.Mac.Start()

@@ -161,6 +161,12 @@ func (o *Oracle) op(uid uint32, at time.Duration) *opTrace {
 func (o *Oracle) observeControl(ev telemetry.Event, c *core.Control) {
 	ot := o.op(c.UID, ev.At)
 	ot.op = c.Op
+	// A batch carrier goes on the air under its first member's UID/Op;
+	// every member is a direct attempt in its own right, which a later
+	// Re-Tele detour for that member references.
+	for i := range c.Batch {
+		o.op(c.Batch[i].UID, ev.At)
+	}
 	if c.Detour {
 		if !ot.detour {
 			ot.detour = true

@@ -106,6 +106,19 @@ func TestOracleDetourDiscipline(t *testing.T) {
 	}
 }
 
+// TestOracleBatchMemberDetour: a batch carrier travels under its first
+// member's UID/Op, but every member was attempted directly, so a Re-Tele
+// detour for the second member references a real prior attempt.
+func TestOracleBatchMemberDetour(t *testing.T) {
+	o := testOracle(true)
+	o.Consume(ctrlTx(0, 1, &core.Control{UID: 1, Op: 1, Dst: 3, Batch: []core.BatchMember{
+		{UID: 1, Op: 1, Dst: 6}, {UID: 2, Op: 2, Dst: 7}}}))
+	o.Consume(ctrlTx(0, 2, &core.Control{UID: 3, Op: 2, Dst: 5, Detour: true}))
+	if len(o.Violations()) != 0 {
+		t.Fatalf("rescue of a batch member flagged: %s", o.Summary())
+	}
+}
+
 func TestOracleCheckWithoutStateHooksIsClean(t *testing.T) {
 	o := testOracle(false)
 	o.Consume(ctrlTx(1, 1, &core.Control{UID: 1, Op: 1, Dst: 7}))

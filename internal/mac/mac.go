@@ -236,19 +236,9 @@ func (m *MAC) SetUpper(u Upper) { m.upper = u }
 // Stats returns a copy of the MAC statistics.
 func (m *MAC) Stats() Stats { return m.stats }
 
-// SetTelemetry binds the MAC statistics counters into the registry and
-// attaches the event bus for send-lifecycle emissions. Both may be nil.
-func (m *MAC) SetTelemetry(reg *telemetry.Registry, bus *telemetry.Bus) {
-	m.bus = bus
-	id := m.radio.ID()
-	reg.BindCounter(telemetry.LayerMAC, id, "sends-started", &m.stats.SendsStarted)
-	reg.BindCounter(telemetry.LayerMAC, id, "sends-acked", &m.stats.SendsAcked)
-	reg.BindCounter(telemetry.LayerMAC, id, "sends-failed", &m.stats.SendsFailed)
-	reg.BindCounter(telemetry.LayerMAC, id, "sends-broadcast", &m.stats.SendsBroadcast)
-	reg.BindCounter(telemetry.LayerMAC, id, "frame-tx", &m.stats.FrameTx)
-	reg.BindCounter(telemetry.LayerMAC, id, "acks-sent", &m.stats.AcksSent)
-	reg.BindCounter(telemetry.LayerMAC, id, "suppressed", &m.stats.Suppressed)
-}
+// SetTelemetry attaches the event bus for send-lifecycle emissions (nil
+// disables them). The MAC's counters are read through Stats.
+func (m *MAC) SetTelemetry(bus *telemetry.Bus) { m.bus = bus }
 
 // emitMac publishes a MAC-layer event for the frame when anyone listens.
 // peer is the counterpart node (the acker for send outcomes, the election

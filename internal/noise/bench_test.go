@@ -9,8 +9,8 @@ import (
 
 // BenchmarkSourceNext measures one chain step of a trained CPM source —
 // the per-sample cost behind every noiseAt call on a live field. On
-// grid1k this is the single hottest flat path on record
-// (BENCH_profile.json), so its cost and alloc count are contract.
+// grid1k this was the single hottest flat path of the first recorded
+// profile, so its cost and alloc count are contract.
 func BenchmarkSourceNext(b *testing.B) {
 	m := Train(GenerateTrace(100000, 2))
 	src := m.NewSource(sim.NewRNG(3))

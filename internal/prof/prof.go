@@ -2,8 +2,8 @@
 // teleadjust-sim and teleadjust-bench: it turns the -cpuprofile,
 // -memprofile and -exectrace flags into pprof/trace captures bracketing
 // the whole run, so the frame hot path can be profiled from any study
-// the binaries already know how to run (make profile records the
-// reference captures behind BENCH_profile.json).
+// the binaries already know how to run. make profile-smoke checks that
+// the flags write captures pprof can load.
 package prof
 
 import (

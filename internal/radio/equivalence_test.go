@@ -214,7 +214,10 @@ func scriptedTraces(t *testing.T, dep *topology.Deployment, params Params, seed 
 		t.Fatal(err)
 	}
 	var out []string
-	m.SetTraceFn(func(e TraceEvent) { out = append(out, e.Format()) })
+	m.SetTraceFn(func(e TraceEvent) {
+		out = append(out, fmt.Sprintf("%v %s node=%d src=%d dst=%d seq=%d sinr=%.1fdB",
+			e.At, e.Kind, e.Node, e.Frame.Src, e.Frame.Dst, e.Frame.Seq, e.SINRdB))
+	})
 	n := m.NumNodes()
 	for i := 0; i < n; i++ {
 		m.Radio(NodeID(i)).SetOn(true)

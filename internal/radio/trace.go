@@ -1,10 +1,6 @@
 package radio
 
-import (
-	"fmt"
-	"io"
-	"time"
-)
+import "time"
 
 // TraceKind classifies medium trace events.
 type TraceKind uint8
@@ -51,69 +47,9 @@ type TraceEvent struct {
 	SINRdB float64
 }
 
-// Format renders the event as one log line.
-func (e TraceEvent) Format() string {
-	switch e.Kind {
-	case TraceTxStart:
-		return fmt.Sprintf("%12v %-6s node=%-3d kind=%d src=%d dst=%d seq=%d size=%d",
-			e.At, e.Kind, e.Node, e.Frame.Kind, e.Frame.Src, e.Frame.Dst, e.Frame.Seq, e.Frame.Size)
-	default:
-		return fmt.Sprintf("%12v %-6s node=%-3d kind=%d src=%d dst=%d seq=%d sinr=%.1fdB",
-			e.At, e.Kind, e.Node, e.Frame.Kind, e.Frame.Src, e.Frame.Dst, e.Frame.Seq, e.SINRdB)
-	}
-}
-
 // SetTraceFn installs a medium-level event tap (nil disables). The
 // callback fires synchronously inside the simulation; keep it cheap.
 func (m *Medium) SetTraceFn(fn func(TraceEvent)) { m.traceFn = fn }
-
-// TraceRing captures the last N medium events, for post-mortem dumps.
-type TraceRing struct {
-	events []TraceEvent
-	next   int
-	filled bool
-}
-
-// NewTraceRing creates a ring holding up to n events.
-func NewTraceRing(n int) *TraceRing {
-	if n <= 0 {
-		n = 1024
-	}
-	return &TraceRing{events: make([]TraceEvent, n)}
-}
-
-// Record stores an event (use as the Medium trace function).
-func (r *TraceRing) Record(e TraceEvent) {
-	r.events[r.next] = e
-	r.next++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.filled = true
-	}
-}
-
-// Events returns the captured events in chronological order.
-func (r *TraceRing) Events() []TraceEvent {
-	if !r.filled {
-		out := make([]TraceEvent, r.next)
-		copy(out, r.events[:r.next])
-		return out
-	}
-	out := make([]TraceEvent, 0, len(r.events))
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
-}
-
-// Dump writes the captured events to w, one line each.
-func (r *TraceRing) Dump(w io.Writer) error {
-	for _, e := range r.Events() {
-		if _, err := fmt.Fprintln(w, e.Format()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 func (m *Medium) trace(e TraceEvent) {
 	if m.traceFn != nil {

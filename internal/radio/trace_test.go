@@ -1,7 +1,6 @@
 package radio
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -17,8 +16,8 @@ func TestTraceCapturesTxAndRx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := NewTraceRing(16)
-	m.SetTraceFn(ring.Record)
+	var evs []TraceEvent
+	m.SetTraceFn(func(e TraceEvent) { evs = append(evs, e) })
 	m.Radio(0).SetOn(true)
 	m.Radio(1).SetOn(true)
 	if err := m.Radio(0).Transmit(&Frame{Kind: FrameData, Src: 0, Dst: 1, Seq: 7, Size: 30}, 0); err != nil {
@@ -27,7 +26,6 @@ func TestTraceCapturesTxAndRx(t *testing.T) {
 	if err := eng.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	evs := ring.Events()
 	if len(evs) != 2 {
 		t.Fatalf("captured %d events, want tx+rx", len(evs))
 	}
@@ -39,37 +37,6 @@ func TestTraceCapturesTxAndRx(t *testing.T) {
 	}
 	if evs[1].SINRdB < 5 {
 		t.Fatalf("recorded SINR %.1f dB implausibly low for a 5 m link", evs[1].SINRdB)
-	}
-	if !strings.Contains(evs[0].Format(), "tx") || !strings.Contains(evs[1].Format(), "rx-ok") {
-		t.Fatalf("formatting broken: %q / %q", evs[0].Format(), evs[1].Format())
-	}
-}
-
-func TestTraceRingWraps(t *testing.T) {
-	ring := NewTraceRing(4)
-	for i := 0; i < 10; i++ {
-		ring.Record(TraceEvent{At: time.Duration(i), Kind: TraceTxStart, Frame: &Frame{}})
-	}
-	evs := ring.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(evs))
-	}
-	for i, e := range evs {
-		if e.At != time.Duration(6+i) {
-			t.Fatalf("ring order wrong: %v", evs)
-		}
-	}
-}
-
-func TestTraceRingDump(t *testing.T) {
-	ring := NewTraceRing(4)
-	ring.Record(TraceEvent{Kind: TraceRxCorrupt, Frame: &Frame{Src: 3}})
-	var sb strings.Builder
-	if err := ring.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "rx-bad") {
-		t.Fatalf("dump missing event: %q", sb.String())
 	}
 }
 

@@ -186,11 +186,9 @@ type Scheduler struct {
 	tickets  uint32
 	pumping  bool
 
-	stats     Stats
-	bus       *telemetry.Bus
-	node      radio.NodeID
-	queueWait *telemetry.Histogram
-	totalLat  *telemetry.Histogram
+	stats Stats
+	bus   *telemetry.Bus
+	node  radio.NodeID
 }
 
 // New creates a scheduler dispatching through d on the given engine.
@@ -215,22 +213,13 @@ func New(eng *sim.Engine, d Dispatcher, cfg Config) *Scheduler {
 // operations to one node.
 func (s *Scheduler) SetCoder(fn func(radio.NodeID) (core.PathCode, bool)) { s.coder = fn }
 
-// SetTelemetry binds the scheduler's counters into the registry under the
-// sink layer and attaches the event bus for command-plane span events,
-// both attributed to the given (sink) node. Either argument may be nil.
+// SetTelemetry attaches the event bus for command-plane span events,
+// attributed to the given (sink) node; a nil bus disables them. reg is
+// ignored: the scheduler's counters are read through Stats. The parameter
+// stays because the benchmark module calls this signature.
 func (s *Scheduler) SetTelemetry(reg *telemetry.Registry, bus *telemetry.Bus, node radio.NodeID) {
 	s.bus = bus
 	s.node = node
-	reg.BindCounter(telemetry.LayerSink, node, "submitted", &s.stats.Submitted)
-	reg.BindCounter(telemetry.LayerSink, node, "admitted", &s.stats.Admitted)
-	reg.BindCounter(telemetry.LayerSink, node, "retried", &s.stats.Retried)
-	reg.BindCounter(telemetry.LayerSink, node, "completed-ok", &s.stats.CompletedOK)
-	reg.BindCounter(telemetry.LayerSink, node, "failed", &s.stats.Failed)
-	reg.BindCounter(telemetry.LayerSink, node, "unroutable", &s.stats.Unroutable)
-	reg.BindCounter(telemetry.LayerSink, node, "rejected", &s.stats.Rejected)
-	reg.BindCounter(telemetry.LayerSink, node, "expired", &s.stats.Expired)
-	s.queueWait = reg.Histogram(telemetry.LayerSink, node, "queue-wait-s")
-	s.totalLat = reg.Histogram(telemetry.LayerSink, node, "total-latency-s")
 }
 
 // Stats returns a snapshot of the lifetime counters.
@@ -325,9 +314,6 @@ func (s *Scheduler) dispatch(op *opState) {
 		op.admitted = true
 		op.admittedAt = now
 		s.stats.Admitted++
-		if s.queueWait != nil {
-			s.queueWait.Observe((now - op.enqueuedAt).Seconds())
-		}
 	}
 	op.attempts++
 	op.inflight = true
@@ -426,9 +412,6 @@ func (s *Scheduler) finish(op *opState, opErr error) {
 	ok := opErr == nil && op.lastResult.OK
 	if ok {
 		s.stats.CompletedOK++
-		if s.totalLat != nil {
-			s.totalLat.Observe((now - op.enqueuedAt).Seconds())
-		}
 	} else if opErr == nil {
 		s.stats.Failed++
 	}

@@ -1,8 +1,9 @@
 // Package telemetry is the unified observability plane of the simulator:
 // a simulation-time-stamped event bus crossing the radio, MAC, and
-// control-protocol layers, a cross-layer metrics registry with typed
-// counter/gauge/histogram handles, JSONL export, and a human-readable
-// span renderer for per-operation lifecycle traces.
+// control-protocol layers, a per-node gauge registry (event counters
+// are not kept here: each layer's Stats() accessor is their read path),
+// JSONL export, and a human-readable span renderer for per-operation
+// lifecycle traces.
 //
 // Design constraints, in order:
 //
@@ -26,7 +27,7 @@ import (
 	"teleadjust/internal/radio"
 )
 
-// Layer identifies the emitting subsystem of an event or metric.
+// Layer identifies the emitting subsystem of an event or gauge.
 type Layer uint8
 
 // Layers, bottom up.

@@ -58,38 +58,6 @@ func TestBusEmitNoSubscriberAllocFree(t *testing.T) {
 	}
 }
 
-// TestRegistryRebootRebinding models a mote reboot: the fresh stack binds
-// new counter storage under the same key, the registry must read the new
-// (zeroed) storage, and writes through the stale pre-reboot handle must
-// no longer be visible anywhere.
-func TestRegistryRebootRebinding(t *testing.T) {
-	r := NewRegistry()
-	var gen1 uint64
-	old := r.BindCounter(LayerCore, 7, "control-sends", &gen1)
-	old.Add(41)
-	if got := r.CounterValue(LayerCore, 7, "control-sends"); got != 41 {
-		t.Fatalf("pre-reboot counter = %d, want 41", got)
-	}
-
-	var gen2 uint64
-	fresh := r.BindCounter(LayerCore, 7, "control-sends", &gen2)
-	if got := r.CounterValue(LayerCore, 7, "control-sends"); got != 0 {
-		t.Fatalf("rebound counter = %d, want 0 (volatile state lost)", got)
-	}
-	old.Inc() // the dead stack's handle still works, but writes go nowhere visible
-	fresh.Add(3)
-	if got := r.CounterValue(LayerCore, 7, "control-sends"); got != 3 {
-		t.Fatalf("post-reboot counter = %d, want 3", got)
-	}
-	if sum := r.SumCounters(LayerCore, "control-sends"); sum != 3 {
-		t.Fatalf("SumCounters = %d, want 3 (stale binding leaked)", sum)
-	}
-	snap := r.Snapshot()
-	if len(snap) != 1 || snap[0].Value != 3 {
-		t.Fatalf("snapshot after rebinding = %+v", snap)
-	}
-}
-
 // TestOpSpanTruncatedByRunEnd covers lifecycles cut off by the end of the
 // run: an operation with no terminal result must build a span that says
 // so rather than invent an outcome.

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"teleadjust/internal/radio"
@@ -121,54 +119,4 @@ func BuildQueueSpans(events []Event) []*QueueSpan {
 		}
 	}
 	return order
-}
-
-// RenderQueueSpans writes a one-line-per-phase rendition of every
-// command-plane span matching the filter (nil renders all).
-func RenderQueueSpans(w io.Writer, events []Event, match func(*QueueSpan) bool) error {
-	spans := BuildQueueSpans(events)
-	rendered := 0
-	for _, sp := range spans {
-		if match != nil && !match(sp) {
-			continue
-		}
-		rendered++
-		status := "unresolved"
-		switch {
-		case sp.Rejected:
-			status = "REJECTED (queue full)"
-		case sp.Expired:
-			status = "EXPIRED (budget)"
-		case sp.Resolved && sp.OK:
-			status = "ok"
-		case sp.Resolved:
-			status = "FAILED"
-		}
-		header := fmt.Sprintf("ticket %d → node %d  %s", sp.Ticket, sp.Dst, status)
-		if sp.Run > 0 {
-			header = fmt.Sprintf("run %d  %s", sp.Run, header)
-		}
-		if _, err := fmt.Fprintln(w, header); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "  queued    %v  (wait %v)\n", sp.EnqueuedAt, sp.QueueWait()); err != nil {
-			return err
-		}
-		if sp.Admitted {
-			if _, err := fmt.Fprintf(w, "  in-flight %v  (air %v, %d retries, ops %v)\n",
-				sp.AdmittedAt, sp.InFlight(), sp.Retries, sp.Ops); err != nil {
-				return err
-			}
-		}
-		if sp.Resolved {
-			if _, err := fmt.Fprintf(w, "  done      %v  (total %v)\n", sp.DoneAt, sp.Total()); err != nil {
-				return err
-			}
-		}
-	}
-	if rendered == 0 {
-		_, err := fmt.Fprintln(w, "no matching command-plane spans")
-		return err
-	}
-	return nil
 }

@@ -1,278 +1,47 @@
 package telemetry
 
-import (
-	"fmt"
-	"io"
-	"math"
-	"sort"
+import "teleadjust/internal/radio"
 
-	"teleadjust/internal/radio"
-)
-
-// MetricType discriminates registry entries.
-type MetricType uint8
-
-// Metric types.
-const (
-	TypeCounter MetricType = iota + 1
-	TypeGauge
-	TypeHistogram
-)
-
-// String names the type.
-func (t MetricType) String() string {
-	switch t {
-	case TypeCounter:
-		return "counter"
-	case TypeGauge:
-		return "gauge"
-	case TypeHistogram:
-		return "histogram"
-	}
-	return "metric?"
-}
-
-// MetricKey identifies one metric instance: a name scoped to a layer and
-// a node. NoNode scopes run-wide metrics.
-type MetricKey struct {
+// gaugeKey identifies one gauge: a name scoped to a layer and a node.
+type gaugeKey struct {
 	Layer Layer
 	Node  radio.NodeID
 	Name  string
 }
 
-// NoNode is the node id of run-scoped (not per-node) metrics.
-const NoNode = radio.BroadcastID
-
-// Counter is a monotonically increasing metric handle. The zero Counter
-// is unusable; obtain handles from a Registry (a nil Registry still
-// returns working standalone handles).
-type Counter struct {
-	v *uint64
-}
-
-// Inc adds one.
-func (c Counter) Inc() { *c.v++ }
-
-// Add adds n.
-func (c Counter) Add(n uint64) { *c.v += n }
-
-// Value returns the current count.
-func (c Counter) Value() uint64 { return *c.v }
-
-// Histogram accumulates raw float samples. Snapshots summarize them;
-// Quantile answers nearest-rank queries. Samples are kept, so histograms
-// are for bounded-cardinality observations (per-op latencies, hop
-// counts), not per-frame data.
-type Histogram struct {
-	vals []float64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) { h.vals = append(h.vals, v) }
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.vals) }
-
-// Sum returns the sample sum.
-func (h *Histogram) Sum() float64 {
-	s := 0.0
-	for _, v := range h.vals {
-		s += v
-	}
-	return s
-}
-
-// Quantile returns the q-th (0..1) nearest-rank sample, 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if len(h.vals) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(h.vals))
-	copy(sorted, h.vals)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// Metric is one snapshot row.
-type Metric struct {
-	Key  MetricKey
-	Type MetricType
-	// Value holds the counter count or gauge reading.
-	Value float64
-	// Count/Sum/Min/Max summarize histograms (Count 0 otherwise).
-	Count    int
-	Sum      float64
-	Min, Max float64
-}
-
-// Registry indexes metrics by (layer, node, name). One registry serves
-// one simulation run; it is not safe for concurrent use. A nil *Registry
-// is valid: handle constructors return standalone storage, queries come
-// back empty — components can bind their metrics unconditionally.
+// Registry is a per-node gauge table: each gauge is a function read at
+// query time, so it reports whatever state it closes over (the per-node
+// radio on-time reads the medium, which survives reboots). Event counts
+// are not kept here; each layer's Stats() accessor is their read path.
+// One registry serves one simulation run; it is not safe for concurrent
+// use. A nil *Registry is valid: registrations are dropped and queries
+// come back empty.
 type Registry struct {
-	counters map[MetricKey]Counter
-	gauges   map[MetricKey]func() float64
-	hists    map[MetricKey]*Histogram
+	gauges map[gaugeKey]func() float64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[MetricKey]Counter),
-		gauges:   make(map[MetricKey]func() float64),
-		hists:    make(map[MetricKey]*Histogram),
-	}
+	return &Registry{gauges: make(map[gaugeKey]func() float64)}
 }
 
-// Counter returns (creating if needed) the counter for the key. On a nil
-// registry the handle is standalone but fully functional.
-func (r *Registry) Counter(l Layer, node radio.NodeID, name string) Counter {
-	if r == nil {
-		return Counter{v: new(uint64)}
-	}
-	k := MetricKey{Layer: l, Node: node, Name: name}
-	if c, ok := r.counters[k]; ok {
-		return c
-	}
-	c := Counter{v: new(uint64)}
-	r.counters[k] = c
-	return c
-}
-
-// BindCounter registers externally-owned counter storage (for example a
-// protocol's stats struct field) under the key, replacing any previous
-// binding — a rebooted node re-binds its fresh stack's counters, which
-// models the volatile-state loss of a mote reboot.
-func (r *Registry) BindCounter(l Layer, node radio.NodeID, name string, v *uint64) Counter {
-	c := Counter{v: v}
-	if r != nil {
-		r.counters[MetricKey{Layer: l, Node: node, Name: name}] = c
-	}
-	return c
-}
-
-// GaugeFunc registers a gauge read through fn at snapshot/query time.
+// GaugeFunc registers a gauge read through fn at query time, replacing
+// any previous registration under the same key.
 func (r *Registry) GaugeFunc(l Layer, node radio.NodeID, name string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.gauges[MetricKey{Layer: l, Node: node, Name: name}] = fn
+	r.gauges[gaugeKey{Layer: l, Node: node, Name: name}] = fn
 }
 
-// Gauge reads a registered gauge.
+// Gauge reads a registered gauge; ok is false when none is registered.
 func (r *Registry) Gauge(l Layer, node radio.NodeID, name string) (float64, bool) {
 	if r == nil {
 		return 0, false
 	}
-	fn, ok := r.gauges[MetricKey{Layer: l, Node: node, Name: name}]
+	fn, ok := r.gauges[gaugeKey{Layer: l, Node: node, Name: name}]
 	if !ok {
 		return 0, false
 	}
 	return fn(), true
-}
-
-// Histogram returns (creating if needed) the histogram for the key. On a
-// nil registry the handle is standalone but fully functional.
-func (r *Registry) Histogram(l Layer, node radio.NodeID, name string) *Histogram {
-	if r == nil {
-		return &Histogram{}
-	}
-	k := MetricKey{Layer: l, Node: node, Name: name}
-	if h, ok := r.hists[k]; ok {
-		return h
-	}
-	h := &Histogram{}
-	r.hists[k] = h
-	return h
-}
-
-// CounterValue reads a counter; 0 when absent.
-func (r *Registry) CounterValue(l Layer, node radio.NodeID, name string) uint64 {
-	if r == nil {
-		return 0
-	}
-	if c, ok := r.counters[MetricKey{Layer: l, Node: node, Name: name}]; ok {
-		return c.Value()
-	}
-	return 0
-}
-
-// SumCounters sums a counter name across all nodes of a layer.
-func (r *Registry) SumCounters(l Layer, name string) uint64 {
-	if r == nil {
-		return 0
-	}
-	var sum uint64
-	for k, c := range r.counters {
-		if k.Layer == l && k.Name == name {
-			sum += c.Value()
-		}
-	}
-	return sum
-}
-
-// Snapshot returns every metric, sorted by (layer, node, name, type) so
-// snapshots of identical runs are identical.
-func (r *Registry) Snapshot() []Metric {
-	if r == nil {
-		return nil
-	}
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for k, c := range r.counters {
-		out = append(out, Metric{Key: k, Type: TypeCounter, Value: float64(c.Value())})
-	}
-	for k, fn := range r.gauges {
-		out = append(out, Metric{Key: k, Type: TypeGauge, Value: fn()})
-	}
-	for k, h := range r.hists {
-		m := Metric{Key: k, Type: TypeHistogram, Count: h.Count(), Sum: h.Sum()}
-		if m.Count > 0 {
-			m.Min, m.Max = h.vals[0], h.vals[0]
-			for _, v := range h.vals {
-				m.Min = math.Min(m.Min, v)
-				m.Max = math.Max(m.Max, v)
-			}
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return out[i].Type < out[j].Type
-	})
-	return out
-}
-
-// WriteSnapshot renders the snapshot as an aligned text table.
-func (r *Registry) WriteSnapshot(w io.Writer) error {
-	for _, m := range r.Snapshot() {
-		var err error
-		switch m.Type {
-		case TypeHistogram:
-			_, err = fmt.Fprintf(w, "%-6s node=%-5d %-28s %-9s n=%d sum=%.3f min=%.3f max=%.3f\n",
-				m.Key.Layer, m.Key.Node, m.Key.Name, m.Type, m.Count, m.Sum, m.Min, m.Max)
-		default:
-			_, err = fmt.Fprintf(w, "%-6s node=%-5d %-28s %-9s %.3f\n",
-				m.Key.Layer, m.Key.Node, m.Key.Name, m.Type, m.Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -120,107 +120,11 @@ func TestLayerAndKindStrings(t *testing.T) {
 	}
 }
 
-func TestRegistryCountersAndBinding(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter(LayerCore, 4, "sends")
-	c.Inc()
-	c.Add(2)
-	if got := r.CounterValue(LayerCore, 4, "sends"); got != 3 {
-		t.Fatalf("counter = %d, want 3", got)
-	}
-	// Same key returns the same storage.
-	r.Counter(LayerCore, 4, "sends").Inc()
-	if got := c.Value(); got != 4 {
-		t.Fatalf("counter = %d, want 4", got)
-	}
-
-	var backing uint64 = 10
-	r.BindCounter(LayerCore, 5, "sends", &backing)
-	backing += 5
-	if got := r.CounterValue(LayerCore, 5, "sends"); got != 15 {
-		t.Fatalf("bound counter = %d, want 15", got)
-	}
-	// Rebinding (reboot) replaces the storage.
-	var fresh uint64
-	r.BindCounter(LayerCore, 5, "sends", &fresh)
-	if got := r.CounterValue(LayerCore, 5, "sends"); got != 0 {
-		t.Fatalf("rebound counter = %d, want 0", got)
-	}
-
-	if got := r.SumCounters(LayerCore, "sends"); got != 4 {
-		t.Fatalf("sum = %d, want 4", got)
-	}
-}
-
 func TestRegistryNilIsSafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter(LayerCore, 1, "x")
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatal("nil-registry counter handle broken")
-	}
-	h := r.Histogram(LayerCore, 1, "y")
-	h.Observe(2)
-	if h.Count() != 1 {
-		t.Fatal("nil-registry histogram handle broken")
-	}
 	r.GaugeFunc(LayerCore, 1, "z", func() float64 { return 1 })
 	if _, ok := r.Gauge(LayerCore, 1, "z"); ok {
 		t.Fatal("nil registry returned a gauge")
-	}
-	if r.Snapshot() != nil || r.CounterValue(LayerCore, 1, "x") != 0 || r.SumCounters(LayerCore, "x") != 0 {
-		t.Fatal("nil registry queries not empty")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := &Histogram{}
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-	for _, v := range []float64{5, 1, 3, 2, 4} {
-		h.Observe(v)
-	}
-	if q := h.Quantile(0.5); q != 3 {
-		t.Fatalf("p50 = %v, want 3", q)
-	}
-	if q := h.Quantile(1); q != 5 {
-		t.Fatalf("p100 = %v, want 5", q)
-	}
-	if q := h.Quantile(0); q != 1 {
-		t.Fatalf("p0 = %v, want 1", q)
-	}
-	if h.Sum() != 15 {
-		t.Fatalf("sum = %v, want 15", h.Sum())
-	}
-}
-
-func TestSnapshotDeterministicOrder(t *testing.T) {
-	build := func() *Registry {
-		r := NewRegistry()
-		r.Counter(LayerMAC, 2, "b").Inc()
-		r.Counter(LayerCore, 1, "a").Add(3)
-		r.GaugeFunc(LayerRadio, 1, "duty", func() float64 { return 0.5 })
-		r.Histogram(LayerCore, NoNode, "lat").Observe(1.5)
-		return r
-	}
-	var b1, b2 bytes.Buffer
-	if err := build().WriteSnapshot(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := build().WriteSnapshot(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if b1.String() != b2.String() {
-		t.Fatalf("snapshots differ:\n%s\nvs\n%s", b1.String(), b2.String())
-	}
-	snap := build().Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot has %d rows, want 4", len(snap))
-	}
-	// Radio sorts before MAC before core (layer order, bottom up).
-	if snap[0].Key.Layer != LayerRadio || snap[len(snap)-1].Key.Layer != LayerCore {
-		t.Fatalf("snapshot order wrong: %+v", snap)
 	}
 }
 
