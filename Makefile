@@ -59,9 +59,10 @@ race:
 	$(GO) test -race ./...
 
 # Brief fuzz pass over each wire-codec target, the codec-allocator
-# invariant target, the fault-plan parser, and the sink scheduler's subtree
-# grouping key (the committed corpora under */testdata/fuzz always run as
-# part of plain `go test`).
+# invariant target, the fault-plan parser, the sink scheduler's subtree
+# grouping key, and the radio's dBm→mW kernel against math.Pow (the
+# committed corpora under */testdata/fuzz always run as part of plain
+# `go test`).
 FUZZTIME ?= 5s
 fuzz:
 	@for t in FuzzDecodeCode FuzzUnmarshalExt FuzzUnmarshalControl \
@@ -72,6 +73,7 @@ fuzz:
 	done
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sink/ -run '^$$' -fuzz '^FuzzGroupKey$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/radio/ -run '^$$' -fuzz '^FuzzPow10$$' -fuzztime $(FUZZTIME)
 
 test-fuzz: fuzz
 
@@ -82,15 +84,15 @@ bench:
 # telemetry plane's disabled/traced split, the sink scheduler's
 # concurrency speedup, the sparse medium's construction/per-frame
 # scaling and duty-cycled delivery, the windowed aggregator's alloc-free
-# fold, and the CPM chain step and model build) — fast enough for CI,
-# still failing on regression.
+# fold, the CPM chain step and model build, and CTP's alloc-free parent
+# pick) — fast enough for CI, still failing on regression.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead|BenchmarkSinkSchedulerGoodput|BenchmarkCmdSvcBatching' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMediumConstruction|BenchmarkMediumScale|BenchmarkMediumDutyCycled' -benchtime=1x ./internal/radio/
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorFold' -benchmem -benchtime=1x ./internal/obs/
 	$(GO) test -run '^$$' -bench 'BenchmarkSourceNext|BenchmarkSourceReadAt|BenchmarkTrain' -benchmem -benchtime=1x ./internal/noise/
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkTimerRestart' -benchmem -benchtime=1x ./internal/sim/
-	$(GO) test -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/
+	$(GO) test -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree|TestEvaluateAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/ ./internal/ctp/
 	$(GO) test -run 'TestBenchSpeedTrajectory' .
 
 # CI-sized profile capture: a short line-scenario run proving the

@@ -356,35 +356,49 @@ func (c *CTP) handleBeacon(from radio.NodeID, b *Beacon) {
 	}
 }
 
+// candidate is a parent choice: the neighbor, its link ETX and the path
+// cost through it.
+type candidate struct {
+	id        radio.NodeID
+	etx, cost float64
+}
+
+// bestCandidate returns the cheapest usable parent, or id NoParent when
+// there is none. A cost tie goes to the lower link ETX, then to the lower
+// id: the candidate a scan of the neighbors sorted by ETX and id would
+// meet first. One pass over the estimator table, no sort, no allocation.
+func (c *CTP) bestCandidate() candidate {
+	best := candidate{id: NoParent, cost: math.Inf(1)}
+	self := c.node.ID()
+	c.est.Each(func(id radio.NodeID, etx float64) {
+		ad, ok := c.ads[id]
+		if !ok || math.IsInf(ad.pathETX, 1) {
+			return
+		}
+		if ad.parent == self {
+			return // immediate loop
+		}
+		if ad.hops >= c.cfg.MaxTHL {
+			return // advertised depth only gets there inside a loop
+		}
+		cost := etx + ad.pathETX
+		if cost >= c.cfg.MaxPathETX {
+			return // beyond the valid-route bound
+		}
+		if cost < best.cost || cost == best.cost &&
+			(etx < best.etx || etx == best.etx && id < best.id) {
+			best = candidate{id: id, etx: etx, cost: cost}
+		}
+	})
+	return best
+}
+
 // evaluate runs parent selection.
 func (c *CTP) evaluate() {
 	if c.isSink {
 		return
 	}
-	type candidate struct {
-		id   radio.NodeID
-		cost float64
-	}
-	best := candidate{id: NoParent, cost: math.Inf(1)}
-	for _, id := range c.est.Neighbors() {
-		ad, ok := c.ads[id]
-		if !ok || math.IsInf(ad.pathETX, 1) {
-			continue
-		}
-		if ad.parent == c.node.ID() {
-			continue // immediate loop
-		}
-		if ad.hops >= c.cfg.MaxTHL {
-			continue // advertised depth only gets there inside a loop
-		}
-		cost := c.est.ETX(id) + ad.pathETX
-		if cost >= c.cfg.MaxPathETX {
-			continue // beyond the valid-route bound
-		}
-		if cost < best.cost {
-			best = candidate{id: id, cost: cost}
-		}
-	}
+	best := c.bestCandidate()
 	if best.id == NoParent {
 		// No usable candidate. Our own cost must still track the current
 		// parent's advertisements — a stale self-cost is what lets

@@ -17,7 +17,7 @@ import (
 )
 
 // bareCTP builds a CTP instance on a 2-node medium without starting it.
-func bareCTP(t *testing.T, cfg Config) (*sim.Engine, *CTP) {
+func bareCTP(t testing.TB, cfg Config) (*sim.Engine, *CTP) {
 	t.Helper()
 	eng := sim.NewEngine()
 	params := radio.DefaultParams()

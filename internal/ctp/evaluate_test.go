@@ -1,0 +1,186 @@
+package ctp
+
+import (
+	"math"
+	"math/rand/v2"
+	"sort"
+	"testing"
+	"time"
+
+	"teleadjust/internal/linkest"
+	"teleadjust/internal/radio"
+)
+
+// sortedScanPick is the parent pick as it was made before bestCandidate:
+// the usable neighbors sorted by ETX then id, scanned for the first
+// strictly cheaper candidate.
+func sortedScanPick(c *CTP) (radio.NodeID, float64) {
+	var ids []radio.NodeID
+	c.est.Each(func(id radio.NodeID, _ float64) { ids = append(ids, id) })
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := c.est.ETX(ids[i]), c.est.ETX(ids[j])
+		if a != b {
+			return a < b
+		}
+		return ids[i] < ids[j]
+	})
+	best, bestCost := NoParent, math.Inf(1)
+	for _, id := range ids {
+		ad, ok := c.ads[id]
+		if !ok || math.IsInf(ad.pathETX, 1) || ad.parent == c.node.ID() || ad.hops >= c.cfg.MaxTHL {
+			continue
+		}
+		cost := c.est.ETX(id) + ad.pathETX
+		if cost >= c.cfg.MaxPathETX {
+			continue
+		}
+		if cost < bestCost {
+			best, bestCost = id, cost
+		}
+	}
+	return best, bestCost
+}
+
+// feedLink gives the estimator an entry for id of one of a few link
+// classes. Entries of one class carry bit-identical ETX values, which is
+// what forces ETX ties; class 0 stays without a usable estimate.
+func feedLink(est *linkest.Estimator, id radio.NodeID, class int) {
+	beacons, step := []int{1, 8, 2, 16, 24, 12}[class], []int{1, 1, 1, 2, 3, 1}[class]
+	for i := 1; i <= beacons; i++ {
+		est.OnBeacon(id, uint32(i*step), time.Duration(i)*time.Second)
+	}
+	if class == 5 { // outbound quality 3/5 from data outcomes
+		for i := 0; i < 5; i++ {
+			est.OnDataOutcome(id, i%2 == 0, time.Minute)
+		}
+	}
+}
+
+// tieCost returns a path cost p with etx + p == cost exactly, or ok false
+// when none lies within a few ulps of cost − etx.
+func tieCost(etx, cost float64) (p float64, ok bool) {
+	p = cost - etx
+	for i := 0; i < 4; i++ {
+		switch s := etx + p; {
+		case s == cost:
+			return p, true
+		case s < cost:
+			p = math.Nextafter(p, math.Inf(1))
+		default:
+			p = math.Nextafter(p, math.Inf(-1))
+		}
+	}
+	return 0, false
+}
+
+// TestEvaluateMatchesSortedScan checks the one-pass parent pick against
+// the sorted scan it replaced, over seeded random neighbor tables with
+// forced cost ties and ETX ties, loops, deep and unreachable
+// advertisements, and entries present on only one side.
+func TestEvaluateMatchesSortedScan(t *testing.T) {
+	cfg := DefaultConfig()
+	_, c := bareCTP(t, cfg)
+	rng := rand.New(rand.NewPCG(18, 1))
+	var byETX, byID int
+	for trial := 0; trial < 3000; trial++ {
+		c.est = linkest.New(cfg.Est)
+		c.ads = map[radio.NodeID]*neighborAd{}
+		n := 1 + rng.IntN(cfg.Est.MaxEntries)
+		for i := 0; i < n; i++ {
+			id := radio.NodeID(1 + rng.IntN(48))
+			if rng.IntN(8) > 0 {
+				feedLink(c.est, id, rng.IntN(6))
+			}
+			if rng.IntN(8) == 0 {
+				continue // no advertisement
+			}
+			ad := &neighborAd{pathETX: float64(rng.IntN(12)) / 2, parent: NoParent, hops: uint8(1 + rng.IntN(4))}
+			switch rng.IntN(16) {
+			case 0:
+				ad.pathETX = math.Inf(1)
+			case 1:
+				ad.parent = c.node.ID()
+			case 2:
+				ad.hops = cfg.MaxTHL
+			case 3:
+				ad.pathETX = cfg.MaxPathETX - 0.5
+			}
+			c.ads[id] = ad
+		}
+		// Force exact cost ties between neighbors of different ETX.
+		var usable []radio.NodeID
+		c.est.Each(func(id radio.NodeID, _ float64) {
+			if ad, ok := c.ads[id]; ok && !math.IsInf(ad.pathETX, 1) {
+				usable = append(usable, id)
+			}
+		})
+		sort.Slice(usable, func(i, j int) bool { return usable[i] < usable[j] })
+		for k := 0; k+1 < len(usable) && rng.IntN(3) > 0; k += 2 {
+			a, b := usable[k], usable[k+1]
+			if p, ok := tieCost(c.est.ETX(b), c.est.ETX(a)+c.ads[a].pathETX); ok && p >= 0 {
+				c.ads[b].pathETX = p
+			}
+		}
+
+		wantID, wantCost := sortedScanPick(c)
+		got := c.bestCandidate()
+		if got.id != wantID || got.cost != wantCost {
+			t.Fatalf("trial %d: one-pass pick %d at cost %v, sorted scan %d at cost %v",
+				trial, got.id, got.cost, wantID, wantCost)
+		}
+		// Count the usable rivals the pick beat on a cost tie.
+		if got.id == NoParent {
+			continue
+		}
+		c.est.Each(func(id radio.NodeID, etx float64) {
+			ad, ok := c.ads[id]
+			if !ok || id == got.id || etx+ad.pathETX != got.cost ||
+				ad.parent == c.node.ID() || ad.hops >= cfg.MaxTHL {
+				return
+			}
+			if etx == got.etx {
+				byID++
+			} else {
+				byETX++
+			}
+		})
+	}
+	if byETX < 100 || byID < 100 {
+		t.Fatalf("cost ties broken: %d by ETX, %d by id; want at least 100 each", byETX, byID)
+	}
+}
+
+// evaluateFixture is a node with a current parent among 24 neighbors of
+// mixed link classes and advertised costs, in the steady state where
+// evaluate keeps the parent and refreshes its cost.
+func evaluateFixture(tb testing.TB) *CTP {
+	_, c := bareCTP(tb, DefaultConfig())
+	for i := 1; i <= 24; i++ {
+		id := radio.NodeID(i)
+		feedLink(c.est, id, 1+i%5)
+		c.ads[id] = &neighborAd{pathETX: float64(i%7) + 1, parent: NoParent, hops: uint8(1 + i%4)}
+	}
+	c.evaluate()
+	if c.Parent() == NoParent {
+		tb.Fatal("fixture adopted no parent")
+	}
+	return c
+}
+
+// TestEvaluateAllocFree pins parent selection, run on every beacon heard
+// and every evaluation tick, to zero allocations.
+func TestEvaluateAllocFree(t *testing.T) {
+	c := evaluateFixture(t)
+	if allocs := testing.AllocsPerRun(200, c.evaluate); allocs != 0 {
+		t.Fatalf("evaluate allocates %v times per call, want 0", allocs)
+	}
+}
+
+func BenchmarkCTPEvaluate(b *testing.B) {
+	c := evaluateFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.evaluate()
+	}
+}

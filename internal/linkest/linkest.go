@@ -7,7 +7,6 @@ package linkest
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"teleadjust/internal/radio"
@@ -224,6 +223,11 @@ func (e *Estimator) ETX(id radio.NodeID) float64 {
 	if !ok {
 		return UnknownETX
 	}
+	return e.etxOf(en)
+}
+
+// etxOf computes ETX for a table entry.
+func (e *Estimator) etxOf(en *entry) float64 {
 	in, have := e.inQualityOf(en)
 	if !have {
 		return UnknownETX
@@ -242,23 +246,14 @@ func (e *Estimator) ETX(id radio.NodeID) float64 {
 	return etx
 }
 
-// Neighbors returns neighbor ids with a usable estimate, sorted by ETX
-// ascending.
-func (e *Estimator) Neighbors() []radio.NodeID {
-	ids := make([]radio.NodeID, 0, len(e.table))
-	for id := range e.table {
-		if e.ETX(id) != UnknownETX {
-			ids = append(ids, id)
+// Each calls fn for every neighbor with a usable estimate, with its ETX,
+// in no particular order. fn must not modify the estimator.
+func (e *Estimator) Each(fn func(id radio.NodeID, etx float64)) {
+	for id, en := range e.table {
+		if etx := e.etxOf(en); etx != UnknownETX {
+			fn(id, etx)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := e.ETX(ids[i]), e.ETX(ids[j])
-		if a != b {
-			return a < b
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
 }
 
 // Known reports whether the neighbor is in the table at all.

@@ -124,18 +124,34 @@ func TestStaleEviction(t *testing.T) {
 	}
 }
 
-func TestNeighborsSortedByETX(t *testing.T) {
+func TestEachVisitsUsableNeighborsWithETX(t *testing.T) {
 	e := New(DefaultConfig())
-	// Neighbor 1: perfect. Neighbor 2: half.
+	// Neighbor 1: perfect. Neighbor 2: half. Neighbor 3: one beacon, no
+	// estimate yet.
 	for i := uint32(1); i <= 16; i++ {
 		e.OnBeacon(1, i, time.Duration(i)*time.Second)
 	}
 	for i := uint32(2); i <= 32; i += 2 {
 		e.OnBeacon(2, i, time.Duration(i)*time.Second)
 	}
-	ns := e.Neighbors()
-	if len(ns) != 2 || ns[0] != 1 || ns[1] != 2 {
-		t.Fatalf("neighbors = %v, want [1 2]", ns)
+	e.OnBeacon(3, 1, time.Second)
+	got := map[radio.NodeID]float64{}
+	e.Each(func(id radio.NodeID, etx float64) {
+		if _, dup := got[id]; dup {
+			t.Fatalf("neighbor %d visited twice", id)
+		}
+		got[id] = etx
+	})
+	// Without data feedback ETX is 1/q² of the inbound quality q.
+	q2 := e.InQuality(2)
+	want := map[radio.NodeID]float64{1: 1, 2: 1 / (q2 * q2)}
+	if len(got) != len(want) || got[2] <= got[1] {
+		t.Fatalf("visited %v, want neighbors 1 and 2 with ETX(1) < ETX(2)", got)
+	}
+	for id, etx := range want {
+		if got[id] != etx || e.ETX(id) != etx {
+			t.Fatalf("neighbor %d: visited ETX %v, ETX() %v, want %v", id, got[id], e.ETX(id), etx)
+		}
 	}
 }
 

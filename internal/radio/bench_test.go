@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -190,3 +191,22 @@ func BenchmarkMediumDutyCycled(b *testing.B) {
 		d.run(b)
 	}
 }
+
+// BenchmarkDBmToMW measures one dBm→mW conversion over received powers
+// spread across the medium's range.
+func BenchmarkDBmToMW(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	dbm := make([]float64, 1024)
+	for i := range dbm {
+		dbm[i] = -110 + 110*rng.Float64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum += dbmToMW(dbm[i&1023])
+	}
+	benchSink = sum
+}
+
+var benchSink float64

@@ -185,8 +185,8 @@ func PowerLevelDBm(level int) float64 {
 	return 0
 }
 
-// dbmToMW converts dBm to milliwatts.
-func dbmToMW(dbm float64) float64 { return math.Pow(10, dbm/10) }
+// dbmToMW converts dBm to milliwatts: math.Pow(10, dbm/10), bit for bit.
+func dbmToMW(dbm float64) float64 { return pow10(dbm / 10) }
 
 // mwToDBm converts milliwatts to dBm.
 func mwToDBm(mw float64) float64 {

@@ -51,7 +51,7 @@ type Radio struct {
 	// noiseDBm and noiseMW memoise the last noise-floor conversion (NaN
 	// until the first read, so it always converts): a CPM source changes
 	// once per 1 ms sample and the quiet floor never, so most reads skip
-	// math.Pow.
+	// the dBm→mW conversion.
 	noiseDBm, noiseMW float64
 
 	state State
