@@ -51,13 +51,41 @@ func TestBroadcastAllocFree(t *testing.T) {
 // TestDutyCycledAllocFree extends the alloc contract to the duty-cycled
 // field of BenchmarkMediumDutyCycled: with most receivers asleep or
 // transmitting and four frames overlapping, a step must not allocate
-// once every sender rotation has warmed the air slices and pools.
+// once every sender rotation has warmed the air slices and pools. Each
+// step also churns radios while its frames are on the air: a few
+// sleepers wake, rebuilding their air sets from the frames in flight,
+// and as many listeners sleep; both return to their duty state once the
+// frames have left the air.
 func TestDutyCycledAllocFree(t *testing.T) {
 	d := newDutyCycledField(t)
-	for i := 0; i < d.m.NumNodes(); i++ {
+	n := d.m.NumNodes()
+	const churned = 6
+	rebuilt := 0 // air entries woken radios found on the air
+	flip := func(restore bool) {
+		for k := 0; k < churned; k++ {
+			i := (d.step*7 + k*17) % n
+			if r := d.m.Radio(NodeID(i)); !r.Transmitting() {
+				r.SetOn(listensDutyCycled(i) == restore)
+				if !restore && r.On() {
+					rebuilt += len(r.air)
+				}
+			}
+		}
+	}
+	midAir := func() { flip(false) }
+	afterAir := func() { flip(true) }
+	step := func() {
+		d.eng.Schedule(d.m.Params().Airtime(d.frame.Size)/2, midAir)
+		d.eng.Schedule(5*time.Millisecond, afterAir)
 		d.run(t)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { d.run(t) }); allocs != 0 {
+	for i := 0; i < n; i++ {
+		step()
+	}
+	if rebuilt == 0 {
+		t.Fatal("no radio woke to frames on the air")
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("duty-cycled step allocates %v, want 0", allocs)
 	}
 }

@@ -39,3 +39,7 @@ func (m *Medium) storedLinks(id NodeID) (dsts []NodeID, gains []float64) {
 	}
 	return dsts, gains
 }
+
+// NextJitterDraw takes the next value of the medium's jitter stream, so
+// tests outside the package can check two runs left it at the same draw.
+func (m *Medium) NextJitterDraw() float64 { return m.jitterRNG.Float64() }

@@ -77,6 +77,23 @@ type Medium struct {
 	// it used to cost a transmission plus a per-transmission closure.
 	freeTx   []*transmission
 	endAirFn func(any)
+	// rowCap is the widest CSR row, the length of every pooled
+	// transmission's rxDBm buffer.
+	rowCap int
+
+	// awake mirrors each radio's powered state, dense by node id (set by
+	// SetOn and ForceOff). A frame's fan-out reads it to skip sleeping
+	// receivers without touching their Radio: under LPL most radios in
+	// range of a frame are asleep.
+	awake []bool
+	// inFlight holds the transmissions on the air in id order, which is
+	// the order they started in. A radio that wakes rebuilds its air set
+	// from it.
+	inFlight []*transmission
+
+	// ccaGate and captureGate are CCAThresholdDBm and CaptureThresholdDB
+	// as dbGates: CCA and the capture gate compare in linear units.
+	ccaGate, captureGate dbGate
 }
 
 // NewMedium builds a medium over the deployment. Each node gets an
@@ -98,9 +115,12 @@ func newMedium(eng *sim.Engine, dep *topology.Deployment, model *noise.Model, pa
 		return nil, fmt.Errorf("radio: %d nodes exceed address space", n)
 	}
 	m := &Medium{
-		eng:       eng,
-		params:    params,
-		jitterRNG: sim.DeriveRNG(seed, 0xf457),
+		eng:         eng,
+		params:      params,
+		jitterRNG:   sim.DeriveRNG(seed, 0xf457),
+		awake:       make([]bool, n),
+		ccaGate:     newDBGate(params.CCAThresholdDBm),
+		captureGate: newDBGate(params.CaptureThresholdDB),
 	}
 	m.endAirFn = m.endOfAir
 	switch params.GainModel {
@@ -112,6 +132,9 @@ func newMedium(eng *sim.Engine, dep *topology.Deployment, model *noise.Model, pa
 		return nil, fmt.Errorf("radio: unknown gain model %d", params.GainModel)
 	}
 	m.markNeighbors()
+	for i := 0; i < n; i++ {
+		m.rowCap = max(m.rowCap, int(m.linkStart[i+1]-m.linkStart[i]))
+	}
 	m.radios = make([]*Radio, n)
 	for i := 0; i < n; i++ {
 		r := &Radio{
@@ -424,18 +447,29 @@ func (m *Medium) ExpectedPRR(from, to NodeID, txPowerDBm float64, sizeBytes int)
 // ExpectedPRR view (the live simulation samples CPM noise instead).
 const quietFloorDBm = -98.0
 
-// noiseAt returns total non-802.15.4 noise power (mW) at radio r.
-func (m *Medium) noiseAt(r *Radio, t time.Duration) float64 {
-	var dbm float64 = quietFloorDBm
+// readNoise reads r's CPM source (the quiet floor without one) and the
+// WiFi interferer at t. Both are stateful — a read advances them — so
+// every adjudication reads them, also one that needs no noise power.
+func (m *Medium) readNoise(r *Radio, t time.Duration) (dbm float64, wifiOn bool) {
+	dbm = quietFloorDBm
 	if r.noise != nil {
 		dbm = r.noise.ReadAt(t)
 	}
+	if m.interferer != nil {
+		wifiOn = m.interferer.On(t)
+	}
+	return dbm, wifiOn
+}
+
+// noiseAt returns total non-802.15.4 noise power (mW) at radio r.
+func (m *Medium) noiseAt(r *Radio, t time.Duration) float64 {
+	dbm, wifiOn := m.readNoise(r, t)
 	if dbm != r.noiseDBm {
 		r.noiseDBm, r.noiseMW = dbm, dbmToMW(dbm)
 	}
 	total := r.noiseMW
 	if m.interferer != nil {
-		if m.interferer.On(t) {
+		if wifiOn {
 			total += m.wifiOnMW
 		} else {
 			total += m.wifiOffMW
@@ -457,10 +491,18 @@ type transmission struct {
 	// rowStart/rowEnd cache the sender's CSR link row so end-of-air
 	// revisits exactly the notified set without re-deriving it.
 	rowStart, rowEnd int32
+	// rxDBm[k-rowStart] is the power received over notified link k,
+	// jitter included, awake receiver or not: a radio that wakes while
+	// the frame is on the air reads its entry from here. The buffer is
+	// per transmission, not per link — after a ForceOff a node can put a
+	// second frame on the air before its first one ends — and sized once
+	// to Medium.rowCap, so it survives pooling.
+	rxDBm []float64
 }
 
-// startTransmission is called by Radio.Transmit. It notifies every radio in
-// range: awake listeners lock on; everyone else records interference.
+// startTransmission is called by Radio.Transmit. It draws the received
+// power over every notified link and hands it to the receivers that are
+// awake: listeners lock on, the rest record interference.
 func (m *Medium) startTransmission(src *Radio, f *Frame, powerDBm float64) *transmission {
 	m.seq++
 	var tx *transmission
@@ -469,7 +511,7 @@ func (m *Medium) startTransmission(src *Radio, f *Frame, powerDBm float64) *tran
 		m.freeTx[n-1] = nil
 		m.freeTx = m.freeTx[:n-1]
 	} else {
-		tx = new(transmission)
+		tx = &transmission{rxDBm: make([]float64, m.rowCap)}
 	}
 	airtime := m.params.Airtime(f.Size)
 	*tx = transmission{
@@ -481,6 +523,7 @@ func (m *Medium) startTransmission(src *Radio, f *Frame, powerDBm float64) *tran
 		end:      m.eng.Now() + airtime,
 		rowStart: m.linkStart[src.id],
 		rowEnd:   m.linkStart[src.id+1],
+		rxDBm:    tx.rxDBm,
 	}
 	m.trace(TraceEvent{Kind: TraceTxStart, Node: src.id, Frame: f})
 	now := m.eng.Now()
@@ -488,30 +531,57 @@ func (m *Medium) startTransmission(src *Radio, f *Frame, powerDBm float64) *tran
 		if !m.linkNbr[k] {
 			continue
 		}
-		r := m.radios[m.linkDst[k]]
+		// The jitter is drawn for every notified link, in link order,
+		// so the jitter stream does not depend on who is awake.
 		rxPower := powerDBm + m.gainAtLink(int(k), now)
 		if m.params.TxJitterSigmaDB > 0 {
 			rxPower += m.jitterRNG.NormFloat64() * m.params.TxJitterSigmaDB
 		}
-		r.onAirStart(tx, rxPower)
+		tx.rxDBm[k-tx.rowStart] = rxPower
+		if dst := m.linkDst[k]; m.awake[dst] {
+			m.radios[dst].onAirStart(tx, rxPower)
+		}
 	}
+	m.inFlight = append(m.inFlight, tx)
 	m.eng.ScheduleArg(airtime, m.endAirFn, tx)
 	return tx
 }
 
-// endOfAir takes one transmission off the air: every notified radio gets
-// onAirEnd (adjudicating reception), the sender gets txDone, and the
-// record returns to the pool. Pre-bound as m.endAirFn so scheduling it
-// never allocates a closure.
+// endOfAir takes one transmission off the air: every awake notified radio
+// gets onAirEnd (adjudicating reception), the sender gets txDone, and the
+// record returns to the pool. The record leaves the in-flight list first,
+// so a radio woken by a handler inside the loop finds the frame gone, as
+// it has left every air set the loop has passed. Pre-bound as m.endAirFn
+// so scheduling it never allocates a closure.
 func (m *Medium) endOfAir(a any) {
 	tx := a.(*transmission)
+	i := slices.Index(m.inFlight, tx)
+	m.inFlight = slices.Delete(m.inFlight, i, i+1)
 	for k := tx.rowStart; k < tx.rowEnd; k++ {
-		if !m.linkNbr[k] {
-			continue
+		if dst := m.linkDst[k]; m.linkNbr[k] && m.awake[dst] {
+			m.radios[dst].onAirEnd(tx)
 		}
-		m.radios[m.linkDst[k]].onAirEnd(tx)
 	}
 	tx.srcRadio.txDone(tx)
 	tx.frame, tx.srcRadio = nil, nil
 	m.freeTx = append(m.freeTx, tx)
+}
+
+// wake marks r awake and fills its (empty) air set with the frames on the
+// air that notify it, in arrival order, exactly as if it had recorded
+// every arrival while asleep; powers convert on first read.
+func (m *Medium) wake(r *Radio) {
+	m.awake[r.id] = true
+	for _, tx := range m.inFlight {
+		if k := m.linkIndex(tx.src, r.id); k >= 0 && m.linkNbr[k] {
+			r.air = append(r.air, airEntry{txID: tx.id, rxDBm: tx.rxDBm[k-int(tx.rowStart)], mW: -1})
+		}
+	}
+}
+
+// sleep marks r asleep and empties its air set: a sleeping radio is not
+// notified of frames, and wake rebuilds the set.
+func (m *Medium) sleep(r *Radio) {
+	m.awake[r.id] = false
+	r.air = r.air[:0]
 }

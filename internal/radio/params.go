@@ -196,6 +196,59 @@ func mwToDBm(mw float64) float64 {
 	return 10 * math.Log10(mw)
 }
 
+// gateBand is the relative half-width of the band around a dbGate's
+// threshold inside which the gate takes the logarithm. dbmToMW and
+// mwToDBm each round to within a few 1e-16 relative, so outside the band
+// the linear compare and the logarithmic one cannot disagree.
+const gateBand = 1e-9
+
+// dbGate compares a linear power (or power ratio) against a threshold
+// given in dB, returning what comparing mwToDBm of the value would, bit
+// for bit, without the logarithm for values outside gateBand of the
+// threshold. CCA and the capture gate run every compare through one.
+type dbGate struct {
+	db float64
+	// lo and hi bound the band in linear units: a positive value below lo
+	// is surely under db, a value above hi surely over. Thresholds whose
+	// linear value is not a normal float get lo = 0 and hi = +Inf, so
+	// every compare takes the logarithm.
+	lo, hi float64
+}
+
+func newDBGate(db float64) dbGate {
+	lin := dbmToMW(db)
+	if !(lin >= 0x1p-1022 && lin <= 0x1p1000) {
+		return dbGate{db: db, hi: math.Inf(1)}
+	}
+	return dbGate{db: db, lo: lin * (1 - gateBand), hi: lin * (1 + gateBand)}
+}
+
+// surelyBelow reports that x is below the threshold without the
+// logarithm; false means below must decide.
+func (g dbGate) surelyBelow(x float64) bool { return x > 0 && x < g.lo }
+
+// below reports mwToDBm(x) < g.db.
+func (g dbGate) below(x float64) bool {
+	if g.surelyBelow(x) {
+		return true
+	}
+	if x > g.hi {
+		return false
+	}
+	return mwToDBm(x) < g.db
+}
+
+// above reports mwToDBm(x) > g.db.
+func (g dbGate) above(x float64) bool {
+	if x > g.hi {
+		return true
+	}
+	if g.surelyBelow(x) {
+		return false
+	}
+	return mwToDBm(x) > g.db
+}
+
 // prrSaturatedSNR is the linear SNR (7.8 dB) at and above which the PRR
 // curve is exactly 1 for any frame length: every bit-error term is then
 // at most C(16,8)·e⁻⁶⁰ ≈ 1e-22, far below half an ulp of 1, so 1−Pb
@@ -243,11 +296,12 @@ func prrCurve(snrLinear float64, frameBytes int) float64 {
 // frameBytes (MAC size) received at signalMW against the worst
 // interference seen while it was on the air plus the noise at its end,
 // and the SINR it was judged at. The capture gate against co-channel
-// 802.15.4 frames is checked first: a frame it rejects has PRR 0 whatever
-// the curve says, so the curve is never evaluated for it.
-func (p Params) rxPRR(signalMW, maxInterfMW, noiseMW float64, frameBytes int) (prr, snr float64) {
+// 802.15.4 frames (capture, p.CaptureThresholdDB as a dbGate) is checked
+// first: a frame it rejects has PRR 0 whatever the curve says, so the
+// curve is never evaluated for it.
+func (p Params) rxPRR(capture dbGate, signalMW, maxInterfMW, noiseMW float64, frameBytes int) (prr, snr float64) {
 	snr = signalMW / (noiseMW + maxInterfMW)
-	if maxInterfMW > 0 && mwToDBm(signalMW/maxInterfMW) < p.CaptureThresholdDB {
+	if maxInterfMW > 0 && capture.below(signalMW/maxInterfMW) {
 		return 0, snr
 	}
 	return prrFromSNR(snr, frameBytes+p.PhyOverheadBytes), snr

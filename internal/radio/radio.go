@@ -2,6 +2,7 @@ package radio
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
 	"time"
 )
@@ -56,9 +57,11 @@ type Radio struct {
 
 	state State
 	// air holds every in-flight transmission audible at this node, in
-	// arrival order. Maintained even while off so CCA is correct right
-	// after waking. Power sums iterate it in that fixed order, so they
-	// are reproducible to the last bit.
+	// arrival order, while the radio is on. It is empty while off: the
+	// medium notifies only awake radios and rebuilds the set from the
+	// frames in flight when the radio wakes (Medium.wake), so CCA is
+	// correct right after waking. Power sums iterate it in arrival order,
+	// so they are reproducible to the last bit.
 	air []airEntry
 
 	// rx is the in-progress reception context, valid only while rxActive
@@ -83,9 +86,9 @@ type noiseSource interface {
 
 // airEntry is one in-flight transmission audible at a radio. The linear
 // power mW is converted from rxDBm on first read only (negative until
-// then): a radio that is off or transmitting when a frame arrives — most
-// receivers under LPL duty cycling — records it and never pays for the
-// dBm→mW conversion.
+// then): a radio that is transmitting when a frame arrives, or that
+// wakes to find it on the air, or whose reception is already lost,
+// records it and pays for the dBm→mW conversion only if CCA reads it.
 type airEntry struct {
 	txID  uint64
 	rxDBm float64
@@ -104,7 +107,28 @@ type rxContext struct {
 	tx          *transmission
 	signalMW    float64
 	maxInterfMW float64
+	// interfMW is the interference sum of the last arrival, the left fold
+	// of the air set in arrival order without the locked frame. The next
+	// arrival adds its own power to it, which is that fold taken afresh,
+	// bit for bit. Negative once an entry has left the air set: the next
+	// arrival then folds the whole set afresh.
+	interfMW float64
+	// outshoneDBm is the locked frame's power minus the capture threshold
+	// plus outshoneMarginDB (+Inf under a trace hook): an interferer
+	// received above it loses the frame.
+	outshoneDBm float64
+	// lost marks a reception the capture gate must reject whatever else
+	// arrives (set by onAirStart, interfere and raiseInterference); the
+	// receive path stops converting powers for it.
+	lost bool
 }
+
+// outshoneMarginDB is the slack of the outshone test. A floating-point
+// sum of positive powers is never below any one of them, so an
+// interferer more than the capture threshold above the signal fails the
+// gate whatever else is on the air; the dB/mW conversions round to about
+// 1e-14 dB, far inside the margin.
+const outshoneMarginDB = 1e-6
 
 // ID returns the node id this radio belongs to.
 func (r *Radio) ID() NodeID { return r.id }
@@ -135,6 +159,7 @@ func (r *Radio) SetOn(on bool) {
 	case on && r.State() == StateOff:
 		r.state = StateListening
 		r.onSince = now
+		r.medium.wake(r)
 	case !on && r.State() != StateOff:
 		if r.state == StateTransmitting {
 			panic("radio: SetOn(false) during transmission")
@@ -142,6 +167,7 @@ func (r *Radio) SetOn(on bool) {
 		r.dropRx()
 		r.state = StateOff
 		r.onTime += now - r.onSince
+		r.medium.sleep(r)
 	}
 }
 
@@ -156,6 +182,7 @@ func (r *Radio) ForceOff() {
 	r.curTx = nil
 	r.onTime += r.medium.eng.Now() - r.onSince
 	r.state = StateOff
+	r.medium.sleep(r)
 }
 
 // OnTime returns cumulative powered time (the duty-cycle numerator).
@@ -176,7 +203,7 @@ func (r *Radio) CCABusy() bool {
 	if r.State() == StateOff {
 		return false
 	}
-	return mwToDBm(r.channelMW()) > r.medium.params.CCAThresholdDBm
+	return r.medium.ccaGate.above(r.channelMW())
 }
 
 // channelMW is the total power at the antenna that CCA thresholds: the
@@ -215,32 +242,78 @@ func (r *Radio) Transmit(f *Frame, powerDBm float64) error {
 // dropRx abandons any reception in progress. Clearing the transmission
 // pointer matters: transmission records are pooled by the medium, and an
 // abandoned context must not pin (or later falsely match) a recycled one.
+// The other fields are read only while rxActive is set, and locking onto
+// the next frame rewrites them all.
 func (r *Radio) dropRx() {
 	r.rxActive = false
-	r.rx = rxContext{}
+	r.rx.tx = nil
 }
 
 // Transmitting reports whether a transmission is in flight.
 func (r *Radio) Transmitting() bool { return r.State() == StateTransmitting }
 
-// onAirStart is called by the medium when a transmission begins in range.
+// onAirStart is called by the medium when a transmission begins in range
+// of this radio while it is on.
 func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 	r.air = append(r.air, airEntry{txID: tx.id, rxDBm: rxPowerDBm, mW: -1})
 	switch r.State() {
 	case StateListening:
-		if rxPowerDBm >= r.medium.params.SensitivityDBm {
-			// Lock onto this frame; everything else on the air interferes.
-			r.rx = rxContext{tx: tx, signalMW: r.air[len(r.air)-1].powerMW()}
-			r.rx.maxInterfMW = r.interferenceMW(tx.id)
-			r.rxActive = true
-			r.state = StateReceiving
+		if rxPowerDBm < r.medium.params.SensitivityDBm {
+			return
 		}
-	case StateReceiving:
-		if r.rxActive {
-			if i := r.interferenceMW(r.rx.tx.id); i > r.rx.maxInterfMW {
-				r.rx.maxInterfMW = i
+		// Lock onto this frame; everything else on the air interferes.
+		last := len(r.air) - 1
+		r.rx = rxContext{tx: tx, signalMW: r.air[last].powerMW(), outshoneDBm: math.Inf(1)}
+		r.rxActive = true
+		r.state = StateReceiving
+		if r.medium.traceFn == nil {
+			r.rx.outshoneDBm = rxPowerDBm - r.medium.params.CaptureThresholdDB + outshoneMarginDB
+		}
+		var sum float64
+		for i := range r.air[:last] {
+			if r.air[i].rxDBm > r.rx.outshoneDBm {
+				r.rx.lost = true
+				return
 			}
+			sum += r.air[i].powerMW()
 		}
+		r.rx.interfMW = sum
+		r.raiseInterference(sum)
+	case StateReceiving:
+		if r.rxActive && !r.rx.lost {
+			r.interfere(rxPowerDBm)
+		}
+	}
+}
+
+// interfere accounts a frame that arrived, as the newest entry of the air
+// set, during a reception that is not yet lost.
+func (r *Radio) interfere(rxPowerDBm float64) {
+	if rxPowerDBm > r.rx.outshoneDBm {
+		r.rx.lost = true
+		return
+	}
+	if r.rx.interfMW >= 0 {
+		r.rx.interfMW += r.air[len(r.air)-1].powerMW()
+	} else {
+		r.rx.interfMW = r.interferenceMW(r.rx.tx.id)
+	}
+	r.raiseInterference(r.rx.interfMW)
+}
+
+// raiseInterference records an exact interference sum. Once the signal
+// is below the capture threshold by more than the gate's band against
+// it, the reception is lost: the worst interference only grows, and
+// division is monotone, so the end-of-air gate must reject the frame.
+// Under a trace hook the frame is judged at the end instead, so the
+// traced SINR is exact.
+func (r *Radio) raiseInterference(i float64) {
+	if i <= r.rx.maxInterfMW {
+		return
+	}
+	r.rx.maxInterfMW = i
+	if r.medium.traceFn == nil && r.medium.captureGate.surelyBelow(r.rx.signalMW/i) {
+		r.rx.lost = true
 	}
 }
 
@@ -255,7 +328,8 @@ func (r *Radio) interferenceMW(exclude uint64) float64 {
 	return sum
 }
 
-// removeAir drops a transmission from the air set, keeping arrival order.
+// removeAir drops a transmission from the air set, keeping arrival order;
+// a kept interference sum no longer holds once an entry has gone.
 func (r *Radio) removeAir(id uint64) {
 	air := r.air
 	for i := range air {
@@ -266,22 +340,30 @@ func (r *Radio) removeAir(id uint64) {
 				air[i] = air[i+1]
 			}
 			r.air = air[:len(air)-1]
+			r.rx.interfMW = -1
 			return
 		}
 	}
 }
 
-// onAirEnd is called by the medium when a transmission leaves the air.
+// onAirEnd is called by the medium when a transmission leaves the air
+// while this radio is on.
 func (r *Radio) onAirEnd(tx *transmission) {
 	r.removeAir(tx.id)
 	if r.State() != StateReceiving || !r.rxActive || r.rx.tx != tx {
 		return
 	}
-	ctx := r.rx
+	m := r.medium
+	var prr, snr float64
+	if r.rx.lost {
+		// PRR 0 whatever the noise: read the noise only to advance it.
+		m.readNoise(r, m.eng.Now())
+	} else {
+		nowNoise := m.noiseAt(r, m.eng.Now())
+		prr, snr = m.params.rxPRR(m.captureGate, r.rx.signalMW, r.rx.maxInterfMW, nowNoise, tx.frame.Size)
+	}
 	r.dropRx()
 	r.state = StateListening
-	nowNoise := r.medium.noiseAt(r, r.medium.eng.Now())
-	prr, snr := r.medium.params.rxPRR(ctx.signalMW, ctx.maxInterfMW, nowNoise, tx.frame.Size)
 	// The draw is unconditional — even a frame the capture gate already
 	// rejected consumes it — so each adjudication advances the radio's
 	// RNG stream by exactly one value.

@@ -94,7 +94,7 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 			interf = dbmToMW(-110 + 60*rng.Float64())
 		}
 		size := rng.IntN(maxTestFrameBytes + 1)
-		gotPRR, gotSNR := p.rxPRR(signal, interf, noise, size)
+		gotPRR, gotSNR := p.rxPRR(newDBGate(p.CaptureThresholdDB), signal, interf, noise, size)
 		wantPRR, wantSNR := curveFirstPRR(p, signal, interf, noise, size)
 		if math.Float64bits(gotPRR) != math.Float64bits(wantPRR) || math.Float64bits(gotSNR) != math.Float64bits(wantSNR) {
 			t.Fatalf("signal=%g interf=%g noise=%g size=%d: got (%v, %v), oracle (%v, %v)",
@@ -109,6 +109,148 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 	}
 	if gated < 1000 || saturated < 1000 {
 		t.Fatalf("sweep too narrow: %d gated, %d saturated triples", gated, saturated)
+	}
+
+	// The receive path's early decisions. A bare radio locks onto a signal
+	// over a random air set and then sees arrivals and departures; the
+	// reference folds the air set afresh at every arrival. Whenever the
+	// radio has settled the frame as lost — an interferer outshines it in
+	// dB, or an exact sum puts it below the capture gate's band — the
+	// oracle on the reference's worst sum must return PRR 0. Otherwise the
+	// radio's kept sums must reproduce the reference's worst sum bit for
+	// bit. Either way the pair runs through the triple comparison above.
+	m, err := NewMedium(sim.NewEngine(), topology.Line(2, 5), nil, p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := m.Radio(0)
+	capture := newDBGate(p.CaptureThresholdDB)
+	var outshone, sunk, kept int
+	for trial := 0; trial < 100000; trial++ {
+		r.SetOn(false)
+		r.SetOn(true)
+		signal := -95 + 50*rng.Float64()
+		interferer := func() float64 {
+			offset := 0.0
+			switch rng.IntN(4) {
+			case 0: // at the outshone margin or the capture gate's band
+				offset = (rng.Float64() - 0.5) * []float64{4e-6, 2e-8}[rng.IntN(2)]
+			case 1:
+				offset = -3 + 4*rng.Float64()
+			case 2:
+				offset = -15 + 12*rng.Float64()
+			default:
+				offset = -40 + 25*rng.Float64()
+			}
+			return signal - p.CaptureThresholdDB + offset
+		}
+		var ref []airEntry
+		var id uint64
+		lockID := uint64(1 + rng.IntN(3))
+		for id+1 < lockID {
+			id++
+			ref = append(ref, airEntry{txID: id, rxDBm: interferer()})
+			r.air = append(r.air, airEntry{txID: id, rxDBm: ref[len(ref)-1].rxDBm, mW: -1})
+		}
+		id++
+		ref = append(ref, airEntry{txID: id, rxDBm: signal})
+		r.onAirStart(&transmission{id: id}, signal)
+		interference := func() float64 {
+			var sum float64
+			for _, e := range ref {
+				if e.txID != lockID {
+					sum += dbmToMW(e.rxDBm)
+				}
+			}
+			return sum
+		}
+		refMax, anyOutshone := interference(), false
+		for ops := rng.IntN(7); ops > 0; ops-- {
+			if k := rng.IntN(len(ref)); rng.IntN(10) < 3 && ref[k].txID != lockID {
+				r.removeAir(ref[k].txID)
+				ref = append(ref[:k], ref[k+1:]...)
+				continue
+			}
+			id++
+			dbm := interferer()
+			ref = append(ref, airEntry{txID: id, rxDBm: dbm})
+			r.onAirStart(&transmission{id: id}, dbm)
+			refMax = max(refMax, interference())
+		}
+		for _, e := range ref {
+			anyOutshone = anyOutshone || (e.txID != lockID && signal-p.CaptureThresholdDB+outshoneMarginDB < e.rxDBm)
+		}
+		if r.rx.tx == nil || r.rx.tx.id != lockID {
+			t.Fatalf("trial %d: radio did not lock onto frame %d", trial, lockID)
+		}
+		signalMW := dbmToMW(signal)
+		noise := dbmToMW(-105 + 25*rng.Float64())
+		size := rng.IntN(maxTestFrameBytes + 1)
+		wantPRR, wantSNR := curveFirstPRR(p, signalMW, refMax, noise, size)
+		switch {
+		case r.rx.lost:
+			if wantPRR != 0 {
+				t.Fatalf("trial %d: reception settled as lost, oracle PRR %v (signal %v dBm, air %v)", trial, wantPRR, signal, ref)
+			}
+			if anyOutshone {
+				outshone++
+			} else {
+				sunk++
+			}
+		case math.Float64bits(r.rx.maxInterfMW) != math.Float64bits(refMax):
+			t.Fatalf("trial %d: kept worst interference %v, fresh folds %v", trial, r.rx.maxInterfMW, refMax)
+		default:
+			kept++
+		}
+		if anyOutshone && !r.rx.lost {
+			t.Fatalf("trial %d: an outshining interferer did not settle the reception", trial)
+		}
+		gotPRR, gotSNR := p.rxPRR(capture, signalMW, refMax, noise, size)
+		if math.Float64bits(gotPRR) != math.Float64bits(wantPRR) || math.Float64bits(gotSNR) != math.Float64bits(wantSNR) {
+			t.Fatalf("trial %d: got (%v, %v), oracle (%v, %v)", trial, gotPRR, gotSNR, wantPRR, wantSNR)
+		}
+	}
+	t.Logf("%d outshone, %d lost on a sum, %d kept", outshone, sunk, kept)
+	if outshone < 1000 || sunk < 1000 || kept < 1000 {
+		t.Fatalf("air sets too narrow: %d outshone, %d lost on a sum, %d kept to the end", outshone, sunk, kept)
+	}
+}
+
+// TestDBGateMatchesLog pins the log-free threshold compares: for the CCA
+// and capture thresholds, dbGate.below and above must return what
+// comparing mwToDBm returns on 10^7 seeded values within ±1e-6 dB of the
+// thresholds, on the 64 float neighbours either side of each threshold
+// in mW and of each band edge, on values inside the band, and on the
+// non-positive and non-finite inputs.
+func TestDBGateMatchesLog(t *testing.T) {
+	p := DefaultParams()
+	rng := rand.New(rand.NewPCG(5, 6))
+	for _, thr := range []float64{p.CCAThresholdDBm, p.CaptureThresholdDB} {
+		g := newDBGate(thr)
+		check := func(x float64) {
+			db := mwToDBm(x)
+			if g.below(x) != (db < thr) || g.above(x) != (db > thr) {
+				t.Fatalf("threshold %v dB, x=%v (%v dB): below %v above %v", thr, x, db, g.below(x), g.above(x))
+			}
+		}
+		for i := 0; i < 5_000_000; i++ {
+			check(dbmToMW(thr + (2*rng.Float64()-1)*1e-6))
+		}
+		lin := dbmToMW(thr)
+		for _, c := range []float64{lin, g.lo, g.hi} {
+			up, down := c, c
+			for k := 0; k < 64; k++ {
+				check(up)
+				check(down)
+				up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+			}
+		}
+		for i := 0; i < 100000; i++ {
+			check(lin * (1 + (2*rng.Float64()-1)*2*gateBand))
+		}
+		for _, x := range []float64{0, math.Copysign(0, -1), -lin, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+			check(x)
+		}
 	}
 }
 
