@@ -60,7 +60,8 @@ race:
 
 # Brief fuzz pass over each wire-codec target, the codec-allocator
 # invariant target, the fault-plan parser, the sink scheduler's subtree
-# grouping key, and the radio's dBm→mW kernel against math.Pow (the
+# grouping key, the radio's dBm→mW kernel against math.Pow, and the
+# radio's draw-first reception decision against the PRR curve (the
 # committed corpora under */testdata/fuzz always run as part of plain
 # `go test`).
 FUZZTIME ?= 5s
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sink/ -run '^$$' -fuzz '^FuzzGroupKey$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/radio/ -run '^$$' -fuzz '^FuzzPow10$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/radio/ -run '^$$' -fuzz '^FuzzRxDecide$$' -fuzztime $(FUZZTIME)
 
 test-fuzz: fuzz
 

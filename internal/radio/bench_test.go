@@ -209,4 +209,32 @@ func BenchmarkDBmToMW(b *testing.B) {
 	benchSink = sum
 }
 
+// BenchmarkRxDecide measures one draw-first reception decision over a
+// fixed seeded batch of gray-zone frames: SNRs whose PRR lies between
+// 0.01 and 0.99 for the frame's length, each with a uniform draw.
+func BenchmarkRxDecide(b *testing.B) {
+	type decision struct {
+		u, snr     float64
+		frameBytes int
+	}
+	rng := rand.New(rand.NewPCG(7, 20))
+	batch := make([]decision, 0, 1024)
+	for len(batch) < cap(batch) {
+		d := decision{u: rng.Float64(), snr: 3 * rng.Float64(), frameBytes: 20 + rng.IntN(108)}
+		if prr := prrFromSNR(d.snr, d.frameBytes); prr > 0.01 && prr < 0.99 {
+			batch = append(batch, d)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		d := &batch[i&1023]
+		if received(d.u, d.snr, d.frameBytes) {
+			n++
+		}
+	}
+	benchSink = float64(n)
+}
+
 var benchSink float64

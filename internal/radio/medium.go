@@ -62,8 +62,10 @@ type Medium struct {
 	// injection: probabilistic loss/corruption windows).
 	dropFn func(rx NodeID, f *Frame) bool
 
-	// wifiOnMW and wifiOffMW are the interferer's two power levels in mW,
-	// converted once when it is installed.
+	// wifiOnDBm is the interferer's burst level, and wifiOnMW and
+	// wifiOffMW are its two power levels in mW, converted once when it is
+	// installed.
+	wifiOnDBm           float64
 	wifiOnMW, wifiOffMW float64
 
 	interferer *noise.WifiInterferer
@@ -319,6 +321,7 @@ func (m *Medium) linkIndex(from, to NodeID) int {
 func (m *Medium) SetInterferer(w *noise.WifiInterferer) {
 	m.interferer = w
 	if w != nil {
+		m.wifiOnDBm = w.PowerDBm
 		m.wifiOnMW, m.wifiOffMW = dbmToMW(w.PowerDBm), dbmToMW(noise.WifiOffDBm)
 	}
 }
@@ -464,6 +467,19 @@ func (m *Medium) readNoise(r *Radio, t time.Duration) (dbm float64, wifiOn bool)
 // noiseAt returns total non-802.15.4 noise power (mW) at radio r.
 func (m *Medium) noiseAt(r *Radio, t time.Duration) float64 {
 	dbm, wifiOn := m.readNoise(r, t)
+	return m.noiseMW(r, dbm, wifiOn)
+}
+
+// wifiDBm returns the interferer's level in dBm, on or off.
+func (m *Medium) wifiDBm(on bool) float64 {
+	if on {
+		return m.wifiOnDBm
+	}
+	return noise.WifiOffDBm
+}
+
+// noiseMW converts a noise reading of r (readNoise's results) to mW.
+func (m *Medium) noiseMW(r *Radio, dbm float64, wifiOn bool) float64 {
 	if dbm != r.noiseDBm {
 		r.noiseDBm, r.noiseMW = dbm, dbmToMW(dbm)
 	}

@@ -249,13 +249,13 @@ func (g dbGate) above(x float64) bool {
 	return mwToDBm(x) > g.db
 }
 
-// prrSaturatedSNR is the linear SNR (7.8 dB) at and above which the PRR
-// curve is exactly 1 for any frame length: every bit-error term is then
-// at most C(16,8)·e⁻⁶⁰ ≈ 1e-22, far below half an ulp of 1, so 1−Pb
-// rounds to 1.0 and so does its power. prrFromSNR returns 1 there without
-// evaluating the sum — the same value, bit for bit (the curve already
-// rounds to exactly 1 above SNR ≈ 3.88).
-const prrSaturatedSNR = 6.0
+// prrSaturatedSNR is the linear SNR (6.02 dB) at and above which the PRR
+// curve is exactly 1 for any frame length: the largest bit-error term is
+// then C(16,2)·e⁻⁴⁰/30 ≈ 1.7e-17, below 2⁻⁵⁴, so 1−Pb rounds to 1.0 and
+// so does its power. prrFromSNR returns 1 there without evaluating the
+// sum — the same value, bit for bit (the curve already rounds to exactly
+// 1 above SNR ≈ 3.8816).
+const prrSaturatedSNR = 4.0
 
 // prrFromSNR returns the packet reception ratio for the given linear SNR
 // and frame length in bytes, using the analytic CC2420 (802.15.4 DSSS
@@ -275,6 +275,12 @@ func prrCurve(snrLinear float64, frameBytes int) float64 {
 	if snrLinear <= 0 {
 		return 0
 	}
+	return math.Pow(1-bitErrorRate(snrLinear), float64(8*frameBytes))
+}
+
+// bitErrorRate is the curve's Pb at a positive linear SNR, clamped to
+// [0, 1]. It falls from 1/2 at SNR 0 as the SNR rises.
+func bitErrorRate(snrLinear float64) float64 {
 	var pb float64
 	sign := 1.0 // (−1)^k for k=2 is +1
 	for k := 2; k <= 16; k++ {
@@ -288,23 +294,98 @@ func prrCurve(snrLinear float64, frameBytes int) float64 {
 	if pb > 1 {
 		pb = 1
 	}
-	prr := math.Pow(1-pb, float64(8*frameBytes))
-	return prr
+	return pb
 }
 
-// rxPRR adjudicates a locked reception: the reception ratio of a frame of
-// frameBytes (MAC size) received at signalMW against the worst
-// interference seen while it was on the air plus the noise at its end,
-// and the SINR it was judged at. The capture gate against co-channel
+// prrLogSteps is the number of grid steps of prrLogTable below
+// prrSaturatedSNR; prrLogStep is their width, a power of two, so the
+// index of an SNR is one exact multiply.
+const (
+	prrLogSteps = 4096
+	prrLogStep  = prrSaturatedSNR / prrLogSteps
+)
+
+// prrLogTable[j] is ln(1 − Pb) at SNR j·prrLogStep, for j = 0 through
+// prrLogSteps: the log of the per-bit reception ratio on a grid over
+// the unsaturated curve. It does not depend on the frame length. Built at
+// package init (about 4k curve evaluations).
+var prrLogTable = buildPRRLogTable()
+
+func buildPRRLogTable() (t [prrLogSteps + 1]float64) {
+	for j := range t {
+		t[j] = math.Log1p(-bitErrorRate(float64(j) * prrLogStep))
+	}
+	return t
+}
+
+// prrBracketSlack is the log-domain margin of received's table bracket,
+// and prrBracketMaxBytes the longest frame the margin is proven for.
+const (
+	prrBracketSlack    = 1e-6
+	prrBracketMaxBytes = 1024
+)
+
+// received reports u < prrFromSNR(snrLinear, frameBytes), bit for bit,
+// mostly without evaluating the curve. The reception ratio meets only
+// the uniform draw u, so the decision brackets ln PRR = n·ln(1 − Pb),
+// n = 8·frameBytes, between two entries of prrLogTable and compares ln u
+// against the bracket:
+//
+//   - The true Pb falls as the SNR rises, so for SNR in [j·h, (j+1)·h]
+//     (h = prrLogStep) the true ln PRR lies in [n·T[j], n·T[j+1]].
+//   - The sum behind Pb rounds to within about 3e-12 absolute, and
+//     1 − Pb ≥ 1/2, so ln(1 − Pb) is off by at most 6e-12 and n·ln(1 − Pb)
+//     by at most 8·1024·6e-12 ≈ 5e-8 for every frame up to
+//     prrBracketMaxBytes (1.3e-8 at 260 bytes, twice the 802.15.4 frame
+//     limit plus overhead). math.Pow, math.Log and the products round far
+//     below that. The table and the live curve each carry this error δ, and
+//     2δ < prrBracketSlack.
+//
+// So ln u below n·T[j] − slack means u < PRR as computed (received), and
+// ln u at or above n·T[j+1] + slack means u ≥ PRR (lost). Between the
+// two the decision evaluates the curve and compares exactly, as it does
+// for u below 2⁻¹⁰⁰⁰ (0 included: a PRR near it is subnormal and no
+// longer relatively exact), for an SNR of NaN and for a frame length
+// outside [0, prrBracketMaxBytes]. SNRs at or above prrSaturatedSNR and
+// at or below 0 are decided first, as prrFromSNR decides them. Draws
+// from rand.Float64 are 0 or at least 2⁻⁵³, so the curve runs only for
+// draws at the margin.
+func received(u, snrLinear float64, frameBytes int) bool {
+	if snrLinear >= prrSaturatedSNR {
+		return u < 1
+	}
+	if snrLinear <= 0 {
+		return u < 0
+	}
+	// NaN fails the SNR compare; below the bound j+1 ≤ prrLogSteps.
+	if snrLinear < prrSaturatedSNR && u >= 0x1p-1000 && 0 <= frameBytes && frameBytes <= prrBracketMaxBytes {
+		j := int(snrLinear * (1 / prrLogStep))
+		n := float64(8 * frameBytes)
+		lnU := math.Log(u)
+		if lnU < n*prrLogTable[j]-prrBracketSlack {
+			return true
+		}
+		if lnU >= n*prrLogTable[j+1]+prrBracketSlack {
+			return false
+		}
+	}
+	return u < prrFromSNR(snrLinear, frameBytes)
+}
+
+// rxDecide adjudicates a locked reception against the uniform draw u: a
+// frame of frameBytes (MAC size) received at signalMW against the worst
+// interference seen while it was on the air plus the noise at its end is
+// received when u falls below its reception ratio. It also returns the
+// SINR the frame was judged at. The capture gate against co-channel
 // 802.15.4 frames (capture, p.CaptureThresholdDB as a dbGate) is checked
-// first: a frame it rejects has PRR 0 whatever the curve says, so the
-// curve is never evaluated for it.
-func (p Params) rxPRR(capture dbGate, signalMW, maxInterfMW, noiseMW float64, frameBytes int) (prr, snr float64) {
+// first: a frame it rejects has PRR 0 whatever the curve says, so no
+// draw in [0, 1) receives it.
+func (p Params) rxDecide(capture dbGate, u, signalMW, maxInterfMW, noiseMW float64, frameBytes int) (ok bool, snr float64) {
 	snr = signalMW / (noiseMW + maxInterfMW)
 	if maxInterfMW > 0 && capture.below(signalMW/maxInterfMW) {
-		return 0, snr
+		return false, snr
 	}
-	return prrFromSNR(snr, frameBytes+p.PhyOverheadBytes), snr
+	return received(u, snr, frameBytes+p.PhyOverheadBytes), snr
 }
 
 // binom16 holds C(16, k).

@@ -199,17 +199,56 @@ func (r *Radio) Counters() Counters { return r.counters }
 
 // CCABusy samples clear-channel assessment: true when the total energy at
 // the antenna exceeds the CCA threshold. The radio must be on.
+//
+// The noise is read once. Most samples are settled in dB from the largest
+// term, without converting a power: a float sum of non-negative terms is
+// never below any one of them and never above count·max·(1 + count·2⁻⁵³),
+// and the dB↔mW conversions round to about 1e-14 dB, so a term more than
+// ccaMarginDB above the threshold makes the channel busy and a largest
+// term more than ccaMarginDB below it after adding 10·log₁₀(count) makes
+// it idle, exactly as the fold would. The rest take the arrival-order fold.
 func (r *Radio) CCABusy() bool {
 	if r.State() == StateOff {
 		return false
 	}
-	return r.medium.ccaGate.above(r.channelMW())
+	m := r.medium
+	dbm, wifiOn := m.readNoise(r, m.eng.Now())
+	top, count := dbm, 1+len(r.air)
+	if m.interferer != nil {
+		top = max(top, m.wifiDBm(wifiOn))
+		count++
+	}
+	for i := range r.air {
+		top = max(top, r.air[i].rxDBm)
+	}
+	thr := m.params.CCAThresholdDBm
+	if top > thr+ccaMarginDB {
+		return true
+	}
+	if count < len(tenLog10) && top+tenLog10[count] < thr-ccaMarginDB {
+		return false
+	}
+	return m.ccaGate.above(r.channelMW(m.noiseMW(r, dbm, wifiOn)))
 }
 
+// ccaMarginDB is the slack of CCABusy's dB decisions, far above the
+// conversions' rounding.
+const ccaMarginDB = 1e-6
+
+// tenLog10[n] is 10·log₁₀(n) dB, the most a sum of n terms can exceed its
+// largest; CCA sums past the table take the fold.
+var tenLog10 = func() (t [64]float64) {
+	for n := range t {
+		t[n] = 10 * math.Log10(float64(n))
+	}
+	return t
+}()
+
 // channelMW is the total power at the antenna that CCA thresholds: the
-// noise floor plus every frame on the air, summed in arrival order.
-func (r *Radio) channelMW() float64 {
-	total := r.medium.noiseAt(r, r.medium.eng.Now())
+// noise power noiseMW plus every frame on the air, summed in arrival
+// order.
+func (r *Radio) channelMW(noiseMW float64) float64 {
+	total := noiseMW
 	for i := range r.air {
 		total += r.air[i].powerMW()
 	}
@@ -354,20 +393,21 @@ func (r *Radio) onAirEnd(tx *transmission) {
 		return
 	}
 	m := r.medium
-	var prr, snr float64
+	// The draw comes first and is unconditional — even a frame already
+	// lost consumes it — so each adjudication advances the radio's RNG
+	// stream by exactly one value.
+	u := r.rng.Float64()
+	var ok bool
+	var snr float64
 	if r.rx.lost {
-		// PRR 0 whatever the noise: read the noise only to advance it.
+		// Lost whatever the noise: read the noise only to advance it.
 		m.readNoise(r, m.eng.Now())
 	} else {
 		nowNoise := m.noiseAt(r, m.eng.Now())
-		prr, snr = m.params.rxPRR(m.captureGate, r.rx.signalMW, r.rx.maxInterfMW, nowNoise, tx.frame.Size)
+		ok, snr = m.params.rxDecide(m.captureGate, u, r.rx.signalMW, r.rx.maxInterfMW, nowNoise, tx.frame.Size)
 	}
 	r.dropRx()
 	r.state = StateListening
-	// The draw is unconditional — even a frame the capture gate already
-	// rejected consumes it — so each adjudication advances the radio's
-	// RNG stream by exactly one value.
-	ok := r.rng.Float64() < prr
 	if ok && r.medium.dropFn != nil && r.medium.dropFn(r.id, tx.frame) {
 		// Injected loss window: the frame decoded fine but the fault
 		// filter discards it. The PRR draw above already happened, so

@@ -74,13 +74,37 @@ func curveFirstPRR(p Params, signalMW, maxInterfMW, noiseMW float64, frameBytes 
 	return prr, snr
 }
 
-// TestCaptureFirstMatchesCurveFirst checks the capture-first adjudication
-// against the curve-first oracle over random signal/interference/noise
-// triples: the PRR and SINR must agree bit for bit, including triples
-// straddling the capture threshold and the saturation point.
+// checkDecision compares rxDecide with the curve-first oracle on one
+// triple: the SINR must agree bit for bit and the decision must be u <
+// PRR for several draws — uniform ones, and the oracle's PRR itself with
+// its float neighbours, where the decision sits at its margin. It
+// returns the oracle's PRR.
+func checkDecision(t *testing.T, rng *rand.Rand, p Params, capture dbGate, signal, interf, noise float64, size int) float64 {
+	t.Helper()
+	wantPRR, wantSNR := curveFirstPRR(p, signal, interf, noise, size)
+	us := []float64{rng.Float64(), rng.Float64(), rng.Float64(),
+		wantPRR, math.Nextafter(wantPRR, 0), math.Nextafter(wantPRR, 1)}
+	for _, u := range us {
+		ok, snr := p.rxDecide(capture, u, signal, interf, noise, size)
+		if ok != (u < wantPRR) || math.Float64bits(snr) != math.Float64bits(wantSNR) {
+			t.Fatalf("signal=%g interf=%g noise=%g size=%d u=%v: got (%v, %v), oracle PRR %v SNR %v",
+				signal, interf, noise, size, u, ok, snr, wantPRR, wantSNR)
+		}
+	}
+	return wantPRR
+}
+
+// TestCaptureFirstMatchesCurveFirst checks the capture-first, draw-first
+// decision against the curve-first oracle over random
+// signal/interference/noise triples: the SINR must agree bit for bit and
+// every draw must be decided as u < PRR, including triples straddling the
+// capture threshold and the saturation point.
 func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewPCG(3, 4))
+	// The draws come from their own stream, so the triples and air sets
+	// are the ones the PRR-valued form of this test swept.
+	draws := rand.New(rand.NewPCG(7, 8))
 	gated, saturated := 0, 0
 	for i := 0; i < 200000; i++ {
 		signal := dbmToMW(-100 + 60*rng.Float64())
@@ -94,16 +118,11 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 			interf = dbmToMW(-110 + 60*rng.Float64())
 		}
 		size := rng.IntN(maxTestFrameBytes + 1)
-		gotPRR, gotSNR := p.rxPRR(newDBGate(p.CaptureThresholdDB), signal, interf, noise, size)
-		wantPRR, wantSNR := curveFirstPRR(p, signal, interf, noise, size)
-		if math.Float64bits(gotPRR) != math.Float64bits(wantPRR) || math.Float64bits(gotSNR) != math.Float64bits(wantSNR) {
-			t.Fatalf("signal=%g interf=%g noise=%g size=%d: got (%v, %v), oracle (%v, %v)",
-				signal, interf, noise, size, gotPRR, gotSNR, wantPRR, wantSNR)
-		}
-		if interf > 0 && gotPRR == 0 && mwToDBm(signal/interf) < p.CaptureThresholdDB {
+		wantPRR := checkDecision(t, draws, p, newDBGate(p.CaptureThresholdDB), signal, interf, noise, size)
+		if interf > 0 && wantPRR == 0 && mwToDBm(signal/interf) < p.CaptureThresholdDB {
 			gated++
 		}
-		if gotSNR >= prrSaturatedSNR {
+		if signal/(noise+interf) >= prrSaturatedSNR {
 			saturated++
 		}
 	}
@@ -118,7 +137,7 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 	// dB, or an exact sum puts it below the capture gate's band — the
 	// oracle on the reference's worst sum must return PRR 0. Otherwise the
 	// radio's kept sums must reproduce the reference's worst sum bit for
-	// bit. Either way the pair runs through the triple comparison above.
+	// bit. Either way the pair runs through the decision comparison above.
 	m, err := NewMedium(sim.NewEngine(), topology.Line(2, 5), nil, p, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +205,7 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 		signalMW := dbmToMW(signal)
 		noise := dbmToMW(-105 + 25*rng.Float64())
 		size := rng.IntN(maxTestFrameBytes + 1)
-		wantPRR, wantSNR := curveFirstPRR(p, signalMW, refMax, noise, size)
+		wantPRR := checkDecision(t, draws, p, capture, signalMW, refMax, noise, size)
 		switch {
 		case r.rx.lost:
 			if wantPRR != 0 {
@@ -204,10 +223,6 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 		}
 		if anyOutshone && !r.rx.lost {
 			t.Fatalf("trial %d: an outshining interferer did not settle the reception", trial)
-		}
-		gotPRR, gotSNR := p.rxPRR(capture, signalMW, refMax, noise, size)
-		if math.Float64bits(gotPRR) != math.Float64bits(wantPRR) || math.Float64bits(gotSNR) != math.Float64bits(wantSNR) {
-			t.Fatalf("trial %d: got (%v, %v), oracle (%v, %v)", trial, gotPRR, gotSNR, wantPRR, wantSNR)
 		}
 	}
 	t.Logf("%d outshone, %d lost on a sum, %d kept", outshone, sunk, kept)
@@ -346,7 +361,7 @@ func airSums(t *testing.T, seed uint64, calls int) (interf, channel []uint64, bu
 		for i := 0; i < calls; i++ {
 			// Transmission ids start at 1, so excluding 0 sums all three.
 			interf = append(interf, math.Float64bits(rx.interferenceMW(0)))
-			channel = append(channel, math.Float64bits(rx.channelMW()))
+			channel = append(channel, math.Float64bits(rx.channelMW(m.noiseAt(rx, eng.Now()))))
 			busy = append(busy, rx.CCABusy())
 		}
 	})
