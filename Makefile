@@ -60,8 +60,9 @@ race:
 
 # Brief fuzz pass over each wire-codec target, the codec-allocator
 # invariant target, the fault-plan parser, the sink scheduler's subtree
-# grouping key, the radio's dBm→mW kernel against math.Pow, and the
-# radio's draw-first reception decision against the PRR curve (the
+# grouping key, the radio's dBm→mW kernel against math.Pow, its fast
+# kernel against the exact one, and the radio's draw-first reception
+# decision against the PRR curve (the
 # committed corpora under */testdata/fuzz always run as part of plain
 # `go test`).
 FUZZTIME ?= 5s
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sink/ -run '^$$' -fuzz '^FuzzGroupKey$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/radio/ -run '^$$' -fuzz '^FuzzPow10$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/radio/ -run '^$$' -fuzz '^FuzzFastMW$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/radio/ -run '^$$' -fuzz '^FuzzRxDecide$$' -fuzztime $(FUZZTIME)
 
 test-fuzz: fuzz

@@ -103,7 +103,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats counts CTP data-plane outcomes at this node.
+// Stats counts CTP data-plane outcomes and beacon-timer resets at this
+// node.
 type Stats struct {
 	Originated    uint64
 	Forwarded     uint64
@@ -112,6 +113,34 @@ type Stats struct {
 	DroppedNoTree uint64
 	DroppedTHL    uint64
 	DroppedDup    uint64
+	// BeaconResets counts the beacon timer's Trickle resets by cause.
+	BeaconResets ResetCauses
+}
+
+// ResetCauses counts beacon-timer resets by what triggered them. Every
+// reset has exactly one cause, so Total is the timer's reset count.
+type ResetCauses struct {
+	// CostChange: the node's own cost moved more than CostChangeDelta
+	// from the last one it advertised.
+	CostChange uint64
+	// Help: a routed node heard a neighbour advertise more than
+	// HelpBeaconDelta above its own cost.
+	Help uint64
+	// InfiniteNeighbor: a routed node heard a neighbour with no route.
+	InfiniteNeighbor uint64
+	// Orphan: a node with no route heard a routed neighbour.
+	Orphan uint64
+	// Adopt: the node took a parent, first or new.
+	Adopt uint64
+	// Detach: the node abandoned its route.
+	Detach uint64
+	// Trigger: another protocol called TriggerBeacon.
+	Trigger uint64
+}
+
+// Total is the number of resets.
+func (r ResetCauses) Total() uint64 {
+	return r.CostChange + r.Help + r.InfiniteNeighbor + r.Orphan + r.Adopt + r.Detach + r.Trigger
 }
 
 type neighborAd struct {
@@ -270,7 +299,13 @@ func (c *CTP) SetBeaconExt(fn func() any) { c.beaconExt = fn }
 func (c *CTP) SetDeliverFunc(fn func(origin radio.NodeID, app any)) { c.onDeliver = fn }
 
 // TriggerBeacon resets the Trickle timer, forcing a beacon soon.
-func (c *CTP) TriggerBeacon() { c.beacons.Reset() }
+func (c *CTP) TriggerBeacon() { c.resetBeacons(&c.stats.BeaconResets.Trigger) }
+
+// resetBeacons resets the beacon timer and counts the reset under cause.
+func (c *CTP) resetBeacons(cause *uint64) {
+	*cause++
+	c.beacons.Reset()
+}
 
 // ReportLinkOutcome feeds a unicast outcome observed by another protocol
 // (RPL DAOs, TeleAdjusting position frames) into the link estimator, so
@@ -338,15 +373,16 @@ func (c *CTP) handleBeacon(from radio.NodeID, b *Beacon) {
 	// beacon storm that congests the channel and causes more churn.
 	myCost := c.pathETX
 	switch {
-	case c.HasRoute() && (math.IsInf(b.PathETX, 1) ||
-		(c.cfg.HelpBeaconDelta > 0 && b.PathETX > myCost+c.cfg.HelpBeaconDelta)):
-		c.beacons.Reset()
+	case c.HasRoute() && math.IsInf(b.PathETX, 1):
+		c.resetBeacons(&c.stats.BeaconResets.InfiniteNeighbor)
+	case c.HasRoute() && c.cfg.HelpBeaconDelta > 0 && b.PathETX > myCost+c.cfg.HelpBeaconDelta:
+		c.resetBeacons(&c.stats.BeaconResets.Help)
 	case !c.HasRoute() && !math.IsInf(b.PathETX, 1):
 		// Orphan side of the same exchange: a routed neighbor is in
 		// range, so advertise the need eagerly until attached. (Beacons
 		// from fellow orphans must NOT reset, or a large unattached
 		// region jams its own channel at the minimum interval.)
-		c.beacons.Reset()
+		c.resetBeacons(&c.stats.BeaconResets.Orphan)
 	default:
 		c.beacons.Hear()
 	}
@@ -440,7 +476,7 @@ func (c *CTP) detach() {
 	old := c.parent
 	c.parent = NoParent
 	c.pathETX = math.Inf(1)
-	c.beacons.Reset()
+	c.resetBeacons(&c.stats.BeaconResets.Detach)
 	for _, fn := range c.onParentChange {
 		fn(old, NoParent)
 	}
@@ -470,7 +506,7 @@ func (c *CTP) refreshCost() {
 	c.pathETX = cost
 	if c.cfg.CostChangeDelta > 0 && !math.IsInf(c.lastAdvertisedETX, 1) &&
 		math.Abs(cost-c.lastAdvertisedETX) > c.cfg.CostChangeDelta {
-		c.beacons.Reset()
+		c.resetBeacons(&c.stats.BeaconResets.CostChange)
 	}
 	if ad, ok := c.ads[c.parent]; ok {
 		if ad.hops >= c.cfg.MaxTHL {
@@ -492,7 +528,7 @@ func (c *CTP) adopt(id radio.NodeID, cost float64) {
 	if ad, ok := c.ads[id]; ok {
 		c.hops = ad.hops + 1
 	}
-	c.beacons.Reset()
+	c.resetBeacons(&c.stats.BeaconResets.Adopt)
 	for _, fn := range c.onParentChange {
 		fn(old, id)
 	}

@@ -23,6 +23,12 @@ type testNet struct {
 
 func buildNet(t *testing.T, dep *topology.Deployment, seed uint64) *testNet {
 	t.Helper()
+	return buildNetConfig(t, dep, seed, ctp.DefaultConfig())
+}
+
+// buildNetConfig is buildNet with every node's CTP configured by cfg.
+func buildNetConfig(t *testing.T, dep *topology.Deployment, seed uint64, cfg ctp.Config) *testNet {
+	t.Helper()
 	eng := sim.NewEngine()
 	params := radio.DefaultParams()
 	params.ShadowSigmaDB = 0
@@ -39,11 +45,11 @@ func buildNet(t *testing.T, dep *topology.Deployment, seed uint64) *testNet {
 		ctps:  make([]*ctp.CTP, n),
 	}
 	for i := 0; i < n; i++ {
-		cfg := mac.DefaultConfig()
-		cfg.AlwaysOn = i == dep.Sink
-		tn.macs[i] = mac.New(eng, med.Radio(radio.NodeID(i)), cfg, sim.DeriveRNG(seed, 100+uint64(i)), nil)
+		mcfg := mac.DefaultConfig()
+		mcfg.AlwaysOn = i == dep.Sink
+		tn.macs[i] = mac.New(eng, med.Radio(radio.NodeID(i)), mcfg, sim.DeriveRNG(seed, 100+uint64(i)), nil)
 		tn.nodes[i] = node.New(eng, tn.macs[i])
-		tn.ctps[i] = ctp.New(tn.nodes[i], ctp.DefaultConfig(), sim.DeriveRNG(seed, 200+uint64(i)), i == dep.Sink)
+		tn.ctps[i] = ctp.New(tn.nodes[i], cfg, sim.DeriveRNG(seed, 200+uint64(i)), i == dep.Sink)
 	}
 	for i := 0; i < n; i++ {
 		tn.macs[i].Start()
@@ -256,5 +262,64 @@ func TestDuplicateSuppressionInForwarding(t *testing.T) {
 	tn.run(t, 30*time.Second)
 	if count != 1 {
 		t.Fatalf("sink delivered %d copies, want 1", count)
+	}
+}
+
+// TestBeaconResetCausesSumToTrickleResets runs a small grid with the
+// reference field's beacon triggers (help 6, cost change 3), data from
+// every node, a coding layer's TriggerBeacon every few seconds on some
+// nodes, and a relay that dies mid-run: on every node the resets counted
+// by cause must add up to the beacon timer's resets, and the run must
+// see every cause.
+func TestBeaconResetCausesSumToTrickleResets(t *testing.T) {
+	dep := topology.Grid("g", 4, 4, 21, 21, false, topology.Point{}, 4)
+	cfg := ctp.DefaultConfig()
+	cfg.HelpBeaconDelta, cfg.CostChangeDelta = 6, 3
+	tn := buildNetConfig(t, dep, 4, cfg)
+	for i := range tn.ctps {
+		if i%3 == 1 {
+			tick := sim.NewTicker(tn.eng, 7*time.Second, tn.ctps[i].TriggerBeacon)
+			tick.Start()
+		}
+		if i != dep.Sink {
+			c := tn.ctps[i]
+			tick := sim.NewTicker(tn.eng, 2*time.Second, func() { _ = c.SendToSink(nil) })
+			tick.Start()
+		}
+	}
+	tn.run(t, 60*time.Second)
+	// Kill a relay: its children lose their parent and re-attach.
+	victim := -1
+	for i, c := range tn.ctps {
+		if i != dep.Sink && c.HasRoute() && c.Parent() == radio.NodeID(dep.Sink) {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no node attached to the sink")
+	}
+	tn.macs[victim].Kill()
+	tn.ctps[victim].Stop()
+	tn.run(t, 120*time.Second)
+
+	var all ctp.ResetCauses
+	for i, c := range tn.ctps {
+		r := c.Stats().BeaconResets
+		if got, want := r.Total(), c.TrickleResets(); got != want {
+			t.Fatalf("node %d: resets by cause %+v add up to %d, timer reset %d times", i, r, got, want)
+		}
+		all.CostChange += r.CostChange
+		all.Help += r.Help
+		all.InfiniteNeighbor += r.InfiniteNeighbor
+		all.Orphan += r.Orphan
+		all.Adopt += r.Adopt
+		all.Detach += r.Detach
+		all.Trigger += r.Trigger
+	}
+	t.Logf("resets by cause over the grid: %+v", all)
+	if all.CostChange == 0 || all.Help == 0 || all.InfiniteNeighbor == 0 || all.Orphan == 0 ||
+		all.Adopt == 0 || all.Detach == 0 || all.Trigger == 0 {
+		t.Fatalf("run missed a cause: %+v", all)
 	}
 }

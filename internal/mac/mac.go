@@ -190,6 +190,11 @@ type MAC struct {
 	wakeTicker *sim.Ticker
 
 	rx map[rxKey]*rxState
+	// elections counts the rx entries with an ack election pending: it
+	// rises where onData schedules one and falls where one fires
+	// (runElection), is cancelled by a peer's ack (onAck) or dies with
+	// the node (Kill).
+	elections int
 
 	dead  bool
 	stats Stats
@@ -199,10 +204,11 @@ type MAC struct {
 	cancelling bool
 }
 
-type rxKey struct {
-	src radio.NodeID
-	seq uint32
-}
+// rxKey packs a link-layer packet's (src, seq) into one word, so the rx
+// table hashes it as an integer.
+type rxKey uint64
+
+func packetKey(src radio.NodeID, seq uint32) rxKey { return rxKey(src)<<32 | rxKey(seq) }
 
 var _ radio.Handler = (*MAC)(nil)
 
@@ -291,6 +297,7 @@ func (m *MAC) Kill() {
 		st.ackPending.Cancel()
 	}
 	m.rx = make(map[rxKey]*rxState)
+	m.elections = 0
 	m.radio.ForceOff()
 }
 
@@ -542,10 +549,11 @@ func (m *MAC) onAck(f *radio.Frame) {
 		return
 	}
 	// Ack for someone else's frame: suppress my pending election entry.
-	key := rxKey{src: f.AckSrc, seq: f.AckSeq}
+	key := packetKey(f.AckSrc, f.AckSeq)
 	if st, ok := m.rx[key]; ok && st.ackPending.Pending() {
 		st.ackPending.Cancel()
 		st.ackPending = sim.EventRef{}
+		m.elections--
 		st.suppressed = true
 		m.stats.Suppressed++
 		m.emitMac(telemetry.KindMacSuppressed, st.frame, f.Src, "peer acked first")
@@ -553,7 +561,7 @@ func (m *MAC) onAck(f *radio.Frame) {
 }
 
 func (m *MAC) onData(f *radio.Frame) {
-	key := rxKey{src: f.Src, seq: f.Seq}
+	key := packetKey(f.Src, f.Seq)
 	st, seen := m.rx[key]
 	if seen && !st.ackPending.Pending() && m.eng.Now()-st.at > m.cfg.DedupWindow {
 		// The dedup window has lapsed, so this is not a retransmission but
@@ -614,6 +622,7 @@ func (m *MAC) onData(f *radio.Frame) {
 		jitter := time.Duration(m.rng.Int64N(int64(m.cfg.AckSlot / 3)))
 		delay := m.cfg.AckTurnaround + time.Duration(prio)*m.cfg.AckSlot + jitter
 		st.ackPending = m.eng.ScheduleArg(delay, m.electFn, st)
+		m.elections++
 	default:
 		// Not for us: the rest of this stream is someone else's.
 		m.earlySleep()
@@ -627,6 +636,7 @@ func (m *MAC) runElection(a any) {
 	st := a.(*rxState)
 	f := st.frame
 	st.ackPending = sim.EventRef{}
+	m.elections--
 	if m.radio.CCABusy() || m.radio.State() == radio.StateReceiving {
 		// Another contender's ack (or other traffic) owns the
 		// channel: yield the election.
@@ -743,14 +753,7 @@ func (m *MAC) idleCheck() {
 	m.sleep()
 }
 
-func (m *MAC) hasPendingAcks() bool {
-	for _, st := range m.rx {
-		if st.ackPending.Pending() {
-			return true
-		}
-	}
-	return false
-}
+func (m *MAC) hasPendingAcks() bool { return m.elections > 0 }
 
 func (m *MAC) maybeSleepSoon() {
 	if m.cfg.AlwaysOn || !m.radio.On() || m.awakeForTx || m.cur != nil {

@@ -55,7 +55,8 @@ func TestBroadcastAllocFree(t *testing.T) {
 // step also churns radios while its frames are on the air: a few
 // sleepers wake, rebuilding their air sets from the frames in flight,
 // and as many listeners sleep; both return to their duty state once the
-// frames have left the air.
+// frames have left the air. Receptions that meet interference take a log
+// from the medium's pool, so the pool is inside the contract too.
 func TestDutyCycledAllocFree(t *testing.T) {
 	d := newDutyCycledField(t)
 	n := d.m.NumNodes()
@@ -84,6 +85,9 @@ func TestDutyCycledAllocFree(t *testing.T) {
 	}
 	if rebuilt == 0 {
 		t.Fatal("no radio woke to frames on the air")
+	}
+	if len(d.m.freeLogs) == 0 {
+		t.Fatal("no reception logged an interferer")
 	}
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("duty-cycled step allocates %v, want 0", allocs)

@@ -209,6 +209,23 @@ func BenchmarkDBmToMW(b *testing.B) {
 	benchSink = sum
 }
 
+// BenchmarkFastMW measures one fastMW conversion over the inputs of
+// BenchmarkDBmToMW.
+func BenchmarkFastMW(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	dbm := make([]float64, 1024)
+	for i := range dbm {
+		dbm[i] = -110 + 110*rng.Float64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum += fastMW(dbm[i&1023])
+	}
+	benchSink = sum
+}
+
 // BenchmarkRxDecide measures one draw-first reception decision over a
 // fixed seeded batch of gray-zone frames: SNRs whose PRR lies between
 // 0.01 and 0.99 for the frame's length, each with a uniform draw.

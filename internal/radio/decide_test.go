@@ -179,7 +179,7 @@ func TestCCADominanceMatchesFold(t *testing.T) {
 				// often as loud ones.
 				ceiling := thr - 15 + 30*rng.Float64()
 				for i := 0; i < n; i++ {
-					r.air = append(r.air, airEntry{txID: uint64(i), rxDBm: thr - 15 + (ceiling-thr+15)*rng.Float64(), mW: -1})
+					r.air = append(r.air, airEntry{txID: uint32(i), rxDBm: thr - 15 + (ceiling-thr+15)*rng.Float64(), mW: -1})
 				}
 				if n > 0 {
 					top := &r.air[rng.IntN(n)].rxDBm
@@ -257,5 +257,153 @@ func TestCCADominanceMatchesFold(t *testing.T) {
 				t.Fatalf("samples too narrow: %d busy, %d idle, %d past both dB bounds", busy, idle, folded)
 			}
 		})
+	}
+}
+
+// fastErr is the relative error TestFastDecideMatchesRxDecide puts on
+// the powers it hands fastDecide: four times the worst a fast fold of
+// fastMaxTerms powers carries (see fastSlack), still far inside the slack.
+const fastErr = 1e-12
+
+// TestFastDecideMatchesRxDecide pins the decision on fast powers to
+// rxDecide on exact ones: whenever fastDecide settles, it must return
+// rxDecide's decision. It runs 10⁷ seeded (u, signal, interference,
+// noise, frame length) cases — powers drawn in dBm over the receive
+// path's range, converted exactly and by fastMW or moved by up to
+// fastErr — and forced margins: SINRs a few ulps either side of the
+// saturation bound 4.0 and of PRR table cell edges j·h, capture ratios
+// inside and at the edges of the capture gate's band, draws at the
+// exact PRR and its float neighbours, and powers outside the range
+// fastSettles admits. Nearly all random cases must settle, and none whose
+// SINR or capture ratio lies within the slack of a cell edge, the
+// saturation bound or an edge of the gate's band.
+func TestFastDecideMatchesRxDecide(t *testing.T) {
+	p := DefaultParams()
+	capture := newDBGate(p.CaptureThresholdDB)
+	capLin := dbmToMW(p.CaptureThresholdDB)
+	rng := rand.New(rand.NewPCG(22, 1))
+	perturb := func(x float64) float64 { return x * (1 + (2*rng.Float64()-1)*fastErr) }
+	ulps := func(x float64, k int) float64 {
+		for ; k > 0; k-- {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		for ; k < 0; k++ {
+			x = math.Nextafter(x, 0)
+		}
+		return x
+	}
+	var settled, open int
+	// check compares the two decisions for exact powers (s, i, n) and
+	// their fast counterparts (fs, fi, fn) at each draw in us.
+	check := func(us []float64, s, i, n, fs, fi, fn float64, size int) {
+		for _, u := range us {
+			want, _ := p.rxDecide(capture, u, s, i, n, size)
+			got, ok := p.fastDecide(capture, u, fs, fi, fn, size)
+			if !ok {
+				open++
+				continue
+			}
+			settled++
+			if got != want {
+				t.Fatalf("u=%v signal=%v interf=%v noise=%v (fast %v %v %v) size=%d: fast %v, exact %v",
+					u, s, i, n, fs, fi, fn, size, got, want)
+			}
+		}
+	}
+	// atPRR returns the draws on the margin of the exact decision.
+	atPRR := func(s, i, n float64, size int) []float64 {
+		prr := prrFromSNR(s/(n+i), size+p.PhyOverheadBytes)
+		return []float64{rng.Float64(), prr, math.Nextafter(prr, 0), math.Nextafter(prr, 1)}
+	}
+
+	for k := 0; k < 10_000_000; k++ {
+		sDBm, nDBm := -100+60*rng.Float64(), -105+25*rng.Float64()
+		s, n := dbmToMW(sDBm), dbmToMW(nDBm)
+		fs, fn := fastMW(sDBm), fastMW(nDBm)
+		var i, fi float64
+		switch rng.IntN(4) {
+		case 0: // interference-free
+		case 1: // a fold of exact powers, fast ones off by up to fastErr
+			i = dbmToMW(-110 + 60*rng.Float64())
+			fi = perturb(i)
+		default:
+			iDBm := -110 + 60*rng.Float64()
+			i, fi = dbmToMW(iDBm), fastMW(iDBm)
+		}
+		check([]float64{rng.Float64()}, s, i, n, fs, fi, fn, rng.IntN(maxTestFrameBytes+1))
+	}
+	if settled < 9_900_000 {
+		t.Fatalf("fast decision settled %d of 10^7 random cases, want at least 99%%", settled)
+	}
+	random := settled
+
+	// Forced margins: an exact SINR placed on a boundary, the fast powers
+	// perturbed around it.
+	for k := 0; k < 200_000; k++ {
+		n := dbmToMW(-105 + 25*rng.Float64())
+		var i float64
+		if rng.IntN(2) == 0 {
+			i = n * 4 * rng.Float64()
+		}
+		var target float64
+		switch rng.IntN(3) {
+		case 0:
+			target = prrSaturatedSNR
+		case 1:
+			target = float64(1+rng.IntN(prrLogSteps-1)) * prrLogStep
+		default:
+			target = prrSaturatedSNR * rng.Float64()
+		}
+		s := ulps(target*(n+i), rng.IntN(9)-4)
+		if i > 0 && mwToDBm(s/i) < p.CaptureThresholdDB+1e-3 {
+			i = s / capLin / 2 // keep the capture gate clear of this case
+		}
+		size := rng.IntN(maxTestFrameBytes + 1)
+		check(atPRR(s, i, n, size), s, i, n, perturb(s), perturb(i), perturb(n), size)
+	}
+	// The capture gate's band: ratios within a few band widths of the
+	// threshold, on its edges and a slack either side of them.
+	for k := 0; k < 200_000; k++ {
+		s, n := dbmToMW(-90+40*rng.Float64()), dbmToMW(-105+25*rng.Float64())
+		var ratio float64
+		switch rng.IntN(3) {
+		case 0:
+			ratio = capLin * (1 + (2*rng.Float64()-1)*3*gateBand)
+		case 1:
+			ratio = []float64{capture.lo, capture.hi}[rng.IntN(2)] * (1 + float64(rng.IntN(5)-2)*fastSlack)
+		default:
+			ratio = ulps([]float64{capture.lo, capture.hi, capLin}[rng.IntN(3)], rng.IntN(9)-4)
+		}
+		i := s / ratio
+		size := rng.IntN(maxTestFrameBytes + 1)
+		check(atPRR(s, i, n, size), s, i, n, perturb(s), perturb(i), perturb(n), size)
+	}
+	// Powers fastSettles does not admit never settle.
+	for _, c := range [][3]float64{{0x1p-500, 0, 1e-10}, {1e-9, 0x1p-450, 1e-10}, {0x1p500, 0, 1e-10}, {1e-9, 0, 0}, {math.NaN(), 0, 1e-10}, {1e-9, math.Inf(1), 1e-10}} {
+		if _, ok := p.fastDecide(capture, 0.5, c[0], c[1], c[2], 30); ok {
+			t.Fatalf("fastDecide settled on signal %v interference %v noise %v", c[0], c[1], c[2])
+		}
+	}
+	// Fast powers within the slack of a boundary leave the decision open:
+	// an SINR next to a PRR cell edge or the saturation bound, a capture
+	// ratio next to either edge of the gate's band.
+	near := func(x float64) float64 { return x * (1 + (rng.Float64()-0.5)*fastSlack) }
+	for k := 0; k < 10000; k++ {
+		n, s := dbmToMW(-105+25*rng.Float64()), dbmToMW(-90+40*rng.Float64())
+		edge := prrSaturatedSNR
+		if k%2 == 0 {
+			edge = float64(1+rng.IntN(prrLogSteps-1)) * prrLogStep
+		}
+		if _, ok := p.fastDecide(capture, rng.Float64(), near(edge)*n, 0, n, 30); ok {
+			t.Fatalf("fastDecide settled an SINR within the slack of %v", edge)
+		}
+		ratio := []float64{capture.lo, capture.hi}[k%2]
+		if _, ok := p.fastDecide(capture, rng.Float64(), s, s/near(ratio), n, 30); ok {
+			t.Fatalf("fastDecide settled a capture ratio within the slack of %v", ratio)
+		}
+	}
+	t.Logf("%d random cases settled; margins: %d settled, %d left to the exact powers", random, settled-random, open)
+	if open == 0 {
+		t.Fatal("no case reached the exact powers; the margins are not exercised")
 	}
 }

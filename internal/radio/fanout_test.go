@@ -248,7 +248,7 @@ func TestAwakeFanoutMatchesAlwaysNotify(t *testing.T) {
 			total := s.noiseMW(i, now)
 			for k, e := range sr.air {
 				got := r.air[k]
-				if got.txID != e.id || math.Float64bits(got.rxDBm) != math.Float64bits(e.dbm) {
+				if got.txID != uint32(e.id) || math.Float64bits(got.rxDBm) != math.Float64bits(e.dbm) {
 					t.Fatalf("step %d radio %d: air entry %d is (%d, %v), shadow (%d, %v)",
 						step, i, k, got.txID, got.rxDBm, e.id, e.dbm)
 				}

@@ -63,8 +63,8 @@ type Medium struct {
 	dropFn func(rx NodeID, f *Frame) bool
 
 	// wifiOnDBm is the interferer's burst level, and wifiOnMW and
-	// wifiOffMW are its two power levels in mW, converted once when it is
-	// installed.
+	// wifiOffMW are its two power levels in mW (fastMW), converted once
+	// when it is installed.
 	wifiOnDBm           float64
 	wifiOnMW, wifiOffMW float64
 
@@ -82,6 +82,12 @@ type Medium struct {
 	// rowCap is the widest CSR row, the length of every pooled
 	// transmission's rxDBm buffer.
 	rowCap int
+
+	// freeLogs pools reception logs (one per reception in flight, not
+	// lost and with an interferer), and replayMW is the scratch of the
+	// exact replay, so logging interferers is allocation-free once warm.
+	freeLogs []*rxLog
+	replayMW []float64
 
 	// awake mirrors each radio's powered state, dense by node id (set by
 	// SetOn and ForceOff). A frame's fan-out reads it to skip sleeping
@@ -322,7 +328,7 @@ func (m *Medium) SetInterferer(w *noise.WifiInterferer) {
 	m.interferer = w
 	if w != nil {
 		m.wifiOnDBm = w.PowerDBm
-		m.wifiOnMW, m.wifiOffMW = dbmToMW(w.PowerDBm), dbmToMW(noise.WifiOffDBm)
+		m.wifiOnMW, m.wifiOffMW = fastMW(w.PowerDBm), fastMW(noise.WifiOffDBm)
 	}
 }
 
@@ -464,12 +470,6 @@ func (m *Medium) readNoise(r *Radio, t time.Duration) (dbm float64, wifiOn bool)
 	return dbm, wifiOn
 }
 
-// noiseAt returns total non-802.15.4 noise power (mW) at radio r.
-func (m *Medium) noiseAt(r *Radio, t time.Duration) float64 {
-	dbm, wifiOn := m.readNoise(r, t)
-	return m.noiseMW(r, dbm, wifiOn)
-}
-
 // wifiDBm returns the interferer's level in dBm, on or off.
 func (m *Medium) wifiDBm(on bool) float64 {
 	if on {
@@ -478,10 +478,11 @@ func (m *Medium) wifiDBm(on bool) float64 {
 	return noise.WifiOffDBm
 }
 
-// noiseMW converts a noise reading of r (readNoise's results) to mW.
+// noiseMW converts a noise reading of r (readNoise's results) to the
+// total non-802.15.4 noise power in mW, in fastMW powers.
 func (m *Medium) noiseMW(r *Radio, dbm float64, wifiOn bool) float64 {
 	if dbm != r.noiseDBm {
-		r.noiseDBm, r.noiseMW = dbm, dbmToMW(dbm)
+		r.noiseDBm, r.noiseMW = dbm, fastMW(dbm)
 	}
 	total := r.noiseMW
 	if m.interferer != nil {
@@ -492,6 +493,33 @@ func (m *Medium) noiseMW(r *Radio, dbm float64, wifiOn bool) float64 {
 		}
 	}
 	return total
+}
+
+// exactNoiseMW is noiseMW in dbmToMW powers.
+func (m *Medium) exactNoiseMW(dbm float64, wifiOn bool) float64 {
+	total := dbmToMW(dbm)
+	if m.interferer != nil {
+		total += dbmToMW(m.wifiDBm(wifiOn))
+	}
+	return total
+}
+
+// takeLog returns an empty reception log from the pool.
+func (m *Medium) takeLog() *rxLog {
+	n := len(m.freeLogs)
+	if n == 0 {
+		return &rxLog{entries: make([]rxLogEntry, 0, 16)}
+	}
+	log := m.freeLogs[n-1]
+	m.freeLogs[n-1] = nil
+	m.freeLogs = m.freeLogs[:n-1]
+	return log
+}
+
+// putLog empties a reception log and returns it to the pool.
+func (m *Medium) putLog(log *rxLog) {
+	log.entries, log.folds = log.entries[:0], 0
+	m.freeLogs = append(m.freeLogs, log)
 }
 
 // transmission is an in-flight frame on the air. Records are pooled by
@@ -590,7 +618,7 @@ func (m *Medium) wake(r *Radio) {
 	m.awake[r.id] = true
 	for _, tx := range m.inFlight {
 		if k := m.linkIndex(tx.src, r.id); k >= 0 && m.linkNbr[k] {
-			r.air = append(r.air, airEntry{txID: tx.id, rxDBm: tx.rxDBm[k-int(tx.rowStart)], mW: -1})
+			r.air = append(r.air, airEntry{txID: uint32(tx.id), rxDBm: tx.rxDBm[k-int(tx.rowStart)], mW: -1})
 		}
 	}
 }

@@ -249,6 +249,42 @@ func (g dbGate) above(x float64) bool {
 	return mwToDBm(x) > g.db
 }
 
+// aboveNear reports above(x) for every x within fastSlack relative of
+// fast, a fast power or a ratio of fast powers, with settled false when
+// the interval reaches into the band or fast is outside fastSettles'
+// range.
+func (g dbGate) aboveNear(fast float64) (above, settled bool) {
+	if !fastSettles(fast) {
+		return false, false
+	}
+	if fast*(1-fastSlack) > g.hi {
+		return true, true
+	}
+	if fast*(1+fastSlack) < g.lo {
+		return false, true
+	}
+	return false, false
+}
+
+// fastSlack is the relative slack of every decision taken on fastMW
+// powers. A power differs from its dbmToMW value by at most fastMWBound
+// (1.1e-14); a left fold of n positive terms by that plus 2(n−1)·2⁻⁵³
+// against the same fold of the exact terms, about 2.4e-13 for n below
+// fastMaxTerms; a maximum of folds by no more than its worst fold; and
+// the SINR or capture ratio of such sums by that plus two roundings. The
+// slack is about forty times this and a hundredth of gateBand, so a fast
+// value past a threshold by fastSlack puts the exact value past it too.
+const fastSlack = 1e-11
+
+// fastMaxTerms bounds the number of terms in a fold decided on fast
+// powers; a longer air set or reception log takes the exact powers.
+const fastMaxTerms = 1024
+
+// fastSettles reports that the fast value x lies in [2⁻⁴⁰⁰, 2⁴⁰⁰], so
+// sums of two such values and quotients of them are normal and their
+// relative error bounds hold (−200 dBm is about 2⁻⁶⁶ mW).
+func fastSettles(x float64) bool { return x >= 0x1p-400 && x <= 0x1p400 }
+
 // prrSaturatedSNR is the linear SNR (6.02 dB) at and above which the PRR
 // curve is exactly 1 for any frame length: the largest bit-error term is
 // then C(16,2)·e⁻⁴⁰/30 ≈ 1.7e-17, below 2⁻⁵⁴, so 1−Pb rounds to 1.0 and
@@ -357,19 +393,32 @@ func received(u, snrLinear float64, frameBytes int) bool {
 	if snrLinear <= 0 {
 		return u < 0
 	}
-	// NaN fails the SNR compare; below the bound j+1 ≤ prrLogSteps.
-	if snrLinear < prrSaturatedSNR && u >= 0x1p-1000 && 0 <= frameBytes && frameBytes <= prrBracketMaxBytes {
-		j := int(snrLinear * (1 / prrLogStep))
-		n := float64(8 * frameBytes)
-		lnU := math.Log(u)
-		if lnU < n*prrLogTable[j]-prrBracketSlack {
-			return true
-		}
-		if lnU >= n*prrLogTable[j+1]+prrBracketSlack {
-			return false
+	// NaN fails the SNR compare.
+	if snrLinear < prrSaturatedSNR {
+		if ok, settled := bracket(u, int(snrLinear*(1/prrLogStep)), frameBytes); settled {
+			return ok
 		}
 	}
 	return u < prrFromSNR(snrLinear, frameBytes)
+}
+
+// bracket decides u < PRR for every SNR in the table cell [j·h, (j+1)·h),
+// 0 ≤ j < prrLogSteps, from the cell's two table entries (see received),
+// with settled false between them and for draws and frame lengths the
+// bracket is not proven for.
+func bracket(u float64, j, frameBytes int) (ok, settled bool) {
+	if !(u >= 0x1p-1000 && 0 <= frameBytes && frameBytes <= prrBracketMaxBytes) {
+		return false, false
+	}
+	n := float64(8 * frameBytes)
+	lnU := math.Log(u)
+	if lnU < n*prrLogTable[j]-prrBracketSlack {
+		return true, true
+	}
+	if lnU >= n*prrLogTable[j+1]+prrBracketSlack {
+		return false, true
+	}
+	return false, false
 }
 
 // rxDecide adjudicates a locked reception against the uniform draw u: a
@@ -386,6 +435,35 @@ func (p Params) rxDecide(capture dbGate, u, signalMW, maxInterfMW, noiseMW float
 		return false, snr
 	}
 	return received(u, snr, frameBytes+p.PhyOverheadBytes), snr
+}
+
+// fastDecide is rxDecide on fast powers: signalMW, maxInterfMW and
+// noiseMW each within fastSlack of the exact powers (see fastSlack) —
+// the interference 0 exactly when the exact one is. It returns rxDecide's
+// decision on the exact powers whenever every SINR and capture ratio
+// within fastSlack of the fast ones decides alike: the capture ratio
+// clear of the gate's band, and the SINR interval saturated or inside one
+// table cell whose bracket settles the draw. Otherwise settled is false.
+func (p Params) fastDecide(capture dbGate, u, signalMW, maxInterfMW, noiseMW float64, frameBytes int) (ok, settled bool) {
+	if !fastSettles(signalMW) || !fastSettles(noiseMW) || maxInterfMW != 0 && !fastSettles(maxInterfMW) {
+		return false, false
+	}
+	if maxInterfMW > 0 {
+		// A ratio settled below the gate loses the frame for every draw.
+		if above, ok := capture.aboveNear(signalMW / maxInterfMW); !ok || !above {
+			return false, ok
+		}
+	}
+	snr := signalMW / (noiseMW + maxInterfMW)
+	lo, hi := snr*(1-fastSlack), snr*(1+fastSlack)
+	if lo >= prrSaturatedSNR {
+		return u < 1, true
+	}
+	j := int(lo * (1 / prrLogStep))
+	if hi >= prrSaturatedSNR || j != int(hi*(1/prrLogStep)) {
+		return false, false
+	}
+	return bracket(u, j, frameBytes+p.PhyOverheadBytes)
 }
 
 // binom16 holds C(16, k).

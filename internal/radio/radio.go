@@ -49,10 +49,10 @@ type Radio struct {
 	noise   noiseSource
 	rng     *rand.Rand
 	handler Handler
-	// noiseDBm and noiseMW memoise the last noise-floor conversion (NaN
-	// until the first read, so it always converts): a CPM source changes
-	// once per 1 ms sample and the quiet floor never, so most reads skip
-	// the dBm→mW conversion.
+	// noiseDBm and noiseMW memoise the last noise-floor conversion
+	// (fastMW; NaN until the first read, so it always converts): a CPM
+	// source changes once per 1 ms sample and the quiet floor never, so
+	// most reads skip the dBm→mW conversion.
 	noiseDBm, noiseMW float64
 
 	state State
@@ -85,12 +85,21 @@ type noiseSource interface {
 }
 
 // airEntry is one in-flight transmission audible at a radio. The linear
-// power mW is converted from rxDBm on first read only (negative until
+// power mW is fastMW(rxDBm), converted on first read only (negative until
 // then): a radio that is transmitting when a frame arrives, or that
 // wakes to find it on the air, or whose reception is already lost,
-// records it and pays for the dBm→mW conversion only if CCA reads it.
+// records it and pays for the conversion only if CCA reads it.
 type airEntry struct {
-	txID  uint64
+	// txID is the low 32 bits of the transmission id. Frames on the air
+	// together are far fewer than 2³² transmissions apart, so it names
+	// its frame within an air set.
+	txID uint32
+	// slot is the entry's index in the reception log while a logged
+	// reception is in flight, so its departure is stamped without a
+	// search. Entries get one when a reception locks or when they arrive
+	// during one (-1 for the locked frame); outside a logged reception it
+	// is stale and unread.
+	slot  int32
 	rxDBm float64
 	mW    float64
 }
@@ -98,13 +107,18 @@ type airEntry struct {
 // powerMW returns the entry's received power in mW, converting once.
 func (a *airEntry) powerMW() float64 {
 	if a.mW < 0 {
-		a.mW = dbmToMW(a.rxDBm)
+		a.mW = fastMW(a.rxDBm)
 	}
 	return a.mW
 }
 
+// rxContext is a reception in progress. Its powers are fastMW values: the
+// receive path decides from them where fastSlack settles the decision and
+// otherwise rebuilds the exact ones, the signal from signalDBm and the
+// worst interference from the log.
 type rxContext struct {
 	tx          *transmission
+	signalDBm   float64
 	signalMW    float64
 	maxInterfMW float64
 	// interfMW is the interference sum of the last arrival, the left fold
@@ -113,13 +127,20 @@ type rxContext struct {
 	// bit for bit. Negative once an entry has left the air set: the next
 	// arrival then folds the whole set afresh.
 	interfMW float64
+	// log records the reception's interferers and folds for the exact
+	// replay. Pooled, and held only while the reception is in flight, not
+	// lost and has had an interferer: until the first one every fold is
+	// 0, which leaves the worst fold as it is, so it starts no log (nil
+	// otherwise).
+	log *rxLog
 	// outshoneDBm is the locked frame's power minus the capture threshold
 	// plus outshoneMarginDB (+Inf under a trace hook): an interferer
 	// received above it loses the frame.
 	outshoneDBm float64
 	// lost marks a reception the capture gate must reject whatever else
-	// arrives (set by onAirStart, interfere and raiseInterference); the
-	// receive path stops converting powers for it.
+	// arrives (set through lose by onAirStart, interfere and
+	// raiseInterference); the receive path stops converting and logging
+	// powers for it.
 	lost bool
 }
 
@@ -228,7 +249,12 @@ func (r *Radio) CCABusy() bool {
 	if count < len(tenLog10) && top+tenLog10[count] < thr-ccaMarginDB {
 		return false
 	}
-	return m.ccaGate.above(r.channelMW(m.noiseMW(r, dbm, wifiOn)))
+	if len(r.air) < fastMaxTerms {
+		if busy, ok := m.ccaGate.aboveNear(r.channelMW(m.noiseMW(r, dbm, wifiOn))); ok {
+			return busy
+		}
+	}
+	return m.ccaGate.above(r.exactChannelMW(dbm, wifiOn))
 }
 
 // ccaMarginDB is the slack of CCABusy's dB decisions, far above the
@@ -251,6 +277,16 @@ func (r *Radio) channelMW(noiseMW float64) float64 {
 	total := noiseMW
 	for i := range r.air {
 		total += r.air[i].powerMW()
+	}
+	return total
+}
+
+// exactChannelMW is channelMW in dbmToMW powers, for a noise reading of
+// dbm and the interferer's state wifiOn.
+func (r *Radio) exactChannelMW(dbm float64, wifiOn bool) float64 {
+	total := r.medium.exactNoiseMW(dbm, wifiOn)
+	for i := range r.air {
+		total += dbmToMW(r.air[i].rxDBm)
 	}
 	return total
 }
@@ -281,11 +317,28 @@ func (r *Radio) Transmit(f *Frame, powerDBm float64) error {
 // dropRx abandons any reception in progress. Clearing the transmission
 // pointer matters: transmission records are pooled by the medium, and an
 // abandoned context must not pin (or later falsely match) a recycled one.
-// The other fields are read only while rxActive is set, and locking onto
-// the next frame rewrites them all.
+// The log goes back to the medium's pool. The other fields are read only
+// while rxActive is set, and locking onto the next frame rewrites them
+// all.
 func (r *Radio) dropRx() {
 	r.rxActive = false
 	r.rx.tx = nil
+	r.releaseLog()
+}
+
+// releaseLog returns the reception's log buffer to the medium's pool.
+func (r *Radio) releaseLog() {
+	if r.rx.log != nil {
+		r.medium.putLog(r.rx.log)
+		r.rx.log = nil
+	}
+}
+
+// lose settles the reception as lost: nothing it sees from here on can
+// save it, so it keeps no log.
+func (r *Radio) lose() {
+	r.rx.lost = true
+	r.releaseLog()
 }
 
 // Transmitting reports whether a transmission is in flight.
@@ -294,7 +347,7 @@ func (r *Radio) Transmitting() bool { return r.State() == StateTransmitting }
 // onAirStart is called by the medium when a transmission begins in range
 // of this radio while it is on.
 func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
-	r.air = append(r.air, airEntry{txID: tx.id, rxDBm: rxPowerDBm, mW: -1})
+	r.air = append(r.air, airEntry{txID: uint32(tx.id), slot: -1, rxDBm: rxPowerDBm, mW: -1})
 	switch r.State() {
 	case StateListening:
 		if rxPowerDBm < r.medium.params.SensitivityDBm {
@@ -302,7 +355,7 @@ func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 		}
 		// Lock onto this frame; everything else on the air interferes.
 		last := len(r.air) - 1
-		r.rx = rxContext{tx: tx, signalMW: r.air[last].powerMW(), outshoneDBm: math.Inf(1)}
+		r.rx = rxContext{tx: tx, signalDBm: rxPowerDBm, signalMW: r.air[last].powerMW(), outshoneDBm: math.Inf(1)}
 		r.rxActive = true
 		r.state = StateReceiving
 		if r.medium.traceFn == nil {
@@ -315,6 +368,13 @@ func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 				return
 			}
 			sum += r.air[i].powerMW()
+		}
+		if last > 0 {
+			r.rx.log = r.medium.takeLog()
+			for i := range r.air[:last] {
+				r.air[i].slot = r.rx.log.add(r.air[i].rxDBm)
+			}
+			r.rx.log.fold()
 		}
 		r.rx.interfMW = sum
 		r.raiseInterference(sum)
@@ -329,35 +389,42 @@ func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 // set, during a reception that is not yet lost.
 func (r *Radio) interfere(rxPowerDBm float64) {
 	if rxPowerDBm > r.rx.outshoneDBm {
-		r.rx.lost = true
+		r.lose()
 		return
 	}
+	if r.rx.log == nil {
+		r.rx.log = r.medium.takeLog()
+	}
+	r.air[len(r.air)-1].slot = r.rx.log.add(rxPowerDBm)
+	r.rx.log.fold()
 	if r.rx.interfMW >= 0 {
 		r.rx.interfMW += r.air[len(r.air)-1].powerMW()
 	} else {
-		r.rx.interfMW = r.interferenceMW(r.rx.tx.id)
+		r.rx.interfMW = r.interferenceMW(uint32(r.rx.tx.id))
 	}
 	r.raiseInterference(r.rx.interfMW)
 }
 
-// raiseInterference records an exact interference sum. Once the signal
-// is below the capture threshold by more than the gate's band against
-// it, the reception is lost: the worst interference only grows, and
-// division is monotone, so the end-of-air gate must reject the frame.
-// Under a trace hook the frame is judged at the end instead, so the
-// traced SINR is exact.
+// raiseInterference records an interference sum. Once the signal is
+// below the capture threshold by more than the gate's band against it,
+// the reception is lost: the worst interference only grows, and division
+// is monotone, so the end-of-air gate must reject the frame. The ratio
+// is of fast powers, so aboveNear must settle it below the band. Under a trace hook the frame is judged at the end instead, so
+// the traced SINR is exact.
 func (r *Radio) raiseInterference(i float64) {
 	if i <= r.rx.maxInterfMW {
 		return
 	}
 	r.rx.maxInterfMW = i
-	if r.medium.traceFn == nil && r.medium.captureGate.surelyBelow(r.rx.signalMW/i) {
-		r.rx.lost = true
+	if r.medium.traceFn == nil && r.rx.log.len() < fastMaxTerms {
+		if above, ok := r.medium.captureGate.aboveNear(r.rx.signalMW / i); ok && !above {
+			r.lose()
+		}
 	}
 }
 
 // interferenceMW sums audible power excluding the given transmission.
-func (r *Radio) interferenceMW(exclude uint64) float64 {
+func (r *Radio) interferenceMW(exclude uint32) float64 {
 	var sum float64
 	for i := range r.air {
 		if r.air[i].txID != exclude {
@@ -369,10 +436,13 @@ func (r *Radio) interferenceMW(exclude uint64) float64 {
 
 // removeAir drops a transmission from the air set, keeping arrival order;
 // a kept interference sum no longer holds once an entry has gone.
-func (r *Radio) removeAir(id uint64) {
+func (r *Radio) removeAir(id uint32) {
 	air := r.air
 	for i := range air {
 		if air[i].txID == id {
+			if r.rx.log != nil && air[i].slot >= 0 {
+				r.rx.log.leave(air[i].slot)
+			}
 			// Air sets hold a handful of entries: shifting by hand beats
 			// a memmove call.
 			for ; i+1 < len(air); i++ {
@@ -388,7 +458,7 @@ func (r *Radio) removeAir(id uint64) {
 // onAirEnd is called by the medium when a transmission leaves the air
 // while this radio is on.
 func (r *Radio) onAirEnd(tx *transmission) {
-	r.removeAir(tx.id)
+	r.removeAir(uint32(tx.id))
 	if r.State() != StateReceiving || !r.rxActive || r.rx.tx != tx {
 		return
 	}
@@ -397,14 +467,13 @@ func (r *Radio) onAirEnd(tx *transmission) {
 	// lost consumes it — so each adjudication advances the radio's RNG
 	// stream by exactly one value.
 	u := r.rng.Float64()
+	// The noise is read for every adjudication; a lost one reads it only
+	// to advance it.
+	dbm, wifiOn := m.readNoise(r, m.eng.Now())
 	var ok bool
 	var snr float64
-	if r.rx.lost {
-		// Lost whatever the noise: read the noise only to advance it.
-		m.readNoise(r, m.eng.Now())
-	} else {
-		nowNoise := m.noiseAt(r, m.eng.Now())
-		ok, snr = m.params.rxDecide(m.captureGate, u, r.rx.signalMW, r.rx.maxInterfMW, nowNoise, tx.frame.Size)
+	if !r.rx.lost {
+		ok, snr = r.decide(u, dbm, wifiOn, tx.frame.Size)
 	}
 	r.dropRx()
 	r.state = StateListening
@@ -430,6 +499,23 @@ func (r *Radio) onAirEnd(tx *transmission) {
 	if ok && r.handler != nil {
 		r.handler.OnFrame(tx.frame)
 	}
+}
+
+// decide adjudicates the reception at its end against the draw u and the
+// noise reading (dbm, wifiOn), returning what rxDecide returns on exact
+// powers. Untraced, it first decides on the fast powers; only a decision
+// they leave open — and every traced one, whose SINR is reported — takes
+// the exact powers, the worst interference replayed from the log.
+func (r *Radio) decide(u, dbm float64, wifiOn bool, frameBytes int) (ok bool, snr float64) {
+	m := r.medium
+	if m.traceFn == nil && r.rx.log.len() < fastMaxTerms {
+		if ok, settled := m.params.fastDecide(m.captureGate, u, r.rx.signalMW, r.rx.maxInterfMW, m.noiseMW(r, dbm, wifiOn), frameBytes); settled {
+			return ok, 0
+		}
+	}
+	var worst float64
+	m.replayMW, worst = r.rx.log.worst(m.replayMW)
+	return m.params.rxDecide(m.captureGate, u, dbmToMW(r.rx.signalDBm), worst, m.exactNoiseMW(dbm, wifiOn), frameBytes)
 }
 
 // txDone is called by the medium when this radio's transmission ends.

@@ -94,6 +94,12 @@ func checkDecision(t *testing.T, rng *rand.Rand, p Params, capture dbGate, signa
 	return wantPRR
 }
 
+// replayed is the exact worst interference r's reception log replays.
+func replayed(r *Radio) float64 {
+	_, worst := r.rx.log.worst(nil)
+	return worst
+}
+
 // TestCaptureFirstMatchesCurveFirst checks the capture-first, draw-first
 // decision against the curve-first oracle over random
 // signal/interference/noise triples: the SINR must agree bit for bit and
@@ -130,14 +136,17 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 		t.Fatalf("sweep too narrow: %d gated, %d saturated triples", gated, saturated)
 	}
 
-	// The receive path's early decisions. A bare radio locks onto a signal
-	// over a random air set and then sees arrivals and departures; the
-	// reference folds the air set afresh at every arrival. Whenever the
-	// radio has settled the frame as lost — an interferer outshines it in
-	// dB, or an exact sum puts it below the capture gate's band — the
-	// oracle on the reference's worst sum must return PRR 0. Otherwise the
-	// radio's kept sums must reproduce the reference's worst sum bit for
-	// bit. Either way the pair runs through the decision comparison above.
+	// The receive path's early decisions and its exact replay. A bare
+	// radio locks onto a signal over a random air set and then sees
+	// arrivals and departures; the reference folds the air set afresh in
+	// exact powers at every arrival. Whenever the radio has settled the
+	// frame as lost — an interferer outshines it in dB, or a fast sum puts
+	// it below the capture gate's band with fastSlack to spare — the oracle
+	// on the reference's worst sum must return PRR 0. Otherwise the worst
+	// sum replayed from the radio's reception log must reproduce the
+	// reference's bit for bit, and the kept fast one must lie within
+	// fastSlack of it. Either way the pair runs through the decision
+	// comparison above.
 	m, err := NewMedium(sim.NewEngine(), topology.Line(2, 5), nil, p, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -168,16 +177,16 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 		lockID := uint64(1 + rng.IntN(3))
 		for id+1 < lockID {
 			id++
-			ref = append(ref, airEntry{txID: id, rxDBm: interferer()})
-			r.air = append(r.air, airEntry{txID: id, rxDBm: ref[len(ref)-1].rxDBm, mW: -1})
+			ref = append(ref, airEntry{txID: uint32(id), rxDBm: interferer()})
+			r.air = append(r.air, airEntry{txID: uint32(id), rxDBm: ref[len(ref)-1].rxDBm, mW: -1})
 		}
 		id++
-		ref = append(ref, airEntry{txID: id, rxDBm: signal})
+		ref = append(ref, airEntry{txID: uint32(id), rxDBm: signal})
 		r.onAirStart(&transmission{id: id}, signal)
 		interference := func() float64 {
 			var sum float64
 			for _, e := range ref {
-				if e.txID != lockID {
+				if e.txID != uint32(lockID) {
 					sum += dbmToMW(e.rxDBm)
 				}
 			}
@@ -185,19 +194,19 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 		}
 		refMax, anyOutshone := interference(), false
 		for ops := rng.IntN(7); ops > 0; ops-- {
-			if k := rng.IntN(len(ref)); rng.IntN(10) < 3 && ref[k].txID != lockID {
+			if k := rng.IntN(len(ref)); rng.IntN(10) < 3 && ref[k].txID != uint32(lockID) {
 				r.removeAir(ref[k].txID)
 				ref = append(ref[:k], ref[k+1:]...)
 				continue
 			}
 			id++
 			dbm := interferer()
-			ref = append(ref, airEntry{txID: id, rxDBm: dbm})
+			ref = append(ref, airEntry{txID: uint32(id), rxDBm: dbm})
 			r.onAirStart(&transmission{id: id}, dbm)
 			refMax = max(refMax, interference())
 		}
 		for _, e := range ref {
-			anyOutshone = anyOutshone || (e.txID != lockID && signal-p.CaptureThresholdDB+outshoneMarginDB < e.rxDBm)
+			anyOutshone = anyOutshone || (e.txID != uint32(lockID) && signal-p.CaptureThresholdDB+outshoneMarginDB < e.rxDBm)
 		}
 		if r.rx.tx == nil || r.rx.tx.id != lockID {
 			t.Fatalf("trial %d: radio did not lock onto frame %d", trial, lockID)
@@ -216,8 +225,12 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 			} else {
 				sunk++
 			}
-		case math.Float64bits(r.rx.maxInterfMW) != math.Float64bits(refMax):
-			t.Fatalf("trial %d: kept worst interference %v, fresh folds %v", trial, r.rx.maxInterfMW, refMax)
+		case (r.rx.log == nil) != (refMax == 0):
+			t.Fatalf("trial %d: reception log %v, worst exact interference %v", trial, r.rx.log, refMax)
+		case math.Float64bits(replayed(r)) != math.Float64bits(refMax):
+			t.Fatalf("trial %d: replayed worst interference %v, fresh folds %v", trial, replayed(r), refMax)
+		case math.Abs(r.rx.maxInterfMW-refMax) > refMax*fastSlack:
+			t.Fatalf("trial %d: kept fast worst interference %v, fresh exact folds %v", trial, r.rx.maxInterfMW, refMax)
 		default:
 			kept++
 		}
@@ -319,8 +332,10 @@ func TestAdjudicationDrawsOncePerReception(t *testing.T) {
 
 // airSums builds a fresh 4-node line from seed, puts three overlapping
 // transmissions on the air at node 1 — one strong frame and two whose
-// received power is ~0.3 ulp of the channel total, so the floating-point
-// sum depends on the order it is taken in — and samples the air sums
+// received power is ~0.45 ulp of the channel total, so the floating-point
+// sum depends on the order it is taken in (one alone rounds away, two
+// together round up unless the total itself was rounded up by more than
+// 0.4 ulp) — and samples the air sums
 // mid-frame, calls times over. It returns the sampled bits and the three
 // received powers in arrival order.
 func airSums(t *testing.T, seed uint64, calls int) (interf, channel []uint64, busy []bool, powers []float64) {
@@ -336,9 +351,9 @@ func airSums(t *testing.T, seed uint64, calls int) (interf, channel []uint64, bu
 	rx := m.Radio(1)
 	rx.SetOn(true)
 	strong := 0 + m.GainDB(0, 1)
-	total := dbmToMW(strong) + dbmToMW(quietFloorDBm)
+	total := fastMW(strong) + fastMW(quietFloorDBm)
 	ulp := math.Nextafter(total, math.Inf(1)) - total
-	weak := mwToDBm(0.3 * ulp)
+	weak := mwToDBm(0.45 * ulp)
 	sends := []struct {
 		src   NodeID
 		power float64
@@ -361,7 +376,8 @@ func airSums(t *testing.T, seed uint64, calls int) (interf, channel []uint64, bu
 		for i := 0; i < calls; i++ {
 			// Transmission ids start at 1, so excluding 0 sums all three.
 			interf = append(interf, math.Float64bits(rx.interferenceMW(0)))
-			channel = append(channel, math.Float64bits(rx.channelMW(m.noiseAt(rx, eng.Now()))))
+			dbm, wifiOn := m.readNoise(rx, eng.Now())
+			channel = append(channel, math.Float64bits(rx.channelMW(m.noiseMW(rx, dbm, wifiOn))))
 			busy = append(busy, rx.CCABusy())
 		}
 	})
@@ -378,7 +394,7 @@ func airSums(t *testing.T, seed uint64, calls int) (interf, channel []uint64, bu
 func TestAirSumsDeterministic(t *testing.T) {
 	const calls = 64
 	interf, channel, busy, powers := airSums(t, 9, calls)
-	noise := dbmToMW(quietFloorDBm)
+	noise := fastMW(quietFloorDBm)
 
 	// The test's premise: the three powers sum differently in different
 	// orders, so an unordered iteration would show.
@@ -414,9 +430,10 @@ func TestAirSumsDeterministic(t *testing.T) {
 }
 
 // TestNoiseAtMemoMatchesConversion pins the noise-floor memo: on every
-// read, noiseAt must equal converting the twin sources' dBm values
-// afresh, bit for bit — with a CPM source per radio, with no model (the
-// constant quiet floor) and with a WiFi interferer on top. Reads jump
+// read, noiseMW must equal converting the twin sources' dBm values
+// afresh with fastMW, and exactNoiseMW with dbmToMW, bit for bit — with a
+// CPM source per radio, with no model (the constant quiet floor) and with
+// a WiFi interferer on top. Reads jump
 // between radios and include repeated times, sub-sample steps and gaps
 // past the CPM reseed threshold.
 func TestNoiseAtMemoMatchesConversion(t *testing.T) {
@@ -464,14 +481,95 @@ func TestNoiseAtMemoMatchesConversion(t *testing.T) {
 				if twins != nil {
 					dbm = twins[id].ReadAt(now)
 				}
-				want := dbmToMW(dbm)
+				want, wantExact := fastMW(dbm), dbmToMW(dbm)
 				if twinWifi != nil {
-					want += dbmToMW(twinWifi.InterferenceAt(now))
+					w := twinWifi.InterferenceAt(now)
+					want += fastMW(w)
+					wantExact += dbmToMW(w)
 				}
-				if got := m.noiseAt(m.Radio(NodeID(id)), now); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("read %d (node %d, t=%v): noiseAt %v, fresh conversion %v", i, id, now, got, want)
+				r := m.Radio(NodeID(id))
+				gotDBm, wifiOn := m.readNoise(r, now)
+				got, gotExact := m.noiseMW(r, gotDBm, wifiOn), m.exactNoiseMW(gotDBm, wifiOn)
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(gotExact) != math.Float64bits(wantExact) {
+					t.Fatalf("read %d (node %d, t=%v): noiseMW %v exact %v, fresh conversions %v and %v", i, id, now, got, gotExact, want, wantExact)
 				}
 			}
 		})
+	}
+}
+
+// TestTracedReceptionReportsExactSINR checks the SINR a traced reception
+// reports against one computed from dbmToMW powers, with powers chosen so
+// that a fastMW signal, noise or interference would each show. Node 1 of a 5-node
+// line locks onto a long frame from node 0; nodes 2, 3 and 4 put weaker
+// frames on the air during it — 3 while 2 is still on the air, 4 after
+// 2 has left — so the worst interference is the larger of the folds
+// I₂+I₃ and I₃+I₄. The reported SINR must equal mwToDBm of S/(N + worst)
+// bit for bit.
+func TestTracedReceptionReportsExactSINR(t *testing.T) {
+	eng := sim.NewEngine()
+	params := DefaultParams()
+	params.ShadowSigmaDB = 0
+	params.TxJitterSigmaDB = 0
+	m, err := NewMedium(eng, topology.Line(5, 4), nil, params, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []TraceEvent
+	m.SetTraceFn(func(e TraceEvent) {
+		if e.Node == 1 && e.Kind != TraceTxStart {
+			got = append(got, e)
+		}
+	})
+	for i := 0; i < 5; i++ {
+		m.Radio(NodeID(i)).SetOn(true)
+	}
+	sends := []struct {
+		src   NodeID
+		power float64
+		at    time.Duration
+		size  int
+	}{
+		{0, -1, 0, 100},
+		{2, -14, 200 * time.Microsecond, 10},
+		{3, -9, 500 * time.Microsecond, 30},
+		{4, -3, 1000 * time.Microsecond, 10},
+	}
+	for _, s := range sends {
+		s := s
+		eng.Schedule(s.at, func() {
+			if err := m.Radio(s.src).Transmit(&Frame{Kind: FrameData, Src: s.src, Dst: BroadcastID, Size: s.size}, s.power); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if err := eng.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Frame.Src != 0 {
+		t.Fatalf("node 1 reported %d receptions, want the one of node 0's frame", len(got))
+	}
+	rx := func(k int) float64 { return dbmToMW(sends[k].power + m.GainDB(sends[k].src, 1)) }
+	fast := func(k int) float64 { return fastMW(sends[k].power + m.GainDB(sends[k].src, 1)) }
+	worstOf := func(p func(int) float64) float64 { return max(p(1)+p(2), p(2)+p(3)) }
+	if end2 := sends[1].at + params.Airtime(sends[1].size); !(end2 > sends[2].at && end2 < sends[3].at) {
+		t.Fatalf("frame 2 leaves the air at %v, want between the next two arrivals", end2)
+	}
+	sinr := func(signal, noise, worst float64) float64 { return mwToDBm(signal / (noise + worst)) }
+	want := sinr(rx(0), dbmToMW(quietFloorDBm), worstOf(rx))
+	if math.Float64bits(got[0].SINRdB) != math.Float64bits(want) {
+		t.Fatalf("traced SINR %v dB, exact %v dB", got[0].SINRdB, want)
+	}
+	// The premise: a fast signal, noise or interference in place of the
+	// exact one changes the reported SINR, so any of them leaking into
+	// the report would show.
+	for name, dB := range map[string]float64{
+		"signal":       sinr(fast(0), dbmToMW(quietFloorDBm), worstOf(rx)),
+		"noise":        sinr(rx(0), fastMW(quietFloorDBm), worstOf(rx)),
+		"interference": sinr(rx(0), dbmToMW(quietFloorDBm), worstOf(fast)),
+	} {
+		if dB == want {
+			t.Fatalf("a fast %s gives the exact SINR here; the test cannot tell them apart", name)
+		}
 	}
 }

@@ -46,6 +46,7 @@ type Timer struct {
 	interval time.Duration
 	counter  int
 	running  bool
+	resets   uint64
 
 	fireEv sim.EventRef
 	endEv  sim.EventRef
@@ -89,9 +90,13 @@ func (t *Timer) Hear() {
 	}
 }
 
+// Resets returns the number of Reset calls, no-ops included.
+func (t *Timer) Resets() uint64 { return t.resets }
+
 // Reset reacts to an inconsistency: shrink the interval to IMin and start a
 // new interval immediately (no-op if already at IMin, per RFC 6206 §4.2).
 func (t *Timer) Reset() {
+	t.resets++
 	if !t.running {
 		t.Start()
 		return
