@@ -42,10 +42,11 @@ test-fault:
 
 # The sparse-medium scaling contract under the race detector, in short
 # mode: dense/sparse equivalence, the grid spatial index, per-link fault
-# offsets, and the 1k-node field smoke.
+# offsets, the 1k-node field smoke, and the awake-only fan-out with its
+# per-frame receiver lists.
 test-scale:
 	$(GO) test -race -short \
-		-run 'Grid1k|GridIndex|SparseMatchesDense|SparseTrace|LinkOffsetStore|ReseedPCG' \
+		-run 'Grid1k|GridIndex|SparseMatchesDense|SparseTrace|LinkOffsetStore|ReseedPCG|AwakeFanout|ReceiverList' \
 		./internal/radio/ ./internal/topology/ ./internal/experiment/
 
 # The multi-minute 1k-node studies: 2-seed serial-vs-parallel replication

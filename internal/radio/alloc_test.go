@@ -55,20 +55,32 @@ func TestBroadcastAllocFree(t *testing.T) {
 // step also churns radios while its frames are on the air: a few
 // sleepers wake, rebuilding their air sets from the frames in flight,
 // and as many listeners sleep; both return to their duty state once the
-// frames have left the air. Receptions that meet interference take a log
-// from the medium's pool, so the pool is inside the contract too.
+// frames have left the air. A wake also inserts the radio into the
+// receiver list of each frame on the air that notifies it, and the
+// measured window must contain such inserts. Receptions that meet
+// interference take a log from the medium's pool, so the pool is inside
+// the contract too.
 func TestDutyCycledAllocFree(t *testing.T) {
 	d := newDutyCycledField(t)
 	n := d.m.NumNodes()
 	const churned = 6
-	rebuilt := 0 // air entries woken radios found on the air
+	rebuilt := 0  // air entries woken radios found on the air
+	inserted := 0 // receiver-list inserts of those wakes
+	listed := func() (total int) {
+		for _, tx := range d.m.inFlight {
+			total += len(tx.rcv)
+		}
+		return total
+	}
 	flip := func(restore bool) {
 		for k := 0; k < churned; k++ {
 			i := (d.step*7 + k*17) % n
 			if r := d.m.Radio(NodeID(i)); !r.Transmitting() {
+				before := listed()
 				r.SetOn(listensDutyCycled(i) == restore)
 				if !restore && r.On() {
 					rebuilt += len(r.air)
+					inserted += listed() - before
 				}
 			}
 		}
@@ -89,7 +101,11 @@ func TestDutyCycledAllocFree(t *testing.T) {
 	if len(d.m.freeLogs) == 0 {
 		t.Fatal("no reception logged an interferer")
 	}
+	inserted = 0
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("duty-cycled step allocates %v, want 0", allocs)
+	}
+	if inserted == 0 {
+		t.Fatal("no wake inserted into a receiver list in the measured window")
 	}
 }

@@ -215,7 +215,7 @@ func TestAwakeFanoutMatchesAlwaysNotify(t *testing.T) {
 		eng.ScheduleAt(end, func() { s.end(i, id, f, end) })
 	}
 
-	var crashes, lostSeen, checked int
+	var lostSeen, checked int
 	check := func(step int) {
 		now := eng.Now()
 		for i := 0; i < n; i++ {
@@ -261,62 +261,15 @@ func TestAwakeFanoutMatchesAlwaysNotify(t *testing.T) {
 		}
 	}
 
-	for i := 0; i < n; i++ {
-		if rng.IntN(10) < 3 {
-			setOn(i, true)
-		}
-	}
-	step := 0
-	var act func()
-	act = func() {
-		i := rng.IntN(n)
-		r := m.Radio(NodeID(i))
-		switch a := rng.IntN(100); {
-		case a < 40:
-			if !r.On() {
-				setOn(i, true)
-			}
-			if !r.Transmitting() {
-				transmit(i)
-			}
-		case a < 65:
-			setOn(i, true)
-		case a < 85:
-			if !r.Transmitting() {
-				setOn(i, false)
-			}
-		case a < 92:
-			r.ForceOff()
+	crashes := runChurn(t, eng, m, rng, events, churnOps{
+		setOn: setOn,
+		forceOff: func(i int) {
+			m.Radio(NodeID(i)).ForceOff()
 			s.forceOff(i)
-		default:
-			// A node dies mid-frame and reboots at once: its second frame
-			// goes on the air while the first is still on it.
-			setOn(i, true)
-			if !r.Transmitting() {
-				transmit(i)
-			}
-			r.ForceOff()
-			s.forceOff(i)
-			setOn(i, true)
-			transmit(i)
-			crashes++
-		}
-		check(step)
-		if step++; step < events {
-			gap := time.Duration(rng.IntN(600_000))
-			if rng.IntN(50) == 0 {
-				// An idle stretch: CPM sources reseed and WiFi epochs
-				// lapse, so a skipped noise read would show.
-				gap = 50*time.Millisecond + time.Duration(rng.IntN(400))*time.Millisecond
-			}
-			eng.Schedule(gap, act)
-		}
-	}
-	eng.Schedule(0, act)
-	if err := eng.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	check(step)
+		},
+		transmit: transmit,
+		check:    check,
+	})
 	for i := 0; i < n; i++ {
 		r := m.Radio(NodeID(i))
 		if got, want := r.rng.Float64(), s.radios[i].rng.Float64(); got != want {
@@ -336,5 +289,197 @@ func TestAwakeFanoutMatchesAlwaysNotify(t *testing.T) {
 	if crashes < 50 || lostSeen < 50 || delivered < 100 || corrupted < 100 || checked < 10000 {
 		t.Fatalf("schedule too narrow: %d crash retransmissions, %d lost receptions seen, %d delivered, %d corrupted, %d awake checks",
 			crashes, lostSeen, delivered, corrupted, checked)
+	}
+}
+
+// churnOps are the actions of the churn schedule: a test mirrors them
+// into its reference, if it keeps one, and check runs its invariants.
+type churnOps struct {
+	setOn    func(i int, on bool)
+	forceOff func(i int)
+	transmit func(i int)
+	check    func(step int)
+}
+
+// runChurn drives m through a seeded random schedule of wakes, sleeps,
+// forced power-offs and transmissions, with idle gaps, calling
+// ops.check after every event and once more when the engine has run
+// dry. Among the power-offs are crash retransmissions: a node dies
+// mid-frame and reboots at once, so its second frame goes on the air
+// while the first is still on it; runChurn returns how many it made.
+func runChurn(t *testing.T, eng *sim.Engine, m *Medium, rng *rand.Rand, events int, ops churnOps) (crashes int) {
+	t.Helper()
+	n := m.NumNodes()
+	for i := 0; i < n; i++ {
+		if rng.IntN(10) < 3 {
+			ops.setOn(i, true)
+		}
+	}
+	step := 0
+	var act func()
+	act = func() {
+		i := rng.IntN(n)
+		r := m.Radio(NodeID(i))
+		switch a := rng.IntN(100); {
+		case a < 40:
+			if !r.On() {
+				ops.setOn(i, true)
+			}
+			if !r.Transmitting() {
+				ops.transmit(i)
+			}
+		case a < 65:
+			ops.setOn(i, true)
+		case a < 85:
+			if !r.Transmitting() {
+				ops.setOn(i, false)
+			}
+		case a < 92:
+			ops.forceOff(i)
+		default:
+			ops.setOn(i, true)
+			if !r.Transmitting() {
+				ops.transmit(i)
+			}
+			ops.forceOff(i)
+			ops.setOn(i, true)
+			ops.transmit(i)
+			crashes++
+		}
+		ops.check(step)
+		if step++; step < events {
+			gap := time.Duration(rng.IntN(600_000))
+			if rng.IntN(50) == 0 {
+				// An idle stretch: CPM sources reseed and WiFi epochs
+				// lapse, so a skipped noise read would show.
+				gap = 50*time.Millisecond + time.Duration(rng.IntN(400))*time.Millisecond
+			}
+			eng.Schedule(gap, act)
+		}
+	}
+	eng.Schedule(0, act)
+	if err := eng.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	ops.check(step)
+	return crashes
+}
+
+// TestReceiverListMatchesAwakeSet runs the churn schedule and checks,
+// after every event, each frame's receiver list against the awake
+// mirror: strictly ascending, only notified links of the sender's row,
+// and every notified link whose receiver is awake. A listed receiver
+// may be asleep (it slept after the frame started). The schedule must
+// make wakes insert into frames on the air, and wakes of radios that a
+// frame lists already.
+func TestReceiverListMatchesAwakeSet(t *testing.T) {
+	const seed, events = 29, 20000
+	eng := sim.NewEngine()
+	model := noise.Train(noise.GenerateTrace(20000, 3))
+	m, err := NewMedium(eng, benchDeployment(4, seed), model, benchParams(GainPerLink), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.NumNodes()
+	for i := 0; i < n; i++ {
+		m.Radio(NodeID(i)).SetHandler(&recordingHandler{})
+	}
+	rng := rand.New(rand.NewPCG(seed, 3))
+	listed := func() (total int) {
+		for _, tx := range m.inFlight {
+			total += len(tx.rcv)
+		}
+		return total
+	}
+	var inserts, rewakes int
+	setOn := func(i int, on bool) {
+		r := m.Radio(NodeID(i))
+		if !on || r.On() {
+			r.SetOn(on)
+			return
+		}
+		before := listed()
+		r.SetOn(true)
+		woke := len(r.air)
+		added := listed() - before
+		inserts += added
+		rewakes += woke - added
+	}
+	transmit := func(i int) {
+		f := &Frame{Kind: FrameData, Src: NodeID(i), Dst: BroadcastID, Size: 10 + rng.IntN(60)}
+		if err := m.Radio(NodeID(i)).Transmit(f, -5*float64(rng.IntN(4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step int) {
+		for _, tx := range m.inFlight {
+			rowEnd := m.linkStart[tx.src+1]
+			next := 0
+			for j, k := range tx.rcv {
+				if j > 0 && k <= tx.rcv[j-1] {
+					t.Fatalf("step %d frame %d: receiver list %v not strictly ascending", step, tx.id, tx.rcv)
+				}
+				if k < tx.rowStart || k >= rowEnd || !m.linkNbr[k] {
+					t.Fatalf("step %d frame %d: link %d is not a notified link of node %d", step, tx.id, k, tx.src)
+				}
+			}
+			for k := tx.rowStart; k < rowEnd; k++ {
+				if !m.linkNbr[k] || !m.awake[m.linkDst[k]] {
+					continue
+				}
+				for next < len(tx.rcv) && tx.rcv[next] < k {
+					next++
+				}
+				if next == len(tx.rcv) || tx.rcv[next] != k {
+					t.Fatalf("step %d frame %d: awake receiver %d (link %d) not listed in %v", step, tx.id, m.linkDst[k], k, tx.rcv)
+				}
+			}
+		}
+	}
+	crashes := runChurn(t, eng, m, rng, events, churnOps{
+		setOn:    setOn,
+		forceOff: func(i int) { m.Radio(NodeID(i)).ForceOff() },
+		transmit: transmit,
+		check:    check,
+	})
+	t.Logf("%d crash retransmissions, %d wake inserts, %d wakes already listed", crashes, inserts, rewakes)
+	if crashes < 50 || inserts < 1000 || rewakes < 50 {
+		t.Fatalf("schedule too narrow: %d crash retransmissions, %d wake inserts, %d wakes already listed", crashes, inserts, rewakes)
+	}
+}
+
+// TestEndOfAirSkipsSleepers pins that end of air calls no radio that is
+// asleep when the frame leaves, also one the frame lists because it was
+// awake at the start. Such a call would find nothing (sleep empties the
+// air set), so the test plants an entry with the frame's id in the
+// sleeper's air set, which a call would remove.
+func TestEndOfAirSkipsSleepers(t *testing.T) {
+	eng := sim.NewEngine()
+	m, err := NewMedium(eng, benchDeployment(3, 1), nil, benchParams(GainPerLink), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < m.NumNodes(); i++ {
+		m.Radio(NodeID(i)).SetOn(true)
+	}
+	src := m.Radio(0)
+	if err := src.Transmit(&Frame{Kind: FrameData, Src: 0, Dst: BroadcastID, Size: 30}, 0); err != nil {
+		t.Fatal(err)
+	}
+	tx := src.curTx
+	if len(tx.rcv) == 0 {
+		t.Fatal("the frame lists no receiver")
+	}
+	sleeper := m.Radio(m.linkDst[tx.rcv[0]])
+	sleeper.SetOn(false)
+	sleeper.air = append(sleeper.air, airEntry{txID: uint32(tx.id), slot: -1, mW: -1})
+	if err := eng.Run(eng.Now() + 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if src.curTx != nil {
+		t.Fatal("the frame is still on the air")
+	}
+	if len(sleeper.air) != 1 {
+		t.Fatal("end of air called a listed receiver that was asleep")
 	}
 }

@@ -371,8 +371,17 @@ func (f *fadeProc) at(t time.Duration) float64 {
 }
 
 // gainAtLink returns the instantaneous gain of link k including fading
-// and any injected perturbation — the per-transmission hot path.
+// and any injected perturbation — the per-transmission hot path, small
+// enough to inline when there is neither.
 func (m *Medium) gainAtLink(k int, t time.Duration) float64 {
+	if m.linkFade == nil && m.linkOffset == nil {
+		return m.linkGain[k]
+	}
+	return m.perturbedGain(k, t)
+}
+
+// perturbedGain is gainAtLink with fading or an offset.
+func (m *Medium) perturbedGain(k int, t time.Duration) float64 {
 	g := m.linkGain[k]
 	if m.linkFade != nil {
 		g += m.linkFade[k].at(t)
@@ -532,9 +541,8 @@ type transmission struct {
 	frame    *Frame
 	power    float64 // dBm at transmitter
 	end      time.Duration
-	// rowStart/rowEnd cache the sender's CSR link row so end-of-air
-	// revisits exactly the notified set without re-deriving it.
-	rowStart, rowEnd int32
+	// rowStart is the first link of the sender's CSR row.
+	rowStart int32
 	// rxDBm[k-rowStart] is the power received over notified link k,
 	// jitter included, awake receiver or not: a radio that wakes while
 	// the frame is on the air reads its entry from here. The buffer is
@@ -542,6 +550,13 @@ type transmission struct {
 	// second frame on the air before its first one ends — and sized once
 	// to Medium.rowCap, so it survives pooling.
 	rxDBm []float64
+	// rcv lists, in ascending link order, the notified links whose
+	// receiver was awake at the start of air or has woken since (wake
+	// inserts it); end of air visits these instead of the whole row. A
+	// listed receiver may have gone back to sleep, so end of air still
+	// checks the awake mirror. Its capacity is Medium.rowCap, so neither
+	// the fill nor an insert allocates.
+	rcv []int32
 }
 
 // startTransmission is called by Radio.Transmit. It draws the received
@@ -555,7 +570,7 @@ func (m *Medium) startTransmission(src *Radio, f *Frame, powerDBm float64) *tran
 		m.freeTx[n-1] = nil
 		m.freeTx = m.freeTx[:n-1]
 	} else {
-		tx = &transmission{rxDBm: make([]float64, m.rowCap)}
+		tx = &transmission{rxDBm: make([]float64, m.rowCap), rcv: make([]int32, 0, m.rowCap)}
 	}
 	airtime := m.params.Airtime(f.Size)
 	*tx = transmission{
@@ -566,43 +581,72 @@ func (m *Medium) startTransmission(src *Radio, f *Frame, powerDBm float64) *tran
 		power:    powerDBm,
 		end:      m.eng.Now() + airtime,
 		rowStart: m.linkStart[src.id],
-		rowEnd:   m.linkStart[src.id+1],
 		rxDBm:    tx.rxDBm,
+		rcv:      tx.rcv,
 	}
 	m.trace(TraceEvent{Kind: TraceTxStart, Node: src.id, Frame: f})
 	now := m.eng.Now()
-	for k := tx.rowStart; k < tx.rowEnd; k++ {
+	// The jitter is drawn for every notified link, in link order, so the
+	// jitter stream does not depend on who is awake. The awake links are
+	// collected without a branch: each is written to the next free slot,
+	// which only an awake one claims.
+	rcv := tx.rcv[:cap(tx.rcv)]
+	n := 0
+	sigma := m.params.TxJitterSigmaDB
+	for k, end := tx.rowStart, m.linkStart[src.id+1]; k < end; k++ {
 		if !m.linkNbr[k] {
 			continue
 		}
-		// The jitter is drawn for every notified link, in link order,
-		// so the jitter stream does not depend on who is awake.
 		rxPower := powerDBm + m.gainAtLink(int(k), now)
-		if m.params.TxJitterSigmaDB > 0 {
-			rxPower += m.jitterRNG.NormFloat64() * m.params.TxJitterSigmaDB
+		if sigma > 0 {
+			rxPower += m.jitterRNG.NormFloat64() * sigma
 		}
 		tx.rxDBm[k-tx.rowStart] = rxPower
-		if dst := m.linkDst[k]; m.awake[dst] {
-			m.radios[dst].onAirStart(tx, rxPower)
-		}
+		rcv[n] = k
+		n += b2i(m.awake[m.linkDst[k]])
+	}
+	tx.rcv = rcv[:n]
+	// onAirStart calls no handler and draws no jitter, so notifying after
+	// the draws, in the same link order, changes no event order.
+	for _, k := range tx.rcv {
+		m.radios[m.linkDst[k]].onAirStart(tx, tx.rxDBm[k-tx.rowStart])
 	}
 	m.inFlight = append(m.inFlight, tx)
 	m.eng.ScheduleArg(airtime, m.endAirFn, tx)
 	return tx
 }
 
-// endOfAir takes one transmission off the air: every awake notified radio
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// endOfAir takes one transmission off the air: every awake listed radio
 // gets onAirEnd (adjudicating reception), the sender gets txDone, and the
 // record returns to the pool. The record leaves the in-flight list first,
 // so a radio woken by a handler inside the loop finds the frame gone, as
-// it has left every air set the loop has passed. Pre-bound as m.endAirFn
-// so scheduling it never allocates a closure.
+// it has left every air set the loop has passed; such a radio is not
+// listed unless it was listed before, and then the call finds nothing of
+// the frame. Pre-bound as m.endAirFn so scheduling it never allocates a
+// closure.
 func (m *Medium) endOfAir(a any) {
 	tx := a.(*transmission)
-	i := slices.Index(m.inFlight, tx)
+	// inFlight is in id order. The search is written out: the generic
+	// slices.BinarySearchFunc calls its comparison through a pointer.
+	i, j := 0, len(m.inFlight)
+	for i < j {
+		if h := int(uint(i+j) >> 1); m.inFlight[h].id < tx.id {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
 	m.inFlight = slices.Delete(m.inFlight, i, i+1)
-	for k := tx.rowStart; k < tx.rowEnd; k++ {
-		if dst := m.linkDst[k]; m.linkNbr[k] && m.awake[dst] {
+	for _, k := range tx.rcv {
+		if dst := m.linkDst[k]; m.awake[dst] {
 			m.radios[dst].onAirEnd(tx)
 		}
 	}
@@ -613,12 +657,18 @@ func (m *Medium) endOfAir(a any) {
 
 // wake marks r awake and fills its (empty) air set with the frames on the
 // air that notify it, in arrival order, exactly as if it had recorded
-// every arrival while asleep; powers convert on first read.
+// every arrival while asleep; powers convert on first read. Each of those
+// frames lists r's link from then on, at its place in link order; a radio
+// that was awake at the start of air, slept and woke again is listed
+// already.
 func (m *Medium) wake(r *Radio) {
 	m.awake[r.id] = true
 	for _, tx := range m.inFlight {
 		if k := m.linkIndex(tx.src, r.id); k >= 0 && m.linkNbr[k] {
 			r.air = append(r.air, airEntry{txID: uint32(tx.id), rxDBm: tx.rxDBm[k-int(tx.rowStart)], mW: -1})
+			if at, listed := slices.BinarySearch(tx.rcv, int32(k)); !listed {
+				tx.rcv = slices.Insert(tx.rcv, at, int32(k))
+			}
 		}
 	}
 }
