@@ -192,25 +192,8 @@ func BenchmarkMediumDutyCycled(b *testing.B) {
 	}
 }
 
-// BenchmarkDBmToMW measures one dBm→mW conversion over received powers
+// BenchmarkFastMW measures one fastMW conversion over received powers
 // spread across the medium's range.
-func BenchmarkDBmToMW(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	dbm := make([]float64, 1024)
-	for i := range dbm {
-		dbm[i] = -110 + 110*rng.Float64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sum float64
-	for i := 0; i < b.N; i++ {
-		sum += dbmToMW(dbm[i&1023])
-	}
-	benchSink = sum
-}
-
-// BenchmarkFastMW measures one fastMW conversion over the inputs of
-// BenchmarkDBmToMW.
 func BenchmarkFastMW(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	dbm := make([]float64, 1024)
@@ -226,14 +209,18 @@ func BenchmarkFastMW(b *testing.B) {
 	benchSink = sum
 }
 
-// BenchmarkRxDecide measures one draw-first reception decision over a
-// fixed seeded batch of gray-zone frames: SNRs whose PRR lies between
-// 0.01 and 0.99 for the frame's length, each with a uniform draw.
+// BenchmarkRxDecide measures one draw-first reception decision
+// (fastDecide, interference-free, so the SNR is the signal over a unit
+// noise) over a fixed seeded batch of gray-zone frames: SNRs whose PRR
+// lies between 0.01 and 0.99 for the frame's length, each with a uniform
+// draw.
 func BenchmarkRxDecide(b *testing.B) {
 	type decision struct {
 		u, snr     float64
 		frameBytes int
 	}
+	p := DefaultParams()
+	capture := newDBGate(p.CaptureThresholdDB)
 	rng := rand.New(rand.NewPCG(7, 20))
 	batch := make([]decision, 0, 1024)
 	for len(batch) < cap(batch) {
@@ -247,7 +234,7 @@ func BenchmarkRxDecide(b *testing.B) {
 	n := 0
 	for i := 0; i < b.N; i++ {
 		d := &batch[i&1023]
-		if received(d.u, d.snr, d.frameBytes) {
+		if ok, settled := p.fastDecide(capture, d.u, d.snr, 0, 1, d.frameBytes-p.PhyOverheadBytes); ok && settled {
 			n++
 		}
 	}

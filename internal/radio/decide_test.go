@@ -11,44 +11,65 @@ import (
 	"teleadjust/internal/topology"
 )
 
-// checkReceived fails the test unless received(u, snr, frameBytes) is u <
-// prrFromSNR(snr, frameBytes).
-func checkReceived(t testing.TB, u, snr float64, frameBytes int) {
+// checkBracket fails the test unless the bracket of snr's table cell,
+// where it settles, decides u < prrFromSNR(snr, frameBytes). SNRs outside
+// (0, prrSaturatedSNR), NaN included, have no bracket: fastDecide settles
+// or leaves them before it reaches one. It reports whether the bracket
+// settled.
+func checkBracket(t testing.TB, u, snr float64, frameBytes int) bool {
 	t.Helper()
-	if got, want := received(u, snr, frameBytes), u < prrFromSNR(snr, frameBytes); got != want {
-		t.Fatalf("received(%v, %v, %d) = %v, want u < %v = %v",
-			u, snr, frameBytes, got, prrFromSNR(snr, frameBytes), want)
+	if !(snr > 0 && snr < prrSaturatedSNR) {
+		return false
 	}
+	j := int(snr * (1 / prrLogStep))
+	ok, settled := bracket(u, j, frameBytes)
+	if want := u < prrFromSNR(snr, frameBytes); settled && ok != want {
+		t.Fatalf("bracket(%v, %d, %d) at SNR %v = %v, want u < %v = %v",
+			u, j, frameBytes, snr, ok, prrFromSNR(snr, frameBytes), want)
+	}
+	return settled
 }
 
-// checkReceivedAtPRR checks the draws that sit on the decision's margin
+// checkBracketAtPRR checks the draws that sit on the decision's margin
 // for one SNR and frame length: 0, the PRR itself and its float
 // neighbours, and one uniform draw.
-func checkReceivedAtPRR(t testing.TB, rng *rand.Rand, snr float64, frameBytes int) {
+func checkBracketAtPRR(t testing.TB, rng *rand.Rand, snr float64, frameBytes int) {
 	t.Helper()
 	prr := prrFromSNR(snr, frameBytes)
 	for _, u := range []float64{0, prr, math.Nextafter(prr, 0), math.Nextafter(prr, 1), rng.Float64()} {
-		checkReceived(t, u, snr, frameBytes)
+		checkBracket(t, u, snr, frameBytes)
 	}
 }
 
-// TestReceivedMatchesCurve pins the draw-first decision to the curve: on
-// 10^7 seeded (u, SNR, frame length) triples over SNR in (0, 4.5) and
-// every frame length the stack sends, and on the margins — u at 0 and at
-// the exact PRR with its neighbours, SNRs on every 64th table grid point
-// with their neighbours, at the saturation bound and one ulp below it,
-// and SNRs of 0, below 0, NaN and ±Inf — received must equal u <
-// prrFromSNR bit for bit.
+// TestReceivedMatchesCurve pins the draw-first reception decision, the
+// table bracket fastDecide settles draws with, to the curve: on 10^7
+// seeded (u, SNR, frame length) triples over SNR in (0, 4.5) and every
+// frame length the stack sends, and on the margins — u at 0 and at the
+// exact PRR with its neighbours, SNRs on every 64th table grid point with
+// their neighbours, at the saturation bound and one ulp below it, and
+// SNRs of 0, below 0, NaN and ±Inf — a settled bracket must equal u <
+// prrFromSNR bit for bit. Nearly all random triples inside the table must
+// settle.
 func TestReceivedMatchesCurve(t *testing.T) {
 	overhead := DefaultParams().PhyOverheadBytes
 	rng := rand.New(rand.NewPCG(20, 1))
+	var inTable, settled int
 	for i := 0; i < 10_000_000; i++ {
 		snr := 4.5 * rng.Float64()
 		frameBytes := rng.IntN(maxTestFrameBytes+1) + overhead
-		checkReceived(t, rng.Float64(), snr, frameBytes)
+		if checkBracket(t, rng.Float64(), snr, frameBytes) {
+			settled++
+		}
+		if snr < prrSaturatedSNR {
+			inTable++
+		}
+	}
+	t.Logf("bracket settled %d of %d random triples inside the table", settled, inTable)
+	if settled < inTable*99/100 {
+		t.Fatalf("bracket settled %d of %d random triples inside the table, want at least 99%%", settled, inTable)
 	}
 	for i := 0; i < 200_000; i++ {
-		checkReceivedAtPRR(t, rng, prrSaturatedSNR*rng.Float64(), rng.IntN(maxTestFrameBytes+1)+overhead)
+		checkBracketAtPRR(t, rng, prrSaturatedSNR*rng.Float64(), rng.IntN(maxTestFrameBytes+1)+overhead)
 	}
 	var snrs []float64
 	for j := 0; j <= prrLogSteps; j += 64 {
@@ -60,7 +81,7 @@ func TestReceivedMatchesCurve(t *testing.T) {
 		math.NaN(), math.Inf(1), math.Inf(-1))
 	for _, snr := range snrs {
 		for size := 0; size <= maxTestFrameBytes; size++ {
-			checkReceivedAtPRR(t, rng, snr, size+overhead)
+			checkBracketAtPRR(t, rng, snr, size+overhead)
 		}
 	}
 }
@@ -82,7 +103,7 @@ func FuzzRxDecide(f *testing.F) {
 	f.Add(math.Float64bits(0.5), math.Float64bits(1.5), byte(30))
 	f.Add(math.Float64bits(0.999), math.Float64bits(prrSaturatedSNR), byte(127))
 	f.Fuzz(func(t *testing.T, uBits, snrBits uint64, size byte) {
-		checkReceived(t, math.Float64frombits(uBits), math.Float64frombits(snrBits),
+		checkBracket(t, math.Float64frombits(uBits), math.Float64frombits(snrBits),
 			int(size)+DefaultParams().PhyOverheadBytes)
 	})
 }
@@ -297,7 +318,7 @@ func TestFastDecideMatchesRxDecide(t *testing.T) {
 	// their fast counterparts (fs, fi, fn) at each draw in us.
 	check := func(us []float64, s, i, n, fs, fi, fn float64, size int) {
 		for _, u := range us {
-			want, _ := p.rxDecide(capture, u, s, i, n, size)
+			want := p.rxDecide(capture, u, s, i, n, size)
 			got, ok := p.fastDecide(capture, u, fs, fi, fn, size)
 			if !ok {
 				open++

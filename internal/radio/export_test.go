@@ -43,3 +43,7 @@ func (m *Medium) storedLinks(id NodeID) (dsts []NodeID, gains []float64) {
 // NextJitterDraw takes the next value of the medium's jitter stream, so
 // tests outside the package can check two runs left it at the same draw.
 func (m *Medium) NextJitterDraw() float64 { return m.jitterRNG.Float64() }
+
+// NextRxDraw takes the next value of the radio's reception stream, so
+// tests outside the package can check two runs left it at the same draw.
+func (r *Radio) NextRxDraw() float64 { return r.rng.Float64() }

@@ -141,7 +141,7 @@ func (s *shadowMedium) end(src int, id uint64, f *Frame, now time.Duration) {
 			continue
 		}
 		r.lockID = 0
-		prr, _ := curveFirstPRR(s.m.params, r.signalMW, r.maxInterfMW, s.noiseMW(int(dst), now), f.Size)
+		prr := curveFirstPRR(s.m.params, r.signalMW, r.maxInterfMW, s.noiseMW(int(dst), now), f.Size)
 		if r.rng.Float64() < prr {
 			r.counters.RxDelivered++
 			r.delivered = append(r.delivered, f)

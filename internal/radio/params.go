@@ -185,8 +185,8 @@ func PowerLevelDBm(level int) float64 {
 	return 0
 }
 
-// dbmToMW converts dBm to milliwatts: math.Pow(10, dbm/10), bit for bit.
-func dbmToMW(dbm float64) float64 { return pow10(dbm / 10) }
+// dbmToMW converts dBm to milliwatts.
+func dbmToMW(dbm float64) float64 { return math.Pow(10, dbm/10) }
 
 // mwToDBm converts milliwatts to dBm.
 func mwToDBm(mw float64) float64 {
@@ -197,21 +197,20 @@ func mwToDBm(mw float64) float64 {
 }
 
 // gateBand is the relative half-width of the band around a dbGate's
-// threshold inside which the gate takes the logarithm. dbmToMW and
-// mwToDBm each round to within a few 1e-16 relative, so outside the band
-// the linear compare and the logarithmic one cannot disagree.
+// threshold inside which aboveNear leaves a fast value to the logarithm.
+// dbmToMW and mwToDBm each round to within a few 1e-16 relative, so
+// outside the band the linear compare and the logarithmic one cannot
+// disagree.
 const gateBand = 1e-9
 
 // dbGate compares a linear power (or power ratio) against a threshold
-// given in dB, returning what comparing mwToDBm of the value would, bit
-// for bit, without the logarithm for values outside gateBand of the
-// threshold. CCA and the capture gate run every compare through one.
+// given in dB. CCA and the capture gate run every compare through one.
 type dbGate struct {
 	db float64
-	// lo and hi bound the band in linear units: a positive value below lo
-	// is surely under db, a value above hi surely over. Thresholds whose
-	// linear value is not a normal float get lo = 0 and hi = +Inf, so
-	// every compare takes the logarithm.
+	// lo and hi bound the band in linear units for aboveNear: a positive
+	// value below lo is surely under db, a value above hi surely over.
+	// Thresholds whose linear value is not a normal float get lo = 0 and
+	// hi = +Inf, so aboveNear never settles.
 	lo, hi float64
 }
 
@@ -223,31 +222,11 @@ func newDBGate(db float64) dbGate {
 	return dbGate{db: db, lo: lin * (1 - gateBand), hi: lin * (1 + gateBand)}
 }
 
-// surelyBelow reports that x is below the threshold without the
-// logarithm; false means below must decide.
-func (g dbGate) surelyBelow(x float64) bool { return x > 0 && x < g.lo }
-
 // below reports mwToDBm(x) < g.db.
-func (g dbGate) below(x float64) bool {
-	if g.surelyBelow(x) {
-		return true
-	}
-	if x > g.hi {
-		return false
-	}
-	return mwToDBm(x) < g.db
-}
+func (g dbGate) below(x float64) bool { return mwToDBm(x) < g.db }
 
 // above reports mwToDBm(x) > g.db.
-func (g dbGate) above(x float64) bool {
-	if x > g.hi {
-		return true
-	}
-	if g.surelyBelow(x) {
-		return false
-	}
-	return mwToDBm(x) > g.db
-}
+func (g dbGate) above(x float64) bool { return mwToDBm(x) > g.db }
 
 // aboveNear reports above(x) for every x within fastSlack relative of
 // fast, a fast power or a ratio of fast powers, with settled false when
@@ -354,21 +333,22 @@ func buildPRRLogTable() (t [prrLogSteps + 1]float64) {
 	return t
 }
 
-// prrBracketSlack is the log-domain margin of received's table bracket,
-// and prrBracketMaxBytes the longest frame the margin is proven for.
+// prrBracketSlack is the log-domain margin of bracket, and
+// prrBracketMaxBytes the longest frame the margin is proven for.
 const (
 	prrBracketSlack    = 1e-6
 	prrBracketMaxBytes = 1024
 )
 
-// received reports u < prrFromSNR(snrLinear, frameBytes), bit for bit,
-// mostly without evaluating the curve. The reception ratio meets only
-// the uniform draw u, so the decision brackets ln PRR = n·ln(1 − Pb),
-// n = 8·frameBytes, between two entries of prrLogTable and compares ln u
-// against the bracket:
+// bracket decides u < prrFromSNR(snr, frameBytes), bit for bit, for every
+// SNR in the table cell [j·h, (j+1)·h) (h = prrLogStep, 0 ≤ j <
+// prrLogSteps) without evaluating the curve. The reception ratio meets
+// only the uniform draw u, so the decision brackets ln PRR = n·ln(1 − Pb),
+// n = 8·frameBytes, between the cell's two entries of prrLogTable and
+// compares ln u against the bracket:
 //
-//   - The true Pb falls as the SNR rises, so for SNR in [j·h, (j+1)·h]
-//     (h = prrLogStep) the true ln PRR lies in [n·T[j], n·T[j+1]].
+//   - The true Pb falls as the SNR rises, so for SNR in the cell the true
+//     ln PRR lies in [n·T[j], n·T[j+1]].
 //   - The sum behind Pb rounds to within about 3e-12 absolute, and
 //     1 − Pb ≥ 1/2, so ln(1 − Pb) is off by at most 6e-12 and n·ln(1 − Pb)
 //     by at most 8·1024·6e-12 ≈ 5e-8 for every frame up to
@@ -378,34 +358,11 @@ const (
 //     2δ < prrBracketSlack.
 //
 // So ln u below n·T[j] − slack means u < PRR as computed (received), and
-// ln u at or above n·T[j+1] + slack means u ≥ PRR (lost). Between the
-// two the decision evaluates the curve and compares exactly, as it does
-// for u below 2⁻¹⁰⁰⁰ (0 included: a PRR near it is subnormal and no
-// longer relatively exact), for an SNR of NaN and for a frame length
-// outside [0, prrBracketMaxBytes]. SNRs at or above prrSaturatedSNR and
-// at or below 0 are decided first, as prrFromSNR decides them. Draws
-// from rand.Float64 are 0 or at least 2⁻⁵³, so the curve runs only for
-// draws at the margin.
-func received(u, snrLinear float64, frameBytes int) bool {
-	if snrLinear >= prrSaturatedSNR {
-		return u < 1
-	}
-	if snrLinear <= 0 {
-		return u < 0
-	}
-	// NaN fails the SNR compare.
-	if snrLinear < prrSaturatedSNR {
-		if ok, settled := bracket(u, int(snrLinear*(1/prrLogStep)), frameBytes); settled {
-			return ok
-		}
-	}
-	return u < prrFromSNR(snrLinear, frameBytes)
-}
-
-// bracket decides u < PRR for every SNR in the table cell [j·h, (j+1)·h),
-// 0 ≤ j < prrLogSteps, from the cell's two table entries (see received),
-// with settled false between them and for draws and frame lengths the
-// bracket is not proven for.
+// ln u at or above n·T[j+1] + slack means u ≥ PRR (lost). Between the two
+// settled is false, as it is for u below 2⁻¹⁰⁰⁰ (0 included: a PRR near
+// it is subnormal and no longer relatively exact) and for a frame length
+// outside [0, prrBracketMaxBytes]. Draws from rand.Float64 are 0 or at
+// least 2⁻⁵³, so only draws at the margin stay open.
 func bracket(u float64, j, frameBytes int) (ok, settled bool) {
 	if !(u >= 0x1p-1000 && 0 <= frameBytes && frameBytes <= prrBracketMaxBytes) {
 		return false, false
@@ -424,17 +381,15 @@ func bracket(u float64, j, frameBytes int) (ok, settled bool) {
 // rxDecide adjudicates a locked reception against the uniform draw u: a
 // frame of frameBytes (MAC size) received at signalMW against the worst
 // interference seen while it was on the air plus the noise at its end is
-// received when u falls below its reception ratio. It also returns the
-// SINR the frame was judged at. The capture gate against co-channel
-// 802.15.4 frames (capture, p.CaptureThresholdDB as a dbGate) is checked
-// first: a frame it rejects has PRR 0 whatever the curve says, so no
-// draw in [0, 1) receives it.
-func (p Params) rxDecide(capture dbGate, u, signalMW, maxInterfMW, noiseMW float64, frameBytes int) (ok bool, snr float64) {
-	snr = signalMW / (noiseMW + maxInterfMW)
+// received when u falls below its reception ratio. The capture gate
+// against co-channel 802.15.4 frames (capture, p.CaptureThresholdDB as a
+// dbGate) is checked first: a frame it rejects has PRR 0 whatever the
+// curve says, so no draw in [0, 1) receives it.
+func (p Params) rxDecide(capture dbGate, u, signalMW, maxInterfMW, noiseMW float64, frameBytes int) bool {
 	if maxInterfMW > 0 && capture.below(signalMW/maxInterfMW) {
-		return false, snr
+		return false
 	}
-	return received(u, snr, frameBytes+p.PhyOverheadBytes), snr
+	return u < prrFromSNR(signalMW/(noiseMW+maxInterfMW), frameBytes+p.PhyOverheadBytes)
 }
 
 // fastDecide is rxDecide on fast powers: signalMW, maxInterfMW and

@@ -134,8 +134,9 @@ type rxContext struct {
 	// otherwise).
 	log *rxLog
 	// outshoneDBm is the locked frame's power minus the capture threshold
-	// plus outshoneMarginDB (+Inf under a trace hook): an interferer
-	// received above it loses the frame.
+	// plus outshoneMarginDB: an interferer received above it loses the
+	// frame. Once the reception is lost it records what lost it for the
+	// traced SINR (see lose).
 	outshoneDBm float64
 	// lost marks a reception the capture gate must reject whatever else
 	// arrives (set through lose by onAirStart, interfere and
@@ -317,9 +318,9 @@ func (r *Radio) Transmit(f *Frame, powerDBm float64) error {
 // dropRx abandons any reception in progress. Clearing the transmission
 // pointer matters: transmission records are pooled by the medium, and an
 // abandoned context must not pin (or later falsely match) a recycled one.
-// The log goes back to the medium's pool. The other fields are read only
-// while rxActive is set, and locking onto the next frame rewrites them
-// all.
+// The log goes back to the medium's pool. The other fields stay as they
+// are until locking onto the next frame rewrites them all, so onAirEnd's
+// trace still reads the powers of the reception it has just dropped.
 func (r *Radio) dropRx() {
 	r.rxActive = false
 	r.rx.tx = nil
@@ -335,9 +336,12 @@ func (r *Radio) releaseLog() {
 }
 
 // lose settles the reception as lost: nothing it sees from here on can
-// save it, so it keeps no log.
-func (r *Radio) lose() {
+// save it, so it keeps no log. byDBm is the power of the interferer that
+// outshone it, or -Inf when the worst interference sum lost it; sinr
+// reads it.
+func (r *Radio) lose(byDBm float64) {
 	r.rx.lost = true
+	r.rx.outshoneDBm = byDBm
 	r.releaseLog()
 }
 
@@ -355,16 +359,14 @@ func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 		}
 		// Lock onto this frame; everything else on the air interferes.
 		last := len(r.air) - 1
-		r.rx = rxContext{tx: tx, signalDBm: rxPowerDBm, signalMW: r.air[last].powerMW(), outshoneDBm: math.Inf(1)}
+		r.rx = rxContext{tx: tx, signalDBm: rxPowerDBm, signalMW: r.air[last].powerMW(),
+			outshoneDBm: rxPowerDBm - r.medium.params.CaptureThresholdDB + outshoneMarginDB}
 		r.rxActive = true
 		r.state = StateReceiving
-		if r.medium.traceFn == nil {
-			r.rx.outshoneDBm = rxPowerDBm - r.medium.params.CaptureThresholdDB + outshoneMarginDB
-		}
 		var sum float64
 		for i := range r.air[:last] {
 			if r.air[i].rxDBm > r.rx.outshoneDBm {
-				r.rx.lost = true
+				r.lose(r.air[i].rxDBm)
 				return
 			}
 			sum += r.air[i].powerMW()
@@ -389,7 +391,7 @@ func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 // set, during a reception that is not yet lost.
 func (r *Radio) interfere(rxPowerDBm float64) {
 	if rxPowerDBm > r.rx.outshoneDBm {
-		r.lose()
+		r.lose(rxPowerDBm)
 		return
 	}
 	if r.rx.log == nil {
@@ -409,16 +411,15 @@ func (r *Radio) interfere(rxPowerDBm float64) {
 // below the capture threshold by more than the gate's band against it,
 // the reception is lost: the worst interference only grows, and division
 // is monotone, so the end-of-air gate must reject the frame. The ratio
-// is of fast powers, so aboveNear must settle it below the band. Under a trace hook the frame is judged at the end instead, so
-// the traced SINR is exact.
+// is of fast powers, so aboveNear must settle it below the band.
 func (r *Radio) raiseInterference(i float64) {
 	if i <= r.rx.maxInterfMW {
 		return
 	}
 	r.rx.maxInterfMW = i
-	if r.medium.traceFn == nil && r.rx.log.len() < fastMaxTerms {
+	if r.rx.log.len() < fastMaxTerms {
 		if above, ok := r.medium.captureGate.aboveNear(r.rx.signalMW / i); ok && !above {
-			r.lose()
+			r.lose(math.Inf(-1))
 		}
 	}
 }
@@ -471,9 +472,8 @@ func (r *Radio) onAirEnd(tx *transmission) {
 	// to advance it.
 	dbm, wifiOn := m.readNoise(r, m.eng.Now())
 	var ok bool
-	var snr float64
 	if !r.rx.lost {
-		ok, snr = r.decide(u, dbm, wifiOn, tx.frame.Size)
+		ok = r.decide(u, dbm, wifiOn, tx.frame.Size)
 	}
 	r.dropRx()
 	r.state = StateListening
@@ -494,7 +494,7 @@ func (r *Radio) onAirEnd(tx *transmission) {
 		if ok {
 			kind = TraceRxOK
 		}
-		r.medium.trace(TraceEvent{Kind: kind, Node: r.id, Frame: tx.frame, SINRdB: mwToDBm(snr)})
+		r.medium.trace(TraceEvent{Kind: kind, Node: r.id, Frame: tx.frame, SINRdB: mwToDBm(r.sinr(m.noiseMW(r, dbm, wifiOn)))})
 	}
 	if ok && r.handler != nil {
 		r.handler.OnFrame(tx.frame)
@@ -503,19 +503,32 @@ func (r *Radio) onAirEnd(tx *transmission) {
 
 // decide adjudicates the reception at its end against the draw u and the
 // noise reading (dbm, wifiOn), returning what rxDecide returns on exact
-// powers. Untraced, it first decides on the fast powers; only a decision
-// they leave open — and every traced one, whose SINR is reported — takes
-// the exact powers, the worst interference replayed from the log.
-func (r *Radio) decide(u, dbm float64, wifiOn bool, frameBytes int) (ok bool, snr float64) {
+// powers. It first decides on the fast powers; only a decision they leave
+// open takes the exact powers, the worst interference replayed from the
+// log.
+func (r *Radio) decide(u, dbm float64, wifiOn bool, frameBytes int) bool {
 	m := r.medium
-	if m.traceFn == nil && r.rx.log.len() < fastMaxTerms {
+	if r.rx.log.len() < fastMaxTerms {
 		if ok, settled := m.params.fastDecide(m.captureGate, u, r.rx.signalMW, r.rx.maxInterfMW, m.noiseMW(r, dbm, wifiOn), frameBytes); settled {
-			return ok, 0
+			return ok
 		}
 	}
 	var worst float64
 	m.replayMW, worst = r.rx.log.worst(m.replayMW)
 	return m.params.rxDecide(m.captureGate, u, dbmToMW(r.rx.signalDBm), worst, m.exactNoiseMW(dbm, wifiOn), frameBytes)
+}
+
+// sinr is the SINR a traced reception reports, from the fast powers it
+// holds when settled and the noise power noiseMW: the signal over the
+// noise plus the worst interference for a reception judged at its end or
+// lost to a sum, plus the interferer that outshone it otherwise. A
+// reception lost either way reports an SINR below the capture threshold.
+func (r *Radio) sinr(noiseMW float64) float64 {
+	interf := r.rx.maxInterfMW
+	if r.rx.lost && r.rx.outshoneDBm > math.Inf(-1) {
+		interf = fastMW(r.rx.outshoneDBm)
+	}
+	return r.rx.signalMW / (noiseMW + interf)
 }
 
 // txDone is called by the medium when this radio's transmission ends.

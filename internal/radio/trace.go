@@ -48,11 +48,11 @@ type TraceEvent struct {
 }
 
 // SetTraceFn installs a medium-level event tap (nil disables). The
-// callback fires synchronously inside the simulation; keep it cheap.
-// While a tap is installed the receive path judges every frame at its
-// end, so receive events carry the exact SINR; install it before the run,
-// since a reception the untraced path has already settled as lost
-// reports -200 dB.
+// callback fires synchronously inside the simulation; keep it cheap. The
+// tap only observes: traced and untraced runs take the same decisions.
+// Receive events carry the SINR from the fast powers the reception held
+// when it was settled; one lost early reports an SINR below the capture
+// threshold.
 func (m *Medium) SetTraceFn(fn func(TraceEvent)) { m.traceFn = fn }
 
 func (m *Medium) trace(e TraceEvent) {

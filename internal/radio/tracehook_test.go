@@ -9,15 +9,15 @@ import (
 )
 
 // TestTraceHookKeepsOutcomes runs one reference-grid control replication
-// twice, without and with a trace hook on the medium. The hook switches
-// off the receive path's early decisions (an outshone frame, a capture
-// lost on a partial sum), so traced SINRs are exact; the untraced path
-// must reach the same outcome for every reception. Both runs must agree
-// on every node's radio counters, on the study's results, and on the
-// next draw of the jitter stream.
+// twice, without and with a trace hook on the medium. The hook only
+// observes: every reception must reach the same outcome, and the hook must
+// see each one. Both runs must agree on every node's radio counters, on
+// the study's results, on the next draw of the jitter stream and on the
+// next draw of every radio's reception stream.
 func TestTraceHookKeepsOutcomes(t *testing.T) {
 	type outcome struct {
 		counters []radio.Counters
+		rxDraws  []float64
 		res      *experiment.ControlResult
 		jitter   float64
 		rxEvents uint64
@@ -47,7 +47,9 @@ func TestTraceHookKeepsOutcomes(t *testing.T) {
 		}
 		o.res = res
 		for i := 0; i < med.NumNodes(); i++ {
-			o.counters = append(o.counters, med.Radio(radio.NodeID(i)).Counters())
+			r := med.Radio(radio.NodeID(i))
+			o.counters = append(o.counters, r.Counters())
+			o.rxDraws = append(o.rxDraws, r.NextRxDraw())
 		}
 		o.jitter = med.NextJitterDraw()
 		return o
@@ -57,6 +59,9 @@ func TestTraceHookKeepsOutcomes(t *testing.T) {
 	for i, c := range plain.counters {
 		if traced.counters[i] != c {
 			t.Fatalf("node %d: counters %+v untraced, %+v traced", i, c, traced.counters[i])
+		}
+		if plain.rxDraws[i] != traced.rxDraws[i] {
+			t.Fatalf("node %d: reception stream at different draws: %v untraced, %v traced", i, plain.rxDraws[i], traced.rxDraws[i])
 		}
 		receptions += c.RxDelivered + c.RxCorrupted
 	}
