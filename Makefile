@@ -117,4 +117,4 @@ profile-smoke:
 	$(GO) tool pprof -top -nodecount 3 $(PROFILE_DIR)/smoke_cpu.pprof
 	$(GO) tool pprof -top -nodecount 3 -sample_index=alloc_space $(PROFILE_DIR)/smoke_mem.pprof
 
-check: build vet fmt-check test
+check: build vet fmt-check test benchmark-build

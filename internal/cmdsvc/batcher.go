@@ -76,14 +76,6 @@ type BatcherStats struct {
 	RetrySingles uint64
 }
 
-// MeanBatchSize returns the mean members per flushed carrier.
-func (s BatcherStats) MeanBatchSize() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.BatchedCmds) / float64(s.Batches)
-}
-
 // pendingCmd is one buffered command awaiting its group's flush.
 type pendingCmd struct {
 	dst     radio.NodeID
@@ -102,10 +94,9 @@ type batchGroup struct {
 
 // retryCmd is one backed-off scheduler re-dispatch awaiting its timer.
 type retryCmd struct {
-	dst   radio.NodeID
-	app   any
-	cb    func(protocol.Result)
-	timer sim.EventRef
+	dst radio.NodeID
+	app any
+	cb  func(protocol.Result)
 }
 
 // Batcher coalesces scheduler dispatches sharing a path-code prefix into
@@ -124,11 +115,10 @@ type Batcher struct {
 	cfg   BatcherConfig
 
 	groups map[uint64]*batchGroup
-	order  []*batchGroup // activation order: Drain must not iterate a map
 	free   []*batchGroup
 	reqBuf []core.BatchRequest
 
-	retries   []*retryCmd // pending backed-off re-dispatches, activation order
+	retrying  int // backed-off re-dispatches awaiting their timer
 	freeRetry []*retryCmd
 
 	flushFn func(any) // pre-bound for alloc-free ScheduleArg
@@ -179,8 +169,8 @@ func (b *Batcher) Stats() BatcherStats { return b.stats }
 // PendingLen returns the number of buffered, unflushed commands,
 // including backed-off re-dispatches awaiting their retry timer.
 func (b *Batcher) PendingLen() int {
-	n := len(b.retries)
-	for _, g := range b.order {
+	n := b.retrying
+	for _, g := range b.groups {
 		n += len(g.cmds)
 	}
 	return n
@@ -206,7 +196,6 @@ func (b *Batcher) SendControl(dst radio.NodeID, app any, cb func(protocol.Result
 	if g == nil {
 		g = b.takeGroup(key)
 		b.groups[key] = g
-		b.order = append(b.order, g)
 		g.timer = b.eng.ScheduleArg(b.cfg.Window, b.flushFn, g)
 	}
 	payload, _ := app.([]byte) // []byte apps ride the wire as member payloads
@@ -236,8 +225,8 @@ func (b *Batcher) SendControlRetry(dst radio.NodeID, app any, cb func(protocol.R
 	b.stats.RetrySingles++
 	rc := b.takeRetry()
 	rc.dst, rc.app, rc.cb = dst, app, cb
-	rc.timer = b.eng.ScheduleArg(b.cfg.Window, b.retryFn, rc)
-	b.retries = append(b.retries, rc)
+	b.retrying++
+	b.eng.ScheduleArg(b.cfg.Window, b.retryFn, rc)
 	return 0, nil
 }
 
@@ -248,14 +237,9 @@ func (b *Batcher) retryArg(arg any) { b.fireRetry(arg.(*retryCmd)) }
 // single. Dispatch errors surface through the command callback (the
 // scheduler's synchronous error path already returned nil).
 func (b *Batcher) fireRetry(rc *retryCmd) {
-	for i, r := range b.retries {
-		if r == rc {
-			b.retries = append(b.retries[:i], b.retries[i+1:]...)
-			break
-		}
-	}
+	b.retrying--
 	dst, app, cb := rc.dst, rc.app, rc.cb
-	rc.dst, rc.app, rc.cb, rc.timer = 0, nil, nil, sim.EventRef{}
+	rc.dst, rc.app, rc.cb = 0, nil, nil
 	b.freeRetry = append(b.freeRetry, rc)
 	if _, err := b.inner.SendControl(dst, app, cb); err != nil && cb != nil {
 		cb(protocol.Result{Dst: dst})
@@ -281,21 +265,6 @@ func (b *Batcher) sendSingle(dst radio.NodeID, app any, cb func(protocol.Result)
 	return b.inner.SendControl(dst, app, cb)
 }
 
-// Drain flushes every open group and fires every backed-off re-dispatch
-// immediately, in activation order.
-func (b *Batcher) Drain() {
-	for len(b.order) > 0 {
-		g := b.order[0]
-		g.timer.Cancel()
-		b.flush(g)
-	}
-	for len(b.retries) > 0 {
-		rc := b.retries[0]
-		rc.timer.Cancel()
-		b.fireRetry(rc)
-	}
-}
-
 // flushArg is the ScheduleArg trampoline for window-expiry flushes.
 func (b *Batcher) flushArg(arg any) { b.flush(arg.(*batchGroup)) }
 
@@ -305,7 +274,6 @@ func (b *Batcher) flushArg(arg any) { b.flush(arg.(*batchGroup)) }
 // returned nil when the command was buffered).
 func (b *Batcher) flush(g *batchGroup) {
 	delete(b.groups, g.key)
-	b.dropOrder(g)
 	switch {
 	case len(g.cmds) == 0:
 	case len(g.cmds) == 1:
@@ -390,16 +358,6 @@ func (b *Batcher) putGroup(g *batchGroup) {
 	g.cmds = g.cmds[:0]
 	g.timer = sim.EventRef{}
 	b.free = append(b.free, g)
-}
-
-// dropOrder removes g from the activation-order list.
-func (b *Batcher) dropOrder(g *batchGroup) {
-	for i, o := range b.order {
-		if o == g {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			return
-		}
-	}
 }
 
 // prefixKey packs the first min(bits, 56) bits of code plus the truncated

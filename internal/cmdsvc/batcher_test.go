@@ -181,9 +181,6 @@ func TestBatcherWindowCoalesces(t *testing.T) {
 	if s.Batches != 1 || s.BatchedCmds != 3 || s.Singles != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if got := s.MeanBatchSize(); got != 3 {
-		t.Fatalf("mean batch size = %v, want 3", got)
-	}
 }
 
 func TestBatcherMaxBatchFlushesEarly(t *testing.T) {
@@ -231,34 +228,48 @@ func TestBatcherDisjointPrefixesSeparateGroups(t *testing.T) {
 	}
 }
 
-func TestBatcherDrainFlushesInActivationOrder(t *testing.T) {
+// TestBatcherRetryWaitsOneWindowAndCountsAsPending drives
+// SendControlRetry's back-off: each re-dispatch waits out one batch
+// window, counts as pending meanwhile, and then goes out as a plain
+// full-rescue single in submission order, even for a cache-fresh route.
+func TestBatcherRetryWaitsOneWindowAndCountsAsPending(t *testing.T) {
 	eng := sim.NewEngine()
 	d := &stubDispatcher{}
-	b := NewBatcher(eng, d, BatcherConfig{Window: time.Hour, Bits: 3})
+	b := NewBatcher(eng, d, BatcherConfig{Window: 500 * time.Millisecond, Bits: 3})
 	b.SetCoder(testCoder(sharedCodes(t)))
-	b.SendControl(5, "x", nil) // group B first
-	b.SendControl(2, "x", nil) // group A
-	b.SendControl(3, "x", nil)
-	b.Drain()
-	if b.PendingLen() != 0 {
-		t.Fatalf("pending = %d after Drain", b.PendingLen())
+	cache := NewRouteCache(eng.Now, CacheConfig{TTL: time.Hour})
+	b.SetCache(cache)
+	cache.Confirm(5)
+	cache.Confirm(2)
+	for _, dst := range []radio.NodeID{5, 2} {
+		if uid, err := b.SendControlRetry(dst, "x", nil); err != nil || uid != 0 {
+			t.Fatalf("retry %d: uid=%d err=%v, want 0, nil", dst, uid, err)
+		}
 	}
-	// Activation order: the single for 5 goes out before the 2/3 batch.
-	if len(d.singles) != 1 || d.singles[0] != 5 {
-		t.Fatalf("singles = %v", d.singles)
+	if b.PendingLen() != 2 {
+		t.Fatalf("pending = %d, want 2 backed-off retries", b.PendingLen())
 	}
-	if len(d.batches) != 1 || len(d.batches[0]) != 2 {
-		t.Fatalf("batches = %v", d.batches)
-	}
-	if d.batches[0][0].Dst != 2 || d.batches[0][1].Dst != 3 {
-		t.Fatalf("batch member order = %v", d.batches[0])
-	}
-	// Drained timers must not fire again.
-	if err := eng.Run(2 * time.Hour); err != nil {
+	if err := eng.Run(499 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.singles) != 1 || len(d.batches) != 1 {
-		t.Fatal("drained group flushed twice")
+	if len(d.singles) != 0 || len(d.batches) != 0 || b.PendingLen() != 2 {
+		t.Fatalf("dispatched before the window: singles=%v batches=%d pending=%d",
+			d.singles, len(d.batches), b.PendingLen())
+	}
+	if err := eng.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.singles) != 2 || d.singles[0] != 5 || d.singles[1] != 2 {
+		t.Fatalf("singles = %v, want [5 2]", d.singles)
+	}
+	if len(d.optCalls) != 0 || len(d.batches) != 0 {
+		t.Fatalf("retries must go out as plain singles: optCalls=%v batches=%d", d.optCalls, len(d.batches))
+	}
+	if b.PendingLen() != 0 {
+		t.Fatalf("pending = %d after the window", b.PendingLen())
+	}
+	if s := b.Stats(); s.RetrySingles != 2 || s.Singles != 0 || s.PassThrough != 0 {
+		t.Fatalf("stats = %+v", s)
 	}
 }
 

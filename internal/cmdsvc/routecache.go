@@ -28,14 +28,6 @@ type CacheStats struct {
 	Evictions     uint64
 }
 
-// HitRate returns hits / (hits + misses).
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // rcEntry is one cached confirmation.
 type rcEntry struct {
 	dst radio.NodeID

@@ -36,9 +36,6 @@ func TestRouteCacheTTLExpiry(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 2 || s.Confirms != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if got := s.HitRate(); got <= 0.33 || got >= 0.34 {
-		t.Fatalf("hit rate = %v, want 1/3", got)
-	}
 }
 
 func TestRouteCacheLRUEviction(t *testing.T) {

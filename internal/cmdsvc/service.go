@@ -17,8 +17,6 @@ var (
 	// ErrShed reports that the admission gate refused the submission
 	// (queue depth bound, or high-water mark under the reject policy).
 	ErrShed = errors.New("cmdsvc: submission shed by backpressure")
-	// ErrClosed reports a submission to a closed service.
-	ErrClosed = errors.New("cmdsvc: service closed")
 )
 
 // ShedPolicy selects what happens to submissions above the high-water
@@ -82,7 +80,6 @@ type Service struct {
 
 	deferred []deferredCmd
 	pumping  bool
-	closed   bool
 
 	tenants map[string]*TenantStats
 	order   []string
@@ -209,39 +206,16 @@ func (s *Service) Submit(dst radio.NodeID, app any, done func(sink.Outcome)) (ui
 	return s.Tenant(DefaultTenant).Submit(dst, app, done)
 }
 
-// SubmitBatch enqueues a set of commands for the default tenant,
-// returning per-command tickets aligned with reqs and the first admission
-// error (later commands are still attempted).
-func (s *Service) SubmitBatch(dsts []radio.NodeID, app any, done func(sink.Outcome)) ([]uint32, error) {
-	t := s.Tenant(DefaultTenant)
-	tickets := make([]uint32, len(dsts))
-	var firstErr error
-	for i, dst := range dsts {
-		tk, err := t.Submit(dst, app, done)
-		tickets[i] = tk
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return tickets, firstErr
-}
-
 // Submit enqueues one command for this tenant and returns its scheduler
 // ticket. done (optional) fires exactly once with the outcome. Above the
 // backlog bounds the submission is shed (ErrShed) or — under the delay
 // policy — parked with ticket 0 and admitted as completions free
-// capacity. Submitting to a closed service returns ErrClosed.
+// capacity.
 func (t *Tenant) Submit(dst radio.NodeID, app any, done func(sink.Outcome)) (uint32, error) {
 	return t.svc.submit(t.stats, dst, app, done)
 }
 
-// Done implements the generator-facing half of workload.Submitter for the
-// tenant view; the Submit signature already matches.
-
 func (s *Service) submit(tn *TenantStats, dst radio.NodeID, app any, done func(sink.Outcome)) (uint32, error) {
-	if s.closed {
-		return 0, ErrClosed
-	}
 	tn.Submitted++
 	depth := s.Depth()
 	if s.cfg.QueueDepth > 0 && depth >= s.cfg.QueueDepth {
@@ -283,43 +257,27 @@ func (s *Service) dispatch(tn *TenantStats, dst radio.NodeID, app any, done func
 		if done != nil {
 			done(o)
 		}
-		s.drainDeferred(false)
+		s.drainDeferred()
 	})
 }
 
 // drainDeferred admits parked submissions while the scheduler backlog
-// sits below the high-water mark (or unconditionally when forced by
-// Drain/Close). Re-entrant completions fold into the outermost drain.
-func (s *Service) drainDeferred(force bool) {
+// sits below the high-water mark. Re-entrant completions fold into the
+// outermost drain.
+func (s *Service) drainDeferred() {
 	if s.pumping {
 		return
 	}
 	s.pumping = true
 	defer func() { s.pumping = false }()
 	for len(s.deferred) > 0 {
-		if !force && s.cfg.HighWater > 0 && s.sched.QueueLen() >= s.cfg.HighWater {
+		if s.cfg.HighWater > 0 && s.sched.QueueLen() >= s.cfg.HighWater {
 			return
 		}
 		d := s.deferred[0]
 		s.deferred = s.deferred[1:]
 		s.dispatch(d.tenant, d.dst, d.app, d.done)
 	}
-}
-
-// Drain pushes everything buffered out now: deferred submissions are
-// admitted regardless of the high-water mark and open batch groups flush
-// without waiting for their windows. In-flight operations still resolve
-// through the engine as usual.
-func (s *Service) Drain() {
-	s.drainDeferred(true)
-	s.batcher.Drain()
-}
-
-// Close drains the service and refuses subsequent submissions. Pending
-// outcomes still fire as the protocol resolves them.
-func (s *Service) Close() {
-	s.closed = true
-	s.Drain()
 }
 
 // emit publishes a sink-layer service event.

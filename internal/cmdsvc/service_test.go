@@ -129,31 +129,6 @@ func TestServiceQueueDepthCountsDeferred(t *testing.T) {
 	}
 }
 
-func TestServiceCloseRefusesSubmissions(t *testing.T) {
-	svc, d := newHeldService(Config{HighWater: 1, Policy: PolicyDelay})
-	tn := svc.Tenant("ops")
-	tn.Submit(2, "cmd", nil)
-	tn.Submit(3, "cmd", nil) // queues
-	tn.Submit(4, "cmd", nil) // defers
-	if svc.DeferredLen() != 1 {
-		t.Fatalf("deferred = %d", svc.DeferredLen())
-	}
-	svc.Close()
-	// Close force-admits the deferred command past the high-water mark.
-	if svc.DeferredLen() != 0 {
-		t.Fatal("Close left deferred submissions parked")
-	}
-	if _, err := tn.Submit(5, "cmd", nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit after close: %v, want ErrClosed", err)
-	}
-	for len(d.cbs) > 0 {
-		d.resolveNext(true)
-	}
-	if !svc.Quiesced() {
-		t.Fatal("closed service not quiesced after resolution")
-	}
-}
-
 func TestServiceTenantsIsolatedAndSorted(t *testing.T) {
 	svc, d := newHeldService(Config{})
 	svc.Tenant("zeta").Submit(2, "cmd", nil)
@@ -168,25 +143,6 @@ func TestServiceTenantsIsolatedAndSorted(t *testing.T) {
 	}
 	if st[0].Submitted != 2 || st[0].Completed != 2 || st[1].Submitted != 1 {
 		t.Fatalf("tenant counters = %+v", st)
-	}
-}
-
-func TestServiceSubmitBatchTickets(t *testing.T) {
-	// Window 1: the first submit goes in flight (outside Depth), the second
-	// queues, the third hits the depth bound.
-	svc, _ := newHeldService(Config{QueueDepth: 1})
-	tickets, err := svc.SubmitBatch([]radio.NodeID{2, 3, 4}, "cmd", nil)
-	if !errors.Is(err, ErrShed) {
-		t.Fatalf("err = %v, want first shed error", err)
-	}
-	if len(tickets) != 3 {
-		t.Fatalf("tickets = %v", tickets)
-	}
-	if tickets[0] == 0 || tickets[1] == 0 {
-		t.Fatalf("admitted tickets = %v, want nonzero", tickets[:2])
-	}
-	if tickets[2] != 0 {
-		t.Fatalf("shed ticket = %d, want 0", tickets[2])
 	}
 }
 

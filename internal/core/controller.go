@@ -87,47 +87,6 @@ func (e *Engine) trackPending(uid uint32, dst radio.NodeID, app any, opts SendOp
 	e.pending[uid] = p
 }
 
-// MultiResult reports the outcome of a one-to-many control operation.
-type MultiResult struct {
-	// Results holds the per-destination outcomes, indexed by node.
-	Results map[radio.NodeID]Result
-	// OKCount is the number of acknowledged destinations.
-	OKCount int
-}
-
-// SendControlMulti delivers app to every destination in dsts (the paper's
-// one-to-many extension): one targeted control operation per destination,
-// sharing the encoded-path machinery. cb fires once, after every
-// destination has resolved (ack, rescue, or timeout). Destinations whose
-// codes are unknown appear in the result with OK=false immediately.
-func (e *Engine) SendControlMulti(dsts []radio.NodeID, app any, cb func(MultiResult)) error {
-	if !e.isSink {
-		return ErrNotSink
-	}
-	if len(dsts) == 0 {
-		return errors.New("core: empty destination set")
-	}
-	agg := MultiResult{Results: make(map[radio.NodeID]Result, len(dsts))}
-	remaining := len(dsts)
-	finish := func(dst radio.NodeID, r Result) {
-		agg.Results[dst] = r
-		if r.OK {
-			agg.OKCount++
-		}
-		remaining--
-		if remaining == 0 && cb != nil {
-			cb(agg)
-		}
-	}
-	for _, dst := range dsts {
-		dst := dst
-		if _, err := e.SendControl(dst, app, func(r Result) { finish(dst, r) }); err != nil {
-			finish(dst, Result{Dst: dst, OK: false})
-		}
-	}
-	return nil
-}
-
 // KnowsCode reports whether the controller has a code for dst.
 func (e *Engine) KnowsCode(dst radio.NodeID) bool {
 	if e.registry == nil {
@@ -309,9 +268,6 @@ func (e *Engine) pickRescueRelay(dst radio.NodeID, dstCode PathCode) radio.NodeI
 	}
 	return best
 }
-
-// PendingCount returns the number of in-flight control operations.
-func (e *Engine) PendingCount() int { return len(e.pending) }
 
 // PendingOp is a read-only snapshot of one in-flight control operation,
 // exposed for invariant checkers (liveness: every pending op must resolve

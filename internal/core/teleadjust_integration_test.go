@@ -305,61 +305,6 @@ func TestCodeCoverageHelper(t *testing.T) {
 	}
 }
 
-func TestSendControlMulti(t *testing.T) {
-	dep := topology.Line(5, 7)
-	net := buildTele(t, dep, 11, nil)
-	run(t, net, 3*time.Minute)
-	var res core.MultiResult
-	got := false
-	err := net.SinkTele().SendControlMulti([]radio.NodeID{1, 2, 3}, "batch", func(r core.MultiResult) {
-		res = r
-		got = true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(t, net, time.Minute)
-	if !got {
-		t.Fatal("multi-control callback never fired")
-	}
-	if res.OKCount != 3 {
-		t.Fatalf("OKCount = %d, want 3 (%+v)", res.OKCount, res.Results)
-	}
-	for _, id := range []radio.NodeID{1, 2, 3} {
-		if r, ok := res.Results[id]; !ok || !r.OK {
-			t.Fatalf("destination %d result %+v", id, r)
-		}
-	}
-}
-
-func TestSendControlMultiUnknownDest(t *testing.T) {
-	dep := topology.Line(3, 7)
-	net := buildTele(t, dep, 12, nil)
-	// No convergence: every destination is unknown, the callback must
-	// still fire with all failures.
-	var res core.MultiResult
-	got := false
-	err := net.SinkTele().SendControlMulti([]radio.NodeID{1, 2}, "x", func(r core.MultiResult) {
-		res = r
-		got = true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Fatal("callback must fire synchronously when all destinations fail fast")
-	}
-	if res.OKCount != 0 || len(res.Results) != 2 {
-		t.Fatalf("res = %+v", res)
-	}
-	if err := net.SinkTele().SendControlMulti(nil, "x", nil); err == nil {
-		t.Fatal("empty destination set accepted")
-	}
-	if err := net.Tele(radio.NodeID(1)).SendControlMulti([]radio.NodeID{2}, "x", nil); err == nil {
-		t.Fatal("non-sink multi-control accepted")
-	}
-}
-
 // TestLiveSpaceExtension forces Section III-B6's space extension in a
 // running network: with the tight reserve policy, node 1 sizes its bit
 // space exactly for its initial child; when node 3's original parent dies

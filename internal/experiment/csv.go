@@ -9,49 +9,6 @@ import (
 	"teleadjust/internal/stats"
 )
 
-// WriteByKeyCSV exports a grouped series as CSV rows
-// (key,count,mean,min,max) for external plotting.
-func WriteByKeyCSV(w io.Writer, b *stats.ByKey, keyName, valueName string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{keyName, "n", "mean_" + valueName, "min", "max"}); err != nil {
-		return err
-	}
-	for _, k := range b.Keys() {
-		s := b.Get(k)
-		rec := []string{
-			strconv.Itoa(k),
-			strconv.Itoa(s.Count()),
-			strconv.FormatFloat(s.Mean(), 'g', 6, 64),
-			strconv.FormatFloat(s.Min(), 'g', 6, 64),
-			strconv.FormatFloat(s.Max(), 'g', 6, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteScatterCSV exports a scatter cloud as CSV rows (x,y).
-func WriteScatterCSV(w io.Writer, s *stats.Scatter, xName, yName string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{xName, yName}); err != nil {
-		return err
-	}
-	for i := range s.Xs {
-		rec := []string{
-			strconv.FormatFloat(s.Xs[i], 'g', 6, 64),
-			strconv.FormatFloat(s.Ys[i], 'g', 6, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteControlCSV exports every per-hop series of a control study with a
 // figure label column, one file for all of Fig 7/8/10.
 func WriteControlCSV(w io.Writer, res *ControlResult) error {

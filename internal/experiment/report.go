@@ -202,12 +202,3 @@ func BarTable(b *stats.ByKey, scaleMax float64) string {
 	}
 	return sb.String()
 }
-
-// Indent prefixes every line of s.
-func Indent(s, prefix string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i := range lines {
-		lines[i] = prefix + lines[i]
-	}
-	return strings.Join(lines, "\n") + "\n"
-}

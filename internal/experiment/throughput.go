@@ -170,7 +170,7 @@ func (n *Net) hop1Ancestor(id radio.NodeID) (radio.NodeID, bool) {
 	return 0, false
 }
 
-// pointLabels expands the swept knob of the options into load points.
+// points expands the swept knob of the options into load-point labels.
 func (o ThroughputOpts) points() ([]string, error) {
 	switch o.Mode {
 	case "", "closed":

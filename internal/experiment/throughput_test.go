@@ -43,14 +43,37 @@ func TestThroughputStudySmall(t *testing.T) {
 			t.Fatalf("point %s latency samples=%d ok=%d", pt.Label, pt.Latency.Count(), pt.OK)
 		}
 	}
-	// The trace must reconstruct into one command-plane span per op.
-	spans := telemetry.BuildQueueSpans(res.Events)
-	if len(spans) != 2*opts.Ops {
-		t.Fatalf("%d queue spans, want %d", len(spans), 2*opts.Ops)
+	// The trace must hold exactly one enqueue and one completion per op.
+	type ticket struct {
+		run int
+		seq uint32
 	}
-	for _, sp := range spans {
-		if !sp.Resolved {
-			t.Fatalf("span for ticket %d unresolved", sp.Ticket)
+	type phases struct{ enqueued, completed int }
+	tickets := map[ticket]*phases{}
+	for _, ev := range res.Events {
+		if ev.Layer != telemetry.LayerSink {
+			continue
+		}
+		k := ticket{ev.Run, ev.Seq}
+		p := tickets[k]
+		if p == nil {
+			p = &phases{}
+			tickets[k] = p
+		}
+		switch ev.Kind {
+		case telemetry.KindSinkEnqueue:
+			p.enqueued++
+		case telemetry.KindSinkComplete:
+			p.completed++
+		}
+	}
+	if len(tickets) != 2*opts.Ops {
+		t.Fatalf("%d tickets in the trace, want %d", len(tickets), 2*opts.Ops)
+	}
+	for k, p := range tickets {
+		if p.enqueued != 1 || p.completed != 1 {
+			t.Fatalf("run %d ticket %d: %d enqueues, %d completions, want 1 and 1",
+				k.run, k.seq, p.enqueued, p.completed)
 		}
 	}
 }

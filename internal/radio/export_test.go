@@ -24,7 +24,7 @@ func (m *Medium) numOffsetSlots() int { return len(m.linkOffset) }
 func (m *Medium) neighborIDs(id NodeID) []NodeID {
 	var out []NodeID
 	for k := m.linkStart[id]; k < m.linkStart[id+1]; k++ {
-		if m.linkNbr[k] {
+		if m.notified(k) {
 			out = append(out, m.linkDst[k])
 		}
 	}

@@ -419,12 +419,12 @@ func TestReceiverListMatchesAwakeSet(t *testing.T) {
 				if j > 0 && k <= tx.rcv[j-1] {
 					t.Fatalf("step %d frame %d: receiver list %v not strictly ascending", step, tx.id, tx.rcv)
 				}
-				if k < tx.rowStart || k >= rowEnd || !m.linkNbr[k] {
+				if k < tx.rowStart || k >= rowEnd || !m.notified(k) {
 					t.Fatalf("step %d frame %d: link %d is not a notified link of node %d", step, tx.id, k, tx.src)
 				}
 			}
 			for k := tx.rowStart; k < rowEnd; k++ {
-				if !m.linkNbr[k] || !m.awake[m.linkDst[k]] {
+				if !m.notified(k) || !m.awake[m.linkDst[k]] {
 					continue
 				}
 				for next < len(tx.rcv) && tx.rcv[next] < k {

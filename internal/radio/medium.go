@@ -36,12 +36,13 @@ type Medium struct {
 	// linkGain is the static channel gain (negative path loss +
 	// shadowing) per link in dB; receivedPower = txPower + gain.
 	linkGain []float64
-	// linkNbr marks links audible above the interference floor at max TX
-	// power plus fade headroom: the per-transmission notify set. With
-	// the default calibration every stored link qualifies; the flag only
+	// notifyGainDB is the static gain a link needs to be audible above
+	// the interference floor at max TX power plus fade headroom: the
+	// per-transmission notify set is the links that reach it (notified).
+	// With the default calibration every stored link does; it only
 	// filters when SensitivityDBm sits below InterferenceFloorDBm and
 	// widens storage beyond the audible set.
-	linkNbr []bool
+	notifyGainDB float64
 	// linkFade holds per-link slow fading processes (nil when disabled):
 	// gainAt = gain + Σ amp·sin(2π t/T + φ).
 	linkFade []fadeProc
@@ -139,7 +140,7 @@ func newMedium(eng *sim.Engine, dep *topology.Deployment, model *noise.Model, pa
 	default:
 		return nil, fmt.Errorf("radio: unknown gain model %d", params.GainModel)
 	}
-	m.markNeighbors()
+	m.notifyGainDB = params.InterferenceFloorDBm - params.MaxTxPowerDBm - params.fadeHeadroomDB()
 	for i := 0; i < n; i++ {
 		m.rowCap = max(m.rowCap, int(m.linkStart[i+1]-m.linkStart[i]))
 	}
@@ -300,16 +301,10 @@ func drawFade(rng *rand.Rand, amp float64, minPeriod time.Duration, span time.Du
 	}
 }
 
-// markNeighbors flags the stored links audible above the interference
-// floor at maximum TX power (plus fade headroom) — the set every
-// transmission notifies. Consumes no RNG.
-func (m *Medium) markNeighbors() {
-	m.linkNbr = make([]bool, len(m.linkDst))
-	threshold := m.params.InterferenceFloorDBm - m.params.MaxTxPowerDBm - m.params.fadeHeadroomDB()
-	for k, g := range m.linkGain {
-		m.linkNbr[k] = g >= threshold
-	}
-}
+// notified reports whether stored link k is in the set every
+// transmission notifies: audible above the interference floor at maximum
+// TX power (plus fade headroom).
+func (m *Medium) notified(k int32) bool { return m.linkGain[k] >= m.notifyGainDB }
 
 // linkIndex returns the CSR index of the directed link from→to, or -1
 // when the pair is below the tracking floor (unindexed).
@@ -594,7 +589,7 @@ func (m *Medium) startTransmission(src *Radio, f *Frame, powerDBm float64) *tran
 	n := 0
 	sigma := m.params.TxJitterSigmaDB
 	for k, end := tx.rowStart, m.linkStart[src.id+1]; k < end; k++ {
-		if !m.linkNbr[k] {
+		if !m.notified(k) {
 			continue
 		}
 		rxPower := powerDBm + m.gainAtLink(int(k), now)
@@ -664,7 +659,7 @@ func (m *Medium) endOfAir(a any) {
 func (m *Medium) wake(r *Radio) {
 	m.awake[r.id] = true
 	for _, tx := range m.inFlight {
-		if k := m.linkIndex(tx.src, r.id); k >= 0 && m.linkNbr[k] {
+		if k := m.linkIndex(tx.src, r.id); k >= 0 && m.notified(int32(k)) {
 			r.air = append(r.air, airEntry{txID: uint32(tx.id), rxDBm: tx.rxDBm[k-int(tx.rowStart)], mW: -1})
 			if at, listed := slices.BinarySearch(tx.rcv, int32(k)); !listed {
 				tx.rcv = slices.Insert(tx.rcv, at, int32(k))

@@ -72,9 +72,8 @@ type Radio struct {
 	rxActive bool
 	curTx    *transmission
 
-	onSince   time.Duration
-	onTime    time.Duration
-	txAirtime time.Duration
+	onSince time.Duration
+	onTime  time.Duration
 
 	counters Counters
 }
@@ -310,7 +309,6 @@ func (r *Radio) Transmit(f *Frame, powerDBm float64) error {
 	} else {
 		r.counters.TxData++
 	}
-	r.txAirtime += r.medium.params.Airtime(f.Size)
 	r.curTx = r.medium.startTransmission(r, f, powerDBm)
 	return nil
 }

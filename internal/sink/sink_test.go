@@ -3,6 +3,7 @@ package sink
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -253,8 +254,9 @@ func TestOpBudgetExpiresQueuedOps(t *testing.T) {
 	}
 }
 
-// TestTelemetryQueueSpans checks that the emitted sink-layer events
-// reconstruct into one span per op with coherent phases.
+// TestTelemetryQueueSpans checks each ticket's exact sink-layer event
+// sequence: op 1 flies 2 s at once; op 2 waits behind it, fails its first
+// 2 s attempt, re-queues at the head and succeeds on the second.
 func TestTelemetryQueueSpans(t *testing.T) {
 	eng := sim.NewEngine()
 	fp := newFakeProto(eng, 2*time.Second)
@@ -266,25 +268,31 @@ func TestTelemetryQueueSpans(t *testing.T) {
 	s.SetTelemetry(telemetry.NewRegistry(), bus, 0)
 
 	collect(t, eng, s, 2)
-	spans := telemetry.BuildQueueSpans(col.Events())
-	if len(spans) != 2 {
-		t.Fatalf("%d spans, want 2", len(spans))
+	type step struct {
+		kind  telemetry.Kind
+		at    time.Duration
+		value float64
 	}
-	first := spans[0]
-	if !first.Admitted || !first.Resolved || !first.OK || first.QueueWait() != 0 {
-		t.Fatalf("span 1 = %+v", first)
+	got := map[uint32][]step{}
+	for _, ev := range col.Events() {
+		got[ev.Seq] = append(got[ev.Seq], step{ev.Kind, ev.At, ev.Value})
 	}
-	second := spans[1]
-	if second.Retries != 1 || !second.OK {
-		t.Fatalf("span 2 retries=%d ok=%v, want a retried success", second.Retries, second.OK)
+	want := map[uint32][]step{
+		1: {
+			{telemetry.KindSinkEnqueue, 0, 0},
+			{telemetry.KindSinkAdmit, 0, 0},
+			{telemetry.KindSinkComplete, 2 * time.Second, 1},
+		},
+		2: {
+			{telemetry.KindSinkEnqueue, 0, 0},
+			{telemetry.KindSinkAdmit, 2 * time.Second, 2},
+			{telemetry.KindSinkRetry, 4 * time.Second, 1},
+			{telemetry.KindSinkAdmit, 4 * time.Second, 4},
+			{telemetry.KindSinkComplete, 6 * time.Second, 1},
+		},
 	}
-	// Op 2 waited behind op 1's 2 s flight, then flew 2+2 s (one failure,
-	// one retry).
-	if second.QueueWait() != 2*time.Second || second.InFlight() != 4*time.Second {
-		t.Fatalf("span 2 wait=%v flight=%v", second.QueueWait(), second.InFlight())
-	}
-	if second.Total() != second.QueueWait()+second.InFlight() {
-		t.Fatal("phases do not compose")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ticket events:\n got %+v\nwant %+v", got, want)
 	}
 }
 

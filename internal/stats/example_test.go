@@ -22,13 +22,3 @@ func ExampleByKey() {
 	// hop 1: PDR 1.00 over 2 packets
 	// hop 2: PDR 0.50 over 2 packets
 }
-
-// ExampleCDF computes the convergence-time quantiles of Fig 6c.
-func ExampleCDF() {
-	c := stats.NewCDF([]float64{2, 4, 6, 8, 20})
-	fmt.Printf("P(X<=8) = %.1f\n", c.At(8))
-	fmt.Printf("p80 = %.0f beacons\n", c.Quantile(0.8))
-	// Output:
-	// P(X<=8) = 0.8
-	// p80 = 20 beacons
-}

@@ -1,7 +1,7 @@
 // Package stats provides the small aggregation toolkit the experiment
 // runners use to turn raw simulation events into the paper's tables and
-// figures: series with summary statistics, keyed (per-hop) groupings,
-// scatter clouds, and empirical CDFs.
+// figures: series with summary statistics, keyed (per-hop) groupings and
+// scatter clouds.
 package stats
 
 import (
@@ -205,44 +205,4 @@ func (s *Scatter) MeanYForX() *ByKey {
 		b.Add(int(math.Round(s.Xs[i])), s.Ys[i])
 	}
 	return b
-}
-
-// CDF is an empirical cumulative distribution.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds a CDF from samples.
-func NewCDF(vals []float64) *CDF {
-	sorted := make([]float64, len(vals))
-	copy(sorted, vals)
-	sort.Float64s(sorted)
-	return &CDF{sorted: sorted}
-}
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile (0..1).
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(q * float64(len(c.sorted)))
-	if idx >= len(c.sorted) {
-		idx = len(c.sorted) - 1
-	}
-	return c.sorted[idx]
 }

@@ -153,44 +153,6 @@ func TestScatter(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if c.At(0) != 0 {
-		t.Fatalf("At(0) = %v", c.At(0))
-	}
-	if c.At(2) != 0.5 {
-		t.Fatalf("At(2) = %v", c.At(2))
-	}
-	if c.At(10) != 1 {
-		t.Fatalf("At(10) = %v", c.At(10))
-	}
-	if c.Quantile(0.5) != 3 {
-		t.Fatalf("Q(0.5) = %v", c.Quantile(0.5))
-	}
-}
-
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(vals []float64, a, b float64) bool {
-		for i, v := range vals {
-			if math.IsNaN(v) {
-				vals[i] = 0
-			}
-		}
-		c := NewCDF(vals)
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		return c.At(lo) <= c.At(hi)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSeriesMeanBoundedProperty(t *testing.T) {
 	f := func(vals []float64) bool {
 		var s Series
