@@ -9,6 +9,7 @@ package mac
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"teleadjust/internal/radio"
@@ -149,7 +150,9 @@ type rxState struct {
 	// suppressed means another node won the anycast election.
 	suppressed bool
 	ackPending sim.EventRef
-	frame      *radio.Frame
+	// frame is the received copy the election acks and delivers; it is
+	// set only while ackPending is, so no frame outlives its election.
+	frame *radio.Frame
 }
 
 type outstanding struct {
@@ -190,6 +193,11 @@ type MAC struct {
 	wakeTicker *sim.Ticker
 
 	rx map[rxKey]*rxState
+	// freeRx recycles the states the stale-entry path and the sweep
+	// remove, so receiving a new packet does not allocate; lastSweep is
+	// when gcRxStates last swept the table.
+	freeRx    []*rxState
+	lastSweep time.Duration
 	// elections counts the rx entries with an ack election pending: it
 	// rises where onData schedules one and falls where one fires
 	// (runElection), is cancelled by a peer's ack (onAck) or dies with
@@ -368,7 +376,7 @@ func (m *MAC) CancelSend(f *radio.Frame) bool {
 	}
 	for i, q := range m.queue {
 		if q == f {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
+			m.queue = slices.Delete(m.queue, i, i+1)
 			m.emitMac(telemetry.KindMacSendCancelled, f, radio.BroadcastID, "dequeued")
 			if m.upper != nil {
 				m.upper.OnSendDone(f, radio.BroadcastID, true)
@@ -386,8 +394,10 @@ func (m *MAC) kick() {
 	if m.cur != nil || len(m.queue) == 0 {
 		return
 	}
+	// Shift in place: re-slicing from the front would walk the queue off
+	// its backing array and make Send's append reallocate.
 	f := m.queue[0]
-	m.queue = m.queue[1:]
+	m.queue = slices.Delete(m.queue, 0, 1)
 	m.curBuf = outstanding{
 		frame:    f,
 		deadline: m.eng.Now() + m.cfg.WakeInterval + m.cfg.StreamSlack,
@@ -557,6 +567,7 @@ func (m *MAC) onAck(f *radio.Frame) {
 		st.suppressed = true
 		m.stats.Suppressed++
 		m.emitMac(telemetry.KindMacSuppressed, st.frame, f.Src, "peer acked first")
+		st.frame = nil
 	}
 }
 
@@ -571,6 +582,7 @@ func (m *MAC) onData(f *radio.Frame) {
 		// sends is swallowed as a duplicate until its counter climbs past
 		// its pre-crash value, and the node can never re-attach.
 		delete(m.rx, key)
+		m.putRx(st)
 		st, seen = nil, false
 	}
 	if seen {
@@ -599,7 +611,8 @@ func (m *MAC) onData(f *radio.Frame) {
 	if m.upper != nil {
 		class = m.upper.Classify(f)
 	}
-	st = &rxState{at: m.eng.Now(), class: class, frame: f}
+	st = m.newRx()
+	st.at, st.class = m.eng.Now(), class
 	m.rx[key] = st
 	switch class.Decision {
 	case Deliver:
@@ -621,6 +634,7 @@ func (m *MAC) onData(f *radio.Frame) {
 		// yields.
 		jitter := time.Duration(m.rng.Int64N(int64(m.cfg.AckSlot / 3)))
 		delay := m.cfg.AckTurnaround + time.Duration(prio)*m.cfg.AckSlot + jitter
+		st.frame = f
 		st.ackPending = m.eng.ScheduleArg(delay, m.electFn, st)
 		m.elections++
 	default:
@@ -635,6 +649,7 @@ func (m *MAC) onData(f *radio.Frame) {
 func (m *MAC) runElection(a any) {
 	st := a.(*rxState)
 	f := st.frame
+	st.frame = nil
 	st.ackPending = sim.EventRef{}
 	m.elections--
 	if m.radio.CCABusy() || m.radio.State() == radio.StateReceiving {
@@ -683,16 +698,41 @@ func (m *MAC) sendAck(f *radio.Frame) {
 	}
 }
 
+// gcRxStates drops, at most once per DedupWindow, every entry older than
+// the window with no election pending. onData already treats such an
+// entry as unseen, and onAck and runElection read only pending ones, so
+// the sweep's timing changes no decision. The table then holds about two
+// windows of traffic however long the run.
 func (m *MAC) gcRxStates() {
-	if len(m.rx) < 256 {
+	now := m.eng.Now()
+	if now-m.lastSweep < m.cfg.DedupWindow {
 		return
 	}
-	cutoff := m.eng.Now() - m.cfg.DedupWindow
+	m.lastSweep = now
+	cutoff := now - m.cfg.DedupWindow
 	for k, st := range m.rx {
 		if st.at < cutoff && !st.ackPending.Pending() {
 			delete(m.rx, k)
+			m.putRx(st)
 		}
 	}
+}
+
+// newRx takes a zeroed state from the free list, or allocates one.
+func (m *MAC) newRx() *rxState {
+	n := len(m.freeRx)
+	if n == 0 {
+		return new(rxState)
+	}
+	st := m.freeRx[n-1]
+	m.freeRx = m.freeRx[:n-1]
+	return st
+}
+
+// putRx zeroes a state removed from the table and keeps it for reuse.
+func (m *MAC) putRx(st *rxState) {
+	*st = rxState{}
+	m.freeRx = append(m.freeRx, st)
 }
 
 // --- Duty cycling ---

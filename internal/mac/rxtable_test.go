@@ -1,0 +1,437 @@
+package mac
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"testing"
+	"time"
+
+	"teleadjust/internal/radio"
+	"teleadjust/internal/sim"
+	"teleadjust/internal/telemetry"
+	"teleadjust/internal/topology"
+)
+
+// keyPayload names a test frame's (src, seq) in the MAC's telemetry
+// events, which otherwise carry only the frame's Seq.
+type keyPayload struct {
+	src radio.NodeID
+	seq uint32
+}
+
+func (p keyPayload) TelemetryIDs() (op, uid uint32) { return uint32(p.src), p.seq }
+
+func keyedFrame(src radio.NodeID, seq uint32, size int) *radio.Frame {
+	return &radio.Frame{Kind: radio.FrameData, Src: src, Dst: radio.BroadcastID, Seq: seq,
+		Size: size, Payload: keyPayload{src, seq}}
+}
+
+// rxClass is the verdict on a packet, a fixed function of its key: a
+// fifth ignored, three tenths delivered as broadcasts, the rest anycast
+// in priority slots -1..8, so the clamp is taken at both ends.
+func rxClass(f *radio.Frame) Classification {
+	h := uint64(packetKey(f.Src, f.Seq)) * 0x9E3779B97F4A7C15
+	h ^= h >> 29
+	switch v := h % 10; {
+	case v < 2:
+		return Classification{Decision: Ignore}
+	case v < 5:
+		return Classification{Decision: Deliver}
+	}
+	return Classification{Decision: AckAndDeliver, Prio: int(h>>8%10) - 1}
+}
+
+// refRx is a reference model of the rx table before its states were
+// pooled: a map of fresh entries, each keeping its frame, swept only once
+// it holds 256. It mirrors onData, onAck and runElection for a MAC that
+// sends nothing. It reads the radio's predicates at the instants the MAC
+// reads them (its election events are scheduled just before the MAC's,
+// so they fire just before them), draws the election jitter from a copy
+// of the MAC's random stream, and logs each outcome in the format of the
+// MAC's observers.
+type refRx struct {
+	eng *sim.Engine
+	r   *radio.Radio
+	cfg Config
+	rng *rand.Rand
+	rx  map[rxKey]*refEntry
+	log []string
+	// Paths taken, so the test can require each to be exercised.
+	boundary, reused, reacks, peerSuppressed, yields, sweeps int
+}
+
+type refEntry struct {
+	at                    time.Duration
+	class                 Classification
+	delivered, suppressed bool
+	election              sim.EventRef
+	frame                 *radio.Frame
+}
+
+// logAt appends one outcome, stamped with the virtual time.
+func logAt(log *[]string, now time.Duration, format string, args ...any) {
+	*log = append(*log, fmt.Sprintf("%v ", now)+fmt.Sprintf(format, args...))
+}
+
+func (m *refRx) logf(format string, args ...any) { logAt(&m.log, m.eng.Now(), format, args...) }
+
+func (m *refRx) onFrame(f *radio.Frame) {
+	if len(m.rx) >= 256 {
+		m.sweeps++
+		cutoff := m.eng.Now() - m.cfg.DedupWindow
+		for k, e := range m.rx {
+			if e.at < cutoff && !e.election.Pending() {
+				delete(m.rx, k)
+			}
+		}
+	}
+	switch f.Kind {
+	case radio.FrameAck:
+		if e, ok := m.rx[packetKey(f.AckSrc, f.AckSeq)]; ok && e.election.Pending() {
+			e.election.Cancel()
+			e.suppressed = true
+			m.peerSuppressed++
+			m.logf("suppress %d/%d by %d", e.frame.Src, e.frame.Seq, f.Src)
+		}
+	case radio.FrameData:
+		m.onData(f)
+	}
+}
+
+func (m *refRx) onData(f *radio.Frame) {
+	now := m.eng.Now()
+	key := packetKey(f.Src, f.Seq)
+	e, seen := m.rx[key]
+	if seen && !e.election.Pending() {
+		switch age := now - e.at; {
+		case age == m.cfg.DedupWindow:
+			m.boundary++
+		case age > m.cfg.DedupWindow:
+			m.reused++
+			delete(m.rx, key)
+			seen = false
+		}
+	}
+	if seen {
+		e.at = now
+		if !e.suppressed && e.class.Decision == AckAndDeliver && e.delivered && !m.r.CCABusy() {
+			if m.ack(f) {
+				m.reacks++
+			}
+		}
+		return
+	}
+	class := rxClass(f)
+	m.logf("classify %d/%d", f.Src, f.Seq)
+	e = &refEntry{at: now, class: class, frame: f}
+	m.rx[key] = e
+	switch class.Decision {
+	case Deliver:
+		e.delivered = true
+		m.logf("deliver %d/%d", f.Src, f.Seq)
+	case AckAndDeliver:
+		prio := min(max(class.Prio, 0), m.cfg.MaxAckSlots-1)
+		jitter := time.Duration(m.rng.Int64N(int64(m.cfg.AckSlot / 3)))
+		delay := m.cfg.AckTurnaround + time.Duration(prio)*m.cfg.AckSlot + jitter
+		e.election = m.eng.Schedule(delay, func() { m.elect(e) })
+	}
+}
+
+func (m *refRx) elect(e *refEntry) {
+	f := e.frame
+	if m.r.CCABusy() || m.r.State() == radio.StateReceiving {
+		e.suppressed = true
+		m.yields++
+		m.logf("suppress %d/%d by %d", f.Src, f.Seq, radio.BroadcastID)
+		return
+	}
+	m.ack(f)
+	e.delivered = true
+	m.logf("deliver %d/%d", f.Src, f.Seq)
+}
+
+// ack logs the ack sendAck transmits, if the radio lets it.
+func (m *refRx) ack(f *radio.Frame) bool {
+	if !m.r.On() || m.r.Transmitting() {
+		return false
+	}
+	m.logf("ack %d/%d", f.Src, f.Seq)
+	return true
+}
+
+func (m *refRx) kill() {
+	for _, e := range m.rx {
+		e.election.Cancel()
+	}
+	m.rx = make(map[rxKey]*refEntry)
+}
+
+// teeHandler hands every frame to the reference model, then to the MAC.
+type teeHandler struct {
+	ref *refRx
+	mac *MAC
+}
+
+func (h *teeHandler) OnFrame(f *radio.Frame) { h.ref.onFrame(f); h.mac.OnFrame(f) }
+func (h *teeHandler) OnTxDone()              { h.mac.OnTxDone() }
+
+// logUpper classifies with rxClass and logs what the MAC asks of it.
+type logUpper struct {
+	eng *sim.Engine
+	log *[]string
+}
+
+func (u logUpper) logf(format string, args ...any) { logAt(u.log, u.eng.Now(), format, args...) }
+
+func (u logUpper) Classify(f *radio.Frame) Classification {
+	u.logf("classify %d/%d", f.Src, f.Seq)
+	return rxClass(f)
+}
+
+func (u logUpper) Deliver(f *radio.Frame)                      { u.logf("deliver %d/%d", f.Src, f.Seq) }
+func (u logUpper) OnSendDone(*radio.Frame, radio.NodeID, bool) {}
+func (u logUpper) Consume(ev telemetry.Event) {
+	if ev.Kind == telemetry.KindMacSuppressed {
+		u.logf("suppress %d/%d by %d", ev.Op, ev.UID, ev.Src)
+	}
+}
+
+type nopHandler struct{}
+
+func (nopHandler) OnFrame(*radio.Frame) {}
+func (nopHandler) OnTxDone()            {}
+
+// TestRxTableMatchesMapSemantics drives one always-on MAC (node 1) with a
+// seeded schedule and checks every Classify, Deliver, ack and suppression
+// against refRx, the table as a map swept at 256 entries. The schedule
+// feeds frames straight to the MAC: new keys from 40 sources, some of
+// which restart their sequence numbers; duplicates of recent frames;
+// probes repeated exactly one DedupWindow later (still a duplicate) and
+// one nanosecond past it (a new packet); peers' acks, half of them for
+// the newest frame, so they land during its election; and node 0 puts
+// keyed frames on the air, which the MAC receives and which make
+// elections yield. Mid-run the MAC is killed with an election pending and
+// a fresh MAC boots on the same radio.
+func TestRxTableMatchesMapSemantics(t *testing.T) {
+	eng := sim.NewEngine()
+	params := radio.DefaultParams()
+	params.ShadowSigmaDB = 0
+	med, err := radio.NewMedium(eng, topology.Line(2, 5), nil, params, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.AlwaysOn = true
+	r0, r1 := med.Radio(0), med.Radio(1)
+	r0.SetHandler(nopHandler{})
+	r0.SetOn(true)
+
+	var got []string
+	up := logUpper{eng, &got}
+	bus := telemetry.NewBus(eng.Now)
+	bus.Subscribe(up, telemetry.LayerMAC)
+	med.SetTraceFn(func(e radio.TraceEvent) {
+		if e.Kind == radio.TraceTxStart && e.Node == 1 && e.Frame.Kind == radio.FrameAck {
+			up.logf("ack %d/%d", e.Frame.AckSrc, e.Frame.AckSeq)
+		}
+	})
+	ref := &refRx{eng: eng, r: r1, cfg: cfg, rx: make(map[rxKey]*refEntry)}
+	tee := &teeHandler{ref: ref}
+	boot := func(stream uint64) {
+		tee.mac = New(eng, r1, cfg, sim.DeriveRNG(7, stream), up)
+		ref.rng = sim.DeriveRNG(7, stream)
+		tee.mac.SetTelemetry(bus)
+		r1.SetHandler(tee)
+		tee.mac.Start()
+	}
+	boot(1)
+
+	const horizon, sources = 60 * time.Second, 40
+	rng := rand.New(rand.NewPCG(26, 1))
+	var (
+		seqs        [sources]uint32
+		recent      []*radio.Frame
+		jamSeq      uint32
+		dead        bool
+		killed      bool
+		killPending int
+	)
+	deliver := func(f *radio.Frame) {
+		if !dead {
+			tee.OnFrame(f)
+		}
+	}
+	kill := func() {
+		killPending = tee.mac.elections
+		tee.mac.Kill()
+		ref.kill()
+		dead = true
+		eng.Schedule(300*time.Millisecond, func() { boot(2); dead = false })
+	}
+	act := func() {
+		switch p := rng.Float64(); {
+		case p < 0.35:
+			i := rng.IntN(sources)
+			if rng.IntN(50) == 0 {
+				seqs[i] = 0 // the source rebooted
+			}
+			seqs[i]++
+			f := keyedFrame(radio.NodeID(2+i), seqs[i], 30)
+			deliver(f)
+			switch q := rng.IntN(10); {
+			case q == 0:
+				eng.Schedule(cfg.DedupWindow, func() { deliver(f) })
+				eng.Schedule(2*cfg.DedupWindow+1, func() { deliver(f) })
+			case q == 1:
+				eng.Schedule(cfg.DedupWindow+1, func() { deliver(f) })
+			default:
+				recent = append(recent, f)
+				if len(recent) > 32 {
+					recent = recent[1:]
+				}
+			}
+			if !killed && eng.Now() > horizon*6/10 && tee.mac.elections > 0 {
+				killed = true
+				eng.Schedule(0, kill)
+			}
+		case p < 0.60 && len(recent) > 0:
+			deliver(recent[rng.IntN(len(recent))])
+		case p < 0.75 && len(recent) > 0:
+			f := recent[len(recent)-1]
+			if rng.IntN(2) == 0 {
+				f = recent[rng.IntN(len(recent))]
+			}
+			deliver(&radio.Frame{Kind: radio.FrameAck, Src: radio.NodeID(2 + rng.IntN(sources)),
+				Dst: f.Src, AckSrc: f.Src, AckSeq: f.Seq, Size: 5})
+		case p < 0.85 && !r0.Transmitting():
+			jamSeq++
+			if err := r0.Transmit(keyedFrame(0, jamSeq, 20+rng.IntN(100)), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var step func()
+	step = func() {
+		act()
+		gap := 50*time.Microsecond + time.Duration(rng.Int64N(int64(3*time.Millisecond)))
+		if rng.IntN(10) < 3 {
+			gap = 3*time.Millisecond + time.Duration(rng.Int64N(int64(100*time.Millisecond)))
+		}
+		if eng.Now() < horizon {
+			eng.Schedule(gap, step)
+		}
+	}
+	eng.Schedule(0, step)
+	if err := eng.Run(horizon + 3*cfg.DedupWindow); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < min(len(got), len(ref.log)); i++ {
+		if got[i] != ref.log[i] {
+			lo := max(0, i-3)
+			t.Fatalf("outcome %d differs: MAC %q, reference %q\nMAC:       %q\nreference: %q",
+				i, got[i], ref.log[i], got[lo:min(i+3, len(got))], ref.log[lo:min(i+3, len(ref.log))])
+		}
+	}
+	if len(got) != len(ref.log) {
+		t.Fatalf("MAC logged %d outcomes, reference %d", len(got), len(ref.log))
+	}
+	t.Logf("%d outcomes: %d boundary duplicates, %d reused keys, %d re-acks, %d peer-ack suppressions, %d yields, %d reference sweeps, %d elections pending at the kill",
+		len(got), ref.boundary, ref.reused, ref.reacks, ref.peerSuppressed, ref.yields, ref.sweeps, killPending)
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"boundary duplicates", ref.boundary}, {"reused keys", ref.reused}, {"re-acks", ref.reacks},
+		{"peer-ack suppressions", ref.peerSuppressed}, {"election yields", ref.yields},
+		{"reference sweeps", ref.sweeps}, {"elections pending at the kill", killPending}} {
+		if c.n == 0 {
+			t.Errorf("the schedule exercised no %s", c.name)
+		}
+	}
+}
+
+// countUpper is an Upper that allocates nothing: it hands out a set
+// verdict and counts deliveries.
+type countUpper struct {
+	class     Classification
+	delivered int
+}
+
+func (u *countUpper) Classify(*radio.Frame) Classification        { return u.class }
+func (u *countUpper) Deliver(*radio.Frame)                        { u.delivered++ }
+func (u *countUpper) OnSendDone(*radio.Frame, radio.NodeID, bool) {}
+
+// TestMACReceiveAllocFree pins the receive path's alloc contract: once
+// the rx table, its free list and the engine's event pool are warm,
+// OnFrame allocates nothing for a new-key broadcast, a duplicate, a new
+// anycast frame that starts an election together with the peer's ack
+// that cancels it, or an ack for a packet with no election pending. Each
+// step first advances the clock 10 ms, so the table keeps turning over
+// and the measured steps span sweeps. An election that is won sends a
+// fresh ack frame (acks stay unpooled: telemetry events keep their
+// *Frame), so the measured elections end suppressed.
+func TestMACReceiveAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	params := radio.DefaultParams()
+	params.ShadowSigmaDB = 0
+	med, err := radio.NewMedium(eng, topology.Line(2, 5), nil, params, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.AlwaysOn = true
+	up := &countUpper{}
+	m := New(eng, med.Radio(1), cfg, sim.DeriveRNG(7, 1), up)
+	m.Start()
+
+	bcast := keyedFrame(0, 0, 30)
+	anycast := keyedFrame(2, 0, 30)
+	peerAck := &radio.Frame{Kind: radio.FrameAck, Src: 3, Size: 5}
+	advance := func() {
+		if err := eng.Run(eng.Now() + 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name string
+		step func()
+	}{
+		{"new-key broadcast", func() {
+			advance()
+			up.class = Classification{Decision: Deliver}
+			bcast.Seq++
+			m.OnFrame(bcast)
+		}},
+		{"duplicate", func() {
+			advance()
+			m.OnFrame(bcast)
+		}},
+		{"anycast election and peer ack", func() {
+			advance()
+			up.class = Classification{Decision: AckAndDeliver, Prio: 3}
+			anycast.Seq++
+			m.OnFrame(anycast)
+			if m.elections != 1 {
+				t.Fatalf("%d elections pending after a new anycast frame, want 1", m.elections)
+			}
+			peerAck.AckSrc, peerAck.AckSeq = anycast.Src, anycast.Seq
+			m.OnFrame(peerAck)
+		}},
+		{"ack without election", func() {
+			advance()
+			m.OnFrame(peerAck)
+		}},
+	}
+	for _, c := range cases {
+		// Warm up over four dedup windows.
+		for i := 0; i < 400; i++ {
+			c.step()
+		}
+		if allocs := testing.AllocsPerRun(300, c.step); allocs != 0 {
+			t.Errorf("%s: OnFrame allocates %v per call, want 0", c.name, allocs)
+		}
+	}
+	if s := m.Stats(); s.Suppressed == 0 || s.AcksSent != 0 || up.delivered == 0 {
+		t.Fatalf("stats %+v with %d deliveries: want suppressions and deliveries, no acks", s, up.delivered)
+	}
+}
