@@ -91,16 +91,16 @@ bench:
 # telemetry plane's disabled/traced split, the sink scheduler's
 # concurrency speedup, the sparse medium's construction/per-frame
 # scaling and duty-cycled delivery, the windowed aggregator's alloc-free
-# fold, the CPM chain step and model build, CTP's alloc-free parent pick
-# and the MAC's alloc-free receive path) — fast enough for CI, still
-# failing on regression.
+# fold, the CPM chain step and model build, CTP's alloc-free parent pick,
+# the MAC's alloc-free receive path and Trickle's alloc-free interval
+# start) — fast enough for CI, still failing on regression.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead|BenchmarkSinkSchedulerGoodput|BenchmarkCmdSvcBatching' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMediumConstruction|BenchmarkMediumScale|BenchmarkMediumDutyCycled' -benchtime=1x ./internal/radio/
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorFold' -benchmem -benchtime=1x ./internal/obs/
 	$(GO) test -run '^$$' -bench 'BenchmarkSourceNext|BenchmarkSourceReadAt|BenchmarkTrain' -benchmem -benchtime=1x ./internal/noise/
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkTimerRestart' -benchmem -benchtime=1x ./internal/sim/
-	$(GO) test -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree|TestMACReceiveAllocFree|TestEvaluateAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/ ./internal/mac/ ./internal/ctp/
+	$(GO) test -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree|TestMACReceiveAllocFree|TestEvaluateAllocFree|TestTrickleIntervalAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/ ./internal/mac/ ./internal/ctp/ ./internal/trickle/
 	$(GO) test -run 'TestBenchSpeedTrajectory' .
 
 # CI-sized profile capture: a short line-scenario run proving the

@@ -2,7 +2,6 @@ package cmdsvc
 
 import (
 	"errors"
-	"sort"
 
 	"teleadjust/internal/core"
 	"teleadjust/internal/fault"
@@ -48,7 +47,7 @@ type Config struct {
 	Policy ShedPolicy
 }
 
-// TenantStats are one tenant's lifetime counters.
+// TenantStats are the submission stream's lifetime counters.
 type TenantStats struct {
 	Name      string
 	Submitted uint64 // accepted + shed + delayed
@@ -60,13 +59,12 @@ type TenantStats struct {
 
 // deferredCmd is one submission parked above the high-water mark.
 type deferredCmd struct {
-	tenant *TenantStats
-	dst    radio.NodeID
-	app    any
-	done   func(sink.Outcome)
+	dst  radio.NodeID
+	app  any
+	done func(sink.Outcome)
 }
 
-// Service is the persistent command front-end: tenants submit
+// Service is the persistent command front-end: commands are submitted
 // continuously, the admission gate sheds or delays past the backlog
 // bounds, the prefix batcher coalesces what descends shared subtrees, and
 // the route cache trims recovery work for fresh routes. It owns the sink
@@ -81,14 +79,14 @@ type Service struct {
 	deferred []deferredCmd
 	pumping  bool
 
-	tenants map[string]*TenantStats
-	order   []string
+	tenant TenantStats
 
 	bus  *telemetry.Bus
 	node radio.NodeID
 }
 
-// DefaultTenant is the tenant name Submit uses.
+// DefaultTenant names the one submission stream in TenantStats and in the
+// service events' Note.
 const DefaultTenant = "default"
 
 // New builds a service dispatching through d (the sink protocol's control
@@ -103,7 +101,7 @@ func New(eng *sim.Engine, d sink.Dispatcher, schedCfg sink.Config, cfg Config) *
 		eng:     eng,
 		cfg:     cfg,
 		batcher: NewBatcher(eng, d, cfg.Batch),
-		tenants: make(map[string]*TenantStats),
+		tenant:  TenantStats{Name: DefaultTenant},
 	}
 	if cfg.Cache.TTL > 0 {
 		s.cache = NewRouteCache(eng.Now, cfg.Cache)
@@ -173,79 +171,44 @@ func (s *Service) Quiesced() bool {
 	return s.sched.Quiesced() && len(s.deferred) == 0 && s.batcher.PendingLen() == 0
 }
 
-// Tenant is one named submission stream into the service.
-type Tenant struct {
-	svc   *Service
-	stats *TenantStats
-}
+// Tenants returns the counter snapshot of the one submission stream.
+func (s *Service) Tenants() []TenantStats { return []TenantStats{s.tenant} }
 
-// Tenant returns (creating on first use) the named tenant's submission
-// handle.
-func (s *Service) Tenant(name string) *Tenant {
-	st, ok := s.tenants[name]
-	if !ok {
-		st = &TenantStats{Name: name}
-		s.tenants[name] = st
-		s.order = append(s.order, name)
-	}
-	return &Tenant{svc: s, stats: st}
-}
-
-// Tenants returns per-tenant counter snapshots sorted by name.
-func (s *Service) Tenants() []TenantStats {
-	out := make([]TenantStats, 0, len(s.order))
-	for _, name := range s.order {
-		out = append(out, *s.tenants[name])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Submit enqueues one command for the default tenant. See Tenant.Submit.
+// Submit enqueues one command and returns its scheduler ticket. done
+// (optional) fires exactly once with the outcome. Above the backlog
+// bounds the submission is shed (ErrShed) or — under the delay policy —
+// parked with ticket 0 and admitted as completions free capacity.
 func (s *Service) Submit(dst radio.NodeID, app any, done func(sink.Outcome)) (uint32, error) {
-	return s.Tenant(DefaultTenant).Submit(dst, app, done)
-}
-
-// Submit enqueues one command for this tenant and returns its scheduler
-// ticket. done (optional) fires exactly once with the outcome. Above the
-// backlog bounds the submission is shed (ErrShed) or — under the delay
-// policy — parked with ticket 0 and admitted as completions free
-// capacity.
-func (t *Tenant) Submit(dst radio.NodeID, app any, done func(sink.Outcome)) (uint32, error) {
-	return t.svc.submit(t.stats, dst, app, done)
-}
-
-func (s *Service) submit(tn *TenantStats, dst radio.NodeID, app any, done func(sink.Outcome)) (uint32, error) {
-	tn.Submitted++
+	s.tenant.Submitted++
 	depth := s.Depth()
 	if s.cfg.QueueDepth > 0 && depth >= s.cfg.QueueDepth {
-		return 0, s.shed(tn, dst)
+		return 0, s.shed(dst)
 	}
 	if s.cfg.HighWater > 0 && depth >= s.cfg.HighWater {
 		if s.cfg.Policy == PolicyDelay {
-			tn.Delayed++
-			s.emit(telemetry.Event{Kind: telemetry.KindSvcDelay, Dst: dst, Note: tn.Name,
+			s.tenant.Delayed++
+			s.emit(telemetry.Event{Kind: telemetry.KindSvcDelay, Dst: dst, Note: s.tenant.Name,
 				Value: float64(depth)})
-			s.deferred = append(s.deferred, deferredCmd{tenant: tn, dst: dst, app: app, done: done})
+			s.deferred = append(s.deferred, deferredCmd{dst: dst, app: app, done: done})
 			return 0, nil
 		}
-		return 0, s.shed(tn, dst)
+		return 0, s.shed(dst)
 	}
-	return s.dispatch(tn, dst, app, done)
+	return s.dispatch(dst, app, done)
 }
 
-func (s *Service) shed(tn *TenantStats, dst radio.NodeID) error {
-	tn.Shed++
-	s.emit(telemetry.Event{Kind: telemetry.KindSvcShed, Dst: dst, Note: tn.Name,
+func (s *Service) shed(dst radio.NodeID) error {
+	s.tenant.Shed++
+	s.emit(telemetry.Event{Kind: telemetry.KindSvcShed, Dst: dst, Note: s.tenant.Name,
 		Value: float64(s.Depth())})
 	return ErrShed
 }
 
-func (s *Service) dispatch(tn *TenantStats, dst radio.NodeID, app any, done func(sink.Outcome)) (uint32, error) {
+func (s *Service) dispatch(dst radio.NodeID, app any, done func(sink.Outcome)) (uint32, error) {
 	return s.sched.Submit(dst, app, func(o sink.Outcome) {
-		tn.Completed++
+		s.tenant.Completed++
 		if o.OK {
-			tn.OK++
+			s.tenant.OK++
 		}
 		if s.cache != nil {
 			if o.OK {
@@ -276,7 +239,7 @@ func (s *Service) drainDeferred() {
 		}
 		d := s.deferred[0]
 		s.deferred = s.deferred[1:]
-		s.dispatch(d.tenant, d.dst, d.app, d.done)
+		s.dispatch(d.dst, d.app, d.done)
 	}
 }
 

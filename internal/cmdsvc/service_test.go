@@ -45,10 +45,9 @@ func newHeldService(cfg Config) (*Service, *holdDispatcher) {
 
 func TestServiceShedAtQueueDepth(t *testing.T) {
 	svc, _ := newHeldService(Config{QueueDepth: 3})
-	tn := svc.Tenant("ops")
 	var accepted, shed int
 	for i := 0; i < 6; i++ {
-		_, err := tn.Submit(radio.NodeID(2+i), "cmd", nil)
+		_, err := svc.Submit(radio.NodeID(2+i), "cmd", nil)
 		switch {
 		case err == nil:
 			accepted++
@@ -74,11 +73,10 @@ func TestServiceShedAtQueueDepth(t *testing.T) {
 
 func TestServiceDelayPolicyParksAndDrains(t *testing.T) {
 	svc, d := newHeldService(Config{HighWater: 2, Policy: PolicyDelay})
-	tn := svc.Tenant("ops")
 	var done []radio.NodeID
 	cb := func(o sink.Outcome) { done = append(done, o.Dst) }
 	for i := 0; i < 4; i++ {
-		tk, err := tn.Submit(radio.NodeID(2+i), "cmd", cb)
+		tk, err := svc.Submit(radio.NodeID(2+i), "cmd", cb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,35 +112,17 @@ func TestServiceDelayPolicyParksAndDrains(t *testing.T) {
 
 func TestServiceQueueDepthCountsDeferred(t *testing.T) {
 	svc, _ := newHeldService(Config{QueueDepth: 3, HighWater: 1, Policy: PolicyDelay})
-	tn := svc.Tenant("ops")
 	// 1 dispatches; 2-3 defer (depth 0 < 1? no: after 1 dispatch the queue
 	// holds 0, so 2 dispatches too and queues; 3 defers at depth 1; 4
 	// defers at depth 2; 5 sheds at depth 3).
 	var shed int
 	for i := 0; i < 5; i++ {
-		if _, err := tn.Submit(radio.NodeID(2+i), "cmd", nil); errors.Is(err, ErrShed) {
+		if _, err := svc.Submit(radio.NodeID(2+i), "cmd", nil); errors.Is(err, ErrShed) {
 			shed++
 		}
 	}
 	if shed != 1 {
 		t.Fatalf("shed = %d, want 1 (QueueDepth must count deferred submissions)", shed)
-	}
-}
-
-func TestServiceTenantsIsolatedAndSorted(t *testing.T) {
-	svc, d := newHeldService(Config{})
-	svc.Tenant("zeta").Submit(2, "cmd", nil)
-	svc.Tenant("alpha").Submit(3, "cmd", nil)
-	svc.Tenant("alpha").Submit(4, "cmd", nil)
-	for len(d.cbs) > 0 {
-		d.resolveNext(true)
-	}
-	st := svc.Tenants()
-	if len(st) != 2 || st[0].Name != "alpha" || st[1].Name != "zeta" {
-		t.Fatalf("tenants = %+v", st)
-	}
-	if st[0].Submitted != 2 || st[0].Completed != 2 || st[1].Submitted != 1 {
-		t.Fatalf("tenant counters = %+v", st)
 	}
 }
 
@@ -166,17 +146,16 @@ func TestServiceEmitsShedAndDelayEvents(t *testing.T) {
 	col := &collector{}
 	bus.Subscribe(col, telemetry.LayerSink)
 	svc.SetTelemetry(telemetry.NewRegistry(), bus, 1)
-	tn := svc.Tenant("ops")
-	tn.Submit(2, "cmd", nil) // dispatches
-	tn.Submit(3, "cmd", nil) // queues (depth 0 < 1)
-	tn.Submit(4, "cmd", nil) // defers at depth 1
-	tn.Submit(5, "cmd", nil) // sheds at depth 2
+	svc.Submit(2, "cmd", nil) // dispatches
+	svc.Submit(3, "cmd", nil) // queues (depth 0 < 1)
+	svc.Submit(4, "cmd", nil) // defers at depth 1
+	svc.Submit(5, "cmd", nil) // sheds at depth 2
 	var delays, sheds int
 	for _, ev := range col.evs {
 		switch ev.Kind {
 		case telemetry.KindSvcDelay:
 			delays++
-			if ev.Note != "ops" {
+			if ev.Note != DefaultTenant {
 				t.Fatalf("delay event tenant = %q", ev.Note)
 			}
 		case telemetry.KindSvcShed:

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"teleadjust/internal/radio"
 	"teleadjust/internal/telemetry"
@@ -75,38 +74,30 @@ func (e *Engine) SendControlBatch(reqs []BatchRequest) ([]uint32, error) {
 	if len(members) == 0 {
 		return uids, nil
 	}
-	if len(members) == 1 {
-		m := members[0]
-		r := &reqs[m.idx]
-		uids[m.idx] = e.launchControl(r.Dst, m.code, r.App, SendOpts{}, r.Cb)
-		return uids, nil
-	}
-
-	// Common prefix of every member code.
-	common := members[0].code
-	for _, m := range members[1:] {
-		common = common.Prefix(common.CommonPrefixLen(m.code))
-	}
 
 	// Split node: the deepest registered node whose code prefixes the
-	// common prefix — scan with order-independent best tracking (longest
-	// code, lowest id tiebreak) so map iteration order cannot leak into
-	// the deterministic trace. The sink itself seeds the search.
-	splitNode := e.node.ID()
-	splitCode := e.myCode
-	bestLen := splitCode.Len()
-	for id, info := range e.registry {
-		if !info.Code.IsPrefixOf(common) {
-			continue
+	// common prefix of every member code — scan with order-independent
+	// best tracking (longest code, lowest id tiebreak) so map iteration
+	// order cannot leak into the deterministic trace. The sink itself
+	// seeds the search.
+	splitNode, splitCode := e.node.ID(), e.myCode
+	if len(members) > 1 {
+		common := members[0].code
+		for _, m := range members[1:] {
+			common = common.Prefix(common.CommonPrefixLen(m.code))
 		}
-		if l := info.Code.Len(); l > bestLen || (l == bestLen && id < splitNode) {
-			splitNode = id
-			splitCode = info.Code
-			bestLen = l
+		for id, info := range e.registry {
+			if !info.Code.IsPrefixOf(common) {
+				continue
+			}
+			if l := info.Code.Len(); l > splitCode.Len() || (l == splitCode.Len() && id < splitNode) {
+				splitNode, splitCode = id, info.Code
+			}
 		}
 	}
 	if splitNode == e.node.ID() {
-		// No shared downward leg to save: dispatch individually.
+		// A lone member, or no shared downward leg to save: dispatch
+		// individually.
 		for _, m := range members {
 			r := &reqs[m.idx]
 			uids[m.idx] = e.launchControl(r.Dst, m.code, r.App, SendOpts{}, r.Cb)
@@ -119,11 +110,8 @@ func (e *Engine) SendControlBatch(reqs []BatchRequest) ([]uint32, error) {
 	batch := make([]BatchMember, len(members))
 	for i, m := range members {
 		r := &reqs[m.idx]
-		e.uidSeq++
-		uid := e.uidSeq
+		uid := e.openOp(r.Dst, r.App, SendOpts{}, r.Cb)
 		uids[m.idx] = uid
-		e.trackPending(uid, r.Dst, r.App, SendOpts{}, r.Cb)
-		e.emitOp(telemetry.Event{Kind: telemetry.KindOpIssue, Op: uid, UID: uid, Dst: r.Dst})
 		batch[i] = BatchMember{
 			UID:     uid,
 			Op:      uid,
@@ -143,16 +131,7 @@ func (e *Engine) SendControlBatch(reqs []BatchRequest) ([]uint32, error) {
 		DstCode: splitCode,
 		Batch:   batch,
 	}
-	st := &ctrlState{
-		ctrl:       c,
-		attempts:   e.cfg.RetryRounds + 1,
-		backtracks: e.cfg.Backtracks,
-		excluded:   make(map[radio.NodeID]bool),
-		status:     ctrlForwarding,
-		at:         e.eng.Now(),
-	}
-	e.ctrl[c.UID] = st
-	e.forwardControl(st)
+	e.forwardControl(e.newCtrl(c.UID, c, 0, false))
 	return uids, nil
 }
 
@@ -164,14 +143,9 @@ func (e *Engine) deliverBatch(f *radio.Frame, c *Control) {
 	// the carrier UID doubles as its first member's onward UID, so e.ctrl
 	// cannot dedup it (classifyControl accepts Dst==me before the UID
 	// check).
-	if e.batchSeen == nil {
-		e.batchSeen = make(map[uint32]time.Duration)
-	}
-	if _, dup := e.batchSeen[c.UID]; dup {
+	if !e.batchSeen.firstSight(c.UID, e.eng.Now(), 2*e.cfg.ControlTimeout) {
 		return
 	}
-	e.batchSeen[c.UID] = e.eng.Now()
-	e.gcBatchSeen()
 
 	// Consume members addressed to the split node itself.
 	rest := make([]BatchMember, 0, len(c.Batch))
@@ -258,7 +232,7 @@ func (e *Engine) launchSubCarrier(f *radio.Frame, c *Control, child radio.NodeID
 		Hops:    c.Hops,
 		Batch:   sub,
 	}
-	e.relayBatchControl(f, sc)
+	e.relay(f, sc)
 }
 
 // launchBatchSingle continues one batch member downward as a plain control
@@ -276,36 +250,5 @@ func (e *Engine) launchBatchSingle(f *radio.Frame, c *Control, m BatchMember) {
 		Hops:    c.Hops,
 		App:     m.App,
 	}
-	e.relayBatchControl(f, sc)
-}
-
-// relayBatchControl installs fresh forwarding state for a post-split packet
-// and sends it on, exactly like deliverControl's relay path.
-func (e *Engine) relayBatchControl(f *radio.Frame, c *Control) {
-	st := &ctrlState{
-		ctrl:       c,
-		prev:       f.Src,
-		havePrev:   true,
-		attempts:   e.cfg.RetryRounds + 1,
-		backtracks: e.cfg.Backtracks,
-		excluded:   make(map[radio.NodeID]bool),
-		status:     ctrlForwarding,
-		at:         e.eng.Now(),
-	}
-	e.ctrl[c.UID] = st
-	e.gcCtrl()
-	e.forwardControl(st)
-}
-
-// gcBatchSeen bounds the carrier-split dedup table.
-func (e *Engine) gcBatchSeen() {
-	if len(e.batchSeen) < 256 {
-		return
-	}
-	cutoff := e.eng.Now() - 2*e.cfg.ControlTimeout
-	for uid, at := range e.batchSeen {
-		if at < cutoff {
-			delete(e.batchSeen, uid)
-		}
-	}
+	e.relay(f, sc)
 }

@@ -54,12 +54,7 @@ func (e *Engine) onParentChange(old, new radio.NodeID) {
 	if nc, ok := e.neighborCodes[new]; ok && nc.spaceBits > 0 {
 		e.lastRequest = e.eng.Now()
 		e.stats.PositionReqs++
-		_ = e.node.Send(&radio.Frame{
-			Kind:    radio.FrameData,
-			Dst:     new,
-			Size:    8,
-			Payload: &PositionRequest{},
-		})
+		e.send(new, 8, &PositionRequest{})
 	}
 }
 
@@ -165,12 +160,7 @@ func (e *Engine) onParentBeacon(from radio.NodeID, ext *TeleExt) {
 		if e.eng.Now()-e.lastRequest >= e.cfg.RequestMinGap {
 			e.lastRequest = e.eng.Now()
 			e.stats.PositionReqs++
-			_ = e.node.Send(&radio.Frame{
-				Kind:    radio.FrameData,
-				Dst:     from,
-				Size:    8,
-				Payload: &PositionRequest{},
-			})
+			e.send(from, 8, &PositionRequest{})
 		}
 	}
 }
@@ -265,17 +255,12 @@ func (e *Engine) sendAllocationAck(child radio.NodeID, pos uint16) {
 	if !label.IsEmpty() {
 		size += label.SizeBytes()
 	}
-	_ = e.node.Send(&radio.Frame{
-		Kind: radio.FrameData,
-		Dst:  child,
-		Size: size,
-		Payload: &AllocationAck{
-			Position:    pos,
-			SpaceBits:   uint8(e.children.SpaceBits()),
-			ParentCode:  e.myCode,
-			ParentDepth: e.depth,
-			Label:       label,
-		},
+	e.send(child, size, &AllocationAck{
+		Position:    pos,
+		SpaceBits:   uint8(e.children.SpaceBits()),
+		ParentCode:  e.myCode,
+		ParentDepth: e.depth,
+		Label:       label,
 	})
 }
 
@@ -345,12 +330,7 @@ func (e *Engine) adoptPosition(pos uint16) {
 }
 
 func (e *Engine) sendConfirm(parent radio.NodeID) {
-	_ = e.node.Send(&radio.Frame{
-		Kind:    radio.FrameData,
-		Dst:     parent,
-		Size:    8,
-		Payload: &ConfirmFrame{Position: e.position},
-	})
+	e.send(parent, 8, &ConfirmFrame{Position: e.position})
 }
 
 // recomputeCode derives this node's code from the parent's published code

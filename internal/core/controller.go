@@ -50,41 +50,32 @@ func (e *Engine) SendControlWith(dst radio.NodeID, app any, opts SendOpts, cb fu
 	return e.launchControl(dst, info.Code, app, opts, cb), nil
 }
 
-// launchControl allocates a UID and dispatches one resolved-code control
-// operation: pending state, timeout, forwarding state, first forward.
-// Shared by the single-operation entry points and the batch carrier's
-// per-member bookkeeping.
+// launchControl opens one resolved-code control operation and sends it
+// its first hop. Shared by the single-operation entry points and the
+// batch carrier's lone-member and no-shared-prefix fallbacks.
 func (e *Engine) launchControl(dst radio.NodeID, code PathCode, app any, opts SendOpts, cb func(Result)) uint32 {
-	e.uidSeq++
-	uid := e.uidSeq
-	c := &Control{
-		UID:     uid,
-		Op:      uid,
-		Dst:     dst,
-		DstCode: code,
-		App:     app,
-	}
-	e.trackPending(uid, dst, app, opts, cb)
-	st := &ctrlState{
-		ctrl:       c,
-		attempts:   e.cfg.RetryRounds + 1,
-		backtracks: e.cfg.Backtracks,
-		excluded:   make(map[radio.NodeID]bool),
-		status:     ctrlForwarding,
-		at:         e.eng.Now(),
-	}
-	e.ctrl[uid] = st
-	e.emitOp(telemetry.Event{Kind: telemetry.KindOpIssue, Op: uid, UID: uid, Dst: dst})
-	e.forwardControl(st)
+	uid := e.openOp(dst, app, opts, cb)
+	c := &Control{UID: uid, Op: uid, Dst: dst, DstCode: code, App: app}
+	e.forwardControl(e.newCtrl(uid, c, 0, false))
 	return uid
 }
 
-// trackPending installs the sink-side pending record and timeout for one
-// operation under uid.
-func (e *Engine) trackPending(uid uint32, dst radio.NodeID, app any, opts SendOpts, cb func(Result)) {
-	p := &pendingControl{op: uid, dst: dst, app: app, sentAt: e.eng.Now(), cb: cb, noRescue: opts.NoRescue}
-	p.timeout = e.eng.Schedule(e.cfg.ControlTimeout, func() { e.pendingTimeout(uid) })
+// openOp opens one operation at the sink: a fresh UID, its pending record
+// and timeout, and the op.issue span root.
+func (e *Engine) openOp(dst radio.NodeID, app any, opts SendOpts, cb func(Result)) uint32 {
+	p := &pendingControl{dst: dst, app: app, sentAt: e.eng.Now(), cb: cb, noRescue: opts.NoRescue}
+	p.op = e.armPending(p)
+	e.emitOp(telemetry.Event{Kind: telemetry.KindOpIssue, Op: p.op, UID: p.op, Dst: dst})
+	return p.op
+}
+
+// armPending files p under the next wire UID with a fresh timeout.
+func (e *Engine) armPending(p *pendingControl) uint32 {
+	e.uidSeq++
+	uid := e.uidSeq
+	p.timeout = e.eng.Schedule(e.cfg.ControlTimeout, func() { e.stalled(uid) })
 	e.pending[uid] = p
+	return uid
 }
 
 // KnowsCode reports whether the controller has a code for dst.
@@ -131,12 +122,13 @@ func (e *Engine) resolveAck(ack *E2EAck) {
 	}
 }
 
-// pendingTimeout fires when no e2e ack arrived in time: either the packet
-// never made it or its acknowledgement was lost on a blocked upward path.
-// Both are what the Section III-C4 countermeasure addresses (the rescue
-// relay also carries the ack back on its own tree), so one rescue attempt
-// is made before giving up.
-func (e *Engine) pendingTimeout(uid uint32) {
+// stalled fires when no e2e ack arrived in time, or when the sink's own
+// forwarding (backtracked packets included) gives up first: either the
+// packet never made it or its acknowledgement was lost on a blocked upward
+// path. Both are what the Section III-C4 countermeasure addresses (the
+// rescue relay also carries the ack back on its own tree), so one rescue
+// attempt is made before giving up.
+func (e *Engine) stalled(uid uint32) {
 	p, ok := e.pending[uid]
 	if !ok {
 		return
@@ -145,19 +137,6 @@ func (e *Engine) pendingTimeout(uid uint32) {
 		return
 	}
 	e.failPending(uid, p)
-}
-
-// sinkUndeliverable is called when the sink's own forwarding (including
-// backtracked packets) gives up before the timeout.
-func (e *Engine) sinkUndeliverable(c *Control) {
-	p, ok := e.pending[c.UID]
-	if !ok {
-		return
-	}
-	if e.tryRescue(c.UID, p) {
-		return
-	}
-	e.failPending(c.UID, p)
 }
 
 func (e *Engine) failPending(uid uint32, p *pendingControl) {
@@ -199,12 +178,9 @@ func (e *Engine) tryRescue(uid uint32, p *pendingControl) bool {
 	// The rescue attempt gets its own UID on the wire so relays that
 	// already carry state for the original attempt participate afresh;
 	// both UIDs resolve to the same pending operation.
-	e.uidSeq++
-	uid2 := e.uidSeq
-	e.pending[uid2] = p
 	delete(e.pending, uid)
 	p.timeout.Cancel()
-	p.timeout = e.eng.Schedule(e.cfg.ControlTimeout, func() { e.pendingTimeout(uid2) })
+	uid2 := e.armPending(p)
 
 	e.emitOp(telemetry.Event{Kind: telemetry.KindOpRescue, Op: p.op, UID: uid2, Dst: k,
 		Note: "re-tele detour via rescue relay"})
@@ -217,16 +193,7 @@ func (e *Engine) tryRescue(uid uint32, p *pendingControl) bool {
 		FinalDst: p.dst,
 		App:      p.app,
 	}
-	st := &ctrlState{
-		ctrl:       c,
-		attempts:   e.cfg.RetryRounds + 1,
-		backtracks: e.cfg.Backtracks,
-		excluded:   make(map[radio.NodeID]bool),
-		status:     ctrlForwarding,
-		at:         e.eng.Now(),
-	}
-	e.ctrl[uid2] = st
-	e.forwardControl(st)
+	e.forwardControl(e.newCtrl(uid2, c, 0, false))
 	return true
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"teleadjust/internal/mac"
 	"teleadjust/internal/radio"
 	"teleadjust/internal/telemetry"
@@ -40,48 +42,52 @@ func (e *Engine) countControlSend(c *Control) {
 	}
 }
 
-// myMatch returns the length of this node's code (or still-valid old code)
-// prefix-matched against dst, 0 if neither matches.
-func (e *Engine) myMatch(dst PathCode) int {
+// codeMatch returns how many leading bits of dst code prefixes, or the
+// old code while it stays valid, whichever is longer (0 if neither).
+func codeMatch(code, old PathCode, oldUntil, now time.Duration, dst PathCode) int {
 	best := 0
-	if e.haveCode && e.myCode.IsPrefixOf(dst) {
-		best = e.myCode.Len()
+	if code.IsPrefixOf(dst) {
+		best = code.Len()
 	}
-	if !e.myOldCode.IsEmpty() && e.eng.Now() < e.oldCodeUntil &&
-		e.myOldCode.IsPrefixOf(dst) && e.myOldCode.Len() > best {
-		best = e.myOldCode.Len()
+	if !old.IsEmpty() && now < oldUntil && old.IsPrefixOf(dst) && old.Len() > best {
+		best = old.Len()
 	}
 	return best
 }
 
-// neighborMatch returns the freshest qualifying neighbor match above the
-// bar: the neighbor id and its matched prefix length (0 if none). Excluded
-// and unreachable neighbors are skipped.
-func (e *Engine) neighborMatch(dst PathCode, bar int, excluded map[radio.NodeID]bool) (radio.NodeID, int) {
+// myMatch returns the length of this node's code (or still-valid old code)
+// prefix-matched against dst, 0 if neither matches.
+func (e *Engine) myMatch(dst PathCode) int {
+	code := EmptyCode
+	if e.haveCode {
+		code = e.myCode
+	}
+	return codeMatch(code, e.myOldCode, e.oldCodeUntil, e.eng.Now(), dst)
+}
+
+// neighborMatches scans the fresh, reachable, non-excluded neighbor codes
+// once and returns, among those matching dst beyond the bar, the neighbor
+// with the least match and its length (BroadcastID, 0 if none) and the
+// longest match (0 if none). Ties go to the lowest id.
+func (e *Engine) neighborMatches(dst PathCode, bar int, excluded map[radio.NodeID]bool) (minID radio.NodeID, minLen, maxLen int) {
 	now := e.eng.Now()
-	bestID := radio.BroadcastID
-	best := 0
+	minID, maxID := radio.BroadcastID, radio.BroadcastID
 	for id, nc := range e.neighborCodes {
-		if e.unreachable[id] || (excluded != nil && excluded[id]) {
+		if e.unreachable[id] || excluded[id] || now-nc.heardAt > e.cfg.NeighborCodeTTL {
 			continue
 		}
-		if now-nc.heardAt > e.cfg.NeighborCodeTTL {
+		ml := codeMatch(nc.code, nc.oldCode, nc.oldUntil, now, dst)
+		if ml <= bar {
 			continue
 		}
-		ml := 0
-		if nc.code.IsPrefixOf(dst) {
-			ml = nc.code.Len()
+		if minID == radio.BroadcastID || ml < minLen || (ml == minLen && id < minID) {
+			minID, minLen = id, ml
 		}
-		if !nc.oldCode.IsEmpty() && now < nc.oldUntil &&
-			nc.oldCode.IsPrefixOf(dst) && nc.oldCode.Len() > ml {
-			ml = nc.oldCode.Len()
-		}
-		if ml > bar && (ml > best || (ml == best && id < bestID)) {
-			best = ml
-			bestID = id
+		if ml > maxLen || (ml == maxLen && id < maxID) {
+			maxID, maxLen = id, ml
 		}
 	}
-	return bestID, best
+	return minID, minLen, maxLen
 }
 
 // classifyControl implements the three relay conditions of Section III-C:
@@ -133,7 +139,7 @@ func (e *Engine) classifyControl(f *radio.Frame, c *Control) mac.Classification 
 			}
 			return mac.Classification{Decision: mac.AckAndDeliver, Prio: progressPrio(m - bar)}
 		}
-		if _, nm := e.neighborMatch(c.DstCode, bar, nil); nm > 0 {
+		if _, _, nm := e.neighborMatches(c.DstCode, bar, nil); nm > 0 {
 			prio := progressPrio(nm-bar) + 2
 			if prio > prioExpected-1 {
 				prio = prioExpected - 1
@@ -188,27 +194,16 @@ func (e *Engine) deliverControl(f *radio.Frame, c *Control) {
 		e.countControlSend(leg)
 		e.emitOp(telemetry.Event{Kind: telemetry.KindOpDetourLeg, Op: c.Op, UID: c.UID,
 			Dst: c.FinalDst, Hops: leg.Hops})
-		_ = e.node.Send(&radio.Frame{
-			Kind:    radio.FrameData,
-			Dst:     c.FinalDst,
-			Size:    controlFrameSize(leg),
-			Payload: leg,
-		})
+		e.send(c.FinalDst, controlFrameSize(leg), leg)
 	default:
-		st := &ctrlState{
-			ctrl:       c,
-			prev:       f.Src,
-			havePrev:   true,
-			attempts:   e.cfg.RetryRounds + 1,
-			backtracks: e.cfg.Backtracks,
-			excluded:   make(map[radio.NodeID]bool),
-			status:     ctrlForwarding,
-			at:         e.eng.Now(),
-		}
-		e.ctrl[c.UID] = st
-		e.gcCtrl()
-		e.forwardControl(st)
+		e.relay(f, c)
 	}
+}
+
+// relay installs fresh forwarding state for a packet handed over by f's
+// sender and sends it on.
+func (e *Engine) relay(f *radio.Frame, c *Control) {
+	e.forwardControl(e.newCtrl(c.UID, c, f.Src, true))
 }
 
 // consume delivers a control packet addressed to this node and returns the
@@ -229,12 +224,7 @@ func (e *Engine) consume(c *Control, from radio.NodeID, direct bool) {
 	}
 	ack := E2EAck{UID: c.UID, From: e.node.ID(), Hops: c.Hops}
 	if direct {
-		_ = e.node.Send(&radio.Frame{
-			Kind:    radio.FrameData,
-			Dst:     from,
-			Size:    10,
-			Payload: &AckRelay{Ack: ack},
-		})
+		e.send(from, 10, &AckRelay{Ack: ack})
 		return
 	}
 	_ = e.ctp.SendToSink(&ack)
@@ -247,7 +237,7 @@ func (e *Engine) opDelivered(op uint32) bool {
 	if ok && st.status == ctrlDone {
 		return true
 	}
-	e.ctrl[op] = &ctrlState{status: ctrlDone, at: e.eng.Now()}
+	e.putCtrl(op, &ctrlState{status: ctrlDone, at: e.eng.Now()})
 	return false
 }
 
@@ -267,23 +257,13 @@ func (e *Engine) forwardControl(st *ctrlState) {
 	// length, so any on-path node closer than us can still take it.
 	expected := c.Dst
 	expectedLen := bar
-	if minID, minLen := e.minNeighborMatch(c.DstCode, bar, st.excluded); minID != radio.BroadcastID {
+	if minID, minLen, _ := e.neighborMatches(c.DstCode, bar, st.excluded); minID != radio.BroadcastID {
 		expected = minID
 		expectedLen = minLen
 	}
-	fwd := &Control{
-		UID:         c.UID,
-		Op:          c.Op,
-		Dst:         c.Dst,
-		DstCode:     c.DstCode,
-		Expected:    expected,
-		ExpectedLen: uint8(expectedLen),
-		Detour:      c.Detour,
-		FinalDst:    c.FinalDst,
-		Hops:        c.Hops + 1,
-		App:         c.App,
-		Batch:       c.Batch,
-	}
+	fwd := new(Control)
+	*fwd = *c
+	fwd.Expected, fwd.ExpectedLen, fwd.Hops = expected, uint8(expectedLen), c.Hops+1
 	st.ctrl = fwd
 	e.countControlSend(fwd)
 	if !e.isSink {
@@ -306,41 +286,16 @@ func (e *Engine) forwardControl(st *ctrlState) {
 	}
 }
 
-// minNeighborMatch returns the qualifying neighbor with the smallest match
-// above bar.
-func (e *Engine) minNeighborMatch(dst PathCode, bar int, excluded map[radio.NodeID]bool) (radio.NodeID, int) {
-	now := e.eng.Now()
-	bestID := radio.BroadcastID
-	best := int(^uint(0) >> 1)
-	for id, nc := range e.neighborCodes {
-		if e.unreachable[id] || (excluded != nil && excluded[id]) {
-			continue
-		}
-		if now-nc.heardAt > e.cfg.NeighborCodeTTL {
-			continue
-		}
-		ml := 0
-		if nc.code.IsPrefixOf(dst) {
-			ml = nc.code.Len()
-		}
-		if !nc.oldCode.IsEmpty() && now < nc.oldUntil &&
-			nc.oldCode.IsPrefixOf(dst) && nc.oldCode.Len() > ml {
-			ml = nc.oldCode.Len()
-		}
-		if ml > bar && (ml < best || (ml == best && id < bestID)) {
-			best = ml
-			bestID = id
-		}
-	}
-	if bestID == radio.BroadcastID {
-		return radio.BroadcastID, 0
-	}
-	return bestID, best
+// send hands one best-effort data frame to the MAC. A refused send needs
+// no handling here: the sender's own recovery (the next beacon, the sink's
+// timeout) covers it as it covers a lost frame.
+func (e *Engine) send(dst radio.NodeID, size int, payload any) {
+	_ = e.node.Send(&radio.Frame{Kind: radio.FrameData, Dst: dst, Size: size, Payload: payload})
 }
 
 // controlSendDone reacts to the MAC's verdict on a forwarded control
 // packet.
-func (e *Engine) controlSendDone(f *radio.Frame, c *Control, acker radio.NodeID, ok bool) {
+func (e *Engine) controlSendDone(c *Control, ok bool) {
 	if c.FinalLeg {
 		// The rescue final leg is fire-and-forget; the sink's timeout
 		// recovers a loss.
@@ -356,7 +311,6 @@ func (e *Engine) controlSendDone(f *radio.Frame, c *Control, acker radio.NodeID,
 	if ok {
 		st.status = ctrlDone
 		st.at = e.eng.Now()
-		_ = acker
 		return
 	}
 	e.handleForwardFailure(st, c.Expected)
@@ -382,21 +336,24 @@ func (e *Engine) handleForwardFailure(st *ctrlState, expected radio.NodeID) {
 	st.status = ctrlFailed
 	st.at = e.eng.Now()
 	if st.havePrev {
-		fb := &Feedback{UID: c.UID, FailedRelay: e.node.ID(), Ctrl: c}
 		e.stats.Backtracks++
-		e.stats.FeedbackSends++
 		e.emitOp(telemetry.Event{Kind: telemetry.KindOpBacktrack, Op: c.Op, UID: c.UID,
 			Dst: st.prev})
-		_ = e.node.Send(&radio.Frame{
-			Kind:    radio.FrameData,
-			Dst:     st.prev,
-			Size:    feedbackFrameSize(fb),
-			Payload: fb,
-		})
-		return
 	}
-	if e.isSink {
-		e.sinkUndeliverable(c)
+	e.returnUpstream(st, c.UID)
+}
+
+// returnUpstream hands a packet this node gave up on back to the relay it
+// came from as feedback; where the operation originated, the sink treats
+// it as stalled.
+func (e *Engine) returnUpstream(st *ctrlState, uid uint32) {
+	switch {
+	case st.havePrev:
+		fb := &Feedback{UID: uid, FailedRelay: e.node.ID(), Ctrl: st.ctrl}
+		e.stats.FeedbackSends++
+		e.send(st.prev, feedbackFrameSize(fb), fb)
+	case e.isSink:
+		e.stalled(st.ctrl.UID)
 	}
 }
 
@@ -438,19 +395,9 @@ func (e *Engine) deliverFeedback(f *radio.Frame, fb *Feedback) {
 	// Re-Tele rescue attempt that follows a backtracked failure.
 	st, ok := e.ctrl[fb.UID]
 	if !ok {
-		st = &ctrlState{
-			ctrl: fb.Ctrl,
-			// An interceptor's upstream, should it fail too, is the relay
-			// that emitted this feedback.
-			prev:       f.Src,
-			havePrev:   f.Src != e.node.ID(),
-			attempts:   e.cfg.RetryRounds + 1,
-			backtracks: e.cfg.Backtracks,
-			excluded:   make(map[radio.NodeID]bool),
-			status:     ctrlForwarding,
-			at:         e.eng.Now(),
-		}
-		e.ctrl[fb.UID] = st
+		// An interceptor's upstream, should it fail too, is the relay
+		// that emitted this feedback.
+		st = e.newCtrl(fb.UID, fb.Ctrl, f.Src, f.Src != e.node.ID())
 	}
 	// The state may be a bare delivery marker (opDelivered) or carry no
 	// control copy yet; normalize before reopening.
@@ -470,18 +417,7 @@ func (e *Engine) deliverFeedback(f *radio.Frame, fb *Feedback) {
 		st.status = ctrlFailed
 		e.emitOp(telemetry.Event{Kind: telemetry.KindOpGiveUp, Op: st.ctrl.Op, UID: fb.UID,
 			Src: fb.FailedRelay})
-		if st.havePrev {
-			up := &Feedback{UID: fb.UID, FailedRelay: e.node.ID(), Ctrl: st.ctrl}
-			e.stats.FeedbackSends++
-			_ = e.node.Send(&radio.Frame{
-				Kind:    radio.FrameData,
-				Dst:     st.prev,
-				Size:    feedbackFrameSize(up),
-				Payload: up,
-			})
-		} else if e.isSink {
-			e.sinkUndeliverable(st.ctrl)
-		}
+		e.returnUpstream(st, fb.UID)
 		return
 	}
 	if e.bus.Wants(telemetry.LayerCore) {
@@ -494,27 +430,41 @@ func (e *Engine) deliverFeedback(f *radio.Frame, fb *Feedback) {
 		e.emitOp(telemetry.Event{Kind: kind, Op: fb.Ctrl.Op, UID: fb.UID, Src: fb.FailedRelay})
 	}
 	// The expected-relay bar must be recomputed from our own vantage:
-	// restart from our match.
-	st.ctrl = &Control{
-		UID:         fb.UID,
-		Op:          fb.Ctrl.Op,
-		Dst:         fb.Ctrl.Dst,
-		DstCode:     fb.Ctrl.DstCode,
-		ExpectedLen: 0,
-		Detour:      fb.Ctrl.Detour,
-		FinalDst:    fb.Ctrl.FinalDst,
-		Hops:        fb.Ctrl.Hops,
-		App:         fb.Ctrl.App,
-		Batch:       fb.Ctrl.Batch,
-	}
+	// restart from our match. fb.Ctrl is shared with the sender's state,
+	// so the restart works on a copy.
+	restart := *fb.Ctrl
+	restart.UID, restart.ExpectedLen = fb.UID, 0
+	st.ctrl = &restart
 	st.status = ctrlForwarding
 	st.attempts = e.cfg.RetryRounds + 1
 	e.stats.Backtracks++
 	e.forwardControl(st)
 }
 
-// gcCtrl bounds the per-UID state table.
-func (e *Engine) gcCtrl() {
+// newCtrl is the one constructor of per-UID forwarding state: a fresh
+// retry and backtrack budget, no exclusions, forwarding since now. prev is
+// the upward relay that handed the packet over (havePrev false where the
+// operation originates).
+func (e *Engine) newCtrl(uid uint32, c *Control, prev radio.NodeID, havePrev bool) *ctrlState {
+	st := &ctrlState{
+		ctrl:       c,
+		prev:       prev,
+		havePrev:   havePrev,
+		attempts:   e.cfg.RetryRounds + 1,
+		backtracks: e.cfg.Backtracks,
+		excluded:   make(map[radio.NodeID]bool),
+		status:     ctrlForwarding,
+		at:         e.eng.Now(),
+	}
+	e.putCtrl(uid, st)
+	return st
+}
+
+// putCtrl is the one insertion point into the per-UID state table, which
+// it keeps bounded: once 512 entries are held, every settled entry older
+// than two control timeouts goes.
+func (e *Engine) putCtrl(uid uint32, st *ctrlState) {
+	e.ctrl[uid] = st
 	if len(e.ctrl) < 512 {
 		return
 	}

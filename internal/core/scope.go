@@ -82,11 +82,10 @@ func (e *Engine) SendScopeControl(scope PathCode, app any, cb func(ScopeResult))
 		seen:   make(map[radio.NodeID]bool),
 		res:    ScopeResult{UID: uid},
 	}
-	for id, info := range e.registry {
+	for _, info := range e.registry {
 		if scope.IsPrefixOf(info.Code) {
 			p.res.Expected++
 		}
-		_ = id
 	}
 	p.timeout = e.eng.Schedule(e.cfg.ControlTimeout, func() {
 		delete(e.pendingScopes, uid)
@@ -149,14 +148,9 @@ func (e *Engine) classifyScope(sc *ScopedControl) mac.Classification {
 // deliverScope consumes (members) and re-floods (everyone in-role), once
 // per UID.
 func (e *Engine) deliverScope(sc *ScopedControl) {
-	if e.scopeSeen == nil {
-		e.scopeSeen = make(map[uint32]time.Duration)
-	}
-	if _, dup := e.scopeSeen[sc.UID]; dup {
+	if !e.scopeSeen.firstSight(sc.UID, e.eng.Now(), 2*e.cfg.ControlTimeout) {
 		return
 	}
-	e.scopeSeen[sc.UID] = e.eng.Now()
-	e.gcScopeSeen()
 	role := e.scopeRoleOf(sc.Scope)
 	if role == scopeOutside {
 		return
@@ -184,12 +178,7 @@ func (e *Engine) sendScopeCopy(sc *ScopedControl) {
 	fwd := &ScopedControl{UID: sc.UID, Scope: sc.Scope, Hops: sc.Hops + 1, App: sc.App}
 	e.stats.ControlSends++
 	e.stats.HeaderBytes += uint64(sc.Scope.SizeBytes())
-	_ = e.node.Send(&radio.Frame{
-		Kind:    radio.FrameData,
-		Dst:     radio.BroadcastID,
-		Size:    scopeFrameSize(fwd),
-		Payload: fwd,
-	})
+	e.send(radio.BroadcastID, scopeFrameSize(fwd), fwd)
 }
 
 // resolveScopeAck records a member acknowledgement at the sink.
@@ -206,18 +195,6 @@ func (e *Engine) resolveScopeAck(ack *ScopeAck) {
 		delete(e.pendingScopes, ack.UID)
 		if p.cb != nil {
 			p.cb(p.res)
-		}
-	}
-}
-
-func (e *Engine) gcScopeSeen() {
-	if len(e.scopeSeen) < 256 {
-		return
-	}
-	cutoff := e.eng.Now() - 2*e.cfg.ControlTimeout
-	for uid, at := range e.scopeSeen {
-		if at < cutoff {
-			delete(e.scopeSeen, uid)
 		}
 	}
 }

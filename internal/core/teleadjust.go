@@ -129,6 +129,30 @@ type ctrlState struct {
 	at         time.Duration
 }
 
+// seenWindow dedups UIDs by first sighting. Once it holds 256 UIDs, each
+// new sighting forgets those first seen longer ago than the horizon.
+type seenWindow map[uint32]time.Duration
+
+// firstSight records uid as seen at now and reports whether it was new.
+func (w *seenWindow) firstSight(uid uint32, now, horizon time.Duration) bool {
+	if *w == nil {
+		*w = make(seenWindow)
+	}
+	if _, dup := (*w)[uid]; dup {
+		return false
+	}
+	(*w)[uid] = now
+	if len(*w) >= 256 {
+		cutoff := now - horizon
+		for id, at := range *w {
+			if at < cutoff {
+				delete(*w, id)
+			}
+		}
+	}
+	return true
+}
+
 // Engine is one node's TeleAdjusting instance. It registers itself as a
 // protocol on the node and hooks into the node's CTP instance.
 type Engine struct {
@@ -179,13 +203,13 @@ type Engine struct {
 	ctrl map[uint32]*ctrlState
 
 	// Scoped-dissemination state.
-	scopeSeen     map[uint32]time.Duration
+	scopeSeen     seenWindow
 	pendingScopes map[uint32]*pendingScope
 
 	// Batch-carrier split state: carrier UIDs already split at this node.
 	// Kept separate from ctrl because the first member's onward forwarding
 	// reuses the carrier UID and needs its own ctrlState here.
-	batchSeen map[uint32]time.Duration
+	batchSeen seenWindow
 
 	// Sink-side controller state.
 	registry  map[radio.NodeID]CodeInfo
@@ -267,7 +291,6 @@ func New(n *node.Node, c *ctp.CTP, cfg Config, rng *rand.Rand) *Engine {
 		neighborCodes:   make(map[radio.NodeID]*neighborCode),
 		unreachable:     make(map[radio.NodeID]bool),
 		ctrl:            make(map[uint32]*ctrlState),
-		batchSeen:       make(map[uint32]time.Duration),
 	}
 	if e.isSink {
 		e.myCode = RootCode()
@@ -451,7 +474,7 @@ func (e *Engine) Deliver(f *radio.Frame) {
 func (e *Engine) OnSendDone(f *radio.Frame, acker radio.NodeID, ok bool) {
 	switch p := f.Payload.(type) {
 	case *Control:
-		e.controlSendDone(f, p, acker, ok)
+		e.controlSendDone(p, ok)
 	case *Feedback:
 		if !ok {
 			// Could not return the packet upstream; the operation will be

@@ -408,3 +408,33 @@ func TestCodeChangePropagatesToSubtree(t *testing.T) {
 		t.Fatalf("child code %v does not extend the NEW parent code %v", n4, n3)
 	}
 }
+
+// TestEngineCtrlTableBounded issues ops for many control timeouts and
+// checks that the sink's per-UID forwarding table keeps to its sweep bound
+// (512 entries, or what the last two timeouts put there) instead of
+// growing by one entry per op.
+func TestEngineCtrlTableBounded(t *testing.T) {
+	net := buildTele(t, topology.Line(3, 7), 1, nil)
+	run(t, net, 3*time.Minute)
+	sink := net.SinkTele()
+	window := 2 * 20 * time.Second // 2 × buildTele's ControlTimeout
+	const ops = 650
+	var issued []time.Duration
+	for i := 0; i < ops; i++ {
+		if _, err := sink.SendControl(radio.NodeID(1+i%2), "set-param", nil); err != nil {
+			t.Fatal(err)
+		}
+		now := net.Eng.Now()
+		issued = append(issued, now)
+		recent := 0
+		for _, at := range issued {
+			if at >= now-window {
+				recent++
+			}
+		}
+		if n := sink.CtrlLen(); n > 512+recent {
+			t.Fatalf("after %d ops the sink holds %d forwarding states, want <= 512+%d", i+1, n, recent)
+		}
+		run(t, net, 2*time.Second)
+	}
+}

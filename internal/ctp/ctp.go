@@ -660,7 +660,6 @@ func (c *CTP) handleData(from radio.NodeID, d *Data) {
 	}
 	c.stats.Forwarded++
 	_ = c.forward(fwd)
-	_ = from
 }
 
 // OnSendDone implements node.Protocol.

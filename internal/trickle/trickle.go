@@ -50,6 +50,10 @@ type Timer struct {
 
 	fireEv sim.EventRef
 	endEv  sim.EventRef
+	// fireFn/endFn are bound once at construction so starting an interval
+	// allocates no closures.
+	fireFn func()
+	endFn  func()
 }
 
 // New creates a stopped Trickle timer that calls fn on each unsuppressed
@@ -58,7 +62,10 @@ func New(eng *sim.Engine, cfg Config, rng *rand.Rand, fn func()) *Timer {
 	if cfg.IMin <= 0 || cfg.IMax < cfg.IMin {
 		panic("trickle: invalid interval configuration")
 	}
-	return &Timer{eng: eng, cfg: cfg, rng: rng, fn: fn}
+	t := &Timer{eng: eng, cfg: cfg, rng: rng, fn: fn}
+	t.fireFn = t.fire
+	t.endFn = t.endInterval
+	return t
 }
 
 // Start begins the algorithm with the minimum interval.
@@ -120,24 +127,28 @@ func (t *Timer) beginInterval() {
 	t.counter = 0
 	half := t.interval / 2
 	fireAt := half + time.Duration(t.rng.Int64N(int64(t.interval-half)))
-	t.fireEv = t.eng.Schedule(fireAt, func() {
-		t.fireEv = sim.EventRef{}
-		if !t.running {
-			return
-		}
-		if t.cfg.K <= 0 || t.counter < t.cfg.K {
-			t.fn()
-		}
-	})
-	t.endEv = t.eng.Schedule(t.interval, func() {
-		t.endEv = sim.EventRef{}
-		if !t.running {
-			return
-		}
-		t.interval *= 2
-		if t.interval > t.cfg.IMax {
-			t.interval = t.cfg.IMax
-		}
-		t.beginInterval()
-	})
+	t.fireEv = t.eng.Schedule(fireAt, t.fireFn)
+	t.endEv = t.eng.Schedule(t.interval, t.endFn)
+}
+
+func (t *Timer) fire() {
+	t.fireEv = sim.EventRef{}
+	if !t.running {
+		return
+	}
+	if t.cfg.K <= 0 || t.counter < t.cfg.K {
+		t.fn()
+	}
+}
+
+func (t *Timer) endInterval() {
+	t.endEv = sim.EventRef{}
+	if !t.running {
+		return
+	}
+	t.interval *= 2
+	if t.interval > t.cfg.IMax {
+		t.interval = t.cfg.IMax
+	}
+	t.beginInterval()
 }

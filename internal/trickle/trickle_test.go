@@ -174,3 +174,27 @@ func TestResetWhileStoppedStarts(t *testing.T) {
 		t.Fatal("timer never fired after Reset-start")
 	}
 }
+
+// TestTrickleIntervalAllocFree pins that starting an interval, at its
+// natural end or on a Reset, allocates nothing once the engine's event
+// pool is warm: the fire and end callbacks are bound once per timer.
+func TestTrickleIntervalAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := Config{IMin: 100 * time.Millisecond, IMax: 400 * time.Millisecond}
+	fired := 0
+	tr := New(eng, cfg, sim.NewRNG(1), func() { fired++ })
+	tr.Start()
+	step := func() {
+		if err := eng.Run(eng.Now() + cfg.IMax); err != nil {
+			t.Fatal(err)
+		}
+		tr.Reset()
+	}
+	step()
+	if a := testing.AllocsPerRun(100, step); a != 0 {
+		t.Fatalf("%v allocs per interval step, want 0", a)
+	}
+	if fired == 0 {
+		t.Fatal("timer never fired")
+	}
+}
