@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc benchmark-build benchmark-test vet fmt-check lint test test-fault test-scale test-scale-full race fuzz test-fuzz bench bench-smoke profile-smoke check
+.PHONY: all build loc benchmark-build benchmark-test vet fmt-check lint test test-fault test-scale test-scale-full race fuzz test-fuzz bench bench-smoke alloc-free profile-smoke check
 
 all: check
 
@@ -100,8 +100,14 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorFold' -benchmem -benchtime=1x ./internal/obs/
 	$(GO) test -run '^$$' -bench 'BenchmarkSourceNext|BenchmarkSourceReadAt|BenchmarkTrain' -benchmem -benchtime=1x ./internal/noise/
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkTimerRestart' -benchmem -benchtime=1x ./internal/sim/
-	$(GO) test -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree|TestMACReceiveAllocFree|TestEvaluateAllocFree|TestTrickleIntervalAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/ ./internal/mac/ ./internal/ctp/ ./internal/trickle/
+	$(MAKE) alloc-free
 	$(GO) test -run 'TestBenchSpeedTrajectory' .
+
+# The hot paths' alloc-free tests (scheduler, noise chain, frame path,
+# duty-cycled field, MAC receive, parent pick, Trickle interval start):
+# the one list bench-smoke and CI both run. ALLOC_FLAGS=-v lists them.
+alloc-free:
+	$(GO) test $(ALLOC_FLAGS) -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree|TestMACReceiveAllocFree|TestEvaluateAllocFree|TestTrickleIntervalAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/ ./internal/mac/ ./internal/ctp/ ./internal/trickle/
 
 # CI-sized profile capture: a short line-scenario run proving the
 # -cpuprofile/-memprofile/-exectrace plumbing produces loadable captures.

@@ -426,7 +426,7 @@ func BenchmarkSinkSchedulerGoodput(b *testing.B) {
 }
 
 // BenchmarkCmdSvcBatching measures the command service against its
-// transparent baseline on the reference grid — the exact default
+// plain-scheduler baseline on the reference grid — the exact default
 // `-study service -proto teleadjust` ramp, asserted at the top offered
 // rate. The contract — service goodput strictly above the unbatched
 // baseline at overload — is what justifies the service front-end:
@@ -445,18 +445,18 @@ func BenchmarkCmdSvcBatching(b *testing.B) {
 			b.Fatal(err)
 		}
 		pt := res.Points[len(res.Points)-1]
-		if pt.OKBase == 0 || pt.OKSvc == 0 {
-			b.Fatalf("no completions: %+v", pt)
+		if pt.Base.OK == 0 || pt.Svc.OK == 0 {
+			b.Fatalf("no completions: base %+v svc %+v", pt.Base, pt.Svc)
 		}
-		if pt.GoodputSvc <= pt.GoodputBase {
+		if pt.Svc.Goodput <= pt.Base.Goodput {
 			b.Fatalf("service goodput %.4f ops/s does not beat baseline %.4f ops/s",
-				pt.GoodputSvc, pt.GoodputBase)
+				pt.Svc.Goodput, pt.Base.Goodput)
 		}
 		if pt.Batches == 0 {
 			b.Fatal("batcher flushed no multi-member carriers")
 		}
-		b.ReportMetric(pt.GoodputBase, "ops/s-base")
-		b.ReportMetric(pt.GoodputSvc, "ops/s-svc")
+		b.ReportMetric(pt.Base.Goodput, "ops/s-base")
+		b.ReportMetric(pt.Svc.Goodput, "ops/s-svc")
 		b.ReportMetric(pt.Speedup(), "x-speedup")
 		b.ReportMetric(pt.CacheHitRate(), "cache-hit")
 	}

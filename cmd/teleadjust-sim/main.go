@@ -6,7 +6,7 @@
 // a coding-schemes study comparing tree-coding codecs side by side, or a
 // command-service study ramping open-loop load through the persistent
 // sink front-end (prefix batching, route-freshness cache, backpressure)
-// against a transparent baseline.
+// against the plain scheduler (an open-loop throughput point).
 // With -reps > 1 the study is replicated over consecutive seeds and the
 // replications run concurrently on -parallel workers; the merged result
 // is identical to a serial run.
@@ -136,7 +136,7 @@ type study struct {
 // checks from it.
 var studies = []study{
 	{name: "coding", run: runCoding},
-	{name: "control", flags: []string{"-trace", "-trace-op", "-progress", "-convergence"}, run: runControl},
+	{name: "control", flags: []string{"-trace", "-trace-op", "-trace-sample", "-progress", "-convergence"}, run: runControl},
 	{name: "scope", check: checkScope, run: runScope},
 	{name: "throughput", flags: []string{"-trace", "-csv", "-workload", "-rates", "-conc", "-ops", "-dist", "-window"},
 		check: checkThroughput, run: runThroughput},
@@ -183,6 +183,7 @@ func (c *cliConfig) scopedFlags() []scopedFlag {
 	return []scopedFlag{
 		{"-trace", c.trace != ""},
 		{"-trace-op", c.traceOp >= 0},
+		{"-trace-sample", c.traceSample > 0},
 		{"-progress", c.progress > 0},
 		{"-convergence", c.convergence != ""},
 		{"-csv", c.csv != ""},
@@ -413,27 +414,37 @@ func parseRates(s string) ([]float64, error) {
 	return out, nil
 }
 
-// serviceOpts assembles command-service study options from validated
-// flags; -1 sentinels keep the study defaults, explicit zeros disable.
-func (c *cliConfig) serviceOpts() (experiment.ServiceOpts, error) {
-	opts := experiment.DefaultServiceOpts()
-	opts.Warmup = c.warmup
-	opts.Trace = c.trace != ""
+// loadOpts applies the flags the throughput and service studies share
+// over a study's defaults.
+func (c *cliConfig) loadOpts(o experiment.LoadOpts) (experiment.LoadOpts, error) {
+	o.Warmup = c.warmup
+	o.Trace = c.trace != ""
 	if c.ops > 0 {
-		opts.Ops = c.ops
+		o.Ops = c.ops
 	}
 	if c.dist != "" {
-		opts.Dist = c.dist
+		o.Dist = c.dist
 	}
 	if c.window > 0 {
-		opts.Window = c.window
+		o.Window = c.window
 	}
 	if c.rates != "" {
 		rates, err := parseRates(c.rates)
 		if err != nil {
-			return opts, err
+			return o, err
 		}
-		opts.Rates = rates
+		o.Rates = rates
+	}
+	return o, nil
+}
+
+// serviceOpts assembles command-service study options from validated
+// flags; -1 sentinels keep the study defaults, explicit zeros disable.
+func (c *cliConfig) serviceOpts() (experiment.ServiceOpts, error) {
+	opts := experiment.DefaultServiceOpts()
+	var err error
+	if opts.LoadOpts, err = c.loadOpts(opts.LoadOpts); err != nil {
+		return opts, err
 	}
 	if c.batchWindow >= 0 {
 		opts.BatchWindow = c.batchWindow
@@ -465,33 +476,17 @@ func (c *cliConfig) serviceOpts() (experiment.ServiceOpts, error) {
 // throughputOpts assembles the study options from validated flags.
 func (c *cliConfig) throughputOpts() (experiment.ThroughputOpts, error) {
 	opts := experiment.DefaultThroughputOpts()
-	opts.Warmup = c.warmup
-	opts.Trace = c.trace != ""
+	var err error
+	if opts.LoadOpts, err = c.loadOpts(opts.LoadOpts); err != nil {
+		return opts, err
+	}
 	if c.workload != "" {
 		opts.Mode = c.workload
 	}
-	if c.ops > 0 {
-		opts.Ops = c.ops
-	}
-	if c.dist != "" {
-		opts.Dist = c.dist
-	}
-	if c.window > 0 {
-		opts.Window = c.window
-	}
 	if c.conc != "" {
-		levels, err := parseConcurrency(c.conc)
-		if err != nil {
+		if opts.Concurrency, err = parseConcurrency(c.conc); err != nil {
 			return opts, err
 		}
-		opts.Concurrency = levels
-	}
-	if c.rates != "" {
-		rates, err := parseRates(c.rates)
-		if err != nil {
-			return opts, err
-		}
-		opts.Rates = rates
 	}
 	return opts, nil
 }
@@ -522,7 +517,7 @@ func run() (retErr error) {
 	flag.IntVar(&c.traceOp, "trace-op", -1, "render operation span traces for this destination node (control study)")
 	flag.DurationVar(&c.progress, "progress", 0, "print a live windowed convergence/throughput line at this period (control study, -reps 1)")
 	flag.StringVar(&c.convergence, "convergence", "", "write the windowed convergence report to this file (control study)")
-	flag.IntVar(&c.traceSample, "trace-sample", 0, "thin the -trace export to every 1-in-N operation's events (whole spans kept)")
+	flag.IntVar(&c.traceSample, "trace-sample", 0, "thin the -trace export to every 1-in-N operation's events, whole spans kept (control study)")
 	flag.StringVar(&c.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	flag.StringVar(&c.memprofile, "memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.StringVar(&c.exectrace, "exectrace", "", "write a runtime execution trace to this file")
@@ -732,8 +727,8 @@ func runService(r *runner) error {
 		fmt.Printf("\nservice sweep written to %s\n", r.csv)
 	}
 	if r.trace != "" {
-		// The service sub-runs' events (including the svc.batch
-		// membership spans); a transparent study exports the baseline,
+		// The service runs' events (including the svc.batch membership
+		// spans); a transparent study exports the baseline,
 		// byte-identical to the open-loop throughput trace.
 		return writeTrace(r.trace, res.EventsSvc, "")
 	}

@@ -65,6 +65,11 @@ func TestValidateRejections(t *testing.T) {
 		{"convergence on throughput", func(c *cliConfig) { c.study = "throughput"; c.convergence = "conv.txt" }, "-convergence"},
 		{"trace-sample negative", func(c *cliConfig) { c.trace = "x.jsonl"; c.traceSample = -2 }, "-trace-sample"},
 		{"trace-sample without trace", func(c *cliConfig) { c.traceSample = 8 }, "-trace"},
+		{"trace-sample on throughput", func(c *cliConfig) {
+			c.study = "throughput"
+			c.trace = "x.jsonl"
+			c.traceSample = 4
+		}, "-trace-sample"},
 		{"workload outside throughput", func(c *cliConfig) { c.workload = "closed" }, "-workload"},
 		{"rates outside throughput", func(c *cliConfig) { c.rates = "0.2" }, "-rates"},
 		{"conc outside throughput", func(c *cliConfig) { c.conc = "1,2" }, "-conc"},

@@ -1,11 +1,11 @@
 // Package cmdsvc implements the sink's long-lived command service: a
-// persistent, multi-tenant front-end over the sink scheduler. It adds the
+// persistent front-end over the sink scheduler. It adds the
 // three things a one-shot study harness does not need but a serving sink
 // does: cross-command prefix batching (commands descending the same code
 // subtree coalesce into one piggyback carrier within a bounded window), a
 // route-freshness cache that skips redundant Re-Tele probing for
-// recently-confirmed destinations, and bounded admission with per-tenant
-// load shedding. Every feature is individually disableable; with all of
+// recently-confirmed destinations, and bounded admission with load
+// shedding. Every feature is individually disableable; with all of
 // them off the service is a transparent pass-through whose telemetry
 // trace is byte-identical to driving the scheduler directly.
 package cmdsvc

@@ -2,6 +2,7 @@ package cmdsvc
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -170,19 +171,48 @@ func TestServiceEmitsShedAndDelayEvents(t *testing.T) {
 	}
 }
 
+// TestServiceZeroConfigTransparent: with every feature off the service is
+// a pass-through — the same outcomes and sink-layer event stream as a
+// bare scheduler over the same held dispatcher.
 func TestServiceZeroConfigTransparent(t *testing.T) {
-	svc, d := newHeldService(Config{})
-	var outcomes int
-	for i := 0; i < 10; i++ {
-		if _, err := svc.Submit(radio.NodeID(2+i), "cmd", func(sink.Outcome) { outcomes++ }); err != nil {
-			t.Fatal(err)
+	type plane interface {
+		Submit(radio.NodeID, any, func(sink.Outcome)) (uint32, error)
+		SetTelemetry(*telemetry.Registry, *telemetry.Bus, radio.NodeID)
+	}
+	drive := func(build func(*sim.Engine, sink.Dispatcher, sink.Config) plane) ([]sink.Outcome, []telemetry.Event) {
+		d := &holdDispatcher{}
+		p := build(sim.NewEngine(), d, sink.Config{Window: 1, PerGroup: 1, MaxQueue: 100, Retries: 1})
+		bus := telemetry.NewBus(nil)
+		col := &collector{}
+		bus.Subscribe(col, telemetry.LayerSink)
+		p.SetTelemetry(telemetry.NewRegistry(), bus, 1)
+		var outcomes []sink.Outcome
+		for i := 0; i < 10; i++ {
+			if _, err := p.Submit(radio.NodeID(2+i), "cmd", func(o sink.Outcome) { outcomes = append(outcomes, o) }); err != nil {
+				t.Fatal(err)
+			}
 		}
+		for i := 0; len(d.cbs) > 0; i++ {
+			d.resolveNext(i%3 != 0)
+		}
+		return outcomes, col.evs
 	}
-	for len(d.cbs) > 0 {
-		d.resolveNext(true)
+	var svc *Service
+	svcOut, svcEvs := drive(func(eng *sim.Engine, d sink.Dispatcher, cfg sink.Config) plane {
+		svc = New(eng, d, cfg, Config{})
+		return svc
+	})
+	schedOut, schedEvs := drive(func(eng *sim.Engine, d sink.Dispatcher, cfg sink.Config) plane {
+		return sink.New(eng, d, cfg)
+	})
+	if len(svcOut) != 10 {
+		t.Fatalf("outcomes = %d, want 10", len(svcOut))
 	}
-	if outcomes != 10 {
-		t.Fatalf("outcomes = %d, want 10", outcomes)
+	if !reflect.DeepEqual(svcOut, schedOut) {
+		t.Fatalf("outcomes diverge from the bare scheduler:\n svc   %+v\n sched %+v", svcOut, schedOut)
+	}
+	if len(schedEvs) == 0 || !reflect.DeepEqual(svcEvs, schedEvs) {
+		t.Fatalf("event streams diverge: %d service events, %d scheduler events", len(svcEvs), len(schedEvs))
 	}
 	if s := svc.BatcherStats(); s.Batches != 0 {
 		t.Fatalf("zero config still batched: %+v", s)

@@ -100,19 +100,23 @@ func WriteServiceCSV(w io.Writer, res *ServiceResult) error {
 		return err
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+	// Shed submissions are the service run's Rejected; failed is every
+	// other unsuccessful outcome.
+	failed := func(p *ThroughputPoint) string { return strconv.Itoa(p.Failed + p.Unroutable + p.Expired) }
 	for _, pt := range res.Points {
+		b, s := pt.Base, pt.Svc
 		rec := []string{res.Proto, res.Scenario, res.Dist, pt.Label,
-			strconv.Itoa(pt.Ops),
-			f(pt.OfferedBase), f(pt.Offered),
-			f(pt.GoodputBase), f(pt.GoodputSvc), f(pt.Speedup()),
-			strconv.Itoa(pt.OKBase), strconv.Itoa(pt.OKSvc),
-			strconv.Itoa(pt.FailedBase), strconv.Itoa(pt.FailedSvc),
-			strconv.Itoa(pt.UnresolvedBase), strconv.Itoa(pt.UnresolvedSvc),
-			strconv.Itoa(pt.Shed), strconv.Itoa(pt.Delayed),
+			strconv.Itoa(b.Ops),
+			f(b.Offered), f(s.Offered),
+			f(b.Goodput), f(s.Goodput), f(pt.Speedup()),
+			strconv.Itoa(b.OK), strconv.Itoa(s.OK),
+			failed(b), failed(s),
+			strconv.Itoa(b.Unresolved), strconv.Itoa(s.Unresolved),
+			strconv.Itoa(s.Rejected), strconv.Itoa(pt.Delayed),
 			strconv.Itoa(pt.Batches), strconv.Itoa(pt.BatchedCmds), f(pt.MeanBatch()),
 			strconv.Itoa(pt.CacheHits), strconv.Itoa(pt.CacheMisses), f(pt.CacheHitRate()),
-			f(pt.LatencyBase.P50()), f(pt.LatencySvc.P50()),
-			f(pt.LatencyBase.P95()), f(pt.LatencySvc.P95())}
+			f(b.Latency.P50()), f(s.Latency.P50()),
+			f(b.Latency.P95()), f(s.Latency.P95())}
 		if err := cw.Write(rec); err != nil {
 			return err
 		}

@@ -1,13 +1,17 @@
 package experiment
 
 import (
+	"errors"
+	"fmt"
 	"math/rand/v2"
 	"time"
 
+	"teleadjust/internal/cmdsvc"
 	"teleadjust/internal/core"
 	"teleadjust/internal/radio"
 	"teleadjust/internal/sim"
 	"teleadjust/internal/sink"
+	"teleadjust/internal/stats"
 	"teleadjust/internal/telemetry"
 	"teleadjust/internal/workload"
 )
@@ -133,60 +137,92 @@ type commandPlane interface {
 	SetCoder(func(radio.NodeID) (core.PathCode, bool))
 }
 
-// loadPoint is one offered-load point of the throughput and service
-// studies. pi indexes the point: it picks the point's workload stream.
-// A closed point keeps conc operations outstanding; an open one submits
-// on a Poisson process at rate.
+// LoadOpts are the knobs the throughput and service studies share: an
+// offered-load sweep against the sink command plane, one fresh network
+// per load point.
+type LoadOpts struct {
+	// Warmup lets the tree, codes, and registries converge before the
+	// workload starts.
+	Warmup time.Duration
+	// Ops is the number of control operations per load point.
+	Ops int
+	// Rates are the open-loop offered rates (operations per second).
+	Rates []float64
+	// Dist selects the destination distribution: "uniform",
+	// "hotspot" (bias 80% of operations onto the largest hop-1 subtree),
+	// or "depth" (weight by CTP hop count).
+	Dist string
+	// Window is the open-loop admission window (a closed loop's window
+	// is its swept concurrency).
+	Window int
+	// PerGroup caps concurrent in-flight operations per shared-prefix
+	// subtree group; GroupBits sets the prefix depth (see sink.GroupKey).
+	PerGroup  int
+	GroupBits int
+	// Retries is the per-operation retry budget layered over protocol
+	// recovery; OpBudget (optional) bounds an operation's total lifetime.
+	Retries  int
+	OpBudget time.Duration
+	// MaxRun caps each load point's workload phase in simulated time, so
+	// a collapsed network cannot hang the study.
+	MaxRun time.Duration
+	// Trace collects the sink-layer command-plane events of every load
+	// point (seed-merge safe).
+	Trace bool
+}
+
+// loadPoint is one offered-load point of a sweep. pi indexes the point:
+// it picks the point's workload stream and, shifted, its ticket range.
+// A closed point (conc > 0) keeps conc operations outstanding and admits
+// as many; an open one submits on a Poisson process at Rates[pi].
 type loadPoint struct {
-	pi     int
-	warmup time.Duration
-	dist   string
-	trace  bool
-	sched  sink.Config
-	closed bool
-	conc   int
-	rate   float64
-	ops    int
-	maxRun time.Duration
+	LoadOpts
+	pi         int
+	label      string
+	conc       int
+	ticketBase uint32
 }
 
-// loadRun is what a load point's workload phase leaves: the resolved
-// operations, the phase's length and, under trace, the sink-layer events.
-type loadRun struct {
-	outcomes []sink.Outcome
-	elapsed  time.Duration
-	events   []telemetry.Event
-}
-
-// rates returns the realized offered load and the goodput of ok
-// completions, per second of workload phase.
-func (r *loadRun) rates(ok int) (offered, goodput float64) {
-	if secs := r.elapsed.Seconds(); secs > 0 {
-		return float64(len(r.outcomes)) / secs, float64(ok) / secs
+// point builds load point pi of the sweep (conc 0 = open loop). Disjoint
+// ticket ranges per point keep the merged telemetry spans of a sweep
+// from colliding.
+func (o LoadOpts) point(pi, conc int) loadPoint {
+	lp := loadPoint{LoadOpts: o, pi: pi, conc: conc, ticketBase: uint32(pi) << 20}
+	if conc > 0 {
+		lp.label = fmt.Sprintf("conc=%d", conc)
+	} else {
+		lp.label = fmt.Sprintf("rate=%.2f", o.Rates[pi])
 	}
-	return 0, 0
+	return lp
 }
 
 // runLoadPoint converges a fresh network, puts the command plane that
-// newPlane builds over its sink, and drives the point's operations
-// through it until they resolve or maxRun (default 30 min) of workload
-// phase has passed. The phase ends when the last operation resolved.
-func runLoadPoint(scn Scenario, proto Proto, lp loadPoint, newPlane func(*Net, sink.Config) commandPlane) (*loadRun, error) {
+// newPlane builds over its sink (handing back the scheduler it drives),
+// and drives the point's operations through it until they resolve or
+// MaxRun (default 30 min) of workload phase has passed. The phase ends
+// when the last operation resolved. It returns the point's tally and,
+// under Trace, the sink-layer events.
+func runLoadPoint(scn Scenario, proto Proto, lp loadPoint, newPlane func(*Net, sink.Config) (commandPlane, *sink.Scheduler)) (*ThroughputPoint, []telemetry.Event, error) {
 	var collector *telemetry.Collector
-	net, err := converge(scn, proto, lp.warmup, func(net *Net) {
-		if lp.trace {
+	net, err := converge(scn, proto, lp.Warmup, func(net *Net) {
+		if lp.Trace {
 			collector = telemetry.NewCollector()
 			net.Bus.Subscribe(collector, telemetry.LayerSink)
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	dist, err := throughputDist(net, lp.dist)
+	dist, err := throughputDist(net, lp.Dist)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	plane := newPlane(net, lp.sched)
+	cfg := sink.Config{Window: lp.Window, PerGroup: lp.PerGroup, GroupBits: lp.GroupBits,
+		Retries: lp.Retries, OpBudget: lp.OpBudget, TicketBase: lp.ticketBase}
+	if lp.conc > 0 {
+		cfg.Window = lp.conc
+	}
+	plane, sched := newPlane(net, cfg)
 	plane.SetTelemetry(net.Metrics, net.Bus, net.Sink)
 	if te := net.SinkTele(); te != nil {
 		plane.SetCoder(te.DstCode)
@@ -196,13 +232,13 @@ func runLoadPoint(scn Scenario, proto Proto, lp loadPoint, newPlane func(*Net, s
 	// perturbs the destinations of the others.
 	rng := sim.DeriveRNG(scn.Seed, 0x3077+uint64(lp.pi))
 	var gen workload.Generator
-	if lp.closed {
-		gen = workload.NewClosedLoop(net.Eng, plane, dist, rng, lp.conc, lp.ops)
+	if lp.conc > 0 {
+		gen = workload.NewClosedLoop(net.Eng, plane, dist, rng, lp.conc, lp.Ops)
 	} else {
-		gen = workload.NewOpenLoop(net.Eng, plane, dist, rng, lp.rate, lp.ops)
+		gen = workload.NewOpenLoop(net.Eng, plane, dist, rng, lp.Rates[lp.pi], lp.Ops)
 	}
 
-	maxRun := lp.maxRun
+	maxRun := lp.MaxRun
 	if maxRun <= 0 {
 		maxRun = 30 * time.Minute
 	}
@@ -211,15 +247,72 @@ func runLoadPoint(scn Scenario, proto Proto, lp loadPoint, newPlane func(*Net, s
 	for !gen.Done() && net.Eng.Now()-start < maxRun {
 		chunk := min(30*time.Second, maxRun-(net.Eng.Now()-start))
 		if err := net.Run(chunk); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	run := &loadRun{outcomes: gen.Outcomes(), elapsed: net.Eng.Now() - start}
+	elapsed := net.Eng.Now() - start
 	if gen.Done() && gen.FinishedAt() > start {
-		run.elapsed = gen.FinishedAt() - start
+		elapsed = gen.FinishedAt() - start
 	}
+
+	outcomes := gen.Outcomes()
+	pt := &ThroughputPoint{
+		Label:      lp.label,
+		Ops:        lp.Ops,
+		Retries:    int(sched.Stats().Retried),
+		Unresolved: lp.Ops - len(outcomes),
+		Latency:    &stats.Series{},
+		QueueWait:  &stats.Series{},
+	}
+	for _, o := range outcomes {
+		switch {
+		case o.OK:
+			pt.OK++
+			pt.Latency.Add(o.Total().Seconds())
+			pt.QueueWait.Add(o.QueueWait().Seconds())
+		case o.Err == nil:
+			pt.Failed++
+		case errors.Is(o.Err, sink.ErrQueueFull) || errors.Is(o.Err, cmdsvc.ErrShed):
+			pt.Rejected++
+		case errors.Is(o.Err, sink.ErrBudget):
+			pt.Expired++
+		default:
+			pt.Unroutable++
+		}
+	}
+	if secs := elapsed.Seconds(); secs > 0 {
+		pt.Offered = float64(len(outcomes)) / secs
+		pt.Goodput = float64(pt.OK) / secs
+	}
+	var events []telemetry.Event
 	if collector != nil {
-		run.events = collector.Events()
+		events = collector.Events()
 	}
-	return run, nil
+	return pt, events, nil
+}
+
+// mergePoints merges one load point across per-seed results, taken in
+// slice (seed) order by at, into a fresh point: counters sum, sample
+// series pool, and rates average.
+func mergePoints[R any](results []R, at func(R) *ThroughputPoint) *ThroughputPoint {
+	m := &ThroughputPoint{Label: at(results[0]).Label, Latency: &stats.Series{}, QueueWait: &stats.Series{}}
+	for _, res := range results {
+		pt := at(res)
+		m.Offered += pt.Offered
+		m.Goodput += pt.Goodput
+		m.Ops += pt.Ops
+		m.OK += pt.OK
+		m.Failed += pt.Failed
+		m.Unroutable += pt.Unroutable
+		m.Rejected += pt.Rejected
+		m.Expired += pt.Expired
+		m.Retries += pt.Retries
+		m.Unresolved += pt.Unresolved
+		m.Latency.Merge(pt.Latency)
+		m.QueueWait.Merge(pt.QueueWait)
+	}
+	n := float64(len(results))
+	m.Offered /= n
+	m.Goodput /= n
+	return m
 }

@@ -113,16 +113,16 @@ func WriteServiceReport(w io.Writer, res *ServiceResult) {
 		"point", "ops", "base", "service", "speedup", "lat-base", "lat-svc")
 	for _, pt := range res.Points {
 		fmt.Fprintf(w, "%-10s %8d %9.3f/s %9.3f/s %7.2fx %8.2fs %8.2fs\n",
-			pt.Label, pt.Ops, pt.GoodputBase, pt.GoodputSvc, pt.Speedup(),
-			pt.LatencyBase.P50(), pt.LatencySvc.P50())
+			pt.Label, pt.Base.Ops, pt.Base.Goodput, pt.Svc.Goodput, pt.Speedup(),
+			pt.Base.Latency.P50(), pt.Svc.Latency.P50())
 	}
 	fmt.Fprintln(w, "\nservice detail per point:")
 	fmt.Fprintf(w, "%-10s %6s %6s %6s %8s %9s %9s %8s\n",
 		"point", "ok", "shed", "delay", "batches", "meanbatch", "cache-hit", "pending")
 	for _, pt := range res.Points {
 		fmt.Fprintf(w, "%-10s %6d %6d %6d %8d %9.2f %8.1f%% %8d\n",
-			pt.Label, pt.OKSvc, pt.Shed, pt.Delayed, pt.Batches,
-			pt.MeanBatch(), 100*pt.CacheHitRate(), pt.UnresolvedSvc)
+			pt.Label, pt.Svc.OK, pt.Svc.Rejected, pt.Delayed, pt.Batches,
+			pt.MeanBatch(), 100*pt.CacheHitRate(), pt.Svc.Unresolved)
 	}
 }
 

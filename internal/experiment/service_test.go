@@ -28,8 +28,8 @@ func svcTestOpts() ServiceOpts {
 	return o
 }
 
-// transparentOpts disables every service feature so both sub-runs are the
-// plain scheduler.
+// transparentOpts disables every service feature, so the study runs only
+// its plain-scheduler baseline.
 func transparentOpts() ServiceOpts {
 	o := svcTestOpts()
 	o.BatchWindow = 0
@@ -50,15 +50,15 @@ func TestServiceStudySmall(t *testing.T) {
 		t.Fatalf("%d load points, want 1", len(res.Points))
 	}
 	pt := res.Points[0]
-	if pt.OKBase == 0 || pt.OKSvc == 0 {
-		t.Fatalf("no completions: %+v", pt)
+	if pt.Base.OK == 0 || pt.Svc.OK == 0 {
+		t.Fatalf("no completions: base %+v svc %+v", pt.Base, pt.Svc)
 	}
-	if pt.GoodputBase <= 0 || pt.GoodputSvc <= 0 {
-		t.Fatalf("rates: base=%v svc=%v", pt.GoodputBase, pt.GoodputSvc)
+	if pt.Base.Goodput <= 0 || pt.Svc.Goodput <= 0 {
+		t.Fatalf("rates: base=%v svc=%v", pt.Base.Goodput, pt.Svc.Goodput)
 	}
-	if pt.LatencyBase.Count() != pt.OKBase || pt.LatencySvc.Count() != pt.OKSvc {
+	if pt.Base.Latency.Count() != pt.Base.OK || pt.Svc.Latency.Count() != pt.Svc.OK {
 		t.Fatalf("latency samples: base %d/%d svc %d/%d",
-			pt.LatencyBase.Count(), pt.OKBase, pt.LatencySvc.Count(), pt.OKSvc)
+			pt.Base.Latency.Count(), pt.Base.OK, pt.Svc.Latency.Count(), pt.Svc.OK)
 	}
 	if pt.CacheHits+pt.CacheMisses == 0 {
 		t.Fatal("route cache saw no lookups")
@@ -99,30 +99,21 @@ func TestServiceTransparentMatchesThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tOpts := DefaultThroughputOpts()
-	tOpts.Mode = "open"
-	tOpts.Warmup = sOpts.Warmup
-	tOpts.Ops = sOpts.Ops
-	tOpts.Rates = sOpts.Rates
-	tOpts.Dist = sOpts.Dist
-	tOpts.Window = sOpts.Window
-	tOpts.PerGroup = sOpts.PerGroup
-	tOpts.GroupBits = sOpts.GroupBits
-	tOpts.Retries = sOpts.Retries
-	tOpts.OpBudget = sOpts.OpBudget
-	tOpts.MaxRun = sOpts.MaxRun
-	tOpts.Trace = true
+	tOpts := ThroughputOpts{LoadOpts: sOpts.LoadOpts, Mode: "open"}
 	tRes, err := RunThroughputStudy(smallScenario(7), ProtoTele, tOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sp, tp := sRes.Points[0], tRes.Points[0]
-	if sp.OKSvc != tp.OK || sp.FailedSvc != tp.Failed || sp.UnresolvedSvc != tp.Unresolved {
-		t.Fatalf("transparent outcomes diverge: svc ok=%d failed=%d unresolved=%d, throughput ok=%d failed=%d unresolved=%d",
-			sp.OKSvc, sp.FailedSvc, sp.UnresolvedSvc, tp.OK, tp.Failed, tp.Unresolved)
+	if sp.Svc != sp.Base {
+		t.Fatal("transparent study ran a separate service run")
 	}
-	if sp.Batches != 0 || sp.Shed != 0 || sp.Delayed != 0 ||
+	if sp.Svc.OK != tp.OK || sp.Svc.Failed != tp.Failed ||
+		sp.Svc.Unroutable != tp.Unroutable || sp.Svc.Unresolved != tp.Unresolved {
+		t.Fatalf("transparent outcomes diverge: svc %+v, throughput %+v", sp.Svc, tp)
+	}
+	if sp.Batches != 0 || sp.Svc.Rejected != 0 || sp.Delayed != 0 ||
 		sp.CacheHits+sp.CacheMisses != 0 {
 		t.Fatalf("transparent run exercised service features: %+v", sp)
 	}
@@ -139,7 +130,7 @@ func TestServiceTransparentMatchesThroughput(t *testing.T) {
 		t.Fatalf("transparent service trace differs from throughput trace (%d vs %d bytes)", len(base), len(thr))
 	}
 	if !bytes.Equal(svc, base) {
-		t.Fatal("transparent service sub-run trace differs from its own baseline")
+		t.Fatal("transparent service trace differs from its own baseline")
 	}
 }
 
@@ -203,37 +194,30 @@ func goldenServiceResult() *ServiceResult {
 		Scenario: "golden-grid",
 		Dist:     "hotspot",
 	}
+	run := func(offered, goodput float64, ok, failed int, lat ...float64) *ThroughputPoint {
+		pt := &ThroughputPoint{Offered: offered, Goodput: goodput, Ops: 120, OK: ok, Failed: failed,
+			Latency: &stats.Series{}, QueueWait: &stats.Series{}}
+		for _, v := range lat {
+			pt.Latency.Add(v)
+		}
+		return pt
+	}
 	p1 := &ServicePoint{
-		Label: "rate=0.50", Ops: 120,
-		Offered: 0.41, OfferedBase: 0.44,
-		GoodputBase: 0.137, GoodputSvc: 0.167,
-		OKBase: 82, OKSvc: 94, FailedBase: 38, FailedSvc: 26,
+		Label:   "rate=0.50",
+		Base:    run(0.44, 0.137, 82, 38, 88.1, 142.7, 179.3, 205.5, 390.2),
+		Svc:     run(0.41, 0.167, 94, 26, 31.8, 60.4, 82.3, 110.9, 247.6),
 		Batches: 23, BatchedCmds: 50,
 		CacheHits: 22, CacheMisses: 75,
-		LatencyBase: &stats.Series{}, LatencySvc: &stats.Series{},
-	}
-	for _, v := range []float64{88.1, 142.7, 179.3, 205.5, 390.2} {
-		p1.LatencyBase.Add(v)
-	}
-	for _, v := range []float64{31.8, 60.4, 82.3, 110.9, 247.6} {
-		p1.LatencySvc.Add(v)
 	}
 	p2 := &ServicePoint{
-		Label: "rate=2.00", Ops: 120,
-		Offered: 1.21, OfferedBase: 1.34,
-		GoodputBase: 0.159, GoodputSvc: 0.205,
-		OKBase: 96, OKSvc: 104, FailedBase: 24, FailedSvc: 9,
-		UnresolvedSvc: 1, Shed: 4, Delayed: 2,
+		Label:   "rate=2.00",
+		Base:    run(1.34, 0.159, 96, 24, 120.4, 201.8, 248.4, 300.0, 511.7),
+		Svc:     run(1.21, 0.205, 104, 9, 58.2, 101.3, 140.2, 188.8, 352.1),
+		Delayed: 2,
 		Batches: 31, BatchedCmds: 88,
 		CacheHits: 19, CacheMisses: 93,
-		LatencyBase: &stats.Series{}, LatencySvc: &stats.Series{},
 	}
-	for _, v := range []float64{120.4, 201.8, 248.4, 300.0, 511.7} {
-		p2.LatencyBase.Add(v)
-	}
-	for _, v := range []float64{58.2, 101.3, 140.2, 188.8, 352.1} {
-		p2.LatencySvc.Add(v)
-	}
+	p2.Svc.Unresolved, p2.Svc.Rejected = 1, 4
 	res.Points = []*ServicePoint{p1, p2}
 	return res
 }

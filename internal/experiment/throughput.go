@@ -15,11 +15,7 @@ import (
 // ThroughputOpts tunes a throughput study: a sweep of offered load
 // against the sink command plane, one fresh network per load point.
 type ThroughputOpts struct {
-	// Warmup lets the tree, codes, and registries converge before the
-	// workload starts.
-	Warmup time.Duration
-	// Ops is the number of control operations per load point.
-	Ops int
+	LoadOpts
 	// Mode selects the loop discipline: "closed" (fixed concurrency,
 	// sweeps Concurrency) or "open" (Poisson arrivals, sweeps Rates).
 	Mode string
@@ -27,45 +23,24 @@ type ThroughputOpts struct {
 	// sets the scheduler's admission window, so the sweep measures how the
 	// command plane scales with sink-side parallelism.
 	Concurrency []int
-	// Rates are the open-loop offered rates (operations per second).
-	Rates []float64
-	// Dist selects the destination distribution: "uniform",
-	// "hotspot" (bias 80% of operations onto the largest hop-1 subtree),
-	// or "depth" (weight by CTP hop count).
-	Dist string
-	// Window is the open-loop admission window (closed mode derives the
-	// window from the swept concurrency).
-	Window int
-	// PerGroup caps concurrent in-flight operations per shared-prefix
-	// subtree group; GroupBits sets the prefix depth (see sink.GroupKey).
-	PerGroup  int
-	GroupBits int
-	// Retries is the per-operation retry budget layered over protocol
-	// recovery; OpBudget (optional) bounds an operation's total lifetime.
-	Retries  int
-	OpBudget time.Duration
-	// MaxRun caps each load point's workload phase in simulated time, so
-	// a collapsed network cannot hang the study.
-	MaxRun time.Duration
-	// Trace collects the sink-layer command-plane events of every load
-	// point into ThroughputResult.Events (seed-merge safe).
-	Trace bool
 }
 
 // DefaultThroughputOpts returns a closed-loop sweep over 1..8-way
 // concurrency with moderate per-point cost.
 func DefaultThroughputOpts() ThroughputOpts {
 	return ThroughputOpts{
-		Warmup:      4 * time.Minute,
-		Ops:         40,
+		LoadOpts: LoadOpts{
+			Warmup:    4 * time.Minute,
+			Ops:       40,
+			Dist:      "uniform",
+			Window:    8,
+			PerGroup:  1,
+			GroupBits: 6,
+			Retries:   1,
+			MaxRun:    30 * time.Minute,
+		},
 		Mode:        "closed",
 		Concurrency: []int{1, 2, 4, 8},
-		Dist:        "uniform",
-		Window:      8,
-		PerGroup:    1,
-		GroupBits:   6,
-		Retries:     1,
-		MaxRun:      30 * time.Minute,
 	}
 }
 
@@ -170,30 +145,40 @@ func (n *Net) hop1Ancestor(id radio.NodeID) (radio.NodeID, bool) {
 	return 0, false
 }
 
-// points expands the swept knob of the options into load-point labels.
-func (o ThroughputOpts) points() ([]string, error) {
+// points expands the swept knob of the options into load points.
+func (o ThroughputOpts) points() ([]loadPoint, error) {
+	var pts []loadPoint
 	switch o.Mode {
 	case "", "closed":
 		if len(o.Concurrency) == 0 {
 			return nil, fmt.Errorf("experiment: closed-loop throughput study with no concurrency levels")
 		}
-		labels := make([]string, len(o.Concurrency))
-		for i, c := range o.Concurrency {
-			labels[i] = fmt.Sprintf("conc=%d", c)
+		for pi, c := range o.Concurrency {
+			if c < 1 {
+				return nil, fmt.Errorf("experiment: closed-loop concurrency %d, want >= 1", c)
+			}
+			pts = append(pts, o.point(pi, c))
 		}
-		return labels, nil
 	case "open":
 		if len(o.Rates) == 0 {
 			return nil, fmt.Errorf("experiment: open-loop throughput study with no rates")
 		}
-		labels := make([]string, len(o.Rates))
-		for i, r := range o.Rates {
-			labels[i] = fmt.Sprintf("rate=%.2f", r)
+		for pi := range o.Rates {
+			pts = append(pts, o.point(pi, 0))
 		}
-		return labels, nil
 	default:
 		return nil, fmt.Errorf("experiment: unknown workload mode %q", o.Mode)
 	}
+	return pts, nil
+}
+
+// runSchedPoint drives a load point through a plain sink.Scheduler: a
+// throughput study's point, and the service study's baseline.
+func runSchedPoint(scn Scenario, proto Proto, lp loadPoint) (*ThroughputPoint, []telemetry.Event, error) {
+	return runLoadPoint(scn, proto, lp, func(net *Net, cfg sink.Config) (commandPlane, *sink.Scheduler) {
+		sched := sink.New(net.Eng, net.SinkCtrl(), cfg)
+		return sched, sched
+	})
 }
 
 // RunThroughputStudy sweeps offered load against the sink command plane:
@@ -202,7 +187,7 @@ func (o ThroughputOpts) points() ([]string, error) {
 // configured workload generator. Deterministic per seed: the same seed
 // yields byte-identical results under serial and parallel replication.
 func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*ThroughputResult, error) {
-	labels, err := opts.points()
+	pts, err := opts.points()
 	if err != nil {
 		return nil, err
 	}
@@ -218,102 +203,29 @@ func RunThroughputStudy(scn Scenario, proto Proto, opts ThroughputOpts) (*Throug
 	if res.Dist == "" {
 		res.Dist = "uniform"
 	}
-
-	for pi, label := range labels {
-		lp := loadPoint{
-			pi:     pi,
-			warmup: opts.Warmup,
-			dist:   opts.Dist,
-			trace:  opts.Trace,
-			sched: sink.Config{
-				Window:    opts.Window,
-				PerGroup:  opts.PerGroup,
-				GroupBits: opts.GroupBits,
-				Retries:   opts.Retries,
-				OpBudget:  opts.OpBudget,
-				// Disjoint ticket ranges per load point keep the merged
-				// telemetry spans of the sweep from colliding.
-				TicketBase: uint32(pi) << 20,
-			},
-			ops:    opts.Ops,
-			maxRun: opts.MaxRun,
-		}
-		if lp.closed = res.Mode == "closed"; lp.closed {
-			// The swept knob: the admission window is the concurrency level.
-			lp.conc = opts.Concurrency[pi]
-			lp.sched.Window = lp.conc
-		} else {
-			lp.rate = opts.Rates[pi]
-		}
-		var sched *sink.Scheduler
-		run, err := runLoadPoint(scn, proto, lp, func(net *Net, cfg sink.Config) commandPlane {
-			sched = sink.New(net.Eng, net.SinkCtrl(), cfg)
-			return sched
-		})
+	for _, lp := range pts {
+		pt, events, err := runSchedPoint(scn, proto, lp)
 		if err != nil {
 			return nil, err
 		}
-
-		pt := &ThroughputPoint{
-			Label:     label,
-			Ops:       opts.Ops,
-			Retries:   int(sched.Stats().Retried),
-			Latency:   &stats.Series{},
-			QueueWait: &stats.Series{},
-		}
-		for _, o := range run.outcomes {
-			switch {
-			case o.OK:
-				pt.OK++
-				pt.Latency.Add(o.Total().Seconds())
-				pt.QueueWait.Add(o.QueueWait().Seconds())
-			case o.Err == nil:
-				pt.Failed++
-			case o.Err == sink.ErrQueueFull:
-				pt.Rejected++
-			case o.Err == sink.ErrBudget:
-				pt.Expired++
-			default:
-				pt.Unroutable++
-			}
-		}
-		pt.Unresolved = opts.Ops - len(run.outcomes)
-		pt.Offered, pt.Goodput = run.rates(pt.OK)
 		res.Points = append(res.Points, pt)
-		res.Events = append(res.Events, run.events...)
+		res.Events = append(res.Events, events...)
 	}
 	return res, nil
 }
 
-// mergeThroughputResults merges per-seed sweeps point-by-point in slice
-// (seed) order: counters sum, sample series pool, and rates average.
+// mergeThroughputResults merges per-seed sweeps point by point in slice
+// (seed) order (see mergePoints).
 func mergeThroughputResults(results []*ThroughputResult) *ThroughputResult {
 	if len(results) == 0 {
 		return nil
 	}
+	pts := make([]*ThroughputPoint, len(results[0].Points))
+	for i := range pts {
+		pts[i] = mergePoints(results, func(r *ThroughputResult) *ThroughputPoint { return r.Points[i] })
+	}
 	merged := results[0]
-	for _, res := range results[1:] {
-		for i, pt := range res.Points {
-			m := merged.Points[i]
-			m.Offered += pt.Offered
-			m.Goodput += pt.Goodput
-			m.Ops += pt.Ops
-			m.OK += pt.OK
-			m.Failed += pt.Failed
-			m.Unroutable += pt.Unroutable
-			m.Rejected += pt.Rejected
-			m.Expired += pt.Expired
-			m.Retries += pt.Retries
-			m.Unresolved += pt.Unresolved
-			m.Latency.Merge(pt.Latency)
-			m.QueueWait.Merge(pt.QueueWait)
-		}
-	}
-	n := float64(len(results))
-	for _, m := range merged.Points {
-		m.Offered /= n
-		m.Goodput /= n
-	}
+	merged.Points = pts
 	merged.Events = mergeEvents(results, func(r *ThroughputResult) []telemetry.Event { return r.Events })
 	return merged
 }

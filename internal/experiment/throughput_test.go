@@ -105,6 +105,11 @@ func TestThroughputDistValidation(t *testing.T) {
 		t.Fatal("empty concurrency sweep accepted")
 	}
 	opts = throughputOpts()
+	opts.Concurrency = []int{1, 0}
+	if _, err := RunThroughputStudy(smallScenario(7), ProtoTele, opts); err == nil {
+		t.Fatal("zero concurrency level accepted")
+	}
+	opts = throughputOpts()
 	opts.Mode = "open"
 	opts.Rates = nil
 	if _, err := RunThroughputStudy(smallScenario(7), ProtoTele, opts); err == nil {

@@ -142,8 +142,8 @@ const (
 	// pass-through traces stay byte-identical).
 	KindSvcBatch       // batch flushed (Seq = batch id, Value = members, Note = prefix)
 	KindSvcBatchMember // one member of a flushed batch (Seq = batch id, Op = uid)
-	KindSvcShed        // submission shed at the admission gate (Note = tenant)
-	KindSvcDelay       // submission deferred past high water (Note = tenant)
+	KindSvcShed        // submission shed at the admission gate (Note = stream name)
+	KindSvcDelay       // submission deferred past high water (Note = stream name)
 )
 
 // String names the kind.
