@@ -59,9 +59,11 @@ test-scale:
 test-scale-full:
 	TELEADJUST_SCALE=1 $(GO) test -v -timeout 45m -run 'TestGrid1k' ./internal/experiment/
 
+# Every package once under the race detector. internal/experiment alone
+# runs close to go test's default 10-minute timeout there, so the bound
+# is explicit.
 race:
-	$(GO) test -race ./internal/fault/... ./internal/experiment/...
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Brief fuzz pass over each wire-codec target, the codec-allocator
 # invariant target, the fault-plan parser, the sink scheduler's subtree

@@ -476,7 +476,6 @@ func BenchmarkAblationWakeInterval(b *testing.B) {
 				scn := experiment.Indoor(seed, false)
 				scn.TuneControlTimeouts(18 * time.Second)
 				scn.Mac.WakeInterval = wi
-				scn.Mac.StreamSlack = wi / 8
 				scn.Tele.AllocDelay = 10 * wi
 				return scn
 			}

@@ -20,9 +20,9 @@
 // byte-identical regardless of -parallel), -trace-sample thins that
 // export to every 1-in-N operation (whole spans kept) so traces stay
 // usable on 1k-node fields, and -trace-op renders the per-operation span
-// trees for one destination node to stdout. Throughput studies export
-// the sink-layer command-plane events through -trace and the per-point
-// sweep through -csv.
+// trees for one destination node to stdout. Throughput and service
+// studies export the sink-layer command-plane events through -trace and
+// the per-point sweep through -csv.
 //
 // The observability surface watches a run converge: -progress prints one
 // live windowed status line per period to stderr (nodes coded/reporting,
@@ -491,6 +491,52 @@ func (c *cliConfig) throughputOpts() (experiment.ThroughputOpts, error) {
 	return opts, nil
 }
 
+// register defines every flag on fs. A study-scoped flag's usage ends
+// with the studies that accept it, read from the studies table.
+func (c *cliConfig) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.scenario, "scenario", "indoor", "scenario: tight, sparse, indoor, indoor-wifi, refgrid, grid1k, line")
+	fs.StringVar(&c.study, "study", "control", "study: "+strings.Join(studyNames(), ", "))
+	fs.StringVar(&c.proto, "proto", "tele", "protocol: "+strings.Join(protoNames(), ", "))
+	fs.StringVar(&c.codec, "codec", "", "tree-coding scheme for TeleAdjusting variants: "+strings.Join(core.CodecNames(), ", "))
+	fs.StringVar(&c.codecs, "codecs", "", "comma-separated codecs to compare (default all)")
+	fs.IntVar(&c.joins, "joins", -1, "mid-probe crash-reboots per codec (default 3)")
+	fs.DurationVar(&c.dur, "dur", 8*time.Minute, "coding study duration")
+	fs.DurationVar(&c.warmup, "warmup", 4*time.Minute, "study warmup")
+	fs.IntVar(&c.packets, "packets", 40, "control packets to send")
+	fs.DurationVar(&c.interval, "interval", 15*time.Second, "inter-packet interval")
+	fs.Uint64Var(&c.seed, "seed", 1, "simulation seed")
+	fs.IntVar(&c.reps, "reps", 1, "independent replications over consecutive seeds")
+	fs.IntVar(&c.parallel, "parallel", 0, "replication workers (0 = GOMAXPROCS; requires -reps > 1)")
+	fs.StringVar(&c.trace, "trace", "", "write the telemetry event stream as JSONL to this file")
+	fs.IntVar(&c.traceOp, "trace-op", -1, "render operation span traces for this destination node")
+	fs.DurationVar(&c.progress, "progress", 0, "print a live windowed status line at this period, -reps 1 only")
+	fs.StringVar(&c.convergence, "convergence", "", "write the windowed convergence report to this file")
+	fs.IntVar(&c.traceSample, "trace-sample", 0, "thin the -trace export to every 1-in-N operation's events, whole spans kept")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write a pprof heap profile at exit to this file")
+	fs.StringVar(&c.exectrace, "exectrace", "", "write a runtime execution trace to this file")
+	fs.StringVar(&c.svg, "svg", "", "write the converged topology/tree/codes as SVG to this file")
+	fs.StringVar(&c.plan, "faultplan", "", "JSON fault plan scheduled on every replication (see EXPERIMENTS.md)")
+	fs.StringVar(&c.workload, "workload", "", "loop discipline: closed (default) or open")
+	fs.StringVar(&c.rates, "rates", "", "open-loop offered rates in ops/s, comma-separated (e.g. 0.1,0.2,0.4)")
+	fs.StringVar(&c.conc, "conc", "", "closed-loop concurrency levels, comma-separated (default 1,2,4,8)")
+	fs.IntVar(&c.ops, "ops", 0, "operations per load point (default 40)")
+	fs.StringVar(&c.dist, "dist", "", "load destinations: uniform (default), hotspot, depth")
+	fs.IntVar(&c.window, "window", 0, "open-loop admission window (default 8)")
+	fs.StringVar(&c.csv, "csv", "", "write the study's sweep as CSV to this file")
+	fs.DurationVar(&c.batchWindow, "batch-window", -1, "prefix-batching window (0 disables batching; default 500ms)")
+	fs.IntVar(&c.batchBits, "batch-bits", -1, "code-prefix bits commands are batched by (default 3)")
+	fs.IntVar(&c.maxBatch, "max-batch", -1, "flush a batch group early at this many commands (default 16)")
+	fs.DurationVar(&c.cacheTTL, "cache-ttl", -1, "route-freshness cache TTL (0 disables the cache; default 5m)")
+	fs.IntVar(&c.cacheCap, "cache-cap", -1, "route cache capacity (default 256)")
+	fs.IntVar(&c.queueDepth, "queue-depth", -1, "hard admission backlog bound (0 = unbounded; default 128)")
+	fs.IntVar(&c.highWater, "high-water", -1, "soft backlog mark where -shed engages (0 disables; default 6)")
+	fs.StringVar(&c.shed, "shed", "", "over-high-water policy, delay (default) or reject")
+	for _, f := range c.scopedFlags() {
+		fs.Lookup(f.name[1:]).Usage += " (-study " + acceptedBy(f.name) + ")"
+	}
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "teleadjust-sim:", err)
@@ -500,44 +546,7 @@ func main() {
 
 func run() (retErr error) {
 	var c cliConfig
-	flag.StringVar(&c.scenario, "scenario", "indoor", "scenario: tight, sparse, indoor, indoor-wifi, refgrid, grid1k, line")
-	flag.StringVar(&c.study, "study", "control", "study: "+strings.Join(studyNames(), ", "))
-	flag.StringVar(&c.proto, "proto", "tele", "protocol: "+strings.Join(protoNames(), ", "))
-	flag.StringVar(&c.codec, "codec", "", "tree-coding scheme for TeleAdjusting variants: "+strings.Join(core.CodecNames(), ", "))
-	flag.StringVar(&c.codecs, "codecs", "", "coding-schemes study: comma-separated codecs to compare (default all)")
-	flag.IntVar(&c.joins, "joins", -1, "coding-schemes study: mid-probe crash-reboots per codec (default 3)")
-	flag.DurationVar(&c.dur, "dur", 8*time.Minute, "coding study duration")
-	flag.DurationVar(&c.warmup, "warmup", 4*time.Minute, "study warmup")
-	flag.IntVar(&c.packets, "packets", 40, "control packets to send")
-	flag.DurationVar(&c.interval, "interval", 15*time.Second, "inter-packet interval")
-	flag.Uint64Var(&c.seed, "seed", 1, "simulation seed")
-	flag.IntVar(&c.reps, "reps", 1, "independent replications over consecutive seeds")
-	flag.IntVar(&c.parallel, "parallel", 0, "replication workers (0 = GOMAXPROCS; requires -reps > 1)")
-	flag.StringVar(&c.trace, "trace", "", "write the telemetry event stream as JSONL to this file (control/throughput study)")
-	flag.IntVar(&c.traceOp, "trace-op", -1, "render operation span traces for this destination node (control study)")
-	flag.DurationVar(&c.progress, "progress", 0, "print a live windowed convergence/throughput line at this period (control study, -reps 1)")
-	flag.StringVar(&c.convergence, "convergence", "", "write the windowed convergence report to this file (control study)")
-	flag.IntVar(&c.traceSample, "trace-sample", 0, "thin the -trace export to every 1-in-N operation's events, whole spans kept (control study)")
-	flag.StringVar(&c.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-	flag.StringVar(&c.memprofile, "memprofile", "", "write a pprof heap profile at exit to this file")
-	flag.StringVar(&c.exectrace, "exectrace", "", "write a runtime execution trace to this file")
-	flag.StringVar(&c.svg, "svg", "", "write the converged topology/tree/codes as SVG to this file")
-	flag.StringVar(&c.plan, "faultplan", "", "JSON fault plan scheduled on every replication (see EXPERIMENTS.md)")
-	flag.StringVar(&c.workload, "workload", "", "throughput loop discipline: closed (default) or open")
-	flag.StringVar(&c.rates, "rates", "", "open-loop offered rates in ops/s, comma-separated (e.g. 0.1,0.2,0.4)")
-	flag.StringVar(&c.conc, "conc", "", "closed-loop concurrency levels, comma-separated (default 1,2,4,8)")
-	flag.IntVar(&c.ops, "ops", 0, "control operations per throughput load point (default 40)")
-	flag.StringVar(&c.dist, "dist", "", "throughput destinations: uniform (default), hotspot, depth")
-	flag.IntVar(&c.window, "window", 0, "open-loop admission window (default 8)")
-	flag.StringVar(&c.csv, "csv", "", "write the throughput/service sweep as CSV to this file")
-	flag.DurationVar(&c.batchWindow, "batch-window", -1, "service study: prefix-batching window (0 disables batching; default 500ms)")
-	flag.IntVar(&c.batchBits, "batch-bits", -1, "service study: code-prefix bits commands are batched by (default 3)")
-	flag.IntVar(&c.maxBatch, "max-batch", -1, "service study: flush a batch group early at this many commands (default 16)")
-	flag.DurationVar(&c.cacheTTL, "cache-ttl", -1, "service study: route-freshness cache TTL (0 disables the cache; default 5m)")
-	flag.IntVar(&c.cacheCap, "cache-cap", -1, "service study: route cache capacity (default 256)")
-	flag.IntVar(&c.queueDepth, "queue-depth", -1, "service study: hard admission backlog bound (0 = unbounded; default 128)")
-	flag.IntVar(&c.highWater, "high-water", -1, "service study: soft backlog mark where -shed engages (0 disables; default 6)")
-	flag.StringVar(&c.shed, "shed", "", "service study: over-high-water policy, delay (default) or reject")
+	c.register(flag.CommandLine)
 	flag.Parse()
 
 	if err := c.validate(); err != nil {

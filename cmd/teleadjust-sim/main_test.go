@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,27 +12,33 @@ import (
 	"teleadjust/internal/experiment"
 )
 
-// baseConfig mirrors the flag defaults.
+// baseConfig is the flag defaults.
 func baseConfig() cliConfig {
-	return cliConfig{
-		scenario:    "indoor",
-		study:       "control",
-		proto:       "tele",
-		dur:         8 * time.Minute,
-		warmup:      4 * time.Minute,
-		packets:     40,
-		interval:    15 * time.Second,
-		seed:        1,
-		reps:        1,
-		traceOp:     -1,
-		joins:       -1,
-		batchWindow: -1,
-		batchBits:   -1,
-		maxBatch:    -1,
-		cacheTTL:    -1,
-		cacheCap:    -1,
-		queueDepth:  -1,
-		highWater:   -1,
+	var c cliConfig
+	fs := flag.NewFlagSet("teleadjust-sim", flag.PanicOnError)
+	c.register(fs)
+	_ = fs.Parse(nil)
+	return c
+}
+
+// TestScopedFlagUsageNamesItsStudies checks each study-scoped flag's help
+// text: it names every study that accepts the flag and no other.
+func TestScopedFlagUsageNamesItsStudies(t *testing.T) {
+	var c cliConfig
+	fs := flag.NewFlagSet("teleadjust-sim", flag.PanicOnError)
+	c.register(fs)
+	for _, f := range c.scopedFlags() {
+		fl := fs.Lookup(strings.TrimPrefix(f.name, "-"))
+		if fl == nil {
+			t.Errorf("%s is not registered", f.name)
+			continue
+		}
+		words := strings.FieldsFunc(fl.Usage, func(r rune) bool { return r != '-' && (r < 'a' || r > 'z') })
+		for _, st := range studies {
+			if named, accepts := slices.Contains(words, st.name), slices.Contains(st.flags, f.name); named != accepts {
+				t.Errorf("%s usage %q: names %s = %v, accepted = %v", f.name, fl.Usage, st.name, named, accepts)
+			}
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ func (e *Engine) onBeacon(from radio.NodeID, b *ctp.Beacon) {
 		}
 		if !nc.code.IsEmpty() && !nc.code.Equal(ext.Code) {
 			nc.oldCode = nc.code
-			nc.oldUntil = now + e.cfg.OldCodeTTL
+			nc.oldUntil = now + oldCodeTTL
 		}
 		nc.code = ext.Code
 		nc.depth = ext.Depth
@@ -157,7 +157,7 @@ func (e *Engine) onParentBeacon(from radio.NodeID, ext *TeleExt) {
 	case ext.SpaceBits > 0:
 		// Parent has allocated but I have no position: request one
 		// (Section III-B4), rate limited.
-		if e.eng.Now()-e.lastRequest >= e.cfg.RequestMinGap {
+		if e.eng.Now()-e.lastRequest >= requestMinGap {
 			e.lastRequest = e.eng.Now()
 			e.stats.PositionReqs++
 			e.send(from, 8, &PositionRequest{})
@@ -383,10 +383,10 @@ func (e *Engine) recomputeCode() {
 	}
 }
 
-// retireCode keeps the superseded code matchable for OldCodeTTL.
+// retireCode keeps the superseded code matchable for oldCodeTTL.
 func (e *Engine) retireCode() {
 	e.myOldCode = e.myCode
-	e.oldCodeUntil = e.eng.Now() + e.cfg.OldCodeTTL
+	e.oldCodeUntil = e.eng.Now() + oldCodeTTL
 }
 
 // sendCodeReport pushes the current code to the controller over CTP,

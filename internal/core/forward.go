@@ -73,7 +73,7 @@ func (e *Engine) neighborMatches(dst PathCode, bar int, excluded map[radio.NodeI
 	now := e.eng.Now()
 	minID, maxID := radio.BroadcastID, radio.BroadcastID
 	for id, nc := range e.neighborCodes {
-		if e.unreachable[id] || excluded[id] || now-nc.heardAt > e.cfg.NeighborCodeTTL {
+		if e.unreachable[id] || excluded[id] || now-nc.heardAt > neighborCodeTTL {
 			continue
 		}
 		ml := codeMatch(nc.code, nc.oldCode, nc.oldUntil, now, dst)

@@ -42,14 +42,17 @@ type Config struct {
 	ControlTimeout time.Duration
 	// ReportInterval paces periodic code reports to the controller.
 	ReportInterval time.Duration
-	// NeighborCodeTTL ages out neighbor code entries.
-	NeighborCodeTTL time.Duration
-	// OldCodeTTL is how long a superseded code stays valid for matching
-	// ("the old code ... will be remained for a period of time").
-	OldCodeTTL time.Duration
-	// RequestMinGap rate-limits position request frames.
-	RequestMinGap time.Duration
 }
+
+const (
+	// neighborCodeTTL ages out neighbor code entries.
+	neighborCodeTTL = 15 * time.Minute
+	// oldCodeTTL is how long a superseded code stays valid for matching
+	// ("the old code ... will be remained for a period of time").
+	oldCodeTTL = 5 * time.Minute
+	// requestMinGap rate-limits position request frames.
+	requestMinGap = 2 * time.Second
+)
 
 // DefaultConfig returns paper-faithful defaults for a 512 ms wake interval.
 func DefaultConfig() Config {
@@ -63,9 +66,6 @@ func DefaultConfig() Config {
 		FeedbackIntercept: true,
 		ControlTimeout:    60 * time.Second,
 		ReportInterval:    2 * time.Minute,
-		NeighborCodeTTL:   15 * time.Minute,
-		OldCodeTTL:        5 * time.Minute,
-		RequestMinGap:     2 * time.Second,
 	}
 }
 

@@ -45,16 +45,10 @@ type Data struct {
 	App       any
 }
 
-// Config holds CTP parameters.
+// Config holds the CTP parameters a scenario may vary.
 type Config struct {
-	Beacon                trickle.Config
-	Est                   linkest.Config
-	ParentSwitchThreshold float64
-	MaxDataRetries        int
-	MaxTHL                uint8
-	BeaconSize            int
-	DataSize              int
-	EvalInterval          time.Duration
+	// MaxTHL drops data packets that have travelled this many hops.
+	MaxTHL uint8
 	// MaxPathETX invalidates routes whose cost exceeds it — the bound
 	// that stops count-to-infinity among partitioned nodes.
 	MaxPathETX float64
@@ -83,16 +77,9 @@ type Config struct {
 // DefaultConfig returns TinyOS-like defaults.
 func DefaultConfig() Config {
 	return Config{
-		Beacon:                trickle.DefaultConfig(),
-		Est:                   linkest.DefaultConfig(),
-		ParentSwitchThreshold: 1.5,
-		MaxDataRetries:        3,
-		MaxTHL:                32,
-		BeaconSize:            20,
-		DataSize:              28,
-		EvalInterval:          time.Second,
-		MaxPathETX:            100,
-		DupLoopTHLDelta:       3,
+		MaxTHL:          32,
+		MaxPathETX:      100,
+		DupLoopTHLDelta: 3,
 		// Help beacons are off by default: under link fading the
 		// "neighbor looks worse than me" condition fires routinely and
 		// the resulting beacon storms congest the channel. Large
@@ -102,6 +89,21 @@ func DefaultConfig() Config {
 		CostChangeDelta: 6,
 	}
 }
+
+// Fixed TinyOS CTP parameters. Beacons run on trickle.DefaultConfig and
+// links are estimated with linkest.DefaultConfig.
+const (
+	// parentSwitchThreshold is the path-ETX gain a candidate must offer
+	// over the current parent before CTP switches to it.
+	parentSwitchThreshold float64 = 1.5
+	// maxDataRetries bounds the LPL retransmission rounds of a data frame.
+	maxDataRetries = 3
+	// beaconSize and dataSize are MAC frame sizes.
+	beaconSize = 20
+	dataSize   = 28
+	// evalInterval paces periodic parent evaluation.
+	evalInterval = time.Second
+)
 
 // Stats counts CTP data-plane outcomes and beacon-timer resets at this
 // node.
@@ -218,7 +220,7 @@ func New(n *node.Node, cfg Config, rng *rand.Rand, isSink bool) *CTP {
 		cfg:               cfg,
 		rng:               rng,
 		isSink:            isSink,
-		est:               linkest.New(cfg.Est),
+		est:               linkest.New(linkest.DefaultConfig()),
 		ads:               make(map[radio.NodeID]*neighborAd),
 		parent:            NoParent,
 		pathETX:           math.Inf(1),
@@ -230,8 +232,8 @@ func New(n *node.Node, cfg Config, rng *rand.Rand, isSink bool) *CTP {
 		c.pathETX = 0
 		c.hops = 0
 	}
-	c.beacons = trickle.New(c.eng, cfg.Beacon, rng, c.sendBeacon)
-	c.evalTk = sim.NewTicker(c.eng, cfg.EvalInterval, c.evaluate)
+	c.beacons = trickle.New(c.eng, trickle.DefaultConfig(), rng, c.sendBeacon)
+	c.evalTk = sim.NewTicker(c.eng, evalInterval, c.evaluate)
 	n.Register(c)
 	return c
 }
@@ -337,7 +339,7 @@ func (c *CTP) sendBeacon() {
 		Parent:  c.parent,
 		Hops:    c.hops,
 	}
-	size := c.cfg.BeaconSize
+	size := beaconSize
 	if c.beaconExt != nil {
 		b.Ext = c.beaconExt()
 		if s, ok := b.Ext.(interface{ ExtSize() int }); ok {
@@ -454,7 +456,7 @@ func (c *CTP) evaluate() {
 		c.adopt(best.id, best.cost)
 	case best.id != c.parent:
 		cur := c.currentCost()
-		if best.cost+c.cfg.ParentSwitchThreshold < cur {
+		if best.cost+parentSwitchThreshold < cur {
 			c.adopt(best.id, best.cost)
 		} else if cur >= c.cfg.MaxPathETX {
 			c.adopt(best.id, best.cost)
@@ -563,10 +565,10 @@ func (c *CTP) forward(d *Data) error {
 	f := &radio.Frame{
 		Kind:    radio.FrameData,
 		Dst:     c.parent,
-		Size:    c.cfg.DataSize,
+		Size:    dataSize,
 		Payload: d,
 	}
-	c.inflight[f] = &pendingData{data: d, retries: c.cfg.MaxDataRetries}
+	c.inflight[f] = &pendingData{data: d, retries: maxDataRetries}
 	if err := c.node.Send(f); err != nil {
 		delete(c.inflight, f)
 		c.stats.DroppedRetry++
@@ -691,7 +693,7 @@ func (c *CTP) OnSendDone(f *radio.Frame, acker radio.NodeID, ok bool) {
 	nf := &radio.Frame{
 		Kind:    radio.FrameData,
 		Dst:     c.parent,
-		Size:    c.cfg.DataSize,
+		Size:    dataSize,
 		Payload: pend.data,
 	}
 	c.inflight[nf] = pend

@@ -142,7 +142,7 @@ func TestHysteresisPreventsFlapping(t *testing.T) {
 	c.OnParentChange(func(old, new radio.NodeID) { switches++ })
 	feedEstimate(c, 7, 9)
 	cur := c.currentCost()
-	c.ads[7] = &neighborAd{pathETX: cur - 1 - cfg.ParentSwitchThreshold/2, parent: NoParent, hops: 1}
+	c.ads[7] = &neighborAd{pathETX: cur - 1 - parentSwitchThreshold/2, parent: NoParent, hops: 1}
 	c.evaluate()
 	if switches != 0 {
 		t.Fatalf("switched on a sub-threshold improvement (cur=%v)", cur)

@@ -79,13 +79,14 @@ func tieCost(etx, cost float64) (p float64, ok bool) {
 // advertisements, and entries present on only one side.
 func TestEvaluateMatchesSortedScan(t *testing.T) {
 	cfg := DefaultConfig()
+	estCfg := linkest.DefaultConfig()
 	_, c := bareCTP(t, cfg)
 	rng := rand.New(rand.NewPCG(18, 1))
 	var byETX, byID int
 	for trial := 0; trial < 3000; trial++ {
-		c.est = linkest.New(cfg.Est)
+		c.est = linkest.New(estCfg)
 		c.ads = map[radio.NodeID]*neighborAd{}
-		n := 1 + rng.IntN(cfg.Est.MaxEntries)
+		n := 1 + rng.IntN(estCfg.MaxEntries)
 		for i := 0; i < n; i++ {
 			id := radio.NodeID(1 + rng.IntN(48))
 			if rng.IntN(8) > 0 {

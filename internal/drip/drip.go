@@ -48,26 +48,25 @@ type CmdAck struct {
 
 // Config holds Drip parameters.
 type Config struct {
-	Trickle trickle.Config
-	// Size is the MAC frame size of an update.
-	Size int
 	// ControlTimeout bounds pending control operations at the sink.
 	ControlTimeout time.Duration
 }
 
-// DefaultConfig uses small minimum intervals for fast propagation and
-// suppression constant 2.
+// DefaultConfig returns a 60 s control timeout.
 func DefaultConfig() Config {
-	return Config{
-		Trickle: trickle.Config{
-			IMin: 128 * time.Millisecond,
-			IMax: 32 * time.Second,
-			K:    2,
-		},
-		Size:           32,
-		ControlTimeout: 60 * time.Second,
-	}
+	return Config{ControlTimeout: 60 * time.Second}
 }
+
+// updateTrickle uses small minimum intervals for fast propagation and
+// suppression constant 2.
+var updateTrickle = trickle.Config{
+	IMin: 128 * time.Millisecond,
+	IMax: 32 * time.Second,
+	K:    2,
+}
+
+// updateSize is the MAC frame size of an update.
+const updateSize = 32
 
 // Stats counts Drip activity at one node.
 type Stats struct {
@@ -245,7 +244,7 @@ func (d *Drip) value(key uint16) *valueState {
 	v, ok := d.values[key]
 	if !ok {
 		v = &valueState{}
-		v.timer = trickle.New(d.eng, d.cfg.Trickle, d.rng, func() { d.advertise(key) })
+		v.timer = trickle.New(d.eng, updateTrickle, d.rng, func() { d.advertise(key) })
 		v.timer.Start()
 		d.values[key] = v
 	}
@@ -262,7 +261,7 @@ func (d *Drip) advertise(key uint16) {
 	f := &radio.Frame{
 		Kind:    radio.FrameData,
 		Dst:     radio.BroadcastID,
-		Size:    d.cfg.Size,
+		Size:    updateSize,
 		Payload: u,
 	}
 	if err := d.node.Send(f); err != nil {

@@ -57,22 +57,14 @@ type probePlan struct {
 }
 
 // probe runs the plan on a converged network. Every non-sink control
-// stack reports its deliveries as run-layer events; probe returns the
-// first arrival time per operation id and the number of packets that
-// found no live destination (a fault plan may kill every non-sink node).
+// stack, including one rebooted mid-phase, reports its deliveries as
+// run-layer events; probe returns the first arrival time per operation id
+// and the number of packets that found no live destination (a fault plan
+// may kill every non-sink node).
 func (n *Net) probe(p probePlan) (deliveredAt map[uint32]time.Duration, skipped int, err error) {
 	delivery := &deliverySink{at: make(map[uint32]time.Duration)}
 	n.Bus.Subscribe(delivery, telemetry.LayerRun)
-	for i, st := range n.Stacks {
-		id := radio.NodeID(i)
-		if id == n.Sink || st.Ctrl == nil {
-			continue
-		}
-		st.Ctrl.SetDeliveredFn(func(uid uint32, hops uint8) {
-			n.Bus.Emit(telemetry.Event{Layer: telemetry.LayerRun,
-				Kind: telemetry.KindOpDelivered, Node: id, Op: uid, Hops: hops})
-		})
-	}
+	n.reportDeliveries = true
 	churnEvery := 0
 	if p.churns > 0 {
 		churnEvery = max(1, p.packets/(p.churns+1))

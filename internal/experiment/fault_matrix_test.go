@@ -172,3 +172,38 @@ func TestFaultMatrixAcrossCodecs(t *testing.T) {
 		})
 	}
 }
+
+// TestRebootedNodeCountsDeliveries crashes nodes 7 and 6 just after the
+// control phase starts and reboots them five seconds later, so most
+// probes reach a stack built by RebootNode. Every op whose end-to-end ack
+// came back was consumed by its destination, so the delivery count must
+// cover the acked ones: a rebooted stack must report its deliveries like
+// the original did.
+func TestRebootedNodeCountsDeliveries(t *testing.T) {
+	opts := ControlOpts{
+		Warmup:   90 * time.Second,
+		Packets:  40,
+		Interval: 16 * time.Second,
+		Drain:    30 * time.Second,
+	}
+	plan := &fault.Plan{
+		Name: "reboot-early",
+		Events: []fault.Event{
+			{At: fault.Duration(95 * time.Second), Kind: fault.Crash, Node: 7},
+			{At: fault.Duration(96 * time.Second), Kind: fault.Crash, Node: 6},
+			{At: fault.Duration(100 * time.Second), Kind: fault.Reboot, Node: 7},
+			{At: fault.Duration(101 * time.Second), Kind: fault.Reboot, Node: 6},
+		},
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		scn := smallScenario(seed)
+		scn.Fault = plan
+		res, err := RunControlStudy(scn, ProtoTeleAdjust, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AckedOK == 0 || res.Delivered < res.AckedOK {
+			t.Errorf("seed %d: delivered %d, acked %d", seed, res.Delivered, res.AckedOK)
+		}
+	}
+}

@@ -90,6 +90,10 @@ type Net struct {
 	Metrics *telemetry.Registry
 
 	cfg Config
+	// build is cfg.Protocol's resolved builder (nil for ProtoNone).
+	build Builder
+	// reportDeliveries turns on newStack's delivery events (set by probe).
+	reportDeliveries bool
 
 	alive   []bool
 	reboots []int
@@ -149,6 +153,7 @@ func Build(cfg Config) (*Net, error) {
 		Bus:     telemetry.NewBus(eng.Now),
 		Metrics: telemetry.NewRegistry(),
 		cfg:     cfg,
+		build:   build,
 	}
 	// The radio tap costs one callback per frame event, so it is only
 	// installed once something subscribes to the radio layer (the invariant
@@ -159,17 +164,7 @@ func Build(cfg Config) (*Net, error) {
 	})
 	for i := 0; i < n; i++ {
 		id := radio.NodeID(i)
-		mcfg := cfg.Mac
-		mcfg.AlwaysOn = cfg.Mac.AlwaysOn || id == net.Sink
-		st := &Stack{}
-		st.Mac = mac.New(eng, med.Radio(id), mcfg, sim.DeriveRNG(cfg.Seed, 0x1000+uint64(i)), nil)
-		st.Node = node.New(eng, st.Mac)
-		st.Ctp = ctp.New(st.Node, cfg.Ctp, sim.DeriveRNG(cfg.Seed, 0x2000+uint64(i)), id == net.Sink)
-		if build != nil {
-			st.Ctrl = build(&net.cfg, st.Node, st.Ctp, i)
-		}
-		net.wireTelemetry(st)
-		net.Stacks[i] = st
+		net.Stacks[i] = net.newStack(id)
 		// The on-time gauge reads the radio through the medium, which
 		// survives reboots: it measures the mote's energy history, not the
 		// current stack instance's, so it is registered once per node.
@@ -204,12 +199,35 @@ type telemetrySettable interface {
 	SetTelemetry(*telemetry.Bus)
 }
 
-// wireTelemetry hands a (fresh) stack the event bus.
-func (n *Net) wireTelemetry(st *Stack) {
+// newStack assembles node id's protocol stack from the network config and
+// the node's own seed streams and wires it to the event bus. Build and
+// RebootNode both use it, so a rebooted node is wired like the original:
+// once probe sets reportDeliveries, every non-sink control stack reports
+// its deliveries as run-layer events.
+func (n *Net) newStack(id radio.NodeID) *Stack {
+	i := uint64(id)
+	mcfg := n.cfg.Mac
+	mcfg.AlwaysOn = mcfg.AlwaysOn || id == n.Sink
+	st := &Stack{}
+	st.Mac = mac.New(n.Eng, n.Medium.Radio(id), mcfg, sim.DeriveRNG(n.cfg.Seed, 0x1000+i), nil)
+	st.Node = node.New(n.Eng, st.Mac)
+	st.Ctp = ctp.New(st.Node, n.cfg.Ctp, sim.DeriveRNG(n.cfg.Seed, 0x2000+i), id == n.Sink)
+	if n.build != nil {
+		st.Ctrl = n.build(&n.cfg, st.Node, st.Ctp, int(id))
+	}
 	st.Mac.SetTelemetry(n.Bus)
 	if ts, ok := st.Ctrl.(telemetrySettable); ok {
 		ts.SetTelemetry(n.Bus)
 	}
+	if st.Ctrl != nil && id != n.Sink {
+		st.Ctrl.SetDeliveredFn(func(uid uint32, hops uint8) {
+			if n.reportDeliveries {
+				n.Bus.Emit(telemetry.Event{Layer: telemetry.LayerRun,
+					Kind: telemetry.KindOpDelivered, Node: id, Op: uid, Hops: hops})
+			}
+		})
+	}
+	return st
 }
 
 // Start launches the MAC, the collection substrate, and the control
@@ -284,37 +302,24 @@ func (n *Net) KillNode(id radio.NodeID) {
 	st.Mac.Kill()
 }
 
-// RebootNode resurrects a crashed node with a completely fresh protocol
-// stack (a rebooted mote loses all volatile state: routes, codes, MAC
-// phase). The fresh stack reuses the node's original seed streams, which
-// keeps replicated runs deterministic. No-op on a live node.
+// RebootNode resurrects a crashed node (never the sink: KillNode refuses
+// it) with a completely fresh protocol stack (a rebooted mote loses all
+// volatile state: routes, codes, MAC phase). The fresh stack reuses the
+// node's original seed streams, which keeps replicated runs
+// deterministic. No-op on a live node.
 func (n *Net) RebootNode(id radio.NodeID) {
 	if n.alive[id] {
 		return
 	}
 	i := int(id)
 	n.reboots[i]++
-	mcfg := n.cfg.Mac
-	mcfg.AlwaysOn = n.cfg.Mac.AlwaysOn || id == n.Sink
-	st := &Stack{}
-	st.Mac = mac.New(n.Eng, n.Medium.Radio(id), mcfg, sim.DeriveRNG(n.cfg.Seed, 0x1000+uint64(i)), nil)
-	st.Node = node.New(n.Eng, st.Mac)
-	st.Ctp = ctp.New(st.Node, n.cfg.Ctp, sim.DeriveRNG(n.cfg.Seed, 0x2000+uint64(i)), id == n.Sink)
-	if build, err := builderFor(n.cfg.Protocol); err == nil && build != nil {
-		st.Ctrl = build(&n.cfg, st.Node, st.Ctp, i)
-	}
-	n.wireTelemetry(st)
+	st := n.newStack(id)
 	n.Stacks[i] = st
 	n.alive[i] = true
 	st.Mac.Start()
 	st.Ctp.Start()
 	if st.Ctrl != nil {
 		st.Ctrl.Start()
-	}
-	if id == n.Sink {
-		if te := n.SinkTele(); te != nil {
-			te.SetOracle(n.Oracle())
-		}
 	}
 	if n.dataIPI > 0 {
 		// Fresh deterministic phase: derived from the node id and its

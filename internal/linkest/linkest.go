@@ -12,16 +12,20 @@ import (
 	"teleadjust/internal/radio"
 )
 
+// Fixed TinyOS estimator windows and EWMA weight.
+const (
+	// beaconWindow is how many beacon observations fold into one EWMA
+	// update of inbound quality.
+	beaconWindow = 8
+	// dataWindow is how many unicast attempts fold into one EWMA update
+	// of outbound quality.
+	dataWindow = 5
+	// alpha is the EWMA weight of history (0..1).
+	alpha float64 = 0.8
+)
+
 // Config holds estimator parameters.
 type Config struct {
-	// BeaconWindow is how many beacon observations fold into one EWMA
-	// update of inbound quality.
-	BeaconWindow int
-	// DataWindow is how many unicast attempts fold into one EWMA update
-	// of outbound quality.
-	DataWindow int
-	// Alpha is the EWMA weight of history (0..1).
-	Alpha float64
 	// MaxEntries caps the neighbor table.
 	MaxEntries int
 	// StaleAfter evicts neighbors not heard for this long.
@@ -31,11 +35,8 @@ type Config struct {
 // DefaultConfig mirrors TinyOS defaults.
 func DefaultConfig() Config {
 	return Config{
-		BeaconWindow: 8,
-		DataWindow:   5,
-		Alpha:        0.8,
-		MaxEntries:   32,
-		StaleAfter:   10 * time.Minute,
+		MaxEntries: 32,
+		StaleAfter: 10 * time.Minute,
 	}
 }
 
@@ -66,7 +67,7 @@ type Estimator struct {
 
 // New creates an estimator.
 func New(cfg Config) *Estimator {
-	if cfg.BeaconWindow <= 0 || cfg.DataWindow <= 0 || cfg.MaxEntries <= 0 {
+	if cfg.MaxEntries <= 0 {
 		panic("linkest: invalid config")
 	}
 	return &Estimator{cfg: cfg, table: make(map[radio.NodeID]*entry)}
@@ -90,8 +91,8 @@ func (e *Estimator) OnBeacon(from radio.NodeID, seq uint32, now time.Duration) {
 		// episode cannot poison the estimate beyond one quality sample.
 		if gap < 64 {
 			missed := int(gap) - 1
-			if missed > e.cfg.BeaconWindow {
-				missed = e.cfg.BeaconWindow
+			if missed > beaconWindow {
+				missed = beaconWindow
 			}
 			en.missed += missed
 		}
@@ -99,7 +100,7 @@ func (e *Estimator) OnBeacon(from radio.NodeID, seq uint32, now time.Duration) {
 	en.haveSeq = true
 	en.lastSeq = seq
 	en.rcvd++
-	if en.rcvd+en.missed >= e.cfg.BeaconWindow {
+	if en.rcvd+en.missed >= beaconWindow {
 		ratio := float64(en.rcvd) / float64(en.rcvd+en.missed)
 		en.inQuality = e.fold(en.inQuality, ratio, en.haveIn)
 		en.haveIn = true
@@ -119,7 +120,7 @@ func (e *Estimator) OnDataOutcome(to radio.NodeID, acked bool, now time.Duration
 		en.acked++
 		en.lastHeard = now
 	}
-	if en.attempts >= e.cfg.DataWindow {
+	if en.attempts >= dataWindow {
 		ratio := float64(en.acked) / float64(en.attempts)
 		en.outQuality = e.fold(en.outQuality, ratio, en.haveOut)
 		// Floor the outbound estimate: a failure streak (congestion, a
@@ -138,7 +139,7 @@ func (e *Estimator) fold(old, sample float64, have bool) float64 {
 	if !have {
 		return sample
 	}
-	return e.cfg.Alpha*old + (1-e.cfg.Alpha)*sample
+	return alpha*old + (1-alpha)*sample
 }
 
 // get returns (possibly inserting) the entry for a neighbor, evicting the

@@ -167,7 +167,7 @@ func TestElectionCountMatchesRxTable(t *testing.T) {
 // by at most two windows (one to age, one until the next sweep), and a
 // packet's copies span at most one LPL stream, so a table holds the
 // packets its (nodes−1) neighbours started in the last
-// 2·DedupWindow + WakeInterval + StreamSlack: at one packet per
+// 2·dedupWindow + WakeInterval + streamSlack: at one packet per
 // sendEvery each, 5·⌈2.624 s / 0.5 s⌉ = 30. The free list only holds
 // states the table once held, so the sum is bounded the same way. The
 // measured peak is 20; a table swept only once it holds 256 entries
@@ -176,7 +176,7 @@ func TestRxTableBounded(t *testing.T) {
 	const nodes = 6
 	eng, macs, _ := anycastField(t, nodes)
 	cfg := DefaultConfig()
-	span := 2*cfg.DedupWindow + cfg.WakeInterval + cfg.StreamSlack
+	span := 2*dedupWindow + cfg.WakeInterval + cfg.streamSlack()
 	bound := (nodes - 1) * int((span+sendEvery-1)/sendEvery)
 	peak := 0
 	for eng.Now() < 10*time.Minute {

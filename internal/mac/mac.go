@@ -34,7 +34,7 @@ const (
 type Classification struct {
 	Decision Decision
 	// Prio orders contending anycast receivers: lower values ack earlier
-	// and win the election. Clamped to [0, MaxAckSlots-1].
+	// and win the election. Clamped to [0, maxAckSlots-1].
 	Prio int
 }
 
@@ -54,69 +54,62 @@ type Upper interface {
 	OnSendDone(f *radio.Frame, acker radio.NodeID, ok bool)
 }
 
-// Config holds MAC timing parameters.
+// Config holds the MAC parameters a scenario may vary.
 type Config struct {
 	// WakeInterval is the LPL wake-up period (paper: 512 ms).
 	WakeInterval time.Duration
-	// ProbeSamples CCA samples spaced ProbeSpacing apart form the wake-up
-	// channel probe.
-	ProbeSamples int
-	ProbeSpacing time.Duration
-	// IdleSleepAfter is how long an awake radio must observe a quiet
-	// channel (and no reception in progress) before sleeping again.
-	IdleSleepAfter time.Duration
-	// IdleCheckEvery is the polling period for the idle check.
-	IdleCheckEvery time.Duration
-	// AckTurnaround is the base RX→TX turnaround before an ack.
-	AckTurnaround time.Duration
-	// AckSlot is the per-priority ack election slot width.
-	AckSlot time.Duration
-	// MaxAckSlots bounds the election (prio clamps to MaxAckSlots-1).
-	MaxAckSlots int
-	// AckGuard pads the sender's ack wait beyond the last slot.
-	AckGuard time.Duration
-	// BroadcastGap separates the repeated copies of an LPL broadcast
-	// stream. It must be wide enough for a neighbor's CSMA (CCA sample +
-	// backoff) to inject a unicast frame, or broadcast streams starve all
-	// unicast traffic around them.
-	BroadcastGap time.Duration
-	// CSMA backoff window.
-	BackoffMin, BackoffMax time.Duration
 	// TxPowerDBm is the transmit power.
 	TxPowerDBm float64
-	// StreamSlack extends the LPL streaming deadline beyond WakeInterval.
-	StreamSlack time.Duration
 	// SleepAfterRx returns to sleep right after a received frame has been
 	// handled (BoX-MAC-2's early-sleep optimization): the rest of an LPL
 	// stream addressed elsewhere is not worth listening to.
 	SleepAfterRx bool
 	// AlwaysOn disables duty cycling (typical for the sink).
 	AlwaysOn bool
-	// DedupWindow is how long (src,seq) reception state is remembered.
-	DedupWindow time.Duration
 }
 
 // DefaultConfig returns the paper's LPL configuration (512 ms wake-up).
 func DefaultConfig() Config {
 	return Config{
-		WakeInterval:   512 * time.Millisecond,
-		ProbeSamples:   5,
-		ProbeSpacing:   3 * time.Millisecond,
-		IdleSleepAfter: 24 * time.Millisecond,
-		IdleCheckEvery: 6 * time.Millisecond,
-		AckTurnaround:  300 * time.Microsecond,
-		AckSlot:        600 * time.Microsecond,
-		MaxAckSlots:    8,
-		AckGuard:       500 * time.Microsecond,
-		BroadcastGap:   8 * time.Millisecond,
-		BackoffMin:     320 * time.Microsecond,
-		BackoffMax:     2560 * time.Microsecond,
-		TxPowerDBm:     0,
-		StreamSlack:    64 * time.Millisecond,
-		SleepAfterRx:   true,
-		DedupWindow:    2 * 512 * time.Millisecond,
+		WakeInterval: 512 * time.Millisecond,
+		SleepAfterRx: true,
 	}
 }
+
+// streamSlack extends the LPL streaming deadline beyond WakeInterval: an
+// eighth of the wake-up period (64 ms at the paper's 512 ms).
+func (c Config) streamSlack() time.Duration { return c.WakeInterval / 8 }
+
+// Fixed BoX-MAC-2 timing of the CC2420 stack.
+const (
+	// probeSamples CCA samples spaced probeSpacing apart form the wake-up
+	// channel probe.
+	probeSamples = 5
+	probeSpacing = 3 * time.Millisecond
+	// idleSleepAfter is how long an awake radio must observe a quiet
+	// channel (and no reception in progress) before sleeping again.
+	idleSleepAfter = 24 * time.Millisecond
+	// idleCheckEvery is the polling period for the idle check.
+	idleCheckEvery = 6 * time.Millisecond
+	// ackTurnaround is the base RX→TX turnaround before an ack.
+	ackTurnaround = 300 * time.Microsecond
+	// ackSlot is the per-priority ack election slot width.
+	ackSlot = 600 * time.Microsecond
+	// maxAckSlots bounds the election (prio clamps to maxAckSlots-1).
+	maxAckSlots = 8
+	// ackGuard pads the sender's ack wait beyond the last slot.
+	ackGuard = 500 * time.Microsecond
+	// broadcastGap separates the repeated copies of an LPL broadcast
+	// stream. It must be wide enough for a neighbor's CSMA (CCA sample +
+	// backoff) to inject a unicast frame, or broadcast streams starve all
+	// unicast traffic around them.
+	broadcastGap = 8 * time.Millisecond
+	// CSMA backoff window.
+	backoffMin = 320 * time.Microsecond
+	backoffMax = 2560 * time.Microsecond
+	// dedupWindow is how long (src,seq) reception state is remembered.
+	dedupWindow = 2 * 512 * time.Millisecond
+)
 
 // ErrQueueFull is returned by Send when too many packets are pending.
 var ErrQueueFull = errors.New("mac: send queue full")
@@ -275,9 +268,6 @@ func (m *MAC) emitMac(kind telemetry.Kind, f *radio.Frame, peer radio.NodeID, no
 // Dead reports whether Kill has been called.
 func (m *MAC) Dead() bool { return m.dead }
 
-// Config returns the MAC configuration.
-func (m *MAC) Config() Config { return m.cfg }
-
 // Start begins duty cycling (or powers the radio permanently for AlwaysOn
 // nodes). The first wake-up happens at a random phase within WakeInterval.
 func (m *MAC) Start() {
@@ -400,7 +390,7 @@ func (m *MAC) kick() {
 	m.queue = slices.Delete(m.queue, 0, 1)
 	m.curBuf = outstanding{
 		frame:    f,
-		deadline: m.eng.Now() + m.cfg.WakeInterval + m.cfg.StreamSlack,
+		deadline: m.eng.Now() + m.cfg.WakeInterval + m.cfg.streamSlack(),
 	}
 	m.cur = &m.curBuf
 	m.stats.SendsStarted++
@@ -434,15 +424,15 @@ func (m *MAC) csmaAttempt() {
 		// Anchor the stream deadline at the first copy actually sent, so
 		// CSMA deferral (a neighbor's stream occupying the channel) does
 		// not eat into the wake-interval coverage the stream must provide.
-		cur.deadline = m.eng.Now() + m.cfg.WakeInterval + m.cfg.StreamSlack
+		cur.deadline = m.eng.Now() + m.cfg.WakeInterval + m.cfg.streamSlack()
 	}
 	cur.attempts++
 	m.stats.FrameTx++
 }
 
 func (m *MAC) backoff() {
-	d := m.cfg.BackoffMin +
-		time.Duration(m.rng.Int64N(int64(m.cfg.BackoffMax-m.cfg.BackoffMin)+1))
+	d := backoffMin +
+		time.Duration(m.rng.Int64N(int64(backoffMax-backoffMin)+1))
 	m.eng.Schedule(d, m.csmaFn)
 }
 
@@ -469,9 +459,9 @@ func (m *MAC) OnTxDone() {
 		return
 	}
 	if m.expectsAck(cur.frame) {
-		wait := m.cfg.AckTurnaround +
-			time.Duration(m.cfg.MaxAckSlots)*m.cfg.AckSlot +
-			m.cfg.AckGuard + m.ackAirtime()
+		wait := ackTurnaround +
+			time.Duration(maxAckSlots)*ackSlot +
+			ackGuard + m.ackAirtime()
 		m.ackWait.Start(wait)
 		return
 	}
@@ -481,7 +471,7 @@ func (m *MAC) OnTxDone() {
 		m.finishSend(radio.BroadcastID, true)
 		return
 	}
-	m.eng.Schedule(m.cfg.BroadcastGap, m.csmaFn)
+	m.eng.Schedule(broadcastGap, m.csmaFn)
 }
 
 func (m *MAC) ackAirtime() time.Duration {
@@ -574,7 +564,7 @@ func (m *MAC) onAck(f *radio.Frame) {
 func (m *MAC) onData(f *radio.Frame) {
 	key := packetKey(f.Src, f.Seq)
 	st, seen := m.rx[key]
-	if seen && !st.ackPending.Pending() && m.eng.Now()-st.at > m.cfg.DedupWindow {
+	if seen && !st.ackPending.Pending() && m.eng.Now()-st.at > dedupWindow {
 		// The dedup window has lapsed, so this is not a retransmission but
 		// a reuse of the (src,seq) pair — typically a rebooted neighbor
 		// restarting its sequence counter at 1. Forget the stale verdict
@@ -626,14 +616,14 @@ func (m *MAC) onData(f *radio.Frame) {
 		if prio < 0 {
 			prio = 0
 		}
-		if prio >= m.cfg.MaxAckSlots {
-			prio = m.cfg.MaxAckSlots - 1
+		if prio >= maxAckSlots {
+			prio = maxAckSlots - 1
 		}
 		// Randomize within the slot so equal-priority contenders
 		// serialize; whoever fires second sees the channel busy and
 		// yields.
-		jitter := time.Duration(m.rng.Int64N(int64(m.cfg.AckSlot / 3)))
-		delay := m.cfg.AckTurnaround + time.Duration(prio)*m.cfg.AckSlot + jitter
+		jitter := time.Duration(m.rng.Int64N(int64(ackSlot / 3)))
+		delay := ackTurnaround + time.Duration(prio)*ackSlot + jitter
 		st.frame = f
 		st.ackPending = m.eng.ScheduleArg(delay, m.electFn, st)
 		m.elections++
@@ -680,7 +670,7 @@ func (m *MAC) earlySleep() {
 		return
 	}
 	if m.radio.Transmitting() {
-		m.idleTimer.Start(m.cfg.IdleCheckEvery)
+		m.idleTimer.Start(idleCheckEvery)
 		return
 	}
 	m.sleep()
@@ -698,18 +688,18 @@ func (m *MAC) sendAck(f *radio.Frame) {
 	}
 }
 
-// gcRxStates drops, at most once per DedupWindow, every entry older than
+// gcRxStates drops, at most once per dedupWindow, every entry older than
 // the window with no election pending. onData already treats such an
 // entry as unseen, and onAck and runElection read only pending ones, so
 // the sweep's timing changes no decision. The table then holds about two
 // windows of traffic however long the run.
 func (m *MAC) gcRxStates() {
 	now := m.eng.Now()
-	if now-m.lastSweep < m.cfg.DedupWindow {
+	if now-m.lastSweep < dedupWindow {
 		return
 	}
 	m.lastSweep = now
-	cutoff := now - m.cfg.DedupWindow
+	cutoff := now - dedupWindow
 	for k, st := range m.rx {
 		if st.at < cutoff && !st.ackPending.Pending() {
 			delete(m.rx, k)
@@ -745,8 +735,8 @@ func (m *MAC) wakeUp() {
 	m.probeEvents = m.probeEvents[:0]
 	m.probeIdx = 0
 	m.probeFound = false
-	for i := 0; i < m.cfg.ProbeSamples; i++ {
-		ev := m.eng.Schedule(time.Duration(i)*m.cfg.ProbeSpacing, m.probeFn)
+	for i := 0; i < probeSamples; i++ {
+		ev := m.eng.Schedule(time.Duration(i)*probeSpacing, m.probeFn)
 		m.probeEvents = append(m.probeEvents, ev)
 	}
 }
@@ -765,7 +755,7 @@ func (m *MAC) probeStep() {
 		m.bumpIdle()
 		return
 	}
-	if i == m.cfg.ProbeSamples-1 && !m.awakeForTx && !m.idleTimer.Pending() {
+	if i == probeSamples-1 && !m.awakeForTx && !m.idleTimer.Pending() {
 		// Quiet channel: end of probe, go back to sleep.
 		m.sleep()
 	}
@@ -777,7 +767,7 @@ func (m *MAC) bumpIdle() {
 	if m.cfg.AlwaysOn {
 		return
 	}
-	m.idleTimer.Start(m.cfg.IdleSleepAfter)
+	m.idleTimer.Start(idleSleepAfter)
 }
 
 func (m *MAC) idleCheck() {
@@ -787,7 +777,7 @@ func (m *MAC) idleCheck() {
 	if m.awakeForTx || m.cur != nil ||
 		m.radio.Transmitting() || m.radio.State() == radio.StateReceiving ||
 		m.radio.CCABusy() || m.hasPendingAcks() {
-		m.idleTimer.Start(m.cfg.IdleCheckEvery)
+		m.idleTimer.Start(idleCheckEvery)
 		return
 	}
 	m.sleep()
@@ -800,13 +790,13 @@ func (m *MAC) maybeSleepSoon() {
 		return
 	}
 	if !m.idleTimer.Pending() {
-		m.idleTimer.Start(m.cfg.IdleCheckEvery)
+		m.idleTimer.Start(idleCheckEvery)
 	}
 }
 
 func (m *MAC) sleep() {
 	if m.radio.Transmitting() {
-		m.idleTimer.Start(m.cfg.IdleCheckEvery)
+		m.idleTimer.Start(idleCheckEvery)
 		return
 	}
 	for _, ev := range m.probeEvents {

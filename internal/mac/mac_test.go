@@ -328,7 +328,7 @@ func TestBroadcastLatencyUnderWakeInterval(t *testing.T) {
 	if len(uppers[1].delivered) != 1 {
 		t.Fatal("broadcast not delivered")
 	}
-	if lat := gotAt - sentAt; lat > cfg.WakeInterval+cfg.StreamSlack {
+	if lat := gotAt - sentAt; lat > cfg.WakeInterval+cfg.streamSlack() {
 		t.Fatalf("broadcast latency %v exceeds one LPL round", lat)
 	}
 }

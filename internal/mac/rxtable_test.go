@@ -78,7 +78,7 @@ func (m *refRx) logf(format string, args ...any) { logAt(&m.log, m.eng.Now(), fo
 func (m *refRx) onFrame(f *radio.Frame) {
 	if len(m.rx) >= 256 {
 		m.sweeps++
-		cutoff := m.eng.Now() - m.cfg.DedupWindow
+		cutoff := m.eng.Now() - dedupWindow
 		for k, e := range m.rx {
 			if e.at < cutoff && !e.election.Pending() {
 				delete(m.rx, k)
@@ -104,9 +104,9 @@ func (m *refRx) onData(f *radio.Frame) {
 	e, seen := m.rx[key]
 	if seen && !e.election.Pending() {
 		switch age := now - e.at; {
-		case age == m.cfg.DedupWindow:
+		case age == dedupWindow:
 			m.boundary++
-		case age > m.cfg.DedupWindow:
+		case age > dedupWindow:
 			m.reused++
 			delete(m.rx, key)
 			seen = false
@@ -130,9 +130,9 @@ func (m *refRx) onData(f *radio.Frame) {
 		e.delivered = true
 		m.logf("deliver %d/%d", f.Src, f.Seq)
 	case AckAndDeliver:
-		prio := min(max(class.Prio, 0), m.cfg.MaxAckSlots-1)
-		jitter := time.Duration(m.rng.Int64N(int64(m.cfg.AckSlot / 3)))
-		delay := m.cfg.AckTurnaround + time.Duration(prio)*m.cfg.AckSlot + jitter
+		prio := min(max(class.Prio, 0), maxAckSlots-1)
+		jitter := time.Duration(m.rng.Int64N(int64(ackSlot / 3)))
+		delay := ackTurnaround + time.Duration(prio)*ackSlot + jitter
 		e.election = m.eng.Schedule(delay, func() { m.elect(e) })
 	}
 }
@@ -206,7 +206,7 @@ func (nopHandler) OnTxDone()            {}
 // against refRx, the table as a map swept at 256 entries. The schedule
 // feeds frames straight to the MAC: new keys from 40 sources, some of
 // which restart their sequence numbers; duplicates of recent frames;
-// probes repeated exactly one DedupWindow later (still a duplicate) and
+// probes repeated exactly one dedupWindow later (still a duplicate) and
 // one nanosecond past it (a new packet); peers' acks, half of them for
 // the newest frame, so they land during its election; and node 0 puts
 // keyed frames on the air, which the MAC receives and which make
@@ -280,10 +280,10 @@ func TestRxTableMatchesMapSemantics(t *testing.T) {
 			deliver(f)
 			switch q := rng.IntN(10); {
 			case q == 0:
-				eng.Schedule(cfg.DedupWindow, func() { deliver(f) })
-				eng.Schedule(2*cfg.DedupWindow+1, func() { deliver(f) })
+				eng.Schedule(dedupWindow, func() { deliver(f) })
+				eng.Schedule(2*dedupWindow+1, func() { deliver(f) })
 			case q == 1:
-				eng.Schedule(cfg.DedupWindow+1, func() { deliver(f) })
+				eng.Schedule(dedupWindow+1, func() { deliver(f) })
 			default:
 				recent = append(recent, f)
 				if len(recent) > 32 {
@@ -322,7 +322,7 @@ func TestRxTableMatchesMapSemantics(t *testing.T) {
 		}
 	}
 	eng.Schedule(0, step)
-	if err := eng.Run(horizon + 3*cfg.DedupWindow); err != nil {
+	if err := eng.Run(horizon + 3*dedupWindow); err != nil {
 		t.Fatal(err)
 	}
 

@@ -220,7 +220,7 @@ func BenchmarkRxDecide(b *testing.B) {
 		frameBytes int
 	}
 	p := DefaultParams()
-	capture := newDBGate(p.CaptureThresholdDB)
+	capture := newDBGate(captureThresholdDB)
 	rng := rand.New(rand.NewPCG(7, 20))
 	batch := make([]decision, 0, 1024)
 	for len(batch) < cap(batch) {
@@ -234,7 +234,7 @@ func BenchmarkRxDecide(b *testing.B) {
 	n := 0
 	for i := 0; i < b.N; i++ {
 		d := &batch[i&1023]
-		if ok, settled := p.fastDecide(capture, d.u, d.snr, 0, 1, d.frameBytes-p.PhyOverheadBytes); ok && settled {
+		if ok, settled := p.fastDecide(capture, d.u, d.snr, 0, 1, d.frameBytes-phyOverheadBytes); ok && settled {
 			n++
 		}
 	}

@@ -51,7 +51,7 @@ func checkBracketAtPRR(t testing.TB, rng *rand.Rand, snr float64, frameBytes int
 // prrFromSNR bit for bit. Nearly all random triples inside the table must
 // settle.
 func TestReceivedMatchesCurve(t *testing.T) {
-	overhead := DefaultParams().PhyOverheadBytes
+	overhead := phyOverheadBytes
 	rng := rand.New(rand.NewPCG(20, 1))
 	var inTable, settled int
 	for i := 0; i < 10_000_000; i++ {
@@ -104,7 +104,7 @@ func FuzzRxDecide(f *testing.F) {
 	f.Add(math.Float64bits(0.999), math.Float64bits(prrSaturatedSNR), byte(127))
 	f.Fuzz(func(t *testing.T, uBits, snrBits uint64, size byte) {
 		checkBracket(t, math.Float64frombits(uBits), math.Float64frombits(snrBits),
-			int(size)+DefaultParams().PhyOverheadBytes)
+			int(size)+phyOverheadBytes)
 	})
 }
 
@@ -174,7 +174,7 @@ func TestCCADominanceMatchesFold(t *testing.T) {
 				twinWifi = noise.NewWifiInterferer(sim.DeriveRNG(seed, 0xbeef), -85)
 			}
 			rng := rand.New(rand.NewPCG(seed, 2))
-			thr := p.CCAThresholdDBm
+			thr := ccaThresholdDBm
 			// ulps moves x by up to four ulps either way.
 			ulps := func(x float64) float64 {
 				steps, dir := rng.IntN(9)-4, math.Inf(1)
@@ -300,8 +300,8 @@ const fastErr = 1e-12
 // saturation bound or an edge of the gate's band.
 func TestFastDecideMatchesRxDecide(t *testing.T) {
 	p := DefaultParams()
-	capture := newDBGate(p.CaptureThresholdDB)
-	capLin := dbmToMW(p.CaptureThresholdDB)
+	capture := newDBGate(captureThresholdDB)
+	capLin := dbmToMW(captureThresholdDB)
 	rng := rand.New(rand.NewPCG(22, 1))
 	perturb := func(x float64) float64 { return x * (1 + (2*rng.Float64()-1)*fastErr) }
 	ulps := func(x float64, k int) float64 {
@@ -333,7 +333,7 @@ func TestFastDecideMatchesRxDecide(t *testing.T) {
 	}
 	// atPRR returns the draws on the margin of the exact decision.
 	atPRR := func(s, i, n float64, size int) []float64 {
-		prr := prrFromSNR(s/(n+i), size+p.PhyOverheadBytes)
+		prr := prrFromSNR(s/(n+i), size+phyOverheadBytes)
 		return []float64{rng.Float64(), prr, math.Nextafter(prr, 0), math.Nextafter(prr, 1)}
 	}
 
@@ -376,7 +376,7 @@ func TestFastDecideMatchesRxDecide(t *testing.T) {
 			target = prrSaturatedSNR * rng.Float64()
 		}
 		s := ulps(target*(n+i), rng.IntN(9)-4)
-		if i > 0 && mwToDBm(s/i) < p.CaptureThresholdDB+1e-3 {
+		if i > 0 && mwToDBm(s/i) < captureThresholdDB+1e-3 {
 			i = s / capLin / 2 // keep the capture gate clear of this case
 		}
 		size := rng.IntN(maxTestFrameBytes + 1)

@@ -66,7 +66,7 @@ func newDenseOracle(dep *topology.Deployment, params Params, seed uint64) *dense
 			if i == j {
 				continue
 			}
-			if params.MaxTxPowerDBm+o.gain[i][j]+fadeHeadroom >= params.InterferenceFloorDBm {
+			if maxTxPowerDBm+o.gain[i][j]+fadeHeadroom >= params.InterferenceFloorDBm {
 				o.neighbors[i] = append(o.neighbors[i], NodeID(j))
 			}
 		}
@@ -76,11 +76,11 @@ func newDenseOracle(dep *topology.Deployment, params Params, seed uint64) *dense
 
 func (o *denseOracle) expectedPRR(from, to NodeID, txPowerDBm float64, sizeBytes int) float64 {
 	rx := txPowerDBm + o.gain[from][to]
-	if rx < o.params.SensitivityDBm {
+	if rx < sensitivityDBm {
 		return 0
 	}
 	snr := dbmToMW(rx) / dbmToMW(quietFloorDBm)
-	return prrFromSNR(snr, sizeBytes+o.params.PhyOverheadBytes)
+	return prrFromSNR(snr, sizeBytes+phyOverheadBytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ func TestSparseMatchesDenseOracle(t *testing.T) {
 						if g := m.GainDB(id, jd); !math.IsInf(g, -1) && g != oracle.gain[i][j] {
 							t.Fatalf("%s: GainDB(%d,%d) = %v, oracle %v", name, i, j, g, oracle.gain[i][j])
 						}
-						for _, power := range []float64{params.MaxTxPowerDBm, params.MaxTxPowerDBm - 5} {
+						for _, power := range []float64{maxTxPowerDBm, maxTxPowerDBm - 5} {
 							got := m.ExpectedPRR(id, jd, power, 32)
 							want := oracle.expectedPRR(id, jd, power, 32)
 							if got != want {
@@ -228,11 +228,11 @@ func scriptedTraces(t *testing.T, dep *topology.Deployment, params Params, seed 
 		src := NodeID(step % n)
 		at := time.Duration(step) * 7 * time.Millisecond
 		f := &Frame{Kind: FrameData, Src: src, Dst: BroadcastID, Seq: uint32(step), Size: 30}
-		eng.Schedule(at, func() { _ = m.Radio(src).Transmit(f, params.MaxTxPowerDBm) })
+		eng.Schedule(at, func() { _ = m.Radio(src).Transmit(f, maxTxPowerDBm) })
 		if step%7 == 3 {
 			other := NodeID((step + n/2) % n)
 			f2 := &Frame{Kind: FrameData, Src: other, Dst: BroadcastID, Seq: uint32(step), Size: 30}
-			eng.Schedule(at, func() { _ = m.Radio(other).Transmit(f2, params.MaxTxPowerDBm) })
+			eng.Schedule(at, func() { _ = m.Radio(other).Transmit(f2, maxTxPowerDBm) })
 		}
 	}
 	if err := eng.Run(time.Duration(3*n+10) * 7 * time.Millisecond); err != nil {

@@ -115,7 +115,7 @@ func (s *shadowMedium) start(src int, id uint64, power float64, now time.Duratio
 		r.air = append(r.air, shadowEntry{id, dbm})
 		switch {
 		case r.on && !r.txing && r.lockID == 0:
-			if dbm >= s.m.params.SensitivityDBm {
+			if dbm >= sensitivityDBm {
 				r.lockID, r.signalMW = id, dbmToMW(dbm)
 				r.maxInterfMW = r.interferenceMW()
 			}
@@ -254,7 +254,7 @@ func TestAwakeFanoutMatchesAlwaysNotify(t *testing.T) {
 				}
 				total += dbmToMW(e.dbm)
 			}
-			if got, want := r.CCABusy(), mwToDBm(total) > m.params.CCAThresholdDBm; got != want {
+			if got, want := r.CCABusy(), mwToDBm(total) > ccaThresholdDBm; got != want {
 				t.Fatalf("step %d radio %d: CCA busy %v, shadow %v", step, i, got, want)
 			}
 			checked++

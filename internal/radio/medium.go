@@ -40,7 +40,7 @@ type Medium struct {
 	// the interference floor at max TX power plus fade headroom: the
 	// per-transmission notify set is the links that reach it (notified).
 	// With the default calibration every stored link does; it only
-	// filters when SensitivityDBm sits below InterferenceFloorDBm and
+	// filters when sensitivityDBm sits below InterferenceFloorDBm and
 	// widens storage beyond the audible set.
 	notifyGainDB float64
 	// linkFade holds per-link slow fading processes (nil when disabled):
@@ -100,7 +100,7 @@ type Medium struct {
 	// from it.
 	inFlight []*transmission
 
-	// ccaGate and captureGate are CCAThresholdDBm and CaptureThresholdDB
+	// ccaGate and captureGate are ccaThresholdDBm and captureThresholdDB
 	// as dbGates: CCA and the capture gate compare in linear units.
 	ccaGate, captureGate dbGate
 }
@@ -128,8 +128,8 @@ func newMedium(eng *sim.Engine, dep *topology.Deployment, model *noise.Model, pa
 		params:      params,
 		jitterRNG:   sim.DeriveRNG(seed, 0xf457),
 		awake:       make([]bool, n),
-		ccaGate:     newDBGate(params.CCAThresholdDBm),
-		captureGate: newDBGate(params.CaptureThresholdDB),
+		ccaGate:     newDBGate(ccaThresholdDBm),
+		captureGate: newDBGate(captureThresholdDB),
 	}
 	m.endAirFn = m.endOfAir
 	switch params.GainModel {
@@ -140,7 +140,7 @@ func newMedium(eng *sim.Engine, dep *topology.Deployment, model *noise.Model, pa
 	default:
 		return nil, fmt.Errorf("radio: unknown gain model %d", params.GainModel)
 	}
-	m.notifyGainDB = params.InterferenceFloorDBm - params.MaxTxPowerDBm - params.fadeHeadroomDB()
+	m.notifyGainDB = params.InterferenceFloorDBm - maxTxPowerDBm - params.fadeHeadroomDB()
 	for i := 0; i < n; i++ {
 		m.rowCap = max(m.rowCap, int(m.linkStart[i+1]-m.linkStart[i]))
 	}
@@ -441,7 +441,7 @@ func (m *Medium) SetDropFn(fn func(rx NodeID, f *Frame) bool) { m.dropFn = fn }
 // frame of sizeBytes sent from→to at txPowerDBm over the quiet noise floor.
 // This is the controller's "global topology knowledge" view used by the
 // destination-unreachable countermeasure and by tests. Exact for
-// txPowerDBm ≤ Params.MaxTxPowerDBm; unindexed pairs report 0 (their
+// txPowerDBm ≤ maxTxPowerDBm; unindexed pairs report 0 (their
 // received power is below sensitivity at any admissible power).
 func (m *Medium) ExpectedPRR(from, to NodeID, txPowerDBm float64, sizeBytes int) float64 {
 	k := m.linkIndex(from, to)
@@ -449,11 +449,11 @@ func (m *Medium) ExpectedPRR(from, to NodeID, txPowerDBm float64, sizeBytes int)
 		return 0
 	}
 	rx := txPowerDBm + m.linkGain[k]
-	if rx < m.params.SensitivityDBm {
+	if rx < sensitivityDBm {
 		return 0
 	}
 	snr := dbmToMW(rx) / dbmToMW(quietFloorDBm)
-	return prrFromSNR(snr, sizeBytes+m.params.PhyOverheadBytes)
+	return prrFromSNR(snr, sizeBytes+phyOverheadBytes)
 }
 
 // quietFloorDBm is the nominal quiet noise floor used for the analytic

@@ -22,27 +22,12 @@ const BroadcastID NodeID = 0xFFFF
 type Params struct {
 	// PathLossExponent is the log-distance path loss exponent.
 	PathLossExponent float64
-	// RefLossDB is path loss at the reference distance RefDist (metres).
+	// RefLossDB is path loss at the reference distance refDist.
 	RefLossDB float64
-	RefDist   float64
 	// ShadowSigmaDB is the standard deviation of per-directed-link
 	// log-normal shadowing, producing asymmetric links like TOSSIM's
 	// link-layer model.
 	ShadowSigmaDB float64
-	// SensitivityDBm is the minimum signal power for preamble lock.
-	SensitivityDBm float64
-	// CCAThresholdDBm is the energy threshold for "channel busy".
-	CCAThresholdDBm float64
-	// CaptureThresholdDB is the minimum signal-to-interference ratio for a
-	// locked frame to survive a concurrent 802.15.4 transmission (capture
-	// effect). The DSSS processing gain in the analytic PRR curve applies
-	// to uncorrelated noise, not to co-channel frames, so collisions are
-	// gated separately.
-	CaptureThresholdDB float64
-	// BitRate is the radio bit rate in bits per second.
-	BitRate int
-	// PhyOverheadBytes covers preamble, SFD and length fields.
-	PhyOverheadBytes int
 	// TxJitterSigmaDB adds independent per-transmission, per-receiver
 	// gain jitter (fast fading): each copy of an LPL stream gets a fresh
 	// draw, so marginal links deliver a fraction of copies rather than
@@ -58,13 +43,33 @@ type Params struct {
 	// InterferenceFloorDBm: links whose best-case received power is below
 	// this are ignored entirely (connectivity pruning).
 	InterferenceFloorDBm float64
-	// MaxTxPowerDBm is used for connectivity pruning.
-	MaxTxPowerDBm float64
 	// GainModel selects how per-link gains are derived from the seed
 	// (GainSweep reproduces the historical dense draw order; GainPerLink
 	// scales to thousand-node fields).
 	GainModel GainModel
 }
+
+// Fixed CC2420 constants.
+const (
+	// refDist is the path-loss reference distance (metres).
+	refDist float64 = 1.0
+	// sensitivityDBm is the minimum signal power for preamble lock.
+	sensitivityDBm float64 = -95.0
+	// ccaThresholdDBm is the energy threshold for "channel busy".
+	ccaThresholdDBm float64 = -90.0
+	// captureThresholdDB is the minimum signal-to-interference ratio for a
+	// locked frame to survive a concurrent 802.15.4 transmission (capture
+	// effect). The DSSS processing gain in the analytic PRR curve applies
+	// to uncorrelated noise, not to co-channel frames, so collisions are
+	// gated separately.
+	captureThresholdDB float64 = 4.0
+	// bitRate is the radio bit rate in bits per second.
+	bitRate = 250000
+	// phyOverheadBytes covers preamble, SFD and length fields.
+	phyOverheadBytes = 6
+	// maxTxPowerDBm is used for connectivity pruning.
+	maxTxPowerDBm float64 = 0.0
+)
 
 // GainModel selects how per-directed-link channel gains are derived from
 // the simulation seed.
@@ -105,7 +110,7 @@ func (p Params) fadeHeadroomDB() float64 { return 1.6 * p.FadingSigmaDB }
 // at the sensitivity threshold, even at maximum TX power with fade
 // headroom, so the medium stores no state for it.
 func (p Params) linkFloorGainDB() float64 {
-	return math.Min(p.InterferenceFloorDBm, p.SensitivityDBm) - p.MaxTxPowerDBm - p.fadeHeadroomDB()
+	return math.Min(p.InterferenceFloorDBm, sensitivityDBm) - maxTxPowerDBm - p.fadeHeadroomDB()
 }
 
 // MaxCommRangeM returns the distance beyond which no directed pair can
@@ -115,9 +120,9 @@ func (p Params) MaxCommRangeM() float64 {
 	// Largest tolerable path loss: -PL(d) + ShadowClampSigma·σ ≥ floor.
 	budget := ShadowClampSigma*p.ShadowSigmaDB - p.linkFloorGainDB()
 	if budget <= p.RefLossDB {
-		return p.RefDist
+		return refDist
 	}
-	return p.RefDist * math.Pow(10, (budget-p.RefLossDB)/(10*p.PathLossExponent))
+	return refDist * math.Pow(10, (budget-p.RefLossDB)/(10*p.PathLossExponent))
 }
 
 // DefaultParams returns CC2420-like parameters with path exponent 4.
@@ -125,35 +130,28 @@ func DefaultParams() Params {
 	return Params{
 		PathLossExponent:     4.0,
 		RefLossDB:            55.0,
-		RefDist:              1.0,
 		ShadowSigmaDB:        2.5,
-		SensitivityDBm:       -95.0,
-		CCAThresholdDBm:      -90.0,
-		CaptureThresholdDB:   4.0,
-		BitRate:              250000,
-		PhyOverheadBytes:     6,
 		TxJitterSigmaDB:      1.5,
 		FadingSigmaDB:        0,
 		FadingMinPeriod:      20 * time.Second,
 		FadingMaxPeriod:      120 * time.Second,
 		InterferenceFloorDBm: -110.0,
-		MaxTxPowerDBm:        0.0,
 	}
 }
 
 // Airtime returns the on-air duration of a frame with the given MAC-layer
 // size in bytes.
 func (p Params) Airtime(sizeBytes int) time.Duration {
-	bits := (sizeBytes + p.PhyOverheadBytes) * 8
-	return time.Duration(float64(bits) / float64(p.BitRate) * float64(time.Second))
+	bits := (sizeBytes + phyOverheadBytes) * 8
+	return time.Duration(float64(bits) / float64(bitRate) * float64(time.Second))
 }
 
 // PathLossDB returns deterministic path loss at distance d metres.
 func (p Params) PathLossDB(d float64) float64 {
-	if d < p.RefDist {
-		d = p.RefDist
+	if d < refDist {
+		d = refDist
 	}
-	return p.RefLossDB + 10*p.PathLossExponent*math.Log10(d/p.RefDist)
+	return p.RefLossDB + 10*p.PathLossExponent*math.Log10(d/refDist)
 }
 
 // PowerLevelDBm maps CC2420 register power levels to approximate output
@@ -382,14 +380,14 @@ func bracket(u float64, j, frameBytes int) (ok, settled bool) {
 // frame of frameBytes (MAC size) received at signalMW against the worst
 // interference seen while it was on the air plus the noise at its end is
 // received when u falls below its reception ratio. The capture gate
-// against co-channel 802.15.4 frames (capture, p.CaptureThresholdDB as a
+// against co-channel 802.15.4 frames (capture, captureThresholdDB as a
 // dbGate) is checked first: a frame it rejects has PRR 0 whatever the
 // curve says, so no draw in [0, 1) receives it.
 func (p Params) rxDecide(capture dbGate, u, signalMW, maxInterfMW, noiseMW float64, frameBytes int) bool {
 	if maxInterfMW > 0 && capture.below(signalMW/maxInterfMW) {
 		return false
 	}
-	return u < prrFromSNR(signalMW/(noiseMW+maxInterfMW), frameBytes+p.PhyOverheadBytes)
+	return u < prrFromSNR(signalMW/(noiseMW+maxInterfMW), frameBytes+phyOverheadBytes)
 }
 
 // fastDecide is rxDecide on fast powers: signalMW, maxInterfMW and
@@ -418,7 +416,7 @@ func (p Params) fastDecide(capture dbGate, u, signalMW, maxInterfMW, noiseMW flo
 	if hi >= prrSaturatedSNR || j != int(hi*(1/prrLogStep)) {
 		return false, false
 	}
-	return bracket(u, j, frameBytes+p.PhyOverheadBytes)
+	return bracket(u, j, frameBytes+phyOverheadBytes)
 }
 
 // binom16 holds C(16, k).

@@ -242,7 +242,7 @@ func (r *Radio) CCABusy() bool {
 	for i := range r.air {
 		top = max(top, r.air[i].rxDBm)
 	}
-	thr := m.params.CCAThresholdDBm
+	thr := ccaThresholdDBm
 	if top > thr+ccaMarginDB {
 		return true
 	}
@@ -352,13 +352,13 @@ func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 	r.air = append(r.air, airEntry{txID: uint32(tx.id), slot: -1, rxDBm: rxPowerDBm, mW: -1})
 	switch r.State() {
 	case StateListening:
-		if rxPowerDBm < r.medium.params.SensitivityDBm {
+		if rxPowerDBm < sensitivityDBm {
 			return
 		}
 		// Lock onto this frame; everything else on the air interferes.
 		last := len(r.air) - 1
 		r.rx = rxContext{tx: tx, signalDBm: rxPowerDBm, signalMW: r.air[last].powerMW(),
-			outshoneDBm: rxPowerDBm - r.medium.params.CaptureThresholdDB + outshoneMarginDB}
+			outshoneDBm: rxPowerDBm - captureThresholdDB + outshoneMarginDB}
 		r.rxActive = true
 		r.state = StateReceiving
 		var sum float64

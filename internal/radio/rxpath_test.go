@@ -38,7 +38,7 @@ func saturatedSNRs() []float64 {
 // exactly 1 for every frame size the stack can send, so returning 1
 // without the sum changes no value.
 func TestPRRSaturatedCurveIsExactlyOne(t *testing.T) {
-	overhead := DefaultParams().PhyOverheadBytes
+	overhead := phyOverheadBytes
 	for _, snr := range saturatedSNRs() {
 		if snr < prrSaturatedSNR {
 			continue
@@ -64,9 +64,9 @@ func TestPRRSaturatedCurveIsExactlyOne(t *testing.T) {
 // curveFirstPRR is the reference adjudication order: evaluate the full
 // PRR curve, then zero it when the capture gate fails.
 func curveFirstPRR(p Params, signalMW, maxInterfMW, noiseMW float64, frameBytes int) float64 {
-	prr := prrCurve(signalMW/(noiseMW+maxInterfMW), frameBytes+p.PhyOverheadBytes)
+	prr := prrCurve(signalMW/(noiseMW+maxInterfMW), frameBytes+phyOverheadBytes)
 	if maxInterfMW > 0 {
-		if mwToDBm(signalMW/maxInterfMW) < p.CaptureThresholdDB {
+		if mwToDBm(signalMW/maxInterfMW) < captureThresholdDB {
 			prr = 0
 		}
 	}
@@ -115,13 +115,13 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 		switch rng.IntN(4) {
 		case 0: // interference-free
 		case 1: // right at the capture threshold
-			interf = signal / dbmToMW(p.CaptureThresholdDB+(rng.Float64()-0.5)*1e-9)
+			interf = signal / dbmToMW(captureThresholdDB+(rng.Float64()-0.5)*1e-9)
 		default:
 			interf = dbmToMW(-110 + 60*rng.Float64())
 		}
 		size := rng.IntN(maxTestFrameBytes + 1)
-		wantPRR := checkDecision(t, draws, p, newDBGate(p.CaptureThresholdDB), signal, interf, noise, size)
-		if interf > 0 && wantPRR == 0 && mwToDBm(signal/interf) < p.CaptureThresholdDB {
+		wantPRR := checkDecision(t, draws, p, newDBGate(captureThresholdDB), signal, interf, noise, size)
+		if interf > 0 && wantPRR == 0 && mwToDBm(signal/interf) < captureThresholdDB {
 			gated++
 		}
 		if signal/(noise+interf) >= prrSaturatedSNR {
@@ -148,7 +148,7 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := m.Radio(0)
-	capture := newDBGate(p.CaptureThresholdDB)
+	capture := newDBGate(captureThresholdDB)
 	var outshone, sunk, kept int
 	for trial := 0; trial < 100000; trial++ {
 		r.SetOn(false)
@@ -166,7 +166,7 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 			default:
 				offset = -40 + 25*rng.Float64()
 			}
-			return signal - p.CaptureThresholdDB + offset
+			return signal - captureThresholdDB + offset
 		}
 		var ref []airEntry
 		var id uint64
@@ -202,7 +202,7 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 			refMax = max(refMax, interference())
 		}
 		for _, e := range ref {
-			anyOutshone = anyOutshone || (e.txID != uint32(lockID) && signal-p.CaptureThresholdDB+outshoneMarginDB < e.rxDBm)
+			anyOutshone = anyOutshone || (e.txID != uint32(lockID) && signal-captureThresholdDB+outshoneMarginDB < e.rxDBm)
 		}
 		if r.rx.tx == nil || r.rx.tx.id != lockID {
 			t.Fatalf("trial %d: radio did not lock onto frame %d", trial, lockID)
@@ -249,9 +249,8 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 // values inside the band, and the non-positive and non-finite inputs; most
 // of the first must settle, and none inside the band.
 func TestDBGateMatchesLog(t *testing.T) {
-	p := DefaultParams()
 	rng := rand.New(rand.NewPCG(5, 6))
-	for _, thr := range []float64{p.CCAThresholdDBm, p.CaptureThresholdDB} {
+	for _, thr := range []float64{ccaThresholdDBm, captureThresholdDB} {
 		g := newDBGate(thr)
 		check := func(x float64) bool {
 			above, ok := g.aboveNear(x)
@@ -428,7 +427,7 @@ func TestAirSumsDeterministic(t *testing.T) {
 
 	wantInterf := math.Float64bits(sums[0])
 	wantChannel := math.Float64bits(channels[0])
-	wantBusy := mwToDBm(channels[0]) > DefaultParams().CCAThresholdDBm
+	wantBusy := mwToDBm(channels[0]) > ccaThresholdDBm
 	for i := 0; i < calls; i++ {
 		if interf[i] != wantInterf || channel[i] != wantChannel || busy[i] != wantBusy {
 			t.Fatalf("call %d: interference %x channel %x busy %v, want arrival-order %x %x %v",
@@ -597,7 +596,7 @@ func (l *tracedLine) checkSINR(want float64) float64 {
 // one arriving above it, and two arrivals each clear of it whose sum sinks
 // the capture ratio below the gate's band. Each must be settled as lost
 // before its end, and report S/(N + the interference that lost it) —
-// within fastSlack of the exact ratio, and below CaptureThresholdDB.
+// within fastSlack of the exact ratio, and below captureThresholdDB.
 func TestTracedReceptionReportsSettledSINR(t *testing.T) {
 	l := newTracedLine(t)
 	sends := []lineSend{
@@ -616,7 +615,7 @@ func TestTracedReceptionReportsSettledSINR(t *testing.T) {
 	// Each loss case schedules frames received at node 1 at the given
 	// powers, node 0's the locked one; lost names the interference that
 	// loses it, from the received powers in send order.
-	capture := DefaultParams().CaptureThresholdDB
+	capture := captureThresholdDB
 	cases := []struct {
 		name     string
 		sends    []lineSend // power is the power received at node 1

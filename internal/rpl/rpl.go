@@ -48,13 +48,6 @@ type DownAck struct {
 type Config struct {
 	// DAOInterval paces destination advertisements.
 	DAOInterval time.Duration
-	// RouteLifetime expires stored routes.
-	RouteLifetime time.Duration
-	// MaxRetries bounds per-hop LPL retransmission rounds.
-	MaxRetries int
-	// DAOSize / DownSize are MAC frame sizes.
-	DAOSize  int
-	DownSize int
 	// ControlTimeout bounds pending operations at the sink.
 	ControlTimeout time.Duration
 }
@@ -63,13 +56,19 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		DAOInterval:    60 * time.Second,
-		RouteLifetime:  4 * 60 * time.Second,
-		MaxRetries:     6,
-		DAOSize:        12,
-		DownSize:       30,
 		ControlTimeout: 60 * time.Second,
 	}
 }
+
+const (
+	// routeLifetime expires stored routes.
+	routeLifetime = 4 * 60 * time.Second
+	// maxRetries bounds per-hop LPL retransmission rounds.
+	maxRetries = 6
+	// daoSize / downSize are MAC frame sizes.
+	daoSize  = 12
+	downSize = 30
+)
 
 // Stats counts RPL activity at one node.
 type Stats struct {
@@ -209,7 +208,7 @@ func (r *RPL) ATHX() []ATHXSample {
 // HasRoute reports whether this node stores a downward route for dst.
 func (r *RPL) HasRoute(dst radio.NodeID) bool {
 	rt, ok := r.routes[dst]
-	return ok && r.eng.Now()-rt.at <= r.cfg.RouteLifetime
+	return ok && r.eng.Now()-rt.at <= routeLifetime
 }
 
 // ErrNotSink is returned when control operations originate off-sink.
@@ -257,7 +256,7 @@ func (r *RPL) sendDAO() {
 	_ = r.node.Send(&radio.Frame{
 		Kind:    radio.FrameData,
 		Dst:     parent,
-		Size:    r.cfg.DAOSize,
+		Size:    daoSize,
 		Payload: &DAO{Target: r.node.ID(), Seq: r.daoSeq},
 	})
 }
@@ -285,7 +284,7 @@ func (r *RPL) handleDAO(from radio.NodeID, d *DAO) {
 	_ = r.node.Send(&radio.Frame{
 		Kind:    radio.FrameData,
 		Dst:     parent,
-		Size:    r.cfg.DAOSize,
+		Size:    daoSize,
 		Payload: &DAO{Target: d.Target, Seq: d.Seq},
 	})
 }
@@ -293,17 +292,17 @@ func (r *RPL) handleDAO(from radio.NodeID, d *DAO) {
 // forward routes a downward packet one hop via the stored table.
 func (r *RPL) forward(pkt *Downward) {
 	rt, ok := r.routes[pkt.Dst]
-	if !ok || r.eng.Now()-rt.at > r.cfg.RouteLifetime {
+	if !ok || r.eng.Now()-rt.at > routeLifetime {
 		r.stats.DropNoRoute++
 		return
 	}
 	f := &radio.Frame{
 		Kind:    radio.FrameData,
 		Dst:     rt.next,
-		Size:    r.cfg.DownSize,
+		Size:    downSize,
 		Payload: pkt,
 	}
-	r.inflightByFrame[f] = &inflight{pkt: pkt, retries: r.cfg.MaxRetries}
+	r.inflightByFrame[f] = &inflight{pkt: pkt, retries: maxRetries}
 	if err := r.node.Send(f); err != nil {
 		delete(r.inflightByFrame, f)
 		r.stats.DropRetry++
@@ -401,7 +400,7 @@ func (r *RPL) OnSendDone(f *radio.Frame, acker radio.NodeID, ok bool) {
 	nf := &radio.Frame{
 		Kind:    radio.FrameData,
 		Dst:     f.Dst,
-		Size:    r.cfg.DownSize,
+		Size:    downSize,
 		Payload: inf.pkt,
 	}
 	r.inflightByFrame[nf] = inf

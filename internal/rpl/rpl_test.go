@@ -168,7 +168,7 @@ func TestRouteExpiry(t *testing.T) {
 		t.Skip("route never formed")
 	}
 	// Kill the origin: its DAO refreshes stop and the stored route must
-	// expire after RouteLifetime.
+	// expire after routeLifetime.
 	net.KillNode(2)
 	if err := net.Run(5 * time.Minute); err != nil {
 		t.Fatal(err)
