@@ -106,10 +106,11 @@ bench-smoke:
 	$(GO) test -run 'TestBenchSpeedTrajectory' .
 
 # The hot paths' alloc-free tests (scheduler, noise chain, frame path,
-# duty-cycled field, MAC receive, parent pick, Trickle interval start):
-# the one list bench-smoke and CI both run. ALLOC_FLAGS=-v lists them.
+# duty-cycled field, MAC receive, parent pick, Trickle interval start,
+# telemetry emit with no subscriber, windowed-aggregator fold): the one
+# list bench-smoke and CI both run. ALLOC_FLAGS=-v lists them.
 alloc-free:
-	$(GO) test $(ALLOC_FLAGS) -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree|TestMACReceiveAllocFree|TestEvaluateAllocFree|TestTrickleIntervalAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/ ./internal/mac/ ./internal/ctp/ ./internal/trickle/
+	$(GO) test $(ALLOC_FLAGS) -run 'TestScheduleAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree|TestMACReceiveAllocFree|TestEvaluateAllocFree|TestTrickleIntervalAllocFree|TestBusEmitNoSubscriberAllocFree|TestFoldAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/ ./internal/mac/ ./internal/ctp/ ./internal/trickle/ ./internal/telemetry/ ./internal/obs/
 
 # CI-sized profile capture: a short line-scenario run proving the
 # -cpuprofile/-memprofile/-exectrace plumbing produces loadable captures.

@@ -325,10 +325,6 @@ func runScope(s settings) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(s.out, "--- Extension: subtree-scoped dissemination (indoor testbed) ---")
-	fmt.Fprintf(s.out, "operations=%d members=%d acked=%d mean-coverage=%.1f%%\n",
-		res.Operations, res.Members, res.Acked, 100*res.Coverage.Mean())
-	fmt.Fprintf(s.out, "scoped flood:     %.2f tx per addressed member\n", res.TxPerMember)
-	fmt.Fprintf(s.out, "per-member unicast: %.2f tx per addressed member\n", res.UnicastTxPerMember)
+	experiment.WriteScopeReport(s.out, res)
 	return nil
 }

@@ -51,6 +51,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -77,7 +78,6 @@ type cliConfig struct {
 	proto    string
 	codec    string
 	codecs   string
-	joins    int
 	dur      time.Duration
 	warmup   time.Duration
 	packets  int
@@ -101,25 +101,23 @@ type cliConfig struct {
 	memprofile string
 	exectrace  string
 
-	// Throughput-study knobs ("" / 0 = not specified).
-	workload string
-	rates    string
-	conc     string
-	ops      int
-	dist     string
-	window   int
-	csv      string
+	// Load flags the throughput and service studies share; each one
+	// replaces the study's default only when given.
+	rates  string
+	ops    int
+	dist   string
+	window int
+	csv    string
+	conc   string
 
-	// Command-service study knobs (-study service); -1 / "" = not
-	// specified, explicit 0 disables the feature.
-	batchWindow time.Duration
-	batchBits   int
-	maxBatch    int
-	cacheTTL    time.Duration
-	cacheCap    int
-	queueDepth  int
-	highWater   int
-	shed        string
+	// The options of the studies that own single-study flags, bound
+	// straight to those flags over the study defaults.
+	throughput experiment.ThroughputOpts
+	service    experiment.ServiceOpts
+	schemes    experiment.CodingSchemesOpts
+
+	// given names the flags set on the command line, in sorted order.
+	given []string
 }
 
 // study is one -study value: the study-scoped flags it accepts, its own
@@ -171,42 +169,8 @@ func protoNames() []string {
 	return names
 }
 
-// scopedFlag is a study-scoped flag and whether it was given.
-type scopedFlag struct {
-	name string
-	set  bool
-}
-
-// scopedFlags lists every study-scoped flag in a fixed order, so the
-// first misplaced one is always the one reported.
-func (c *cliConfig) scopedFlags() []scopedFlag {
-	return []scopedFlag{
-		{"-trace", c.trace != ""},
-		{"-trace-op", c.traceOp >= 0},
-		{"-trace-sample", c.traceSample > 0},
-		{"-progress", c.progress > 0},
-		{"-convergence", c.convergence != ""},
-		{"-csv", c.csv != ""},
-		{"-workload", c.workload != ""},
-		{"-rates", c.rates != ""},
-		{"-conc", c.conc != ""},
-		{"-ops", c.ops != 0},
-		{"-dist", c.dist != ""},
-		{"-window", c.window != 0},
-		{"-codecs", c.codecs != ""},
-		{"-joins", c.joins >= 0},
-		{"-batch-window", c.batchWindow >= 0},
-		{"-batch-bits", c.batchBits >= 0},
-		{"-max-batch", c.maxBatch >= 0},
-		{"-cache-ttl", c.cacheTTL >= 0},
-		{"-cache-cap", c.cacheCap >= 0},
-		{"-queue-depth", c.queueDepth >= 0},
-		{"-high-water", c.highWater >= 0},
-		{"-shed", c.shed != ""},
-	}
-}
-
-// acceptedBy lists the studies that accept a study-scoped flag.
+// acceptedBy lists the studies that accept a study-scoped flag ("" for a
+// flag every study accepts).
 func acceptedBy(flagName string) string {
 	var names []string
 	for _, st := range studies {
@@ -217,6 +181,9 @@ func acceptedBy(flagName string) string {
 	return strings.Join(names, ", ")
 }
 
+// isSet reports whether the named flag (without its dash) was given.
+func (c *cliConfig) isSet(name string) bool { return slices.Contains(c.given, name) }
+
 // scenarios lists the -scenario names: a comma-separated list for the
 // coding-schemes study, one name for every other study.
 func (c *cliConfig) scenarios() []string {
@@ -224,6 +191,18 @@ func (c *cliConfig) scenarios() []string {
 		return splitList(c.scenario)
 	}
 	return []string{c.scenario}
+}
+
+// parse reads the command line into a cliConfig and validates it.
+func parse(args []string) (*cliConfig, error) {
+	c := new(cliConfig)
+	fs := flag.NewFlagSet("teleadjust-sim", flag.ContinueOnError)
+	c.register(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) { c.given = append(c.given, f.Name) })
+	return c, c.validate()
 }
 
 // validate fails fast on flag combinations that would otherwise be
@@ -257,6 +236,9 @@ func (c *cliConfig) validate() error {
 	if c.warmup < 0 {
 		return fmt.Errorf("-warmup must be >= 0")
 	}
+	if c.traceOp < 0 {
+		return fmt.Errorf("-trace-op must be a node id >= 0")
+	}
 	if c.progress < 0 {
 		return fmt.Errorf("-progress must be a positive period")
 	}
@@ -272,23 +254,24 @@ func (c *cliConfig) validate() error {
 	if c.traceSample > 0 && c.trace == "" {
 		return fmt.Errorf("-trace-sample requires -trace")
 	}
-	if c.joins < -1 { // -1 is the unset default
+	if c.schemes.Joins < 0 {
 		return fmt.Errorf("-joins must be >= 0")
 	}
-	if c.ops < 0 {
+	if c.isSet("ops") && c.ops < 1 {
 		return fmt.Errorf("-ops must be >= 1")
 	}
-	if c.window < 0 {
+	if c.isSet("window") && c.window < 1 {
 		return fmt.Errorf("-window must be >= 1")
 	}
-	if !slices.Contains(experiment.Protocols(), experiment.Proto(c.proto)) {
+	proto := experiment.Proto(c.proto)
+	if !slices.Contains(experiment.Protocols(), proto) {
 		return fmt.Errorf("unknown protocol %q: %s", c.proto, strings.Join(protoNames(), ", "))
 	}
 	if c.codec != "" {
 		if _, err := core.CodecByName(c.codec); err != nil {
 			return err
 		}
-		if c.proto == "drip" || c.proto == "rpl" {
+		if !proto.TakesCodec() {
 			return fmt.Errorf("-codec applies to TeleAdjusting variants only, not -proto %s", c.proto)
 		}
 	}
@@ -301,13 +284,13 @@ func (c *cliConfig) validate() error {
 		return fmt.Errorf("-scenario must name at least one scenario")
 	}
 	for _, name := range names {
-		if _, err := pickScenario(name, c.seed); err != nil {
+		if _, err := experiment.ScenarioNamed(name); err != nil {
 			return err
 		}
 	}
-	for _, f := range c.scopedFlags() {
-		if f.set && !slices.Contains(st.flags, f.name) {
-			return fmt.Errorf("%s applies only to -study %s", f.name, acceptedBy(f.name))
+	for _, name := range c.given {
+		if by := acceptedBy("-" + name); by != "" && !slices.Contains(st.flags, "-"+name) {
+			return fmt.Errorf("-%s applies only to -study %s", name, by)
 		}
 	}
 	if st.check != nil {
@@ -324,37 +307,41 @@ func checkScope(c *cliConfig) error {
 }
 
 func checkThroughput(c *cliConfig) error {
-	switch c.workload {
-	case "", "closed":
-		if c.rates != "" {
+	switch c.throughput.Mode {
+	case "closed":
+		if c.isSet("rates") {
 			return fmt.Errorf("-rates applies to open-loop workloads only (-workload open)")
 		}
 	case "open":
-		if c.conc != "" {
+		if c.isSet("conc") {
 			return fmt.Errorf("-conc applies to closed-loop workloads only (-workload closed)")
 		}
 		if c.rates == "" {
 			return fmt.Errorf("an open-loop workload requires -rates (offered ops/s, comma-separated)")
 		}
 	default:
-		return fmt.Errorf("unknown workload mode %q: closed or open", c.workload)
+		return fmt.Errorf("unknown workload mode %q: closed or open", c.throughput.Mode)
 	}
 	return nil
 }
 
 func checkService(c *cliConfig) error {
-	switch c.shed {
-	case "", "reject", "delay":
+	o := c.service
+	switch o.Policy {
+	case "reject", "delay":
 	default:
-		return fmt.Errorf("unknown -shed policy %q: reject or delay", c.shed)
+		return fmt.Errorf("unknown -shed policy %q: reject or delay", o.Policy)
 	}
-	if c.batchBits > 56 {
+	if min(o.BatchWindow, o.CacheTTL) < 0 || min(o.BatchBits, o.CacheCap, o.QueueDepth, o.HighWater) < 0 {
+		return fmt.Errorf("-batch-window, -batch-bits, -cache-ttl, -cache-cap, -queue-depth and -high-water must be >= 0")
+	}
+	if o.BatchBits > 56 {
 		return fmt.Errorf("-batch-bits must be <= 56 (prefix key width)")
 	}
-	if c.maxBatch >= 0 && (c.maxBatch < 2 || c.maxBatch > core.MaxBatchMembers) {
+	if o.MaxBatch < 2 || o.MaxBatch > core.MaxBatchMembers {
 		return fmt.Errorf("-max-batch must be between 2 and %d (wire member bound)", core.MaxBatchMembers)
 	}
-	if c.queueDepth > 0 && c.highWater > c.queueDepth {
+	if o.QueueDepth > 0 && o.HighWater > o.QueueDepth {
 		return fmt.Errorf("-high-water must not exceed -queue-depth: the hard bound would shed before the soft one engages")
 	}
 	return nil
@@ -388,6 +375,15 @@ func splitList(s string) []string {
 	return out
 }
 
+// joinList renders a list the way its comma-separated flag takes it.
+func joinList[T any](vs []T) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = fmt.Sprint(v)
+	}
+	return strings.Join(parts, ",")
+}
+
 // parseConcurrency parses a comma-separated list of positive ints.
 func parseConcurrency(s string) ([]int, error) {
 	var out []int
@@ -414,92 +410,63 @@ func parseRates(s string) ([]float64, error) {
 	return out, nil
 }
 
-// loadOpts applies the flags the throughput and service studies share
-// over a study's defaults.
-func (c *cliConfig) loadOpts(o experiment.LoadOpts) (experiment.LoadOpts, error) {
+// loadOpts applies the load flags the throughput and service studies
+// share over a study's defaults.
+func (c *cliConfig) loadOpts(o *experiment.LoadOpts) error {
 	o.Warmup = c.warmup
 	o.Trace = c.trace != ""
-	if c.ops > 0 {
+	if c.isSet("ops") {
 		o.Ops = c.ops
 	}
-	if c.dist != "" {
+	if c.isSet("dist") {
 		o.Dist = c.dist
 	}
-	if c.window > 0 {
+	if c.isSet("window") {
 		o.Window = c.window
 	}
-	if c.rates != "" {
+	if c.isSet("rates") {
 		rates, err := parseRates(c.rates)
 		if err != nil {
-			return o, err
+			return err
 		}
 		o.Rates = rates
 	}
-	return o, nil
+	return nil
 }
 
-// serviceOpts assembles command-service study options from validated
-// flags; -1 sentinels keep the study defaults, explicit zeros disable.
+// serviceOpts assembles the command-service study options.
 func (c *cliConfig) serviceOpts() (experiment.ServiceOpts, error) {
-	opts := experiment.DefaultServiceOpts()
-	var err error
-	if opts.LoadOpts, err = c.loadOpts(opts.LoadOpts); err != nil {
-		return opts, err
-	}
-	if c.batchWindow >= 0 {
-		opts.BatchWindow = c.batchWindow
-	}
-	if c.batchBits >= 0 {
-		opts.BatchBits = c.batchBits
-	}
-	if c.maxBatch >= 0 {
-		opts.MaxBatch = c.maxBatch
-	}
-	if c.cacheTTL >= 0 {
-		opts.CacheTTL = c.cacheTTL
-	}
-	if c.cacheCap >= 0 {
-		opts.CacheCap = c.cacheCap
-	}
-	if c.queueDepth >= 0 {
-		opts.QueueDepth = c.queueDepth
-	}
-	if c.highWater >= 0 {
-		opts.HighWater = c.highWater
-	}
-	if c.shed != "" {
-		opts.Policy = c.shed
-	}
-	return opts, nil
+	opts := c.service
+	err := c.loadOpts(&opts.LoadOpts)
+	return opts, err
 }
 
-// throughputOpts assembles the study options from validated flags.
+// throughputOpts assembles the throughput study options.
 func (c *cliConfig) throughputOpts() (experiment.ThroughputOpts, error) {
-	opts := experiment.DefaultThroughputOpts()
-	var err error
-	if opts.LoadOpts, err = c.loadOpts(opts.LoadOpts); err != nil {
+	opts := c.throughput
+	if err := c.loadOpts(&opts.LoadOpts); err != nil {
 		return opts, err
 	}
-	if c.workload != "" {
-		opts.Mode = c.workload
-	}
-	if c.conc != "" {
-		if opts.Concurrency, err = parseConcurrency(c.conc); err != nil {
-			return opts, err
-		}
-	}
-	return opts, nil
+	var err error
+	opts.Concurrency, err = parseConcurrency(c.conc)
+	return opts, err
 }
 
-// register defines every flag on fs. A study-scoped flag's usage ends
-// with the studies that accept it, read from the studies table.
+// register defines every flag on fs. A flag only one study reads is bound
+// into that study's options, so its default is the study's. A
+// study-scoped flag's usage ends with the studies that accept it, read
+// from the studies table.
 func (c *cliConfig) register(fs *flag.FlagSet) {
-	fs.StringVar(&c.scenario, "scenario", "indoor", "scenario: tight, sparse, indoor, indoor-wifi, refgrid, grid1k, line")
+	c.throughput = experiment.DefaultThroughputOpts()
+	c.service = experiment.DefaultServiceOpts()
+	c.schemes = experiment.DefaultCodingSchemesOpts()
+	thr, svc := &c.throughput, &c.service
+	fs.StringVar(&c.scenario, "scenario", "indoor", "scenario: "+strings.Join(experiment.ScenarioNames(), ", "))
 	fs.StringVar(&c.study, "study", "control", "study: "+strings.Join(studyNames(), ", "))
 	fs.StringVar(&c.proto, "proto", "tele", "protocol: "+strings.Join(protoNames(), ", "))
 	fs.StringVar(&c.codec, "codec", "", "tree-coding scheme for TeleAdjusting variants: "+strings.Join(core.CodecNames(), ", "))
 	fs.StringVar(&c.codecs, "codecs", "", "comma-separated codecs to compare (default all)")
-	fs.IntVar(&c.joins, "joins", -1, "mid-probe crash-reboots per codec (default 3)")
+	fs.IntVar(&c.schemes.Joins, "joins", c.schemes.Joins, "mid-probe crash-reboots per codec")
 	fs.DurationVar(&c.dur, "dur", 8*time.Minute, "coding study duration")
 	fs.DurationVar(&c.warmup, "warmup", 4*time.Minute, "study warmup")
 	fs.IntVar(&c.packets, "packets", 40, "control packets to send")
@@ -508,7 +475,7 @@ func (c *cliConfig) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.reps, "reps", 1, "independent replications over consecutive seeds")
 	fs.IntVar(&c.parallel, "parallel", 0, "replication workers (0 = GOMAXPROCS; requires -reps > 1)")
 	fs.StringVar(&c.trace, "trace", "", "write the telemetry event stream as JSONL to this file")
-	fs.IntVar(&c.traceOp, "trace-op", -1, "render operation span traces for this destination node")
+	fs.IntVar(&c.traceOp, "trace-op", 0, "render operation span traces for this destination node")
 	fs.DurationVar(&c.progress, "progress", 0, "print a live windowed status line at this period, -reps 1 only")
 	fs.StringVar(&c.convergence, "convergence", "", "write the windowed convergence report to this file")
 	fs.IntVar(&c.traceSample, "trace-sample", 0, "thin the -trace export to every 1-in-N operation's events, whole spans kept")
@@ -517,39 +484,41 @@ func (c *cliConfig) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.exectrace, "exectrace", "", "write a runtime execution trace to this file")
 	fs.StringVar(&c.svg, "svg", "", "write the converged topology/tree/codes as SVG to this file")
 	fs.StringVar(&c.plan, "faultplan", "", "JSON fault plan scheduled on every replication (see EXPERIMENTS.md)")
-	fs.StringVar(&c.workload, "workload", "", "loop discipline: closed (default) or open")
-	fs.StringVar(&c.rates, "rates", "", "open-loop offered rates in ops/s, comma-separated (e.g. 0.1,0.2,0.4)")
-	fs.StringVar(&c.conc, "conc", "", "closed-loop concurrency levels, comma-separated (default 1,2,4,8)")
-	fs.IntVar(&c.ops, "ops", 0, "operations per load point (default 40)")
-	fs.StringVar(&c.dist, "dist", "", "load destinations: uniform (default), hotspot, depth")
-	fs.IntVar(&c.window, "window", 0, "open-loop admission window (default 8)")
+	fs.StringVar(&thr.Mode, "workload", thr.Mode, "loop discipline: closed or open")
+	fs.StringVar(&c.rates, "rates", "", "open-loop offered rates in ops/s, comma-separated (e.g. 0.1,0.2,0.4; service default "+joinList(svc.Rates)+")")
+	fs.StringVar(&c.conc, "conc", joinList(thr.Concurrency), "closed-loop concurrency levels, comma-separated")
+	fs.IntVar(&c.ops, "ops", 0, fmt.Sprintf("operations per load point (default %d, service %d)", thr.Ops, svc.Ops))
+	fs.StringVar(&c.dist, "dist", "", fmt.Sprintf("load destinations: uniform, hotspot, depth (default %s, service %s)", thr.Dist, svc.Dist))
+	fs.IntVar(&c.window, "window", 0, fmt.Sprintf("open-loop admission window (default %d, service %d)", thr.Window, svc.Window))
 	fs.StringVar(&c.csv, "csv", "", "write the study's sweep as CSV to this file")
-	fs.DurationVar(&c.batchWindow, "batch-window", -1, "prefix-batching window (0 disables batching; default 500ms)")
-	fs.IntVar(&c.batchBits, "batch-bits", -1, "code-prefix bits commands are batched by (default 3)")
-	fs.IntVar(&c.maxBatch, "max-batch", -1, "flush a batch group early at this many commands (default 16)")
-	fs.DurationVar(&c.cacheTTL, "cache-ttl", -1, "route-freshness cache TTL (0 disables the cache; default 5m)")
-	fs.IntVar(&c.cacheCap, "cache-cap", -1, "route cache capacity (default 256)")
-	fs.IntVar(&c.queueDepth, "queue-depth", -1, "hard admission backlog bound (0 = unbounded; default 128)")
-	fs.IntVar(&c.highWater, "high-water", -1, "soft backlog mark where -shed engages (0 disables; default 6)")
-	fs.StringVar(&c.shed, "shed", "", "over-high-water policy, delay (default) or reject")
-	for _, f := range c.scopedFlags() {
-		fs.Lookup(f.name[1:]).Usage += " (-study " + acceptedBy(f.name) + ")"
-	}
+	fs.DurationVar(&svc.BatchWindow, "batch-window", svc.BatchWindow, "prefix-batching window (0 disables batching)")
+	fs.IntVar(&svc.BatchBits, "batch-bits", svc.BatchBits, "code-prefix bits commands are batched by")
+	fs.IntVar(&svc.MaxBatch, "max-batch", svc.MaxBatch, "flush a batch group early at this many commands")
+	fs.DurationVar(&svc.CacheTTL, "cache-ttl", svc.CacheTTL, "route-freshness cache TTL (0 disables the cache)")
+	fs.IntVar(&svc.CacheCap, "cache-cap", svc.CacheCap, "route cache capacity")
+	fs.IntVar(&svc.QueueDepth, "queue-depth", svc.QueueDepth, "hard admission backlog bound (0 = unbounded)")
+	fs.IntVar(&svc.HighWater, "high-water", svc.HighWater, "soft backlog mark where -shed engages (0 disables)")
+	fs.StringVar(&svc.Policy, "shed", svc.Policy, "over-high-water policy: delay or reject")
+	fs.VisitAll(func(f *flag.Flag) {
+		if by := acceptedBy("-" + f.Name); by != "" {
+			f.Usage += " (-study " + by + ")"
+		}
+	})
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "teleadjust-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (retErr error) {
-	var c cliConfig
-	c.register(flag.CommandLine)
-	flag.Parse()
-
-	if err := c.validate(); err != nil {
+func run(args []string) (retErr error) {
+	c, err := parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	}
+	if err != nil {
 		return err
 	}
 
@@ -563,7 +532,7 @@ func run() (retErr error) {
 		}
 	}()
 
-	r := &runner{cliConfig: &c}
+	r := &runner{cliConfig: c}
 	if c.plan != "" {
 		if r.plan, err = fault.LoadPlan(c.plan); err != nil {
 			return err
@@ -595,7 +564,8 @@ type runner struct {
 // under -svg, a hook that keeps the network for the topology export.
 func (r *runner) build(name string) func(seed uint64) experiment.Scenario {
 	return func(seed uint64) experiment.Scenario {
-		scn, _ := pickScenario(name, seed)
+		build, _ := experiment.ScenarioNamed(name)
+		scn := build(seed)
 		scn.Fault = r.plan
 		scn.Codec = r.codec
 		if r.svg != "" {
@@ -652,7 +622,7 @@ func runControl(r *runner) error {
 	opts.Warmup = r.warmup
 	opts.Packets = r.packets
 	opts.Interval = r.interval
-	opts.Trace = r.trace != "" || r.traceOp >= 0
+	opts.Trace = r.trace != "" || r.isSet("trace-op")
 	opts.Window = r.progress
 	if r.convergence != "" && opts.Window == 0 {
 		// -convergence without -progress still needs a window period;
@@ -687,7 +657,7 @@ func runControl(r *runner) error {
 			return err
 		}
 	}
-	if r.traceOp >= 0 {
+	if r.isSet("trace-op") {
 		dst := radio.NodeID(r.traceOp)
 		fmt.Printf("\n--- operation spans to node %d ---\n", dst)
 		telemetry.RenderOpSpans(os.Stdout, res.Events, func(s *telemetry.OpSpan) bool {
@@ -763,13 +733,10 @@ func runCodingSchemes(r *runner) error {
 	if len(codecs) == 0 {
 		codecs = core.CodecNames()
 	}
-	opts := experiment.DefaultCodingSchemesOpts()
+	opts := r.schemes
 	opts.Warmup = r.warmup
 	opts.Packets = r.packets
 	opts.Interval = r.interval
-	if r.joins >= 0 {
-		opts.Joins = r.joins
-	}
 	study := experiment.CodingSchemesStudy(codecs, opts)
 	var results []*experiment.CodingSchemesResult
 	for i, name := range r.scenarios() {
@@ -790,24 +757,4 @@ func runCodingSchemes(r *runner) error {
 		fmt.Printf("\ncodec comparison written to %s\n", r.csv)
 	}
 	return nil
-}
-
-func pickScenario(name string, seed uint64) (experiment.Scenario, error) {
-	switch name {
-	case "tight":
-		return experiment.TightGrid(seed), nil
-	case "sparse":
-		return experiment.SparseLinear(seed), nil
-	case "indoor":
-		return experiment.Indoor(seed, false), nil
-	case "indoor-wifi":
-		return experiment.Indoor(seed, true), nil
-	case "refgrid":
-		return experiment.ReferenceGrid(seed), nil
-	case "grid1k":
-		return experiment.Grid1K(seed), nil
-	case "line":
-		return experiment.Line(seed), nil
-	}
-	return experiment.Scenario{}, fmt.Errorf("unknown scenario %q", name)
 }

@@ -2,8 +2,10 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -12,132 +14,170 @@ import (
 	"teleadjust/internal/experiment"
 )
 
-// baseConfig is the flag defaults.
-func baseConfig() cliConfig {
-	var c cliConfig
-	fs := flag.NewFlagSet("teleadjust-sim", flag.PanicOnError)
-	c.register(fs)
-	_ = fs.Parse(nil)
+// mustParse parses args and fails the test on an error.
+func mustParse(t *testing.T, args ...string) *cliConfig {
+	t.Helper()
+	c, err := parse(args)
+	if err != nil {
+		t.Fatalf("%q rejected: %v", args, err)
+	}
 	return c
+}
+
+// registered returns a flag set with every flag registered.
+func registered() *flag.FlagSet {
+	fs := flag.NewFlagSet("teleadjust-sim", flag.PanicOnError)
+	new(cliConfig).register(fs)
+	return fs
+}
+
+// scopedFlagNames lists every flag some study's table entry names.
+func scopedFlagNames() []string {
+	var names []string
+	for _, st := range studies {
+		for _, f := range st.flags {
+			if !slices.Contains(names, f) {
+				names = append(names, f)
+			}
+		}
+	}
+	return names
 }
 
 // TestScopedFlagUsageNamesItsStudies checks each study-scoped flag's help
 // text: it names every study that accepts the flag and no other.
 func TestScopedFlagUsageNamesItsStudies(t *testing.T) {
-	var c cliConfig
-	fs := flag.NewFlagSet("teleadjust-sim", flag.PanicOnError)
-	c.register(fs)
-	for _, f := range c.scopedFlags() {
-		fl := fs.Lookup(strings.TrimPrefix(f.name, "-"))
+	fs := registered()
+	for _, name := range scopedFlagNames() {
+		fl := fs.Lookup(strings.TrimPrefix(name, "-"))
 		if fl == nil {
-			t.Errorf("%s is not registered", f.name)
+			t.Errorf("%s is not registered", name)
 			continue
 		}
 		words := strings.FieldsFunc(fl.Usage, func(r rune) bool { return r != '-' && (r < 'a' || r > 'z') })
 		for _, st := range studies {
-			if named, accepts := slices.Contains(words, st.name), slices.Contains(st.flags, f.name); named != accepts {
-				t.Errorf("%s usage %q: names %s = %v, accepted = %v", f.name, fl.Usage, st.name, named, accepts)
+			if named, accepts := slices.Contains(words, st.name), slices.Contains(st.flags, name); named != accepts {
+				t.Errorf("%s usage %q: names %s = %v, accepted = %v", name, fl.Usage, st.name, named, accepts)
 			}
 		}
 	}
 }
 
-func TestValidateAcceptsDefaults(t *testing.T) {
-	c := baseConfig()
-	if err := c.validate(); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
+// TestSingleStudyFlagDefaults: a flag only one study reads defaults to
+// that study's own option, so -h prints the default the run uses.
+// (-trace-op, -trace-sample, -progress, -convergence and -codecs have no
+// study option default: unset, they switch their feature off or, for
+// -codecs, compare every codec.)
+func TestSingleStudyFlagDefaults(t *testing.T) {
+	thr, svc := experiment.DefaultThroughputOpts(), experiment.DefaultServiceOpts()
+	want := map[string]any{
+		"workload":     thr.Mode,
+		"conc":         joinList(thr.Concurrency),
+		"joins":        experiment.DefaultCodingSchemesOpts().Joins,
+		"batch-window": svc.BatchWindow,
+		"batch-bits":   svc.BatchBits,
+		"max-batch":    svc.MaxBatch,
+		"cache-ttl":    svc.CacheTTL,
+		"cache-cap":    svc.CacheCap,
+		"queue-depth":  svc.QueueDepth,
+		"high-water":   svc.HighWater,
+		"shed":         svc.Policy,
 	}
+	fs := registered()
+	for name, def := range want {
+		if by := acceptedBy("-" + name); by == "" || strings.Contains(by, ",") {
+			t.Errorf("-%s is accepted by %q, not by one study", name, by)
+		}
+		if got := fs.Lookup(name).DefValue; got != fmt.Sprint(def) {
+			t.Errorf("-%s defaults to %q, its study to %v", name, got, def)
+		}
+	}
+	// Unset, the flags leave the study defaults as they are.
+	if opts, err := mustParse(t, "-study", "service").serviceOpts(); err != nil || !reflect.DeepEqual(opts, svc) {
+		t.Errorf("unset service opts = %+v, %v; want %+v", opts, err, svc)
+	}
+}
+
+func TestValidateAcceptsDefaults(t *testing.T) {
+	mustParse(t)
 }
 
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name    string
-		mutate  func(*cliConfig)
+		args    string
 		wantSub string
 	}{
-		{"reps zero", func(c *cliConfig) { c.reps = 0 }, "-reps"},
-		{"reps negative", func(c *cliConfig) { c.reps = -3 }, "-reps"},
-		{"parallel without reps", func(c *cliConfig) { c.parallel = 4 }, "-parallel"},
-		{"parallel negative", func(c *cliConfig) { c.parallel = -1 }, "-parallel"},
-		{"svg with reps", func(c *cliConfig) { c.reps = 4; c.svg = "out.svg" }, "-svg"},
-		{"packets zero", func(c *cliConfig) { c.packets = 0 }, "-packets"},
-		{"interval zero", func(c *cliConfig) { c.interval = 0 }, "-interval"},
-		{"dur zero", func(c *cliConfig) { c.dur = 0 }, "-dur"},
-		{"warmup negative", func(c *cliConfig) { c.warmup = -time.Second }, "-warmup"},
-		{"trace on coding", func(c *cliConfig) { c.study = "coding"; c.trace = "x.jsonl" }, "-trace"},
-		{"trace-op on throughput", func(c *cliConfig) { c.study = "throughput"; c.traceOp = 3 }, "-trace-op"},
-		{"progress negative", func(c *cliConfig) { c.progress = -time.Minute }, "-progress"},
-		{"progress on coding", func(c *cliConfig) { c.study = "coding"; c.progress = time.Minute }, "-progress"},
-		{"progress with reps", func(c *cliConfig) { c.progress = time.Minute; c.reps = 4 }, "-reps 1"},
-		{"convergence on throughput", func(c *cliConfig) { c.study = "throughput"; c.convergence = "conv.txt" }, "-convergence"},
-		{"trace-sample negative", func(c *cliConfig) { c.trace = "x.jsonl"; c.traceSample = -2 }, "-trace-sample"},
-		{"trace-sample without trace", func(c *cliConfig) { c.traceSample = 8 }, "-trace"},
-		{"trace-sample on throughput", func(c *cliConfig) {
-			c.study = "throughput"
-			c.trace = "x.jsonl"
-			c.traceSample = 4
-		}, "-trace-sample"},
-		{"workload outside throughput", func(c *cliConfig) { c.workload = "closed" }, "-workload"},
-		{"rates outside throughput", func(c *cliConfig) { c.rates = "0.2" }, "-rates"},
-		{"conc outside throughput", func(c *cliConfig) { c.conc = "1,2" }, "-conc"},
-		{"ops outside throughput", func(c *cliConfig) { c.ops = 10 }, "-ops"},
-		{"dist outside throughput", func(c *cliConfig) { c.dist = "uniform" }, "-dist"},
-		{"window outside throughput", func(c *cliConfig) { c.window = 4 }, "-window"},
-		{"csv outside throughput", func(c *cliConfig) { c.csv = "x.csv" }, "-csv"},
-		{"rates with closed loop", func(c *cliConfig) { c.study = "throughput"; c.rates = "0.2" }, "-rates"},
-		{"conc with open loop", func(c *cliConfig) {
-			c.study = "throughput"
-			c.workload = "open"
-			c.rates = "0.2"
-			c.conc = "1,2"
-		}, "-conc"},
-		{"open loop without rates", func(c *cliConfig) { c.study = "throughput"; c.workload = "open" }, "-rates"},
-		{"unknown workload", func(c *cliConfig) { c.study = "throughput"; c.workload = "bursty" }, "workload"},
-		{"unknown codec", func(c *cliConfig) { c.codec = "morse" }, "codec"},
-		{"retired huffman codec", func(c *cliConfig) { c.codec = "huffman" }, "unknown codec"},
-		{"codec with drip", func(c *cliConfig) { c.codec = "treeexplorer"; c.proto = "drip" }, "-codec"},
-		{"codec with rpl", func(c *cliConfig) { c.codec = "paper"; c.proto = "rpl" }, "-codec"},
-		{"codec with coding-schemes", func(c *cliConfig) { c.study = "coding-schemes"; c.codec = "paper" }, "-codecs"},
-		{"codecs outside coding-schemes", func(c *cliConfig) { c.codecs = "paper,treeexplorer" }, "-codecs"},
-		{"joins outside coding-schemes", func(c *cliConfig) { c.joins = 2 }, "-joins"},
-		{"joins below unset sentinel", func(c *cliConfig) { c.study = "coding-schemes"; c.joins = -2 }, "-joins"},
-		{"unknown codec in codecs list", func(c *cliConfig) { c.study = "coding-schemes"; c.codecs = "paper,morse" }, "codec"},
-		{"svg with coding-schemes", func(c *cliConfig) { c.study = "coding-schemes"; c.svg = "out.svg" }, "-svg"},
-		{"batch-window outside service", func(c *cliConfig) { c.batchWindow = time.Second }, "-batch-window"},
-		{"batch-window zero outside service", func(c *cliConfig) { c.batchWindow = 0 }, "-batch-window"},
-		{"batch-bits outside service", func(c *cliConfig) { c.batchBits = 6 }, "-batch-bits"},
-		{"max-batch outside service", func(c *cliConfig) { c.maxBatch = 8 }, "-max-batch"},
-		{"cache-ttl outside service", func(c *cliConfig) { c.cacheTTL = time.Minute }, "-cache-ttl"},
-		{"cache-cap outside service", func(c *cliConfig) { c.cacheCap = 64 }, "-cache-cap"},
-		{"queue-depth outside service", func(c *cliConfig) { c.queueDepth = 32 }, "-queue-depth"},
-		{"high-water outside service", func(c *cliConfig) { c.highWater = 16 }, "-high-water"},
-		{"shed outside service", func(c *cliConfig) { c.shed = "delay" }, "-shed"},
-		{"service flag on throughput", func(c *cliConfig) { c.study = "throughput"; c.cacheTTL = time.Minute }, "-cache-ttl"},
-		{"workload with service", func(c *cliConfig) { c.study = "service"; c.workload = "open" }, "-workload"},
-		{"conc with service", func(c *cliConfig) { c.study = "service"; c.conc = "1,2" }, "-conc"},
-		{"unknown shed policy", func(c *cliConfig) { c.study = "service"; c.shed = "drop" }, "-shed"},
-		{"max-batch below two", func(c *cliConfig) { c.study = "service"; c.maxBatch = 1 }, "-max-batch"},
-		{"max-batch above wire bound", func(c *cliConfig) { c.study = "service"; c.maxBatch = 300 }, "-max-batch"},
-		{"batch-bits above key width", func(c *cliConfig) { c.study = "service"; c.batchBits = 64 }, "-batch-bits"},
-		{"high-water above queue-depth", func(c *cliConfig) {
-			c.study = "service"
-			c.queueDepth = 16
-			c.highWater = 32
-		}, "-high-water"},
-		{"service ops negative", func(c *cliConfig) { c.study = "service"; c.ops = -1 }, "-ops"},
-		{"service window negative", func(c *cliConfig) { c.study = "service"; c.window = -1 }, "-window"},
-		{"unknown protocol", func(c *cliConfig) { c.proto = "bogus" }, "unknown protocol"},
-		{"unknown study", func(c *cliConfig) { c.study = "bogus" }, "unknown study"},
-		{"unknown scenario", func(c *cliConfig) { c.scenario = "bogus" }, "unknown scenario"},
-		{"unknown scenario in list", func(c *cliConfig) { c.study = "coding-schemes"; c.scenario = "indoor,bogus" }, "unknown scenario"},
-		{"scope with reps", func(c *cliConfig) { c.study = "scope"; c.reps = 2 }, "-reps"},
+		{"reps zero", "-reps 0", "-reps"},
+		{"reps negative", "-reps -3", "-reps"},
+		{"parallel without reps", "-parallel 4", "-parallel"},
+		{"parallel negative", "-parallel -1", "-parallel"},
+		{"svg with reps", "-reps 4 -svg out.svg", "-svg"},
+		{"packets zero", "-packets 0", "-packets"},
+		{"interval zero", "-interval 0", "-interval"},
+		{"dur zero", "-dur 0", "-dur"},
+		{"warmup negative", "-warmup -1s", "-warmup"},
+		{"trace on coding", "-study coding -trace x.jsonl", "-trace"},
+		{"trace-op on throughput", "-study throughput -trace-op 3", "-trace-op"},
+		{"trace-op negative", "-trace-op -1", "-trace-op"},
+		{"progress negative", "-progress -1m", "-progress"},
+		{"progress on coding", "-study coding -progress 1m", "-progress"},
+		{"progress with reps", "-progress 1m -reps 4", "-reps 1"},
+		{"convergence on throughput", "-study throughput -convergence conv.txt", "-convergence"},
+		{"trace-sample negative", "-trace x.jsonl -trace-sample -2", "-trace-sample"},
+		{"trace-sample without trace", "-trace-sample 8", "-trace"},
+		{"trace-sample on throughput", "-study throughput -trace x.jsonl -trace-sample 4", "-trace-sample"},
+		{"workload outside throughput", "-workload closed", "-workload"},
+		{"rates outside throughput", "-rates 0.2", "-rates"},
+		{"conc outside throughput", "-conc 1,2", "-conc"},
+		{"ops outside throughput", "-ops 10", "-ops"},
+		{"dist outside throughput", "-dist uniform", "-dist"},
+		{"window outside throughput", "-window 4", "-window"},
+		{"csv outside throughput", "-csv x.csv", "-csv"},
+		{"rates with closed loop", "-study throughput -rates 0.2", "-rates"},
+		{"conc with open loop", "-study throughput -workload open -rates 0.2 -conc 1,2", "-conc"},
+		{"open loop without rates", "-study throughput -workload open", "-rates"},
+		{"unknown workload", "-study throughput -workload bursty", "workload"},
+		{"unknown codec", "-codec morse", "codec"},
+		{"retired huffman codec", "-codec huffman", "unknown codec"},
+		{"codec with drip", "-codec treeexplorer -proto drip", "-codec"},
+		{"codec with rpl", "-codec paper -proto rpl", "-codec"},
+		{"codec with coding-schemes", "-study coding-schemes -codec paper", "-codecs"},
+		{"codecs outside coding-schemes", "-codecs paper,treeexplorer", "-codecs"},
+		{"joins outside coding-schemes", "-joins 2", "-joins"},
+		{"joins negative", "-study coding-schemes -joins -2", "-joins"},
+		{"unknown codec in codecs list", "-study coding-schemes -codecs paper,morse", "codec"},
+		{"svg with coding-schemes", "-study coding-schemes -svg out.svg", "-svg"},
+		{"batch-window outside service", "-batch-window 1s", "-batch-window"},
+		{"batch-window zero outside service", "-batch-window 0", "-batch-window"},
+		{"batch-bits outside service", "-batch-bits 6", "-batch-bits"},
+		{"max-batch outside service", "-max-batch 8", "-max-batch"},
+		{"cache-ttl outside service", "-cache-ttl 1m", "-cache-ttl"},
+		{"cache-cap outside service", "-cache-cap 64", "-cache-cap"},
+		{"queue-depth outside service", "-queue-depth 32", "-queue-depth"},
+		{"high-water outside service", "-high-water 16", "-high-water"},
+		{"shed outside service", "-shed delay", "-shed"},
+		{"service flag on throughput", "-study throughput -cache-ttl 1m", "-cache-ttl"},
+		{"workload with service", "-study service -workload open", "-workload"},
+		{"conc with service", "-study service -conc 1,2", "-conc"},
+		{"unknown shed policy", "-study service -shed drop", "-shed"},
+		{"max-batch below two", "-study service -max-batch 1", "-max-batch"},
+		{"max-batch above wire bound", "-study service -max-batch 300", "-max-batch"},
+		{"batch-bits above key width", "-study service -batch-bits 64", "-batch-bits"},
+		{"cache-ttl negative", "-study service -cache-ttl -1s", "-cache-ttl"},
+		{"high-water above queue-depth", "-study service -queue-depth 16 -high-water 32", "-high-water"},
+		{"service ops negative", "-study service -ops -1", "-ops"},
+		{"service window negative", "-study service -window -1", "-window"},
+		{"unknown protocol", "-proto bogus", "unknown protocol"},
+		{"unknown study", "-study bogus", "unknown study"},
+		{"unknown scenario", "-scenario bogus", "unknown scenario"},
+		{"unknown scenario in list", "-study coding-schemes -scenario indoor,bogus", "unknown scenario"},
+		{"scope with reps", "-study scope -reps 2", "-reps"},
 	}
 	for _, tc := range cases {
-		c := baseConfig()
-		tc.mutate(&c)
-		err := c.validate()
+		_, err := parse(strings.Fields(tc.args))
 		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
+			t.Errorf("%s: %s accepted", tc.name, tc.args)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.wantSub) {
@@ -147,116 +187,68 @@ func TestValidateRejections(t *testing.T) {
 }
 
 // TestValidateReportsFirstMisplacedFlag: with several study-scoped flags
-// misplaced at once, validate reports the same one every time.
+// misplaced at once, validate reports the same one every time, whatever
+// their order on the command line.
 func TestValidateReportsFirstMisplacedFlag(t *testing.T) {
-	c := baseConfig()
-	c.rates = "0.2"
-	c.csv = "x.csv"
-	c.dist = "uniform"
-	want := c.validate()
+	args := []string{"-rates", "0.2", "-csv", "x.csv", "-dist", "uniform"}
+	_, want := parse(args)
 	if want == nil {
 		t.Fatal("misplaced throughput flags accepted")
 	}
 	for i := 0; i < 200; i++ {
-		if got := c.validate(); got == nil || got.Error() != want.Error() {
-			t.Fatalf("call %d: error %v, first call gave %v", i, got, want)
+		shuffled := slices.Concat(args[2*(i%3):], args[:2*(i%3)])
+		if _, got := parse(shuffled); got == nil || got.Error() != want.Error() {
+			t.Fatalf("call %d (%q): error %v, first call gave %v", i, shuffled, got, want)
 		}
 	}
 }
 
 // TestValidateAcceptsEveryRegisteredProtocol: -proto takes exactly the
-// experiment registry's keys.
+// experiment protocol table's keys.
 func TestValidateAcceptsEveryRegisteredProtocol(t *testing.T) {
 	for _, p := range experiment.Protocols() {
-		c := baseConfig()
-		c.proto = string(p)
-		if err := c.validate(); err != nil {
-			t.Errorf("-proto %s rejected: %v", p, err)
-		}
+		mustParse(t, "-proto", string(p))
 	}
 }
 
+// TestValidateAcceptsEveryScenario: -scenario takes every name of the
+// experiment scenario table, one at a time or as a coding-schemes list.
+func TestValidateAcceptsEveryScenario(t *testing.T) {
+	names := experiment.ScenarioNames()
+	for _, name := range names {
+		mustParse(t, "-scenario", name)
+	}
+	mustParse(t, "-study", "coding-schemes", "-scenario", strings.Join(names, ","))
+}
+
 func TestValidateAcceptsThroughputCombos(t *testing.T) {
-	closed := baseConfig()
-	closed.study = "throughput"
-	closed.conc = "1,2,4,8"
-	closed.ops = 40
-	closed.dist = "hotspot"
-	closed.csv = "sweep.csv"
-	if err := closed.validate(); err != nil {
-		t.Fatalf("closed-loop combo rejected: %v", err)
-	}
-	open := baseConfig()
-	open.study = "throughput"
-	open.workload = "open"
-	open.rates = "0.1,0.2,0.4"
-	open.window = 16
-	open.trace = "events.jsonl"
-	if err := open.validate(); err != nil {
-		t.Fatalf("open-loop combo rejected: %v", err)
-	}
+	mustParse(t, "-study", "throughput", "-conc", "1,2,4,8", "-ops", "40", "-dist", "hotspot", "-csv", "sweep.csv")
+	mustParse(t, "-study", "throughput", "-workload", "open", "-rates", "0.1,0.2,0.4", "-window", "16", "-trace", "events.jsonl")
 	// Standalone -trace-op on a control study is a documented usage.
-	traced := baseConfig()
-	traced.traceOp = 17
-	if err := traced.validate(); err != nil {
-		t.Fatalf("standalone -trace-op rejected: %v", err)
-	}
-	replicated := baseConfig()
-	replicated.reps = 4
-	replicated.parallel = 4
-	if err := replicated.validate(); err != nil {
-		t.Fatalf("replicated run rejected: %v", err)
-	}
+	mustParse(t, "-trace-op", "17")
+	mustParse(t, "-reps", "4", "-parallel", "4")
 }
 
 func TestValidateAcceptsObservabilityCombos(t *testing.T) {
 	// The full live-run surface on a single-replication control study.
-	live := baseConfig()
-	live.progress = time.Minute
-	live.convergence = "conv.txt"
-	live.trace = "ops.jsonl"
-	live.traceSample = 8
-	live.cpuprofile = "cpu.pprof"
-	live.memprofile = "mem.pprof"
-	live.exectrace = "trace.out"
-	if err := live.validate(); err != nil {
-		t.Fatalf("observability combo rejected: %v", err)
-	}
+	mustParse(t, "-progress", "1m", "-convergence", "conv.txt", "-trace", "ops.jsonl", "-trace-sample", "8",
+		"-cpuprofile", "cpu.pprof", "-memprofile", "mem.pprof", "-exectrace", "trace.out")
 	// The merged convergence report stays available on replicated runs —
 	// only the live -progress stream is single-replication.
-	merged := baseConfig()
-	merged.reps = 4
-	merged.convergence = "conv.txt"
-	if err := merged.validate(); err != nil {
-		t.Fatalf("replicated -convergence rejected: %v", err)
-	}
+	mustParse(t, "-reps", "4", "-convergence", "conv.txt")
 	// Profile captures are study-agnostic.
-	prof := baseConfig()
-	prof.study = "coding"
-	prof.cpuprofile = "cpu.pprof"
-	if err := prof.validate(); err != nil {
-		t.Fatalf("profiled coding study rejected: %v", err)
-	}
+	mustParse(t, "-study", "coding", "-cpuprofile", "cpu.pprof")
 }
 
 func TestValidateAcceptsCodecCombos(t *testing.T) {
 	// -codec with every TeleAdjusting variant.
 	for _, proto := range []string{"tele", "retele", "strict", "teleadjust"} {
-		c := baseConfig()
-		c.proto = proto
-		c.codec = "treeexplorer"
-		if err := c.validate(); err != nil {
-			t.Errorf("-codec with -proto %s rejected: %v", proto, err)
-		}
+		mustParse(t, "-proto", proto, "-codec", "treeexplorer")
 	}
 	// The coding-schemes study with its own knobs.
-	s := baseConfig()
-	s.study = "coding-schemes"
-	s.codecs = "paper, treeexplorer"
-	s.joins = 0
-	s.csv = "codecs.csv"
-	if err := s.validate(); err != nil {
-		t.Fatalf("coding-schemes combo rejected: %v", err)
+	s := mustParse(t, "-study", "coding-schemes", "-codecs", "paper, treeexplorer", "-joins", "0", "-csv", "codecs.csv")
+	if s.schemes.Joins != 0 {
+		t.Fatalf("-joins 0 read as %d", s.schemes.Joins)
 	}
 	if got := splitList(s.codecs); len(got) != 2 || got[0] != "paper" || got[1] != "treeexplorer" {
 		t.Fatalf("splitList = %v", got)
@@ -291,14 +283,8 @@ func TestParseRates(t *testing.T) {
 }
 
 func TestThroughputOptsFromFlags(t *testing.T) {
-	c := baseConfig()
-	c.study = "throughput"
-	c.workload = "open"
-	c.rates = "0.1,0.4"
-	c.ops = 25
-	c.dist = "depth"
-	c.window = 12
-	c.warmup = 2 * time.Minute
+	c := mustParse(t, "-study", "throughput", "-workload", "open", "-rates", "0.1,0.4", "-ops", "25",
+		"-dist", "depth", "-window", "12", "-warmup", "2m")
 	opts, err := c.throughputOpts()
 	if err != nil {
 		t.Fatal(err)
@@ -308,9 +294,7 @@ func TestThroughputOptsFromFlags(t *testing.T) {
 		t.Fatalf("opts = %+v", opts)
 	}
 	// Defaults survive when the knobs are left unset.
-	d := baseConfig()
-	d.study = "throughput"
-	opts, err = d.throughputOpts()
+	opts, err = mustParse(t, "-study", "throughput").throughputOpts()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,60 +304,20 @@ func TestThroughputOptsFromFlags(t *testing.T) {
 }
 
 func TestValidateAcceptsServiceCombos(t *testing.T) {
-	full := baseConfig()
-	full.study = "service"
-	full.rates = "0.5,2.0"
-	full.ops = 120
-	full.dist = "hotspot"
-	full.window = 16
-	full.csv = "svc.csv"
-	full.trace = "svc.jsonl"
-	full.batchWindow = 2 * time.Second
-	full.batchBits = 6
-	full.maxBatch = 8
-	full.cacheTTL = 5 * time.Minute
-	full.cacheCap = 256
-	full.queueDepth = 64
-	full.highWater = 48
-	full.shed = "delay"
-	if err := full.validate(); err != nil {
-		t.Fatalf("full service combo rejected: %v", err)
-	}
+	mustParse(t, "-study", "service", "-rates", "0.5,2.0", "-ops", "120", "-dist", "hotspot", "-window", "16",
+		"-csv", "svc.csv", "-trace", "svc.jsonl", "-batch-window", "2s", "-batch-bits", "6", "-max-batch", "8",
+		"-cache-ttl", "5m", "-cache-cap", "256", "-queue-depth", "64", "-high-water", "48", "-shed", "delay")
 	// Explicit zeros disable features without tripping validation: this is
 	// the transparent configuration whose trace replays the open-loop
 	// throughput study.
-	transparent := baseConfig()
-	transparent.study = "service"
-	transparent.batchWindow = 0
-	transparent.cacheTTL = 0
-	transparent.queueDepth = 0
-	transparent.highWater = 0
-	if err := transparent.validate(); err != nil {
-		t.Fatalf("transparent service combo rejected: %v", err)
-	}
-	bare := baseConfig()
-	bare.study = "service"
-	if err := bare.validate(); err != nil {
-		t.Fatalf("bare service study rejected: %v", err)
-	}
+	mustParse(t, "-study", "service", "-batch-window", "0", "-cache-ttl", "0", "-queue-depth", "0", "-high-water", "0")
+	mustParse(t, "-study", "service")
 }
 
 func TestServiceOptsFromFlags(t *testing.T) {
-	c := baseConfig()
-	c.study = "service"
-	c.rates = "0.25,1.5"
-	c.ops = 60
-	c.dist = "uniform"
-	c.window = 24
-	c.warmup = 3 * time.Minute
-	c.batchWindow = 4 * time.Second
-	c.batchBits = 8
-	c.maxBatch = 12
-	c.cacheTTL = time.Minute
-	c.cacheCap = 32
-	c.queueDepth = 20
-	c.highWater = 10
-	c.shed = "delay"
+	c := mustParse(t, "-study", "service", "-rates", "0.25,1.5", "-ops", "60", "-dist", "uniform", "-window", "24",
+		"-warmup", "3m", "-batch-window", "4s", "-batch-bits", "8", "-max-batch", "12", "-cache-ttl", "1m",
+		"-cache-cap", "32", "-queue-depth", "20", "-high-water", "10", "-shed", "delay")
 	opts, err := c.serviceOpts()
 	if err != nil {
 		t.Fatal(err)
@@ -396,22 +340,15 @@ func TestServiceOptsFromFlags(t *testing.T) {
 	}
 	// Defaults survive when the knobs are left unset; explicit zeros
 	// disable every feature and make the study transparent.
-	d := baseConfig()
-	d.study = "service"
-	opts, err = d.serviceOpts()
+	opts, err = mustParse(t, "-study", "service").serviceOpts()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opts.BatchWindow != 500*time.Millisecond || opts.MaxBatch != 16 || opts.Policy != "delay" {
 		t.Fatalf("default opts = %+v", opts)
 	}
-	z := baseConfig()
-	z.study = "service"
-	z.batchWindow = 0
-	z.cacheTTL = 0
-	z.queueDepth = 0
-	z.highWater = 0
-	opts, err = z.serviceOpts()
+	opts, err = mustParse(t, "-study", "service", "-batch-window", "0", "-cache-ttl", "0",
+		"-queue-depth", "0", "-high-water", "0").serviceOpts()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,11 +362,7 @@ func TestServiceOptsFromFlags(t *testing.T) {
 // that accepts the flag.
 func TestScopeStudyWritesSVG(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "scope.svg")
-	args, cmdline := os.Args, flag.CommandLine
-	defer func() { os.Args, flag.CommandLine = args, cmdline }()
-	flag.CommandLine = flag.NewFlagSet("teleadjust-sim", flag.ContinueOnError)
-	os.Args = []string{"teleadjust-sim", "-scenario", "line", "-study", "scope", "-warmup", "3m", "-svg", path}
-	if err := run(); err != nil {
+	if err := run([]string{"-scenario", "line", "-study", "scope", "-warmup", "3m", "-svg", path}); err != nil {
 		t.Fatal(err)
 	}
 	svg, err := os.ReadFile(path)

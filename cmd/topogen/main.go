@@ -6,9 +6,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"teleadjust/internal/experiment"
 	"teleadjust/internal/radio"
@@ -16,44 +19,41 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "topogen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
 	var (
-		name    = flag.String("topology", "indoor", "topology: tight, sparse, indoor, indoor-wifi")
-		seed    = flag.Uint64("seed", 1, "placement seed")
-		links   = flag.Bool("links", false, "also print the PRR adjacency (links with PRR ≥ 0.1)")
-		minPRR  = flag.Float64("min-prr", 0.1, "PRR threshold for -links")
-		degrees = flag.Bool("degrees", false, "print per-node degree summary")
-		hops    = flag.Bool("hops", false, "print BFS hop distribution from the sink over good links")
+		name    = fs.String("topology", "indoor", "topology: "+strings.Join(experiment.ScenarioNames(), ", "))
+		seed    = fs.Uint64("seed", 1, "placement seed")
+		links   = fs.Bool("links", false, "also print the PRR adjacency (links with PRR ≥ 0.1)")
+		minPRR  = fs.Float64("min-prr", 0.1, "PRR threshold for -links")
+		degrees = fs.Bool("degrees", false, "print per-node degree summary")
+		hops    = fs.Bool("hops", false, "print BFS hop distribution from the sink over good links")
 	)
-	flag.Parse()
-
-	var scn experiment.Scenario
-	switch *name {
-	case "tight":
-		scn = experiment.TightGrid(*seed)
-	case "sparse":
-		scn = experiment.SparseLinear(*seed)
-	case "indoor":
-		scn = experiment.Indoor(*seed, false)
-	case "indoor-wifi":
-		scn = experiment.Indoor(*seed, true)
-	default:
-		return fmt.Errorf("unknown topology %q", *name)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
 	}
+	build, err := experiment.ScenarioNamed(*name)
+	if err != nil {
+		return err
+	}
+	scn := build(*seed)
 
 	dep := scn.Dep
-	fmt.Printf("# topology %s seed %d: %d nodes, sink %d\n", dep.Name, *seed, dep.Len(), dep.Sink)
+	fmt.Fprintf(w, "# topology %s seed %d: %d nodes, sink %d\n", dep.Name, *seed, dep.Len(), dep.Sink)
 	minX, minY, maxX, maxY := dep.Bounds()
-	fmt.Printf("# bounds: (%.1f, %.1f) .. (%.1f, %.1f) m\n", minX, minY, maxX, maxY)
-	fmt.Println("# id\tx\ty")
+	fmt.Fprintf(w, "# bounds: (%.1f, %.1f) .. (%.1f, %.1f) m\n", minX, minY, maxX, maxY)
+	fmt.Fprintln(w, "# id\tx\ty")
 	for i, p := range dep.Positions {
-		fmt.Printf("%d\t%.2f\t%.2f\n", i, p.X, p.Y)
+		fmt.Fprintf(w, "%d\t%.2f\t%.2f\n", i, p.X, p.Y)
 	}
 	if !*links && !*degrees && !*hops {
 		return nil
@@ -66,7 +66,7 @@ func run() error {
 	}
 	power := scn.Mac.TxPowerDBm
 	if *links {
-		fmt.Println("# links: from\tto\tprr")
+		fmt.Fprintln(w, "# links: from\tto\tprr")
 		for i := 0; i < dep.Len(); i++ {
 			for j := 0; j < dep.Len(); j++ {
 				if i == j {
@@ -74,16 +74,16 @@ func run() error {
 				}
 				prr := med.ExpectedPRR(radio.NodeID(i), radio.NodeID(j), power, 32)
 				if prr >= *minPRR {
-					fmt.Printf("%d\t%d\t%.3f\n", i, j, prr)
+					fmt.Fprintf(w, "%d\t%d\t%.3f\n", i, j, prr)
 				}
 			}
 		}
 	}
 	if *hops {
-		printHopDistribution(med, dep.Sink, dep.Len(), power)
+		printHopDistribution(w, med, dep.Sink, dep.Len(), power)
 	}
 	if *degrees {
-		fmt.Println("# degrees: id\tout-degree")
+		fmt.Fprintln(w, "# degrees: id\tout-degree")
 		for i := 0; i < dep.Len(); i++ {
 			deg := 0
 			for j := 0; j < dep.Len(); j++ {
@@ -94,7 +94,7 @@ func run() error {
 					deg++
 				}
 			}
-			fmt.Printf("%d\t%d\n", i, deg)
+			fmt.Fprintf(w, "%d\t%d\n", i, deg)
 		}
 	}
 	return nil
@@ -103,7 +103,7 @@ func run() error {
 // printHopDistribution runs BFS from the sink over links with PRR ≥ 0.5
 // in both directions — a quick static estimate of the network diameter
 // used to calibrate the scenarios.
-func printHopDistribution(med *radio.Medium, sink, n int, power float64) {
+func printHopDistribution(w io.Writer, med *radio.Medium, sink, n int, power float64) {
 	const goodPRR = 0.5
 	dist := make([]int, n)
 	for i := range dist {
@@ -142,11 +142,11 @@ func printHopDistribution(med *radio.Medium, sink, n int, power float64) {
 			maxHop = d
 		}
 	}
-	fmt.Println("# BFS hop distribution (bidirectional PRR ≥ 0.5):")
+	fmt.Fprintln(w, "# BFS hop distribution (bidirectional PRR ≥ 0.5):")
 	for h := 1; h <= maxHop; h++ {
-		fmt.Printf("# hop %d: %d nodes\n", h, hist[h])
+		fmt.Fprintf(w, "# hop %d: %d nodes\n", h, hist[h])
 	}
 	if unreachable > 0 {
-		fmt.Printf("# unreachable: %d nodes\n", unreachable)
+		fmt.Fprintf(w, "# unreachable: %d nodes\n", unreachable)
 	}
 }

@@ -1,5 +1,5 @@
 // Package experiment assembles complete simulated networks (radio medium,
-// MAC, node runtime, CTP, and a registry-selected control protocol) and
+// MAC, node runtime, CTP, and a table-selected control protocol) and
 // provides the scenario runners that regenerate every table and figure of
 // the paper's evaluation.
 package experiment
@@ -33,7 +33,7 @@ type Config struct {
 	Tele  core.Config
 	Drip  drip.Config
 	Rpl   rpl.Config
-	// Protocol selects the control protocol by registry key (ProtoNone
+	// Protocol selects the control protocol by its key (ProtoNone
 	// builds a collection-only network). Exactly one control protocol
 	// runs per network: they all claim the sink's CTP delivery hook for
 	// their end-to-end acks.
@@ -60,7 +60,7 @@ type Config struct {
 }
 
 // Stack is one node's protocol stack: the link layer, the dispatch
-// runtime, the collection substrate, and the registry-built control
+// runtime, the collection substrate, and the table-built control
 // protocol (nil for collection-only networks).
 type Stack struct {
 	Mac  *mac.MAC

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 
 	"teleadjust/internal/core"
 	"teleadjust/internal/ctp"
@@ -13,15 +12,14 @@ import (
 	"teleadjust/internal/sim"
 )
 
-// Proto is a control-protocol registry key. The experiment runners are
+// Proto is a control-protocol key. The experiment runners are
 // protocol-agnostic: they build networks by key and drive whatever the
-// registered builder returns through the protocol.ControlProtocol
-// interface.
+// key's builder returns through the protocol.ControlProtocol interface.
 type Proto string
 
-// Registry keys of the paper's comparison (Tele is TeleAdjusting without
-// the destination-unreachable countermeasure, ReTele with it, TeleStrict
-// the non-opportunistic ablation) plus the raw TeleAdjusting stack used by
+// Keys of the paper's comparison (Tele is TeleAdjusting without the
+// destination-unreachable countermeasure, ReTele with it, TeleStrict the
+// non-opportunistic ablation) plus the raw TeleAdjusting stack used by
 // the coding and scope studies.
 const (
 	// ProtoNone builds a collection-only network without a control plane.
@@ -37,68 +35,90 @@ const (
 	ProtoRPL        Proto = "rpl"
 )
 
-// String returns the protocol's display name as used in the paper's
-// figures.
-func (p Proto) String() string {
-	switch p {
-	case ProtoNone:
-		return "none"
-	case ProtoTeleAdjust:
-		return "TeleAdjusting"
-	case ProtoTele:
-		return "Tele"
-	case ProtoReTele:
-		return "Re-Tele"
-	case ProtoTeleStrict:
-		return "Tele-strict"
-	case ProtoDrip:
-		return "Drip"
-	case ProtoRPL:
-		return "RPL"
-	}
-	return string(p)
-}
-
 // Builder assembles one node's control-protocol instance during Build.
 // Builders run once per node in node-index order and must derive their
 // randomness from cfg.Seed and the node index (not from shared streams) so
 // replications stay independent and reproducible.
 type Builder func(cfg *Config, n *node.Node, c *ctp.CTP, idx int) protocol.ControlProtocol
 
-var protoBuilders = map[Proto]Builder{}
-
-// RegisterProtocol adds a control-protocol builder under a registry key.
-// Keys are a global namespace; registering a duplicate panics.
-func RegisterProtocol(p Proto, b Builder) {
-	if p == ProtoNone {
-		panic("experiment: cannot register the empty protocol key")
-	}
-	if b == nil {
-		panic("experiment: nil protocol builder")
-	}
-	if _, dup := protoBuilders[p]; dup {
-		panic(fmt.Sprintf("experiment: protocol %q registered twice", p))
-	}
-	protoBuilders[p] = b
+// protoInfo is one row of the protocol table.
+type protoInfo struct {
+	key Proto
+	// name is the display name the paper's figures use.
+	name  string
+	build Builder
+	// codec reports that the protocol runs path coding, so a scenario's
+	// Codec applies to it.
+	codec bool
 }
 
-// Protocols lists the registered protocol keys in sorted order.
-func Protocols() []Proto {
-	out := make([]Proto, 0, len(protoBuilders))
-	for p := range protoBuilders {
-		out = append(out, p)
+// protocols is the protocol table, sorted by key.
+var protocols = []protoInfo{
+	{ProtoDrip, "Drip", func(cfg *Config, n *node.Node, c *ctp.CTP, idx int) protocol.ControlProtocol {
+		return drip.New(n, c, cfg.Drip, sim.DeriveRNG(cfg.Seed, 0x4000+uint64(idx)))
+	}, false},
+	{ProtoReTele, "Re-Tele", teleBuilder(func(c core.Config) core.Config {
+		c.Rescue = true
+		return c
+	}), true},
+	{ProtoRPL, "RPL", func(cfg *Config, n *node.Node, c *ctp.CTP, idx int) protocol.ControlProtocol {
+		return rpl.New(n, c, cfg.Rpl, sim.DeriveRNG(cfg.Seed, 0x5000+uint64(idx)))
+	}, false},
+	{ProtoTeleStrict, "Tele-strict", teleBuilder(func(c core.Config) core.Config {
+		c.Rescue = false
+		c.Opportunistic = false
+		return c
+	}), true},
+	{ProtoTele, "Tele", teleBuilder(func(c core.Config) core.Config {
+		c.Rescue = false
+		return c
+	}), true},
+	{ProtoTeleAdjust, "TeleAdjusting", teleBuilder(func(c core.Config) core.Config { return c }), true},
+}
+
+// info looks the key up in the protocol table; ProtoNone and unknown keys
+// return the zero row.
+func (p Proto) info() protoInfo {
+	for _, e := range protocols {
+		if e.key == p {
+			return e
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return protoInfo{}
+}
+
+// String returns the protocol's display name as used in the paper's
+// figures.
+func (p Proto) String() string {
+	if p == ProtoNone {
+		return "none"
+	}
+	if e := p.info(); e.build != nil {
+		return e.name
+	}
+	return string(p)
+}
+
+// TakesCodec reports whether a scenario's Codec applies to the protocol:
+// true for the TeleAdjusting variants.
+func (p Proto) TakesCodec() bool { return p.info().codec }
+
+// Protocols lists the protocol keys in sorted order.
+func Protocols() []Proto {
+	out := make([]Proto, len(protocols))
+	for i, e := range protocols {
+		out[i] = e.key
+	}
 	return out
 }
 
-// builderFor resolves a registry key; ProtoNone resolves to a nil builder.
+// builderFor resolves a protocol key; ProtoNone resolves to a nil builder.
 func builderFor(p Proto) (Builder, error) {
 	if p == ProtoNone {
 		return nil, nil
 	}
-	b, ok := protoBuilders[p]
-	if !ok {
+	b := p.info().build
+	if b == nil {
 		return nil, fmt.Errorf("experiment: unknown protocol %q", p)
 	}
 	return b, nil
@@ -111,29 +131,4 @@ func teleBuilder(tweak func(core.Config) core.Config) Builder {
 	return func(cfg *Config, n *node.Node, c *ctp.CTP, idx int) protocol.ControlProtocol {
 		return core.New(n, c, tweak(cfg.Tele), sim.DeriveRNG(cfg.Seed, 0x3000+uint64(idx)))
 	}
-}
-
-func init() {
-	RegisterProtocol(ProtoTeleAdjust, teleBuilder(func(c core.Config) core.Config {
-		return c
-	}))
-	RegisterProtocol(ProtoTele, teleBuilder(func(c core.Config) core.Config {
-		c.Rescue = false
-		return c
-	}))
-	RegisterProtocol(ProtoReTele, teleBuilder(func(c core.Config) core.Config {
-		c.Rescue = true
-		return c
-	}))
-	RegisterProtocol(ProtoTeleStrict, teleBuilder(func(c core.Config) core.Config {
-		c.Rescue = false
-		c.Opportunistic = false
-		return c
-	}))
-	RegisterProtocol(ProtoDrip, func(cfg *Config, n *node.Node, c *ctp.CTP, idx int) protocol.ControlProtocol {
-		return drip.New(n, c, cfg.Drip, sim.DeriveRNG(cfg.Seed, 0x4000+uint64(idx)))
-	})
-	RegisterProtocol(ProtoRPL, func(cfg *Config, n *node.Node, c *ctp.CTP, idx int) protocol.ControlProtocol {
-		return rpl.New(n, c, cfg.Rpl, sim.DeriveRNG(cfg.Seed, 0x5000+uint64(idx)))
-	})
 }

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"teleadjust/internal/core"
@@ -211,8 +213,45 @@ func Indoor(seed uint64, wifi bool) Scenario {
 	return s
 }
 
+// NamedScenario is one -scenario name and the constructor it selects.
+type NamedScenario struct {
+	Name  string
+	Build func(seed uint64) Scenario
+}
+
+// Scenarios is the table of named scenarios both CLIs select from, in
+// the order their usage text lists them.
+var Scenarios = []NamedScenario{
+	{"tight", TightGrid},
+	{"sparse", SparseLinear},
+	{"indoor", func(seed uint64) Scenario { return Indoor(seed, false) }},
+	{"indoor-wifi", func(seed uint64) Scenario { return Indoor(seed, true) }},
+	{"refgrid", ReferenceGrid},
+	{"grid1k", Grid1K},
+	{"line", Line},
+}
+
+// ScenarioNames lists the Scenarios table's names in order.
+func ScenarioNames() []string {
+	names := make([]string, len(Scenarios))
+	for i, s := range Scenarios {
+		names[i] = s.Name
+	}
+	return names
+}
+
+// ScenarioNamed returns the constructor a Scenarios name selects.
+func ScenarioNamed(name string) (func(seed uint64) Scenario, error) {
+	for _, s := range Scenarios {
+		if s.Name == name {
+			return s.Build, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown scenario %q: %s", name, strings.Join(ScenarioNames(), ", "))
+}
+
 // config builds a network Config from the scenario with the given
-// protocol registry key.
+// protocol key.
 func (s Scenario) config(p Proto) Config {
 	return Config{
 		Dep:            s.Dep,

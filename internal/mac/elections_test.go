@@ -176,7 +176,7 @@ func TestRxTableBounded(t *testing.T) {
 	const nodes = 6
 	eng, macs, _ := anycastField(t, nodes)
 	cfg := DefaultConfig()
-	span := 2*dedupWindow + cfg.WakeInterval + cfg.streamSlack()
+	span := 2*cfg.dedupWindow() + cfg.WakeInterval + cfg.streamSlack()
 	bound := (nodes - 1) * int((span+sendEvery-1)/sendEvery)
 	peak := 0
 	for eng.Now() < 10*time.Minute {

@@ -80,6 +80,11 @@ func DefaultConfig() Config {
 // eighth of the wake-up period (64 ms at the paper's 512 ms).
 func (c Config) streamSlack() time.Duration { return c.WakeInterval / 8 }
 
+// dedupWindow is how long (src,seq) reception state is remembered: two
+// wake-up periods, longer than any LPL stream's WakeInterval+streamSlack,
+// so a late copy of a stream is still recognised as a duplicate.
+func (c Config) dedupWindow() time.Duration { return 2 * c.WakeInterval }
+
 // Fixed BoX-MAC-2 timing of the CC2420 stack.
 const (
 	// probeSamples CCA samples spaced probeSpacing apart form the wake-up
@@ -107,8 +112,6 @@ const (
 	// CSMA backoff window.
 	backoffMin = 320 * time.Microsecond
 	backoffMax = 2560 * time.Microsecond
-	// dedupWindow is how long (src,seq) reception state is remembered.
-	dedupWindow = 2 * 512 * time.Millisecond
 )
 
 // ErrQueueFull is returned by Send when too many packets are pending.
@@ -564,7 +567,7 @@ func (m *MAC) onAck(f *radio.Frame) {
 func (m *MAC) onData(f *radio.Frame) {
 	key := packetKey(f.Src, f.Seq)
 	st, seen := m.rx[key]
-	if seen && !st.ackPending.Pending() && m.eng.Now()-st.at > dedupWindow {
+	if seen && !st.ackPending.Pending() && m.eng.Now()-st.at > m.cfg.dedupWindow() {
 		// The dedup window has lapsed, so this is not a retransmission but
 		// a reuse of the (src,seq) pair — typically a rebooted neighbor
 		// restarting its sequence counter at 1. Forget the stale verdict
@@ -695,11 +698,12 @@ func (m *MAC) sendAck(f *radio.Frame) {
 // windows of traffic however long the run.
 func (m *MAC) gcRxStates() {
 	now := m.eng.Now()
-	if now-m.lastSweep < dedupWindow {
+	window := m.cfg.dedupWindow()
+	if now-m.lastSweep < window {
 		return
 	}
 	m.lastSweep = now
-	cutoff := now - dedupWindow
+	cutoff := now - window
 	for k, st := range m.rx {
 		if st.at < cutoff && !st.ackPending.Pending() {
 			delete(m.rx, k)

@@ -289,6 +289,43 @@ func TestStopPowersDown(t *testing.T) {
 	}
 }
 
+// TestBroadcastDeliveredOnceAtEveryWakeInterval: a neighbour that
+// sleeps after the first copy of an LPL broadcast stream and wakes for a
+// late one must recognise it as a duplicate, whatever the wake interval.
+// The dedup window outlasts the stream (WakeInterval + streamSlack) only
+// if it scales with the wake interval.
+func TestBroadcastDeliveredOnceAtEveryWakeInterval(t *testing.T) {
+	const packets = 40
+	for _, wi := range []time.Duration{256 * time.Millisecond, 512 * time.Millisecond, 1024 * time.Millisecond} {
+		cfg := DefaultConfig()
+		cfg.WakeInterval = wi
+		eng, macs, uppers := buildNet(t, 2, 5, cfg)
+		uppers[1].classify = func(*radio.Frame) Classification { return Classification{Decision: Deliver} }
+		// Sends 4.1 wake intervals apart sweep the stream's start across
+		// the receiver's wake-up phase.
+		every := 4*wi + wi/10
+		for i := range packets {
+			eng.Schedule(time.Duration(i)*every, func() {
+				f := &radio.Frame{Kind: radio.FrameData, Dst: radio.BroadcastID, Size: 30, Payload: noAckPayload{}}
+				if err := macs[0].Send(f); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		if err := eng.Run(packets * every); err != nil {
+			t.Fatal(err)
+		}
+		seen := map[uint32]int{}
+		for _, f := range uppers[1].delivered {
+			seen[f.Seq]++
+		}
+		dups := len(uppers[1].delivered) - len(seen)
+		if len(seen) != packets || dups != 0 {
+			t.Errorf("wake interval %v: %d of %d broadcasts delivered, %d duplicate deliveries", wi, len(seen), packets, dups)
+		}
+	}
+}
+
 func TestBroadcastLatencyUnderWakeInterval(t *testing.T) {
 	// An LPL broadcast must reach a duty-cycled neighbor within roughly one
 	// wake interval.

@@ -12,6 +12,10 @@ import (
 	"teleadjust/internal/topology"
 )
 
+// dedupWindow is the MAC's dedup window at the default wake interval,
+// which the reference model and the schedules below run at.
+var dedupWindow = DefaultConfig().dedupWindow()
+
 // keyPayload names a test frame's (src, seq) in the MAC's telemetry
 // events, which otherwise carry only the frame's Seq.
 type keyPayload struct {

@@ -1,10 +1,10 @@
 // Package workload generates deterministic streams of control operations
 // against the sink command plane. Two loop disciplines are provided:
 //
-//   - ClosedLoop keeps a fixed number of operations outstanding and
+//   - NewClosedLoop keeps a fixed number of operations outstanding and
 //     submits a replacement the moment one completes, measuring the
 //     pipeline's sustainable service rate.
-//   - OpenLoop submits on a Poisson arrival process at a configured
+//   - NewOpenLoop submits on a Poisson arrival process at a configured
 //     offered rate regardless of completions, exposing queueing collapse
 //     once the offered load exceeds capacity.
 //
@@ -158,115 +158,67 @@ type Generator interface {
 	FinishedAt() time.Duration
 }
 
-// ClosedLoop keeps Concurrency operations in flight until Total have
-// resolved. Each completion immediately submits the next operation, so
-// the loop self-clocks to the command plane's service rate.
-type ClosedLoop struct {
+// loop is both disciplines: a closed loop (concurrency > 0) submits the
+// next operation as each one resolves, an open loop (rate > 0) on a
+// Poisson clock. They share the submit-and-record path.
+type loop struct {
 	eng         *sim.Engine
 	sub         Submitter
 	dist        Dist
 	rng         *rand.Rand
 	concurrency int
+	rate        float64
 	total       int
 
 	submitted int
 	outcomes  []sink.Outcome
 	finished  time.Duration
-	payload   func(seq int) any
+	// done is record bound once, so a submit allocates no callback.
+	done func(sink.Outcome)
 }
 
-// NewClosedLoop builds a closed-loop generator issuing total operations
-// with the given fixed concurrency (clamped to ≥ 1).
-func NewClosedLoop(eng *sim.Engine, sub Submitter, dist Dist, rng *rand.Rand, concurrency, total int) *ClosedLoop {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	if total < 0 {
-		total = 0
-	}
-	return &ClosedLoop{
-		eng: eng, sub: sub, dist: dist, rng: rng,
-		concurrency: concurrency, total: total,
-		payload: func(seq int) any { return fmt.Sprintf("op-%d", seq) },
-	}
+func newLoop(eng *sim.Engine, sub Submitter, dist Dist, rng *rand.Rand, total int) *loop {
+	g := &loop{eng: eng, sub: sub, dist: dist, rng: rng, total: max(total, 0)}
+	g.done = g.record
+	return g
 }
 
-func (g *ClosedLoop) Start() {
-	n := g.concurrency
-	if n > g.total {
-		n = g.total
-	}
-	for i := 0; i < n; i++ {
-		g.next()
-	}
-}
-
-func (g *ClosedLoop) next() {
-	if g.submitted >= g.total {
-		return
-	}
-	seq := g.submitted
-	g.submitted++
-	dst := g.dist.Pick(g.rng)
-	_, err := g.sub.Submit(dst, g.payload(seq), func(o sink.Outcome) {
-		g.outcomes = append(g.outcomes, o)
-		g.finished = g.eng.Now()
-		g.next()
-	})
-	if err != nil {
-		// Rejected at submit (queue full): record a synthetic failure and
-		// keep the loop width by moving on to the next operation.
-		g.outcomes = append(g.outcomes, sink.Outcome{Dst: dst, Err: err, EnqueuedAt: g.eng.Now(), DoneAt: g.eng.Now()})
-		g.finished = g.eng.Now()
-		g.next()
-	}
-}
-
-func (g *ClosedLoop) Done() bool                { return len(g.outcomes) >= g.total }
-func (g *ClosedLoop) Outcomes() []sink.Outcome  { return g.outcomes }
-func (g *ClosedLoop) FinishedAt() time.Duration { return g.finished }
-
-// OpenLoop submits Total operations on a Poisson process with the given
-// mean rate (operations per second), independent of completions.
-type OpenLoop struct {
-	eng   *sim.Engine
-	sub   Submitter
-	dist  Dist
-	rng   *rand.Rand
-	rate  float64
-	total int
-
-	submitted int
-	outcomes  []sink.Outcome
-	finished  time.Duration
-	payload   func(seq int) any
+// NewClosedLoop builds a closed-loop generator: it keeps concurrency
+// (clamped to ≥ 1) operations in flight until total have resolved, so
+// the loop self-clocks to the command plane's service rate.
+func NewClosedLoop(eng *sim.Engine, sub Submitter, dist Dist, rng *rand.Rand, concurrency, total int) Generator {
+	g := newLoop(eng, sub, dist, rng, total)
+	g.concurrency = max(concurrency, 1)
+	return g
 }
 
 // NewOpenLoop builds an open-loop generator offering rate operations per
-// second (must be > 0) until total have been submitted.
-func NewOpenLoop(eng *sim.Engine, sub Submitter, dist Dist, rng *rand.Rand, rate float64, total int) *OpenLoop {
+// second (must be > 0) on a Poisson process, independent of completions,
+// until total have been submitted.
+func NewOpenLoop(eng *sim.Engine, sub Submitter, dist Dist, rng *rand.Rand, rate float64, total int) Generator {
 	if rate <= 0 {
 		panic("workload: open-loop rate must be positive")
 	}
-	if total < 0 {
-		total = 0
-	}
-	return &OpenLoop{
-		eng: eng, sub: sub, dist: dist, rng: rng, rate: rate, total: total,
-		payload: func(seq int) any { return fmt.Sprintf("op-%d", seq) },
-	}
+	g := newLoop(eng, sub, dist, rng, total)
+	g.rate = rate
+	return g
 }
 
-func (g *OpenLoop) Start() {
-	if g.total == 0 {
+func (g *loop) Start() {
+	if g.concurrency > 0 {
+		for range min(g.concurrency, g.total) {
+			g.submit()
+		}
 		return
 	}
-	g.eng.Schedule(g.interArrival(), g.tick)
+	if g.total > 0 {
+		g.eng.Schedule(g.interArrival(), g.tick)
+	}
 }
 
 // interArrival draws the next exponential gap, floored at 1 ms so the
 // event queue cannot be flooded by pathological draws.
-func (g *OpenLoop) interArrival() time.Duration {
+func (g *loop) interArrival() time.Duration {
 	gap := time.Duration(g.rng.ExpFloat64() / g.rate * float64(time.Second))
 	if gap < time.Millisecond {
 		gap = time.Millisecond
@@ -274,26 +226,39 @@ func (g *OpenLoop) interArrival() time.Duration {
 	return gap
 }
 
-func (g *OpenLoop) tick() {
+// tick is one open-loop arrival.
+func (g *loop) tick() {
+	g.submit()
+	if g.submitted < g.total {
+		g.eng.Schedule(g.interArrival(), g.tick)
+	}
+}
+
+func (g *loop) submit() {
 	if g.submitted >= g.total {
 		return
 	}
 	seq := g.submitted
 	g.submitted++
 	dst := g.dist.Pick(g.rng)
-	_, err := g.sub.Submit(dst, g.payload(seq), func(o sink.Outcome) {
-		g.outcomes = append(g.outcomes, o)
-		g.finished = g.eng.Now()
-	})
-	if err != nil {
-		g.outcomes = append(g.outcomes, sink.Outcome{Dst: dst, Err: err, EnqueuedAt: g.eng.Now(), DoneAt: g.eng.Now()})
-		g.finished = g.eng.Now()
-	}
-	if g.submitted < g.total {
-		g.eng.Schedule(g.interArrival(), g.tick)
+	if _, err := g.sub.Submit(dst, fmt.Sprintf("op-%d", seq), g.done); err != nil {
+		// Rejected at submit (queue full): record a synthetic failure; a
+		// closed loop keeps its width by moving on to the next operation.
+		now := g.eng.Now()
+		g.record(sink.Outcome{Dst: dst, Err: err, EnqueuedAt: now, DoneAt: now})
 	}
 }
 
-func (g *OpenLoop) Done() bool                { return len(g.outcomes) >= g.total }
-func (g *OpenLoop) Outcomes() []sink.Outcome  { return g.outcomes }
-func (g *OpenLoop) FinishedAt() time.Duration { return g.finished }
+// record resolves one operation; in a closed loop it frees a slot for
+// the next.
+func (g *loop) record(o sink.Outcome) {
+	g.outcomes = append(g.outcomes, o)
+	g.finished = g.eng.Now()
+	if g.concurrency > 0 {
+		g.submit()
+	}
+}
+
+func (g *loop) Done() bool                { return len(g.outcomes) >= g.total }
+func (g *loop) Outcomes() []sink.Outcome  { return g.outcomes }
+func (g *loop) FinishedAt() time.Duration { return g.finished }
