@@ -67,9 +67,10 @@ race:
 
 # Brief fuzz pass over each wire-codec target, the codec-allocator
 # invariant target, the fault-plan parser, the sink scheduler's subtree
-# grouping key, the radio's fast dBm→mW kernel against the exact one, and
-# the radio's draw-first reception decision against the PRR curve (the
-# committed corpora under */testdata/fuzz always run as part of plain
+# grouping key, the radio's fast dBm→mW kernel (the powers every reception
+# and CCA decision uses) against math.Pow, and the table bracket that
+# settles the radio's draw-first reception decision against the PRR curve
+# (the committed corpora under */testdata/fuzz always run as part of plain
 # `go test`).
 FUZZTIME ?= 5s
 fuzz:

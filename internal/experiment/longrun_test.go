@@ -64,8 +64,10 @@ func TestLongIndoorComparison(t *testing.T) {
 }
 
 // TestLongSparseConvergence verifies the Sparse-linear field (225 nodes,
-// tens of hops) fully attaches and codes within 25 simulated minutes.
-// Skipped under -short.
+// tens of hops) attaches and codes: it runs 5-minute steps until at least
+// 213 nodes are attached and 220 coded, or for at most one simulated
+// hour, then asserts at least 212 attached and 220 coded. Skipped under
+// -short.
 func TestLongSparseConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long reproduction test")

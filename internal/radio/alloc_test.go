@@ -57,9 +57,7 @@ func TestBroadcastAllocFree(t *testing.T) {
 // and as many listeners sleep; both return to their duty state once the
 // frames have left the air. A wake also inserts the radio into the
 // receiver list of each frame on the air that notifies it, and the
-// measured window must contain such inserts. Receptions that meet
-// interference take a log from the medium's pool, so the pool is inside
-// the contract too.
+// measured window must contain such inserts.
 func TestDutyCycledAllocFree(t *testing.T) {
 	d := newDutyCycledField(t)
 	n := d.m.NumNodes()
@@ -97,9 +95,6 @@ func TestDutyCycledAllocFree(t *testing.T) {
 	}
 	if rebuilt == 0 {
 		t.Fatal("no radio woke to frames on the air")
-	}
-	if len(d.m.freeLogs) == 0 {
-		t.Fatal("no reception logged an interferer")
 	}
 	inserted = 0
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {

@@ -210,7 +210,7 @@ func BenchmarkFastMW(b *testing.B) {
 }
 
 // BenchmarkRxDecide measures one draw-first reception decision
-// (fastDecide, interference-free, so the SNR is the signal over a unit
+// (rxDecide, interference-free, so the SNR is the signal over a unit
 // noise) over a fixed seeded batch of gray-zone frames: SNRs whose PRR
 // lies between 0.01 and 0.99 for the frame's length, each with a uniform
 // draw.
@@ -220,7 +220,6 @@ func BenchmarkRxDecide(b *testing.B) {
 		frameBytes int
 	}
 	p := DefaultParams()
-	capture := newDBGate(captureThresholdDB)
 	rng := rand.New(rand.NewPCG(7, 20))
 	batch := make([]decision, 0, 1024)
 	for len(batch) < cap(batch) {
@@ -234,7 +233,7 @@ func BenchmarkRxDecide(b *testing.B) {
 	n := 0
 	for i := 0; i < b.N; i++ {
 		d := &batch[i&1023]
-		if ok, settled := p.fastDecide(capture, d.u, d.snr, 0, 1, d.frameBytes-phyOverheadBytes); ok && settled {
+		if p.rxDecide(d.u, d.snr, 0, 1, d.frameBytes-phyOverheadBytes) {
 			n++
 		}
 	}

@@ -13,9 +13,8 @@ import (
 
 // checkBracket fails the test unless the bracket of snr's table cell,
 // where it settles, decides u < prrFromSNR(snr, frameBytes). SNRs outside
-// (0, prrSaturatedSNR), NaN included, have no bracket: fastDecide settles
-// or leaves them before it reaches one. It reports whether the bracket
-// settled.
+// (0, prrSaturatedSNR), NaN included, have no bracket: rxDecide takes the
+// curve for them. It reports whether the bracket settled.
 func checkBracket(t testing.TB, u, snr float64, frameBytes int) bool {
 	t.Helper()
 	if !(snr > 0 && snr < prrSaturatedSNR) {
@@ -42,7 +41,7 @@ func checkBracketAtPRR(t testing.TB, rng *rand.Rand, snr float64, frameBytes int
 }
 
 // TestReceivedMatchesCurve pins the draw-first reception decision, the
-// table bracket fastDecide settles draws with, to the curve: on 10^7
+// table bracket rxDecide settles draws with, to the curve: on 10^7
 // seeded (u, SNR, frame length) triples over SNR in (0, 4.5) and every
 // frame length the stack sends, and on the margins — u at 0 and at the
 // exact PRR with its neighbours, SNRs on every 64th table grid point with
@@ -133,9 +132,9 @@ func (c constNoise) ReadAt(time.Duration) float64 { return float64(c) }
 // (on the threshold or its margin either side, give or take a few ulps)
 // and sets of equal terms whose sum lands on the threshold, over CPM
 // noise and the quiet and a deep constant floor, with WiFi on and off,
-// every sample must equal the CCA gate on the arrival-order fold of the
-// same noise reading, and the noise source must advance exactly once per
-// sample.
+// every sample must equal the linear threshold's verdict on the
+// arrival-order fold of the same noise reading and air set in fastMW
+// powers, and the noise source must advance exactly once per sample.
 func TestCCADominanceMatchesFold(t *testing.T) {
 	const seed, samples = 3, 60000
 	model := noise.Train(noise.GenerateTrace(20000, 3))
@@ -242,21 +241,21 @@ func TestCCADominanceMatchesFold(t *testing.T) {
 				if c.floor != 0 {
 					src.src = constNoise(c.floor)
 				}
-				fold, top := dbmToMW(src.last), src.last
+				fold, top := fastMW(src.last), src.last
 				if twinWifi != nil {
 					w := twinWifi.InterferenceAt(eng.Now())
-					fold += dbmToMW(w)
+					fold += fastMW(w)
 					top = max(top, w)
 				}
 				for i := range r.air {
-					fold += dbmToMW(r.air[i].rxDBm)
+					fold += fastMW(r.air[i].rxDBm)
 					top = max(top, r.air[i].rxDBm)
 				}
 				// Coverage only: samples neither dB bound can settle.
 				if top <= thr+ccaMarginDB && top+10*math.Log10(float64(count)) >= thr-ccaMarginDB {
 					folded++
 				}
-				if want := m.ccaGate.above(fold); got != want {
+				if want := fold > ccaThresholdMW; got != want {
 					t.Fatalf("t=%v noise %v dBm, %d entries: CCABusy %v, fold %v dBm says %v",
 						eng.Now(), src.last, len(r.air), got, mwToDBm(fold), want)
 				}
@@ -281,29 +280,29 @@ func TestCCADominanceMatchesFold(t *testing.T) {
 	}
 }
 
-// fastErr is the relative error TestFastDecideMatchesRxDecide puts on
-// the powers it hands fastDecide: four times the worst a fast fold of
-// fastMaxTerms powers carries (see fastSlack), still far inside the slack.
-const fastErr = 1e-12
+// refDecide is the reception decision written plainly, on the powers
+// the radio holds: the capture ratio against the linear threshold, then
+// the draw against the curve.
+func refDecide(u, signalMW, maxInterfMW, noiseMW float64, frameBytes int) bool {
+	if maxInterfMW > 0 && signalMW/maxInterfMW < captureRatio {
+		return false
+	}
+	return u < prrFromSNR(signalMW/(noiseMW+maxInterfMW), frameBytes+phyOverheadBytes)
+}
 
-// TestFastDecideMatchesRxDecide pins the decision on fast powers to
-// rxDecide on exact ones: whenever fastDecide settles, it must return
-// rxDecide's decision. It runs 10⁷ seeded (u, signal, interference,
-// noise, frame length) cases — powers drawn in dBm over the receive
-// path's range, converted exactly and by fastMW or moved by up to
-// fastErr — and forced margins: SINRs a few ulps either side of the
-// saturation bound 4.0 and of PRR table cell edges j·h, capture ratios
-// inside and at the edges of the capture gate's band, draws at the
-// exact PRR and its float neighbours, and powers outside the range
-// fastSettles admits. Nearly all random cases must settle, and none whose
-// SINR or capture ratio lies within the slack of a cell edge, the
-// saturation bound or an edge of the gate's band.
-func TestFastDecideMatchesRxDecide(t *testing.T) {
+// TestRxDecideMatchesReference pins rxDecide, which settles most draws
+// with the table bracket of the SINR's cell, to refDecide: on 10⁷ seeded
+// (u, signal, interference, noise, frame length) cases — powers drawn in
+// dBm over the receive path's range and converted by fastMW, or summed —
+// and on forced margins: SINRs a few ulps either side of the saturation
+// bound 4.0 and of PRR table cell edges j·h, capture ratios within a few
+// ulps of the threshold and a hair either side of it, draws at the PRR
+// and its float neighbours, and powers that are zero, out of range or
+// not finite. The margins must reach the curve, where the bracket leaves
+// a draw open.
+func TestRxDecideMatchesReference(t *testing.T) {
 	p := DefaultParams()
-	capture := newDBGate(captureThresholdDB)
-	capLin := dbmToMW(captureThresholdDB)
 	rng := rand.New(rand.NewPCG(22, 1))
-	perturb := func(x float64) float64 { return x * (1 + (2*rng.Float64()-1)*fastErr) }
 	ulps := func(x float64, k int) float64 {
 		for ; k > 0; k-- {
 			x = math.Nextafter(x, math.Inf(1))
@@ -313,55 +312,49 @@ func TestFastDecideMatchesRxDecide(t *testing.T) {
 		}
 		return x
 	}
-	var settled, open int
-	// check compares the two decisions for exact powers (s, i, n) and
-	// their fast counterparts (fs, fi, fn) at each draw in us.
-	check := func(us []float64, s, i, n, fs, fi, fn float64, size int) {
+	var open int
+	// check compares the two decisions for powers (s, i, n) at each draw
+	// in us, counting the draws past the capture gate whose bracket leaves
+	// them to the curve.
+	check := func(us []float64, s, i, n float64, size int) {
 		for _, u := range us {
-			want := p.rxDecide(capture, u, s, i, n, size)
-			got, ok := p.fastDecide(capture, u, fs, fi, fn, size)
-			if !ok {
-				open++
+			if got, want := p.rxDecide(u, s, i, n, size), refDecide(u, s, i, n, size); got != want {
+				t.Fatalf("u=%v signal=%v interf=%v noise=%v size=%d: rxDecide %v, reference %v",
+					u, s, i, n, size, got, want)
+			}
+			if i > 0 && s/i < captureRatio {
 				continue
 			}
-			settled++
-			if got != want {
-				t.Fatalf("u=%v signal=%v interf=%v noise=%v (fast %v %v %v) size=%d: fast %v, exact %v",
-					u, s, i, n, fs, fi, fn, size, got, want)
+			if snr := s / (n + i); snr > 0 && snr < prrSaturatedSNR {
+				if _, settled := bracket(u, int(snr*(1/prrLogStep)), size+phyOverheadBytes); !settled {
+					open++
+				}
 			}
 		}
 	}
-	// atPRR returns the draws on the margin of the exact decision.
+	// atPRR returns the draws on the margin of the decision.
 	atPRR := func(s, i, n float64, size int) []float64 {
 		prr := prrFromSNR(s/(n+i), size+phyOverheadBytes)
 		return []float64{rng.Float64(), prr, math.Nextafter(prr, 0), math.Nextafter(prr, 1)}
 	}
 
 	for k := 0; k < 10_000_000; k++ {
-		sDBm, nDBm := -100+60*rng.Float64(), -105+25*rng.Float64()
-		s, n := dbmToMW(sDBm), dbmToMW(nDBm)
-		fs, fn := fastMW(sDBm), fastMW(nDBm)
-		var i, fi float64
+		s, n := fastMW(-100+60*rng.Float64()), fastMW(-105+25*rng.Float64())
+		var i float64
 		switch rng.IntN(4) {
 		case 0: // interference-free
-		case 1: // a fold of exact powers, fast ones off by up to fastErr
-			i = dbmToMW(-110 + 60*rng.Float64())
-			fi = perturb(i)
+		case 1: // a fold of two interferers
+			i = fastMW(-110+60*rng.Float64()) + fastMW(-110+60*rng.Float64())
 		default:
-			iDBm := -110 + 60*rng.Float64()
-			i, fi = dbmToMW(iDBm), fastMW(iDBm)
+			i = fastMW(-110 + 60*rng.Float64())
 		}
-		check([]float64{rng.Float64()}, s, i, n, fs, fi, fn, rng.IntN(maxTestFrameBytes+1))
+		check([]float64{rng.Float64()}, s, i, n, rng.IntN(maxTestFrameBytes+1))
 	}
-	if settled < 9_900_000 {
-		t.Fatalf("fast decision settled %d of 10^7 random cases, want at least 99%%", settled)
-	}
-	random := settled
+	random := open
 
-	// Forced margins: an exact SINR placed on a boundary, the fast powers
-	// perturbed around it.
+	// Forced margins: an SINR placed on a boundary.
 	for k := 0; k < 200_000; k++ {
-		n := dbmToMW(-105 + 25*rng.Float64())
+		n := fastMW(-105 + 25*rng.Float64())
 		var i float64
 		if rng.IntN(2) == 0 {
 			i = n * 4 * rng.Float64()
@@ -376,55 +369,29 @@ func TestFastDecideMatchesRxDecide(t *testing.T) {
 			target = prrSaturatedSNR * rng.Float64()
 		}
 		s := ulps(target*(n+i), rng.IntN(9)-4)
-		if i > 0 && mwToDBm(s/i) < captureThresholdDB+1e-3 {
-			i = s / capLin / 2 // keep the capture gate clear of this case
+		if i > 0 && s/i < captureRatio*(1+1e-3) {
+			i = s / captureRatio / 2 // keep the capture gate clear of this case
 		}
 		size := rng.IntN(maxTestFrameBytes + 1)
-		check(atPRR(s, i, n, size), s, i, n, perturb(s), perturb(i), perturb(n), size)
+		check(atPRR(s, i, n, size), s, i, n, size)
 	}
-	// The capture gate's band: ratios within a few band widths of the
-	// threshold, on its edges and a slack either side of them.
+	// The capture gate: ratios a few ulps either side of the threshold,
+	// and within a relative 3e-9 of it.
 	for k := 0; k < 200_000; k++ {
-		s, n := dbmToMW(-90+40*rng.Float64()), dbmToMW(-105+25*rng.Float64())
-		var ratio float64
-		switch rng.IntN(3) {
-		case 0:
-			ratio = capLin * (1 + (2*rng.Float64()-1)*3*gateBand)
-		case 1:
-			ratio = []float64{capture.lo, capture.hi}[rng.IntN(2)] * (1 + float64(rng.IntN(5)-2)*fastSlack)
-		default:
-			ratio = ulps([]float64{capture.lo, capture.hi, capLin}[rng.IntN(3)], rng.IntN(9)-4)
+		s, n := fastMW(-90+40*rng.Float64()), fastMW(-105+25*rng.Float64())
+		ratio := ulps(captureRatio, rng.IntN(9)-4)
+		if rng.IntN(2) == 0 {
+			ratio = captureRatio * (1 + (2*rng.Float64()-1)*3e-9)
 		}
-		i := s / ratio
 		size := rng.IntN(maxTestFrameBytes + 1)
-		check(atPRR(s, i, n, size), s, i, n, perturb(s), perturb(i), perturb(n), size)
+		check(atPRR(s, s/ratio, n, size), s, s/ratio, n, size)
 	}
-	// Powers fastSettles does not admit never settle.
-	for _, c := range [][3]float64{{0x1p-500, 0, 1e-10}, {1e-9, 0x1p-450, 1e-10}, {0x1p500, 0, 1e-10}, {1e-9, 0, 0}, {math.NaN(), 0, 1e-10}, {1e-9, math.Inf(1), 1e-10}} {
-		if _, ok := p.fastDecide(capture, 0.5, c[0], c[1], c[2], 30); ok {
-			t.Fatalf("fastDecide settled on signal %v interference %v noise %v", c[0], c[1], c[2])
-		}
+	// Powers that are zero, out of range or not finite.
+	for _, c := range [][3]float64{{0x1p-500, 0, 1e-10}, {1e-9, 0x1p-450, 1e-10}, {0x1p500, 0, 1e-10}, {1e-9, 0, 0}, {0, 0, 1e-10}, {math.NaN(), 0, 1e-10}, {1e-9, math.Inf(1), 1e-10}} {
+		check([]float64{0, 0.5, math.Nextafter(1, 0)}, c[0], c[1], c[2], 30)
 	}
-	// Fast powers within the slack of a boundary leave the decision open:
-	// an SINR next to a PRR cell edge or the saturation bound, a capture
-	// ratio next to either edge of the gate's band.
-	near := func(x float64) float64 { return x * (1 + (rng.Float64()-0.5)*fastSlack) }
-	for k := 0; k < 10000; k++ {
-		n, s := dbmToMW(-105+25*rng.Float64()), dbmToMW(-90+40*rng.Float64())
-		edge := prrSaturatedSNR
-		if k%2 == 0 {
-			edge = float64(1+rng.IntN(prrLogSteps-1)) * prrLogStep
-		}
-		if _, ok := p.fastDecide(capture, rng.Float64(), near(edge)*n, 0, n, 30); ok {
-			t.Fatalf("fastDecide settled an SINR within the slack of %v", edge)
-		}
-		ratio := []float64{capture.lo, capture.hi}[k%2]
-		if _, ok := p.fastDecide(capture, rng.Float64(), s, s/near(ratio), n, 30); ok {
-			t.Fatalf("fastDecide settled a capture ratio within the slack of %v", ratio)
-		}
-	}
-	t.Logf("%d random cases settled; margins: %d settled, %d left to the exact powers", random, settled-random, open)
-	if open == 0 {
-		t.Fatal("no case reached the exact powers; the margins are not exercised")
+	t.Logf("random cases: %d left to the curve; margins: %d", random, open-random)
+	if open == random {
+		t.Fatal("no margin case reached the curve; the margins are not exercised")
 	}
 }

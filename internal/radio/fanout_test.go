@@ -34,12 +34,12 @@ type shadowRadio struct {
 }
 
 // interferenceMW folds the air set in arrival order without the locked
-// frame, converting every power afresh.
+// frame, converting every power afresh with fastMW.
 func (s *shadowRadio) interferenceMW() float64 {
 	var sum float64
 	for _, e := range s.air {
 		if e.id != s.lockID {
-			sum += dbmToMW(e.dbm)
+			sum += fastMW(e.dbm)
 		}
 	}
 	return sum
@@ -48,8 +48,8 @@ func (s *shadowRadio) interferenceMW() float64 {
 // shadowMedium re-derives what the medium did before it notified only
 // awake receivers: every notified receiver records every start and end,
 // the jitter comes from a twin of the medium's stream, and receptions
-// are judged curve first with the logarithmic capture gate
-// (curveFirstPRR) on sums taken in full at every arrival. The medium
+// are judged curve first with the linear capture gate (curveFirstPRR) on
+// fastMW sums taken in full at every arrival. The medium
 // under test is read only for its link table.
 type shadowMedium struct {
 	m      *Medium
@@ -74,11 +74,11 @@ func newShadowMedium(m *Medium, model *noise.Model, seed uint64, wifiDBm float64
 
 // noiseMW reads radio i's noise the way Medium.noiseAt does.
 func (s *shadowMedium) noiseMW(i int, t time.Duration) float64 {
-	total := dbmToMW(s.radios[i].noise.ReadAt(t))
+	total := fastMW(s.radios[i].noise.ReadAt(t))
 	if s.wifi.On(t) {
-		total += dbmToMW(s.wifi.PowerDBm)
+		total += fastMW(s.wifi.PowerDBm)
 	} else {
-		total += dbmToMW(noise.WifiOffDBm)
+		total += fastMW(noise.WifiOffDBm)
 	}
 	return total
 }
@@ -116,7 +116,7 @@ func (s *shadowMedium) start(src int, id uint64, power float64, now time.Duratio
 		switch {
 		case r.on && !r.txing && r.lockID == 0:
 			if dbm >= sensitivityDBm {
-				r.lockID, r.signalMW = id, dbmToMW(dbm)
+				r.lockID, r.signalMW = id, fastMW(dbm)
 				r.maxInterfMW = r.interferenceMW()
 			}
 		case r.lockID != 0:
@@ -141,7 +141,7 @@ func (s *shadowMedium) end(src int, id uint64, f *Frame, now time.Duration) {
 			continue
 		}
 		r.lockID = 0
-		prr := curveFirstPRR(s.m.params, r.signalMW, r.maxInterfMW, s.noiseMW(int(dst), now), f.Size)
+		prr := curveFirstPRR(r.signalMW, r.maxInterfMW, s.noiseMW(int(dst), now), f.Size)
 		if r.rng.Float64() < prr {
 			r.counters.RxDelivered++
 			r.delivered = append(r.delivered, f)
@@ -252,9 +252,9 @@ func TestAwakeFanoutMatchesAlwaysNotify(t *testing.T) {
 					t.Fatalf("step %d radio %d: air entry %d is (%d, %v), shadow (%d, %v)",
 						step, i, k, got.txID, got.rxDBm, e.id, e.dbm)
 				}
-				total += dbmToMW(e.dbm)
+				total += fastMW(e.dbm)
 			}
-			if got, want := r.CCABusy(), mwToDBm(total) > ccaThresholdDBm; got != want {
+			if got, want := r.CCABusy(), total > ccaThresholdMW; got != want {
 				t.Fatalf("step %d radio %d: CCA busy %v, shadow %v", step, i, got, want)
 			}
 			checked++
@@ -472,7 +472,7 @@ func TestEndOfAirSkipsSleepers(t *testing.T) {
 	}
 	sleeper := m.Radio(m.linkDst[tx.rcv[0]])
 	sleeper.SetOn(false)
-	sleeper.air = append(sleeper.air, airEntry{txID: uint32(tx.id), slot: -1, mW: -1})
+	sleeper.air = append(sleeper.air, airEntry{txID: uint32(tx.id), mW: -1})
 	if err := eng.Run(eng.Now() + 10*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

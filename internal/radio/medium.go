@@ -84,12 +84,6 @@ type Medium struct {
 	// transmission's rxDBm buffer.
 	rowCap int
 
-	// freeLogs pools reception logs (one per reception in flight, not
-	// lost and with an interferer), and replayMW is the scratch of the
-	// exact replay, so logging interferers is allocation-free once warm.
-	freeLogs []*rxLog
-	replayMW []float64
-
 	// awake mirrors each radio's powered state, dense by node id (set by
 	// SetOn and ForceOff). A frame's fan-out reads it to skip sleeping
 	// receivers without touching their Radio: under LPL most radios in
@@ -99,10 +93,6 @@ type Medium struct {
 	// the order they started in. A radio that wakes rebuilds its air set
 	// from it.
 	inFlight []*transmission
-
-	// ccaGate and captureGate are ccaThresholdDBm and captureThresholdDB
-	// as dbGates: CCA and the capture gate compare in linear units.
-	ccaGate, captureGate dbGate
 }
 
 // NewMedium builds a medium over the deployment. Each node gets an
@@ -124,12 +114,10 @@ func newMedium(eng *sim.Engine, dep *topology.Deployment, model *noise.Model, pa
 		return nil, fmt.Errorf("radio: %d nodes exceed address space", n)
 	}
 	m := &Medium{
-		eng:         eng,
-		params:      params,
-		jitterRNG:   sim.DeriveRNG(seed, 0xf457),
-		awake:       make([]bool, n),
-		ccaGate:     newDBGate(ccaThresholdDBm),
-		captureGate: newDBGate(captureThresholdDB),
+		eng:       eng,
+		params:    params,
+		jitterRNG: sim.DeriveRNG(seed, 0xf457),
+		awake:     make([]bool, n),
 	}
 	m.endAirFn = m.endOfAir
 	switch params.GainModel {
@@ -497,33 +485,6 @@ func (m *Medium) noiseMW(r *Radio, dbm float64, wifiOn bool) float64 {
 		}
 	}
 	return total
-}
-
-// exactNoiseMW is noiseMW in dbmToMW powers.
-func (m *Medium) exactNoiseMW(dbm float64, wifiOn bool) float64 {
-	total := dbmToMW(dbm)
-	if m.interferer != nil {
-		total += dbmToMW(m.wifiDBm(wifiOn))
-	}
-	return total
-}
-
-// takeLog returns an empty reception log from the pool.
-func (m *Medium) takeLog() *rxLog {
-	n := len(m.freeLogs)
-	if n == 0 {
-		return &rxLog{entries: make([]rxLogEntry, 0, 16)}
-	}
-	log := m.freeLogs[n-1]
-	m.freeLogs[n-1] = nil
-	m.freeLogs = m.freeLogs[:n-1]
-	return log
-}
-
-// putLog empties a reception log and returns it to the pool.
-func (m *Medium) putLog(log *rxLog) {
-	log.entries, log.folds = log.entries[:0], 0
-	m.freeLogs = append(m.freeLogs, log)
 }
 
 // transmission is an in-flight frame on the air. Records are pooled by

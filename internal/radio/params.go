@@ -194,73 +194,14 @@ func mwToDBm(mw float64) float64 {
 	return 10 * math.Log10(mw)
 }
 
-// gateBand is the relative half-width of the band around a dbGate's
-// threshold inside which aboveNear leaves a fast value to the logarithm.
-// dbmToMW and mwToDBm each round to within a few 1e-16 relative, so
-// outside the band the linear compare and the logarithmic one cannot
-// disagree.
-const gateBand = 1e-9
-
-// dbGate compares a linear power (or power ratio) against a threshold
-// given in dB. CCA and the capture gate run every compare through one.
-type dbGate struct {
-	db float64
-	// lo and hi bound the band in linear units for aboveNear: a positive
-	// value below lo is surely under db, a value above hi surely over.
-	// Thresholds whose linear value is not a normal float get lo = 0 and
-	// hi = +Inf, so aboveNear never settles.
-	lo, hi float64
-}
-
-func newDBGate(db float64) dbGate {
-	lin := dbmToMW(db)
-	if !(lin >= 0x1p-1022 && lin <= 0x1p1000) {
-		return dbGate{db: db, hi: math.Inf(1)}
-	}
-	return dbGate{db: db, lo: lin * (1 - gateBand), hi: lin * (1 + gateBand)}
-}
-
-// below reports mwToDBm(x) < g.db.
-func (g dbGate) below(x float64) bool { return mwToDBm(x) < g.db }
-
-// above reports mwToDBm(x) > g.db.
-func (g dbGate) above(x float64) bool { return mwToDBm(x) > g.db }
-
-// aboveNear reports above(x) for every x within fastSlack relative of
-// fast, a fast power or a ratio of fast powers, with settled false when
-// the interval reaches into the band or fast is outside fastSettles'
-// range.
-func (g dbGate) aboveNear(fast float64) (above, settled bool) {
-	if !fastSettles(fast) {
-		return false, false
-	}
-	if fast*(1-fastSlack) > g.hi {
-		return true, true
-	}
-	if fast*(1+fastSlack) < g.lo {
-		return false, true
-	}
-	return false, false
-}
-
-// fastSlack is the relative slack of every decision taken on fastMW
-// powers. A power differs from its dbmToMW value by at most fastMWBound
-// (1.1e-14); a left fold of n positive terms by that plus 2(n−1)·2⁻⁵³
-// against the same fold of the exact terms, about 2.4e-13 for n below
-// fastMaxTerms; a maximum of folds by no more than its worst fold; and
-// the SINR or capture ratio of such sums by that plus two roundings. The
-// slack is about forty times this and a hundredth of gateBand, so a fast
-// value past a threshold by fastSlack puts the exact value past it too.
-const fastSlack = 1e-11
-
-// fastMaxTerms bounds the number of terms in a fold decided on fast
-// powers; a longer air set or reception log takes the exact powers.
-const fastMaxTerms = 1024
-
-// fastSettles reports that the fast value x lies in [2⁻⁴⁰⁰, 2⁴⁰⁰], so
-// sums of two such values and quotients of them are normal and their
-// relative error bounds hold (−200 dBm is about 2⁻⁶⁶ mW).
-func fastSettles(x float64) bool { return x >= 0x1p-400 && x <= 0x1p400 }
+// ccaThresholdMW and captureRatio are ccaThresholdDBm and
+// captureThresholdDB in linear units. CCA compares the power at the
+// antenna with the first, the capture gate a signal-to-interference
+// ratio with the second, so neither takes a logarithm.
+var (
+	ccaThresholdMW = dbmToMW(ccaThresholdDBm)
+	captureRatio   = dbmToMW(captureThresholdDB)
+)
 
 // prrSaturatedSNR is the linear SNR (6.02 dB) at and above which the PRR
 // curve is exactly 1 for any frame length: the largest bit-error term is
@@ -340,7 +281,9 @@ const (
 
 // bracket decides u < prrFromSNR(snr, frameBytes), bit for bit, for every
 // SNR in the table cell [j·h, (j+1)·h) (h = prrLogStep, 0 ≤ j <
-// prrLogSteps) without evaluating the curve. The reception ratio meets
+// prrLogSteps) without evaluating the curve; rxDecide hands it the cell
+// of the SINR it holds and evaluates the curve only for the draws it
+// leaves open. The reception ratio meets
 // only the uniform draw u, so the decision brackets ln PRR = n·ln(1 − Pb),
 // n = 8·frameBytes, between the cell's two entries of prrLogTable and
 // compares ln u against the bracket:
@@ -379,44 +322,25 @@ func bracket(u float64, j, frameBytes int) (ok, settled bool) {
 // rxDecide adjudicates a locked reception against the uniform draw u: a
 // frame of frameBytes (MAC size) received at signalMW against the worst
 // interference seen while it was on the air plus the noise at its end is
-// received when u falls below its reception ratio. The capture gate
-// against co-channel 802.15.4 frames (capture, captureThresholdDB as a
-// dbGate) is checked first: a frame it rejects has PRR 0 whatever the
-// curve says, so no draw in [0, 1) receives it.
-func (p Params) rxDecide(capture dbGate, u, signalMW, maxInterfMW, noiseMW float64, frameBytes int) bool {
-	if maxInterfMW > 0 && capture.below(signalMW/maxInterfMW) {
+// received when u falls below its reception ratio. The powers are the
+// fastMW values the radio holds. The capture gate against co-channel
+// 802.15.4 frames is checked first, the signal-to-interference ratio
+// against captureRatio: a frame it rejects has PRR 0 whatever the curve
+// says, so no draw in [0, 1) receives it. The rest is u < prrFromSNR of
+// the SINR, settled by the bracket of its table cell where that settles
+// and by the curve otherwise.
+func (p Params) rxDecide(u, signalMW, maxInterfMW, noiseMW float64, frameBytes int) bool {
+	if maxInterfMW > 0 && signalMW/maxInterfMW < captureRatio {
 		return false
 	}
-	return u < prrFromSNR(signalMW/(noiseMW+maxInterfMW), frameBytes+phyOverheadBytes)
-}
-
-// fastDecide is rxDecide on fast powers: signalMW, maxInterfMW and
-// noiseMW each within fastSlack of the exact powers (see fastSlack) —
-// the interference 0 exactly when the exact one is. It returns rxDecide's
-// decision on the exact powers whenever every SINR and capture ratio
-// within fastSlack of the fast ones decides alike: the capture ratio
-// clear of the gate's band, and the SINR interval saturated or inside one
-// table cell whose bracket settles the draw. Otherwise settled is false.
-func (p Params) fastDecide(capture dbGate, u, signalMW, maxInterfMW, noiseMW float64, frameBytes int) (ok, settled bool) {
-	if !fastSettles(signalMW) || !fastSettles(noiseMW) || maxInterfMW != 0 && !fastSettles(maxInterfMW) {
-		return false, false
-	}
-	if maxInterfMW > 0 {
-		// A ratio settled below the gate loses the frame for every draw.
-		if above, ok := capture.aboveNear(signalMW / maxInterfMW); !ok || !above {
-			return false, ok
+	snr := signalMW / (noiseMW + maxInterfMW)
+	frameBytes += phyOverheadBytes
+	if snr > 0 && snr < prrSaturatedSNR {
+		if ok, settled := bracket(u, int(snr*(1/prrLogStep)), frameBytes); settled {
+			return ok
 		}
 	}
-	snr := signalMW / (noiseMW + maxInterfMW)
-	lo, hi := snr*(1-fastSlack), snr*(1+fastSlack)
-	if lo >= prrSaturatedSNR {
-		return u < 1, true
-	}
-	j := int(lo * (1 / prrLogStep))
-	if hi >= prrSaturatedSNR || j != int(hi*(1/prrLogStep)) {
-		return false, false
-	}
-	return bracket(u, j, frameBytes+phyOverheadBytes)
+	return u < prrFromSNR(snr, frameBytes)
 }
 
 // binom16 holds C(16, k).

@@ -92,13 +92,7 @@ type airEntry struct {
 	// txID is the low 32 bits of the transmission id. Frames on the air
 	// together are far fewer than 2³² transmissions apart, so it names
 	// its frame within an air set.
-	txID uint32
-	// slot is the entry's index in the reception log while a logged
-	// reception is in flight, so its departure is stamped without a
-	// search. Entries get one when a reception locks or when they arrive
-	// during one (-1 for the locked frame); outside a logged reception it
-	// is stale and unread.
-	slot  int32
+	txID  uint32
 	rxDBm float64
 	mW    float64
 }
@@ -111,13 +105,10 @@ func (a *airEntry) powerMW() float64 {
 	return a.mW
 }
 
-// rxContext is a reception in progress. Its powers are fastMW values: the
-// receive path decides from them where fastSlack settles the decision and
-// otherwise rebuilds the exact ones, the signal from signalDBm and the
-// worst interference from the log.
+// rxContext is a reception in progress. Its powers are the fastMW values
+// every decision on it uses.
 type rxContext struct {
 	tx          *transmission
-	signalDBm   float64
 	signalMW    float64
 	maxInterfMW float64
 	// interfMW is the interference sum of the last arrival, the left fold
@@ -126,12 +117,6 @@ type rxContext struct {
 	// bit for bit. Negative once an entry has left the air set: the next
 	// arrival then folds the whole set afresh.
 	interfMW float64
-	// log records the reception's interferers and folds for the exact
-	// replay. Pooled, and held only while the reception is in flight, not
-	// lost and has had an interferer: until the first one every fold is
-	// 0, which leaves the worst fold as it is, so it starts no log (nil
-	// otherwise).
-	log *rxLog
 	// outshoneDBm is the locked frame's power minus the capture threshold
 	// plus outshoneMarginDB: an interferer received above it loses the
 	// frame. Once the reception is lost it records what lost it for the
@@ -139,16 +124,16 @@ type rxContext struct {
 	outshoneDBm float64
 	// lost marks a reception the capture gate must reject whatever else
 	// arrives (set through lose by onAirStart, interfere and
-	// raiseInterference); the receive path stops converting and logging
-	// powers for it.
+	// raiseInterference); the receive path stops converting powers for
+	// it.
 	lost bool
 }
 
 // outshoneMarginDB is the slack of the outshone test. A floating-point
 // sum of positive powers is never below any one of them, so an
 // interferer more than the capture threshold above the signal fails the
-// gate whatever else is on the air; the dB/mW conversions round to about
-// 1e-14 dB, far inside the margin.
+// gate whatever else is on the air; fastMW rounds to about 5e-14 dB, far
+// inside the margin.
 const outshoneMarginDB = 1e-6
 
 // ID returns the node id this radio belongs to.
@@ -221,13 +206,16 @@ func (r *Radio) Counters() Counters { return r.counters }
 // CCABusy samples clear-channel assessment: true when the total energy at
 // the antenna exceeds the CCA threshold. The radio must be on.
 //
-// The noise is read once. Most samples are settled in dB from the largest
-// term, without converting a power: a float sum of non-negative terms is
-// never below any one of them and never above count·max·(1 + count·2⁻⁵³),
-// and the dB↔mW conversions round to about 1e-14 dB, so a term more than
-// ccaMarginDB above the threshold makes the channel busy and a largest
-// term more than ccaMarginDB below it after adding 10·log₁₀(count) makes
-// it idle, exactly as the fold would. The rest take the arrival-order fold.
+// The noise is read once. The channel is busy when the arrival-order fold
+// of the noise and the air set, in fastMW powers, exceeds ccaThresholdMW.
+// Most samples are settled in dB from the largest term, without
+// converting a power: a float sum of non-negative terms is never below
+// any one of them and never above count·max·(1 + count·2⁻⁵³), and fastMW
+// is within 1.1e-14 relative (about 5e-14 dB) of the power, so a term
+// more than ccaMarginDB above the threshold makes the channel busy and a
+// largest term more than ccaMarginDB below it after adding
+// 10·log₁₀(count) makes it idle, exactly as the fold would. The rest take
+// the fold.
 func (r *Radio) CCABusy() bool {
 	if r.State() == StateOff {
 		return false
@@ -249,12 +237,7 @@ func (r *Radio) CCABusy() bool {
 	if count < len(tenLog10) && top+tenLog10[count] < thr-ccaMarginDB {
 		return false
 	}
-	if len(r.air) < fastMaxTerms {
-		if busy, ok := m.ccaGate.aboveNear(r.channelMW(m.noiseMW(r, dbm, wifiOn))); ok {
-			return busy
-		}
-	}
-	return m.ccaGate.above(r.exactChannelMW(dbm, wifiOn))
+	return r.channelMW(m.noiseMW(r, dbm, wifiOn)) > ccaThresholdMW
 }
 
 // ccaMarginDB is the slack of CCABusy's dB decisions, far above the
@@ -277,16 +260,6 @@ func (r *Radio) channelMW(noiseMW float64) float64 {
 	total := noiseMW
 	for i := range r.air {
 		total += r.air[i].powerMW()
-	}
-	return total
-}
-
-// exactChannelMW is channelMW in dbmToMW powers, for a noise reading of
-// dbm and the interferer's state wifiOn.
-func (r *Radio) exactChannelMW(dbm float64, wifiOn bool) float64 {
-	total := r.medium.exactNoiseMW(dbm, wifiOn)
-	for i := range r.air {
-		total += dbmToMW(r.air[i].rxDBm)
 	}
 	return total
 }
@@ -316,31 +289,20 @@ func (r *Radio) Transmit(f *Frame, powerDBm float64) error {
 // dropRx abandons any reception in progress. Clearing the transmission
 // pointer matters: transmission records are pooled by the medium, and an
 // abandoned context must not pin (or later falsely match) a recycled one.
-// The log goes back to the medium's pool. The other fields stay as they
-// are until locking onto the next frame rewrites them all, so onAirEnd's
-// trace still reads the powers of the reception it has just dropped.
+// The other fields stay as they are until locking onto the next frame
+// rewrites them all, so onAirEnd's trace still reads the powers of the
+// reception it has just dropped.
 func (r *Radio) dropRx() {
 	r.rxActive = false
 	r.rx.tx = nil
-	r.releaseLog()
-}
-
-// releaseLog returns the reception's log buffer to the medium's pool.
-func (r *Radio) releaseLog() {
-	if r.rx.log != nil {
-		r.medium.putLog(r.rx.log)
-		r.rx.log = nil
-	}
 }
 
 // lose settles the reception as lost: nothing it sees from here on can
-// save it, so it keeps no log. byDBm is the power of the interferer that
-// outshone it, or -Inf when the worst interference sum lost it; sinr
-// reads it.
+// save it. byDBm is the power of the interferer that outshone it, or
+// -Inf when the worst interference sum lost it; sinr reads it.
 func (r *Radio) lose(byDBm float64) {
 	r.rx.lost = true
 	r.rx.outshoneDBm = byDBm
-	r.releaseLog()
 }
 
 // Transmitting reports whether a transmission is in flight.
@@ -349,7 +311,7 @@ func (r *Radio) Transmitting() bool { return r.State() == StateTransmitting }
 // onAirStart is called by the medium when a transmission begins in range
 // of this radio while it is on.
 func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
-	r.air = append(r.air, airEntry{txID: uint32(tx.id), slot: -1, rxDBm: rxPowerDBm, mW: -1})
+	r.air = append(r.air, airEntry{txID: uint32(tx.id), rxDBm: rxPowerDBm, mW: -1})
 	switch r.State() {
 	case StateListening:
 		if rxPowerDBm < sensitivityDBm {
@@ -357,7 +319,7 @@ func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 		}
 		// Lock onto this frame; everything else on the air interferes.
 		last := len(r.air) - 1
-		r.rx = rxContext{tx: tx, signalDBm: rxPowerDBm, signalMW: r.air[last].powerMW(),
+		r.rx = rxContext{tx: tx, signalMW: r.air[last].powerMW(),
 			outshoneDBm: rxPowerDBm - captureThresholdDB + outshoneMarginDB}
 		r.rxActive = true
 		r.state = StateReceiving
@@ -368,13 +330,6 @@ func (r *Radio) onAirStart(tx *transmission, rxPowerDBm float64) {
 				return
 			}
 			sum += r.air[i].powerMW()
-		}
-		if last > 0 {
-			r.rx.log = r.medium.takeLog()
-			for i := range r.air[:last] {
-				r.air[i].slot = r.rx.log.add(r.air[i].rxDBm)
-			}
-			r.rx.log.fold()
 		}
 		r.rx.interfMW = sum
 		r.raiseInterference(sum)
@@ -392,11 +347,6 @@ func (r *Radio) interfere(rxPowerDBm float64) {
 		r.lose(rxPowerDBm)
 		return
 	}
-	if r.rx.log == nil {
-		r.rx.log = r.medium.takeLog()
-	}
-	r.air[len(r.air)-1].slot = r.rx.log.add(rxPowerDBm)
-	r.rx.log.fold()
 	if r.rx.interfMW >= 0 {
 		r.rx.interfMW += r.air[len(r.air)-1].powerMW()
 	} else {
@@ -405,20 +355,17 @@ func (r *Radio) interfere(rxPowerDBm float64) {
 	r.raiseInterference(r.rx.interfMW)
 }
 
-// raiseInterference records an interference sum. Once the signal is
-// below the capture threshold by more than the gate's band against it,
-// the reception is lost: the worst interference only grows, and division
-// is monotone, so the end-of-air gate must reject the frame. The ratio
-// is of fast powers, so aboveNear must settle it below the band.
+// raiseInterference records an interference sum. Once the signal over it
+// is below captureRatio, the reception is lost: the worst interference
+// only grows, and division is monotone, so rxDecide's capture gate would
+// reject the frame at its end.
 func (r *Radio) raiseInterference(i float64) {
 	if i <= r.rx.maxInterfMW {
 		return
 	}
 	r.rx.maxInterfMW = i
-	if r.rx.log.len() < fastMaxTerms {
-		if above, ok := r.medium.captureGate.aboveNear(r.rx.signalMW / i); ok && !above {
-			r.lose(math.Inf(-1))
-		}
+	if r.rx.signalMW/i < captureRatio {
+		r.lose(math.Inf(-1))
 	}
 }
 
@@ -439,9 +386,6 @@ func (r *Radio) removeAir(id uint32) {
 	air := r.air
 	for i := range air {
 		if air[i].txID == id {
-			if r.rx.log != nil && air[i].slot >= 0 {
-				r.rx.log.leave(air[i].slot)
-			}
 			// Air sets hold a handful of entries: shifting by hand beats
 			// a memmove call.
 			for ; i+1 < len(air); i++ {
@@ -471,7 +415,7 @@ func (r *Radio) onAirEnd(tx *transmission) {
 	dbm, wifiOn := m.readNoise(r, m.eng.Now())
 	var ok bool
 	if !r.rx.lost {
-		ok = r.decide(u, dbm, wifiOn, tx.frame.Size)
+		ok = m.params.rxDecide(u, r.rx.signalMW, r.rx.maxInterfMW, m.noiseMW(r, dbm, wifiOn), tx.frame.Size)
 	}
 	r.dropRx()
 	r.state = StateListening
@@ -497,23 +441,6 @@ func (r *Radio) onAirEnd(tx *transmission) {
 	if ok && r.handler != nil {
 		r.handler.OnFrame(tx.frame)
 	}
-}
-
-// decide adjudicates the reception at its end against the draw u and the
-// noise reading (dbm, wifiOn), returning what rxDecide returns on exact
-// powers. It first decides on the fast powers; only a decision they leave
-// open takes the exact powers, the worst interference replayed from the
-// log.
-func (r *Radio) decide(u, dbm float64, wifiOn bool, frameBytes int) bool {
-	m := r.medium
-	if r.rx.log.len() < fastMaxTerms {
-		if ok, settled := m.params.fastDecide(m.captureGate, u, r.rx.signalMW, r.rx.maxInterfMW, m.noiseMW(r, dbm, wifiOn), frameBytes); settled {
-			return ok
-		}
-	}
-	var worst float64
-	m.replayMW, worst = r.rx.log.worst(m.replayMW)
-	return m.params.rxDecide(m.captureGate, u, dbmToMW(r.rx.signalDBm), worst, m.exactNoiseMW(dbm, wifiOn), frameBytes)
 }
 
 // sinr is the SINR a traced reception reports, from the fast powers it

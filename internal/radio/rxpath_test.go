@@ -62,13 +62,12 @@ func TestPRRSaturatedCurveIsExactlyOne(t *testing.T) {
 }
 
 // curveFirstPRR is the reference adjudication order: evaluate the full
-// PRR curve, then zero it when the capture gate fails.
-func curveFirstPRR(p Params, signalMW, maxInterfMW, noiseMW float64, frameBytes int) float64 {
+// PRR curve, then zero it when the capture ratio is below the gate's
+// linear threshold.
+func curveFirstPRR(signalMW, maxInterfMW, noiseMW float64, frameBytes int) float64 {
 	prr := prrCurve(signalMW/(noiseMW+maxInterfMW), frameBytes+phyOverheadBytes)
-	if maxInterfMW > 0 {
-		if mwToDBm(signalMW/maxInterfMW) < captureThresholdDB {
-			prr = 0
-		}
+	if maxInterfMW > 0 && signalMW/maxInterfMW < captureRatio {
+		prr = 0
 	}
 	return prr
 }
@@ -77,24 +76,18 @@ func curveFirstPRR(p Params, signalMW, maxInterfMW, noiseMW float64, frameBytes 
 // triple: the decision must be u < PRR for several draws — uniform ones,
 // and the oracle's PRR itself with its float neighbours, where the
 // decision sits at its margin. It returns the oracle's PRR.
-func checkDecision(t *testing.T, rng *rand.Rand, p Params, capture dbGate, signal, interf, noise float64, size int) float64 {
+func checkDecision(t *testing.T, rng *rand.Rand, p Params, signal, interf, noise float64, size int) float64 {
 	t.Helper()
-	wantPRR := curveFirstPRR(p, signal, interf, noise, size)
+	wantPRR := curveFirstPRR(signal, interf, noise, size)
 	us := []float64{rng.Float64(), rng.Float64(), rng.Float64(),
 		wantPRR, math.Nextafter(wantPRR, 0), math.Nextafter(wantPRR, 1)}
 	for _, u := range us {
-		if ok := p.rxDecide(capture, u, signal, interf, noise, size); ok != (u < wantPRR) {
+		if ok := p.rxDecide(u, signal, interf, noise, size); ok != (u < wantPRR) {
 			t.Fatalf("signal=%g interf=%g noise=%g size=%d u=%v: got %v, oracle PRR %v",
 				signal, interf, noise, size, u, ok, wantPRR)
 		}
 	}
 	return wantPRR
-}
-
-// replayed is the exact worst interference r's reception log replays.
-func replayed(r *Radio) float64 {
-	_, worst := r.rx.log.worst(nil)
-	return worst
 }
 
 // TestCaptureFirstMatchesCurveFirst checks the capture-first decision
@@ -120,8 +113,8 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 			interf = dbmToMW(-110 + 60*rng.Float64())
 		}
 		size := rng.IntN(maxTestFrameBytes + 1)
-		wantPRR := checkDecision(t, draws, p, newDBGate(captureThresholdDB), signal, interf, noise, size)
-		if interf > 0 && wantPRR == 0 && mwToDBm(signal/interf) < captureThresholdDB {
+		wantPRR := checkDecision(t, draws, p, signal, interf, noise, size)
+		if interf > 0 && wantPRR == 0 && signal/interf < captureRatio {
 			gated++
 		}
 		if signal/(noise+interf) >= prrSaturatedSNR {
@@ -132,23 +125,20 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 		t.Fatalf("sweep too narrow: %d gated, %d saturated triples", gated, saturated)
 	}
 
-	// The receive path's early decisions and its exact replay. A bare
-	// radio locks onto a signal over a random air set and then sees
-	// arrivals and departures; the reference folds the air set afresh in
-	// exact powers at every arrival. Whenever the radio has settled the
-	// frame as lost — an interferer outshines it in dB, or a fast sum puts
-	// it below the capture gate's band with fastSlack to spare — the oracle
+	// The receive path's early decisions and its kept worst interference.
+	// A bare radio locks onto a signal over a random air set and then
+	// sees arrivals and departures; the reference folds the air set
+	// afresh, left to right in fastMW powers, at every arrival. Whenever
+	// the radio has settled the frame as lost — an interferer outshines it
+	// in dB, or a sum puts the capture ratio below the gate — the oracle
 	// on the reference's worst sum must return PRR 0. Otherwise the worst
-	// sum replayed from the radio's reception log must reproduce the
-	// reference's bit for bit, and the kept fast one must lie within
-	// fastSlack of it. Either way the pair runs through the decision
-	// comparison above.
+	// sum the radio kept must equal the reference's bit for bit. Either
+	// way the pair runs through the decision comparison above.
 	m, err := NewMedium(sim.NewEngine(), topology.Line(2, 5), nil, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := m.Radio(0)
-	capture := newDBGate(captureThresholdDB)
 	var outshone, sunk, kept int
 	for trial := 0; trial < 100000; trial++ {
 		r.SetOn(false)
@@ -157,7 +147,7 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 		interferer := func() float64 {
 			offset := 0.0
 			switch rng.IntN(4) {
-			case 0: // at the outshone margin or the capture gate's band
+			case 0: // at the outshone margin or the capture threshold
 				offset = (rng.Float64() - 0.5) * []float64{4e-6, 2e-8}[rng.IntN(2)]
 			case 1:
 				offset = -3 + 4*rng.Float64()
@@ -183,7 +173,7 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 			var sum float64
 			for _, e := range ref {
 				if e.txID != uint32(lockID) {
-					sum += dbmToMW(e.rxDBm)
+					sum += fastMW(e.rxDBm)
 				}
 			}
 			return sum
@@ -207,10 +197,10 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 		if r.rx.tx == nil || r.rx.tx.id != lockID {
 			t.Fatalf("trial %d: radio did not lock onto frame %d", trial, lockID)
 		}
-		signalMW := dbmToMW(signal)
-		noise := dbmToMW(-105 + 25*rng.Float64())
+		signalMW := fastMW(signal)
+		noise := fastMW(-105 + 25*rng.Float64())
 		size := rng.IntN(maxTestFrameBytes + 1)
-		wantPRR := checkDecision(t, draws, p, capture, signalMW, refMax, noise, size)
+		wantPRR := checkDecision(t, draws, p, signalMW, refMax, noise, size)
 		switch {
 		case r.rx.lost:
 			if wantPRR != 0 {
@@ -221,12 +211,8 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 			} else {
 				sunk++
 			}
-		case (r.rx.log == nil) != (refMax == 0):
-			t.Fatalf("trial %d: reception log %v, worst exact interference %v", trial, r.rx.log, refMax)
-		case math.Float64bits(replayed(r)) != math.Float64bits(refMax):
-			t.Fatalf("trial %d: replayed worst interference %v, fresh folds %v", trial, replayed(r), refMax)
-		case math.Abs(r.rx.maxInterfMW-refMax) > refMax*fastSlack:
-			t.Fatalf("trial %d: kept fast worst interference %v, fresh exact folds %v", trial, r.rx.maxInterfMW, refMax)
+		case math.Float64bits(r.rx.maxInterfMW) != math.Float64bits(refMax):
+			t.Fatalf("trial %d: kept worst interference %v, fresh folds %v", trial, r.rx.maxInterfMW, refMax)
 		default:
 			kept++
 		}
@@ -237,59 +223,6 @@ func TestCaptureFirstMatchesCurveFirst(t *testing.T) {
 	t.Logf("%d outshone, %d lost on a sum, %d kept", outshone, sunk, kept)
 	if outshone < 1000 || sunk < 1000 || kept < 1000 {
 		t.Fatalf("air sets too narrow: %d outshone, %d lost on a sum, %d kept to the end", outshone, sunk, kept)
-	}
-}
-
-// TestDBGateMatchesLog pins the gates' linear band, which lets fast
-// values skip the logarithm: for the CCA and capture thresholds, wherever
-// aboveNear settles a value, comparing mwToDBm against the threshold must
-// agree for the value and for its neighbours fastSlack either side. It
-// runs 10^7 seeded values within ±1e-6 dB of the thresholds, the 64 float
-// neighbours either side of each threshold in mW and of each band edge,
-// values inside the band, and the non-positive and non-finite inputs; most
-// of the first must settle, and none inside the band.
-func TestDBGateMatchesLog(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	for _, thr := range []float64{ccaThresholdDBm, captureThresholdDB} {
-		g := newDBGate(thr)
-		check := func(x float64) bool {
-			above, ok := g.aboveNear(x)
-			if !ok {
-				return false
-			}
-			for _, y := range []float64{x * (1 - fastSlack), x, x * (1 + fastSlack)} {
-				if db := mwToDBm(y); (db > thr) != above {
-					t.Fatalf("threshold %v dB, x=%v: aboveNear settled %v, but %v is %v dB", thr, x, above, y, db)
-				}
-			}
-			return true
-		}
-		settled := 0
-		for i := 0; i < 5_000_000; i++ {
-			if check(dbmToMW(thr + (2*rng.Float64()-1)*1e-6)) {
-				settled++
-			}
-		}
-		if settled < 4_900_000 {
-			t.Fatalf("threshold %v dB: aboveNear settled %d of 5e6 values within 1e-6 dB, want at least 98%%", thr, settled)
-		}
-		lin := dbmToMW(thr)
-		for _, c := range []float64{lin, g.lo, g.hi} {
-			up, down := c, c
-			for k := 0; k < 64; k++ {
-				check(up)
-				check(down)
-				up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
-			}
-		}
-		for i := 0; i < 100000; i++ {
-			if check(lin * (1 + (2*rng.Float64()-1)*gateBand)) {
-				t.Fatalf("threshold %v dB: aboveNear settled a value inside the band", thr)
-			}
-		}
-		for _, x := range []float64{0, math.Copysign(0, -1), -lin, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
-			check(x)
-		}
 	}
 }
 
@@ -442,7 +375,7 @@ func TestAirSumsDeterministic(t *testing.T) {
 
 // TestNoiseAtMemoMatchesConversion pins the noise-floor memo: on every
 // read, noiseMW must equal converting the twin sources' dBm values
-// afresh with fastMW, and exactNoiseMW with dbmToMW, bit for bit — with a
+// afresh with fastMW, bit for bit — with a
 // CPM source per radio, with no model (the constant quiet floor) and with
 // a WiFi interferer on top. Reads jump
 // between radios and include repeated times, sub-sample steps and gaps
@@ -492,17 +425,14 @@ func TestNoiseAtMemoMatchesConversion(t *testing.T) {
 				if twins != nil {
 					dbm = twins[id].ReadAt(now)
 				}
-				want, wantExact := fastMW(dbm), dbmToMW(dbm)
+				want := fastMW(dbm)
 				if twinWifi != nil {
-					w := twinWifi.InterferenceAt(now)
-					want += fastMW(w)
-					wantExact += dbmToMW(w)
+					want += fastMW(twinWifi.InterferenceAt(now))
 				}
 				r := m.Radio(NodeID(id))
 				gotDBm, wifiOn := m.readNoise(r, now)
-				got, gotExact := m.noiseMW(r, gotDBm, wifiOn), m.exactNoiseMW(gotDBm, wifiOn)
-				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(gotExact) != math.Float64bits(wantExact) {
-					t.Fatalf("read %d (node %d, t=%v): noiseMW %v exact %v, fresh conversions %v and %v", i, id, now, got, gotExact, want, wantExact)
+				if got := m.noiseMW(r, gotDBm, wifiOn); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("read %d (node %d, t=%v): noiseMW %v, fresh conversion %v", i, id, now, got, want)
 				}
 			}
 		})
@@ -550,7 +480,7 @@ type lineSend struct {
 }
 
 // run plays sends and returns the power each is received at by node 1, in
-// dbmToMW milliwatts.
+// fastMW milliwatts.
 func (l *tracedLine) run(sends []lineSend) (rx []float64) {
 	l.t.Helper()
 	for _, s := range sends {
@@ -560,7 +490,7 @@ func (l *tracedLine) run(sends []lineSend) (rx []float64) {
 				l.t.Fatal(err)
 			}
 		})
-		rx = append(rx, dbmToMW(s.power+l.m.GainDB(s.src, 1)))
+		rx = append(rx, fastMW(s.power+l.m.GainDB(s.src, 1)))
 	}
 	if err := l.eng.Run(time.Second); err != nil {
 		l.t.Fatal(err)
@@ -569,16 +499,16 @@ func (l *tracedLine) run(sends []lineSend) (rx []float64) {
 }
 
 // checkSINR fails the test unless node 1 reported one reception, of
-// node 0's frame, with an SINR within fastSlack relative of want, and
-// returns that SINR in dB.
+// node 0's frame, with the SINR want in dB, bit for bit, and returns
+// that SINR.
 func (l *tracedLine) checkSINR(want float64) float64 {
 	l.t.Helper()
 	if len(l.got) != 1 || l.got[0].Frame.Src != 0 {
 		l.t.Fatalf("node 1 reported %d receptions, want the one of node 0's frame", len(l.got))
 	}
 	got := l.got[0].SINRdB
-	if math.Abs(dbmToMW(got)/want-1) > fastSlack {
-		l.t.Fatalf("traced SINR %v dB, exact %v dB: further apart than fastSlack", got, mwToDBm(want))
+	if math.Float64bits(got) != math.Float64bits(mwToDBm(want)) {
+		l.t.Fatalf("traced SINR %v dB, want %v dB", got, mwToDBm(want))
 	}
 	return got
 }
@@ -590,13 +520,13 @@ func (l *tracedLine) checkSINR(want float64) float64 {
 // Judged at its end: nodes 2, 3 and 4 put weaker frames on the air during
 // the lock — 3 while 2 is still on the air, 4 after 2 has left — so the
 // worst interference is the larger of the folds I₂+I₃ and I₃+I₄. The
-// reported SINR must lie within fastSlack of the exact S/(N + worst).
+// reported SINR must be S/(N + worst) in fastMW powers, bit for bit.
 //
 // Lost early: a frame on the air above the outshone threshold at the lock,
 // one arriving above it, and two arrivals each clear of it whose sum sinks
-// the capture ratio below the gate's band. Each must be settled as lost
-// before its end, and report S/(N + the interference that lost it) —
-// within fastSlack of the exact ratio, and below captureThresholdDB.
+// the capture ratio below the gate. Each must be settled as lost before
+// its end, and report S/(N + the interference that lost it), bit for bit
+// and below captureThresholdDB.
 func TestTracedReceptionReportsSettledSINR(t *testing.T) {
 	l := newTracedLine(t)
 	sends := []lineSend{
@@ -609,7 +539,7 @@ func TestTracedReceptionReportsSettledSINR(t *testing.T) {
 		t.Fatalf("frame 2 leaves the air at %v, want between the next two arrivals", end2)
 	}
 	rx := l.run(sends)
-	noise := dbmToMW(quietFloorDBm)
+	noise := fastMW(quietFloorDBm)
 	l.checkSINR(rx[0] / (noise + max(rx[1]+rx[2], rx[2]+rx[3])))
 
 	// Each loss case schedules frames received at node 1 at the given
