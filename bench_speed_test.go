@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -39,12 +40,21 @@ func TestBenchSpeedTrajectory(t *testing.T) {
 // bytes/op, which do not depend on the host, are gated exactly.
 func speedRegressions(rec *benchjson.Envelope) []string {
 	var steps []string
+	num := map[string]int{}
 	for name := range rec.Sections {
-		if strings.HasPrefix(name, "step") {
-			steps = append(steps, name)
+		if !strings.HasPrefix(name, "step") {
+			continue
 		}
+		digits, _, _ := strings.Cut(strings.TrimPrefix(name, "step"), "-")
+		n, err := strconv.Atoi(digits)
+		if err != nil {
+			return []string{fmt.Sprintf("BENCH_speed.json section %q is not named stepN-*", name)}
+		}
+		steps = append(steps, name)
+		num[name] = n
 	}
-	sort.Strings(steps)
+	// Steps run in number order, so step10 follows step9.
+	sort.Slice(steps, func(i, j int) bool { return num[steps[i]] < num[steps[j]] })
 	if len(steps) < 3 {
 		return []string{fmt.Sprintf("BENCH_speed.json has %d step sections %v, want a baseline plus at least 2 optimization steps", len(steps), steps)}
 	}
@@ -139,6 +149,19 @@ func TestSpeedRegressionsScaleByReference(t *testing.T) {
 		if (len(got) > 0) != tc.fails {
 			t.Errorf("%s: regressions %q, want failure %v", tc.name, got, tc.fails)
 		}
+	}
+	// Eleven steps, each a little faster: step10 is gated after step9,
+	// not after step1 as a string sort would place it.
+	var steps []map[string]float64
+	for i := 0; i <= 10; i++ {
+		steps = append(steps, map[string]float64{"x_ns_per_op": float64(200 - 10*i)})
+	}
+	if got := speedRegressions(record(steps...)); len(got) > 0 {
+		t.Errorf("eleven improving steps: regressions %q", got)
+	}
+	steps[10]["x_ns_per_op"] = 200
+	if got := speedRegressions(record(steps...)); len(got) != 1 {
+		t.Errorf("step10 slower than step9: regressions %q, want one", got)
 	}
 }
 

@@ -200,6 +200,13 @@ type MAC struct {
 	// the node (Kill).
 	elections int
 
+	// ack is the one frame every ack this MAC sends is filled into,
+	// allocated on the first. Refilling it is safe: sendAck refuses while
+	// the radio is transmitting, so the last ack has left the air and
+	// been delivered, and the radio is forced off only by Kill, after
+	// which the MAC sends nothing.
+	ack *radio.Frame
+
 	dead  bool
 	stats Stats
 
@@ -685,8 +692,11 @@ func (m *MAC) sendAck(f *radio.Frame) {
 	if !m.radio.On() || m.radio.Transmitting() {
 		return
 	}
-	ack := radio.NewAck(m.radio.ID(), f)
-	if err := m.radio.Transmit(ack, m.cfg.TxPowerDBm); err == nil {
+	if m.ack == nil {
+		m.ack = new(radio.Frame)
+	}
+	*m.ack = radio.NewAck(m.radio.ID(), f)
+	if err := m.radio.Transmit(m.ack, m.cfg.TxPowerDBm); err == nil {
 		m.stats.AcksSent++
 	}
 }

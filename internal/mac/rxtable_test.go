@@ -371,9 +371,8 @@ func (u *countUpper) OnSendDone(*radio.Frame, radio.NodeID, bool) {}
 // anycast frame that starts an election together with the peer's ack
 // that cancels it, or an ack for a packet with no election pending. Each
 // step first advances the clock 10 ms, so the table keeps turning over
-// and the measured steps span sweeps. An election that is won sends a
-// fresh ack frame (acks stay unpooled: telemetry events keep their
-// *Frame), so the measured elections end suppressed.
+// and the measured steps span sweeps. The measured elections end
+// suppressed; the ack a won election sends is TestSendAckAllocFree's.
 func TestMACReceiveAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	params := radio.DefaultParams()
@@ -437,5 +436,42 @@ func TestMACReceiveAllocFree(t *testing.T) {
 	}
 	if s := m.Stats(); s.Suppressed == 0 || s.AcksSent != 0 || up.delivered == 0 {
 		t.Fatalf("stats %+v with %d deliveries: want suppressions and deliveries, no acks", s, up.delivered)
+	}
+}
+
+// TestSendAckAllocFree pins the ack path's alloc contract: a MAC that has
+// sent one ack refills the same frame for every later one, so sending an
+// ack and letting it leave the air allocates nothing.
+func TestSendAckAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	params := radio.DefaultParams()
+	params.ShadowSigmaDB = 0
+	med, err := radio.NewMedium(eng, topology.Line(2, 5), nil, params, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.AlwaysOn = true
+	m := New(eng, med.Radio(1), cfg, sim.DeriveRNG(7, 1), &countUpper{})
+	m.Start()
+	r0 := med.Radio(0)
+	r0.SetHandler(nopHandler{})
+	r0.SetOn(true)
+	data := keyedFrame(0, 0, 30)
+	step := func() {
+		data.Seq++
+		m.sendAck(data)
+		if err := eng.Run(eng.Now() + 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(300, step); allocs != 0 {
+		t.Errorf("sendAck allocates %v per ack, want 0", allocs)
+	}
+	if n := m.Stats().AcksSent; n != 50+301 {
+		t.Fatalf("%d acks sent, want %d", n, 50+301)
 	}
 }

@@ -35,9 +35,10 @@ type Frame struct {
 // ackSize is the MAC-layer size of an acknowledgement frame in bytes.
 const ackSize = 5
 
-// NewAck builds an acknowledgement for frame f sent by acker.
-func NewAck(acker NodeID, f *Frame) *Frame {
-	return &Frame{
+// NewAck returns an acknowledgement for frame f sent by acker. It is a
+// value, so a sender can fill one frame it reuses for every ack.
+func NewAck(acker NodeID, f *Frame) Frame {
+	return Frame{
 		Kind:   FrameAck,
 		Src:    acker,
 		Dst:    f.Src,

@@ -352,7 +352,8 @@ func TestCountersTrackKinds(t *testing.T) {
 	if err := eng.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Transmit(NewAck(0, &Frame{Src: 1, Seq: 9}), 0); err != nil {
+	ack := NewAck(0, &Frame{Src: 1, Seq: 9})
+	if err := r.Transmit(&ack, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(2 * time.Second); err != nil {

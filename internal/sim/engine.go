@@ -92,9 +92,13 @@ func (r EventRef) Pending() bool {
 // Engine is not safe for concurrent use: simulations here are single
 // goroutine by design, which keeps them deterministic.
 type Engine struct {
-	now     time.Duration
-	seq     uint64
-	queue   eventQueue
+	now   time.Duration
+	seq   uint64
+	queue eventQueue
+	// firing is set while a callback runs with the event that fired
+	// still at queue[0], until the callback's first scheduling takes
+	// that slot (see dispatch).
+	firing  bool
 	stopped bool
 
 	// free is the event pool: fired and cancelled events are recycled
@@ -169,8 +173,26 @@ func (e *Engine) scheduleAt(at time.Duration, fn func(), argFn func(any), arg an
 	ev.fn, ev.argFn, ev.arg = fn, argFn, arg
 	ev.state = eventPending
 	e.seq++
-	e.queue.push(ev)
+	if e.firing {
+		e.firing = false
+		e.queue[0] = ev
+		e.queue.down(0)
+	} else {
+		e.queue.push(ev)
+	}
 	return EventRef{e: ev, gen: ev.gen}
+}
+
+// rearm moves the pending event ev to fire after d (clamped to zero). It
+// takes the key a Cancel plus a fresh Schedule would give it — the time
+// now+d and the next seq — and sifts once from where it sits.
+func (e *Engine) rearm(ev *Event, d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	ev.at, ev.seq = e.now+d, e.seq
+	e.seq++
+	e.queue.fix(ev.idx)
 }
 
 // release marks an event fired or cancelled and returns it to the pool.
@@ -211,6 +233,15 @@ func (e *Engine) RunAll(maxEvents uint64) error {
 // scheduler bug and aborts the run. A pending Stop — whether issued
 // mid-run or between runs — is observed at the first opportunity,
 // cleared, and reported as ErrStopped.
+//
+// The fired event stays at the root while its callback runs (firing),
+// so the callback's first scheduling replaces it with one sift down
+// instead of a pop down the whole heap and a push back up. That keeps
+// the heap ordered because every key a callback makes is at or after
+// the clock and takes a later seq than the fired event's, so no live
+// event ever belongs above the dead root. If the callback scheduled
+// nothing, the root is removed as soon as it returns, before the loop
+// can return on a Stop, the horizon or the cap.
 func (e *Engine) dispatch(until time.Duration, haveHorizon bool, maxEvents uint64) error {
 	start := e.processed
 	for {
@@ -231,21 +262,22 @@ func (e *Engine) dispatch(until time.Duration, haveHorizon bool, maxEvents uint6
 		if maxEvents > 0 && e.processed-start >= maxEvents {
 			return fmt.Errorf("sim: exceeded %d events", maxEvents)
 		}
-		e.queue.remove(0)
-		if next.state != eventPending {
-			// Defensive: Cancel removes events eagerly, so non-pending
-			// events should never surface here.
-			continue
-		}
 		if next.at < e.now {
+			e.queue.remove(0)
 			return fmt.Errorf("sim: event time %v before clock %v", next.at, e.now)
 		}
 		e.now = next.at
 		e.processed++
+		next.idx = -1
+		e.firing = true
 		if next.fn != nil {
 			next.fn()
 		} else {
 			next.argFn(next.arg)
+		}
+		if e.firing {
+			e.firing = false
+			e.queue.remove(0)
 		}
 		e.release(next, eventFired)
 	}
@@ -256,15 +288,23 @@ func (e *Engine) dispatch(until time.Duration, haveHorizon bool, maxEvents uint6
 }
 
 // QueueLen returns the number of queued events. Cancelled events leave the
-// queue immediately, so every queued event is live.
-func (e *Engine) QueueLen() int { return len(e.queue) }
+// queue immediately, so every queued event is live; a firing event does
+// not count.
+func (e *Engine) QueueLen() int {
+	if e.firing {
+		return len(e.queue) - 1
+	}
+	return len(e.queue)
+}
 
 // eventQueue is a typed 4-ary min-heap of pending events ordered by
 // (at, seq). The order is total — seq is unique — so the pop sequence is
 // fully determined by the events, whatever the heap's shape. Every
-// queued event's idx is its position, which lets Cancel remove it in
-// O(log n). Four children per node halve the depth of a binary heap;
-// on BenchmarkScheduleAndRun that outweighs the extra sibling compares.
+// queued event's idx is its position, which lets Cancel remove it and a
+// timer re-arm re-key it in O(log n); the one exception is the firing
+// event dispatch leaves at the root (idx -1) while its callback runs.
+// Four children per node halve the depth of a binary heap; on
+// BenchmarkScheduleAndRun that outweighs the extra sibling compares.
 type eventQueue []*Event
 
 // heapArity is the number of children per heap node.
@@ -295,7 +335,15 @@ func (q *eventQueue) remove(i int) {
 	*q = old[:last]
 	ev.idx = -1
 	// The last event now fills the hole; it may belong above or below it.
-	if i < last && !q.down(i) {
+	if i < last {
+		q.fix(i)
+	}
+}
+
+// fix restores the heap order after the key of the event at position i
+// changed, sifting it whichever way it belongs.
+func (q eventQueue) fix(i int) {
+	if !q.down(i) {
 		q.up(i)
 	}
 }

@@ -191,3 +191,34 @@ func TestScheduleAllocFree(t *testing.T) {
 		t.Fatalf("Timer.Start allocates %v per restart, want 0", allocs)
 	}
 }
+
+// TestChainAndRearmAllocFree is the alloc contract of the two in-place
+// paths: a callback's scheduling, which takes the fired event's root
+// slot, and the restart of a pending timer, which re-keys its event
+// where it sits, allocate nothing once the pool is warm.
+func TestChainAndRearmAllocFree(t *testing.T) {
+	eng := NewEngine()
+	var chain func()
+	chain = func() { eng.Schedule(time.Millisecond, chain) }
+	for i := 0; i < 64; i++ {
+		eng.Schedule(time.Duration(i+1)*time.Microsecond, chain)
+	}
+	tm := NewTimer(eng, func() {})
+	step := func() {
+		tm.Start(time.Hour)
+		if err := eng.Run(eng.Now() + 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	before := eng.Processed()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("a timer re-arm and 10 ms of callback chains allocate %v, want 0", allocs)
+	}
+	if n := eng.Processed() - before; n != 101*640 {
+		t.Fatalf("%d events dispatched over 101 steps, want %d", n, 101*640)
+	}
+	if eng.QueueLen() != 65 || !tm.Pending() {
+		t.Fatalf("queue %d (timer pending %v), want the 64 chains and the timer", eng.QueueLen(), tm.Pending())
+	}
+}

@@ -261,7 +261,9 @@ type Event struct {
 	// merge; 0 for single runs.
 	Run int `json:"run,omitempty"`
 	// Frame is the radio frame for radio-layer events (in-memory
-	// consumers only; excluded from JSONL).
+	// consumers only; excluded from JSONL). It is valid only while the
+	// event is being emitted: a MAC refills one frame for all its acks,
+	// so a sink that keeps the event must copy what it needs from it.
 	Frame *radio.Frame `json:"-"`
 }
 
