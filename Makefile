@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc benchmark-build benchmark-test vet fmt-check lint test test-fault test-scale test-scale-full race fuzz test-fuzz bench bench-smoke alloc-free profile-smoke check
+.PHONY: all build loc knobs benchmark-build benchmark-test vet fmt-check lint test test-fault test-scale test-scale-full race fuzz test-fuzz bench bench-smoke alloc-free profile-smoke check
 
 all: check
 
@@ -13,6 +13,21 @@ vet:
 # Non-test Go lines outside benchmark/: the count a simplification quotes.
 loc:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
+
+# Settable config fields: the exported field names of each stack layer's
+# config struct as `go doc` prints them (a line `A, B T` declares two),
+# per type and in total.
+KNOB_TYPES = mac.Config core.Config ctp.Config rpl.Config drip.Config radio.Params
+knobs:
+	@total=0; for t in $(KNOB_TYPES); do \
+		doc=$$($(GO) doc teleadjust/internal/$${t%%.*} $${t#*.}) || exit 1; \
+		n=$$(printf '%s\n' "$$doc" | awk ' \
+			/^type .* struct \{/ { body = 1; next } \
+			body && /^}/ { exit } \
+			body && NF >= 2 && $$1 !~ /^\/\// { n++; for (i = 1; $$i ~ /,$$/; i++) n++ } \
+			END { print n + 0 }'); \
+		printf '%-14s %3d\n' $$t $$n; total=$$((total + n)); \
+	done; printf '%-14s %3d\n' total $$total
 
 # The benchmark module (its own go.mod) compiles against internal/ but is
 # outside root ./...; -o /dev/null keeps its package-main binary out of

@@ -90,8 +90,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Fixed TinyOS CTP parameters. Beacons run on trickle.DefaultConfig and
-// links are estimated with linkest.DefaultConfig.
+// Fixed TinyOS CTP parameters. Beacons run on trickle.DefaultConfig.
 const (
 	// parentSwitchThreshold is the path-ETX gain a candidate must offer
 	// over the current parent before CTP switches to it.
@@ -103,6 +102,11 @@ const (
 	dataSize   = 28
 	// evalInterval paces periodic parent evaluation.
 	evalInterval = time.Second
+	// maxNeighbors caps the neighbour table (TinyOS's estimator table).
+	maxNeighbors = 32
+	// staleAfter marks a neighbour not heard for this long as the first
+	// to drop when the table is full.
+	staleAfter = 10 * time.Minute
 )
 
 // Stats counts CTP data-plane outcomes and beacon-timer resets at this
@@ -145,11 +149,24 @@ func (r ResetCauses) Total() uint64 {
 	return r.CostChange + r.Help + r.InfiniteNeighbor + r.Orphan + r.Adopt + r.Detach + r.Trigger
 }
 
-type neighborAd struct {
+// neighbor is one entry of the neighbour table: the link estimate, the
+// neighbour's last routing advertisement and when it was last heard.
+type neighbor struct {
+	link linkest.Link
+	// ad is the last advertisement; hasAd is false while the entry holds
+	// only unicast outcomes (no beacon heard since it was added).
+	ad    advert
+	hasAd bool
+	// lastHeard is the last beacon or acked unicast, or when the entry
+	// was added.
+	lastHeard time.Duration
+}
+
+// advert is what a neighbour's beacon advertises about its route.
+type advert struct {
 	pathETX float64
 	parent  radio.NodeID
 	hops    uint8
-	heardAt time.Duration
 }
 
 type pendingData struct {
@@ -182,11 +199,11 @@ type CTP struct {
 	rng    *rand.Rand
 	isSink bool
 
-	est     *linkest.Estimator
 	beacons *trickle.Timer
 	evalTk  *sim.Ticker
 
-	ads map[radio.NodeID]*neighborAd
+	// neighbors is the neighbour table, at most maxNeighbors entries.
+	neighbors map[radio.NodeID]*neighbor
 
 	parent  radio.NodeID
 	pathETX float64
@@ -220,8 +237,7 @@ func New(n *node.Node, cfg Config, rng *rand.Rand, isSink bool) *CTP {
 		cfg:               cfg,
 		rng:               rng,
 		isSink:            isSink,
-		est:               linkest.New(linkest.DefaultConfig()),
-		ads:               make(map[radio.NodeID]*neighborAd),
+		neighbors:         make(map[radio.NodeID]*neighbor),
 		parent:            NoParent,
 		pathETX:           math.Inf(1),
 		lastAdvertisedETX: math.Inf(1),
@@ -268,17 +284,14 @@ func (c *CTP) HasRoute() bool { return c.isSink || c.parent != NoParent }
 // IsSink reports whether this node is the collection root.
 func (c *CTP) IsSink() bool { return c.isSink }
 
-// Estimator exposes the link estimator (read-mostly; shared with
-// TeleAdjusting's relay decisions).
-func (c *CTP) Estimator() *linkest.Estimator { return c.est }
-
-// NeighborAd returns the last routing advertisement heard from a neighbor.
+// NeighborAd returns the last routing advertisement heard from a
+// neighbor in the table.
 func (c *CTP) NeighborAd(id radio.NodeID) (pathETX float64, parent radio.NodeID, hops uint8, ok bool) {
-	ad, found := c.ads[id]
-	if !found {
+	n, found := c.neighbors[id]
+	if !found || !n.hasAd {
 		return 0, NoParent, 0, false
 	}
-	return ad.pathETX, ad.parent, ad.hops, true
+	return n.ad.pathETX, n.ad.parent, n.ad.hops, true
 }
 
 // OnParentChange registers a callback fired when the parent changes
@@ -314,8 +327,73 @@ func (c *CTP) resetBeacons(cause *uint64) {
 // asymmetric links are detected even without CTP data traffic, and
 // re-evaluates the parent.
 func (c *CTP) ReportLinkOutcome(to radio.NodeID, acked bool) {
-	c.est.OnDataOutcome(to, acked, c.eng.Now())
+	c.onDataOutcome(to, acked)
 	c.evaluate()
+}
+
+// --- Neighbour table ---
+
+// entry returns the table entry for id, adding one heard now if there is
+// none; a full table first makes room.
+func (c *CTP) entry(id radio.NodeID) *neighbor {
+	if n, ok := c.neighbors[id]; ok {
+		return n
+	}
+	if len(c.neighbors) >= maxNeighbors {
+		c.evict()
+	}
+	n := &neighbor{lastHeard: c.eng.Now()}
+	c.neighbors[id] = n
+	return n
+}
+
+// evict drops every entry not heard for staleAfter and, if the table is
+// still full, the entry of lowest link rank.
+func (c *CTP) evict() {
+	now := c.eng.Now()
+	for id, n := range c.neighbors {
+		if now-n.lastHeard > staleAfter {
+			delete(c.neighbors, id)
+		}
+	}
+	if len(c.neighbors) < maxNeighbors {
+		return
+	}
+	var worst radio.NodeID
+	worstQ := math.Inf(1)
+	for id, n := range c.neighbors {
+		// Ties broken by id: eviction must not depend on map iteration
+		// order, or dense networks lose run-to-run reproducibility.
+		if q := n.link.Rank(); q < worstQ || (q == worstQ && id < worst) {
+			worstQ = q
+			worst = id
+		}
+	}
+	delete(c.neighbors, worst)
+}
+
+// onDataOutcome feeds a unicast outcome on the link to a neighbor into
+// its entry.
+func (c *CTP) onDataOutcome(to radio.NodeID, acked bool) {
+	n := c.entry(to)
+	n.link.OnDataOutcome(acked)
+	if acked {
+		n.lastHeard = c.eng.Now()
+	}
+}
+
+// cost is the path cost through the neighbor: its link ETX plus the cost
+// it advertised, +Inf when it is not in the table (n nil), has not
+// advertised or has no usable link estimate.
+func (n *neighbor) cost() float64 {
+	if n == nil || !n.hasAd {
+		return math.Inf(1)
+	}
+	etx := n.link.ETX()
+	if etx == linkest.UnknownETX {
+		return math.Inf(1)
+	}
+	return etx + n.ad.pathETX
 }
 
 // Stats returns a copy of the data-plane statistics.
@@ -357,17 +435,11 @@ func (c *CTP) sendBeacon() {
 }
 
 func (c *CTP) handleBeacon(from radio.NodeID, b *Beacon) {
-	now := c.eng.Now()
-	c.est.OnBeacon(from, b.Seq, now)
-	ad, ok := c.ads[from]
-	if !ok {
-		ad = &neighborAd{}
-		c.ads[from] = ad
-	}
-	ad.pathETX = b.PathETX
-	ad.parent = b.Parent
-	ad.hops = b.Hops
-	ad.heardAt = now
+	n := c.entry(from)
+	n.lastHeard = c.eng.Now()
+	n.link.OnBeacon(b.Seq)
+	n.ad = advert{pathETX: b.PathETX, parent: b.Parent, hops: b.Hops}
+	n.hasAd = true
 	// Trickle consistency (adaptive beaconing): hearing a node whose cost
 	// is far above ours — orphaned, looping, or at the construction
 	// frontier — means our gradient information would help it, so beacon
@@ -394,40 +466,45 @@ func (c *CTP) handleBeacon(from radio.NodeID, b *Beacon) {
 	}
 }
 
-// candidate is a parent choice: the neighbor, its link ETX and the path
-// cost through it.
+// candidate is a parent choice: the neighbor, its link ETX, the path
+// cost through it and the hops it advertised.
 type candidate struct {
 	id        radio.NodeID
 	etx, cost float64
+	hops      uint8
 }
 
 // bestCandidate returns the cheapest usable parent, or id NoParent when
 // there is none. A cost tie goes to the lower link ETX, then to the lower
 // id: the candidate a scan of the neighbors sorted by ETX and id would
-// meet first. One pass over the estimator table, no sort, no allocation.
+// meet first. One pass over the neighbour table, no sort, no allocation.
 func (c *CTP) bestCandidate() candidate {
 	best := candidate{id: NoParent, cost: math.Inf(1)}
 	self := c.node.ID()
-	c.est.Each(func(id radio.NodeID, etx float64) {
-		ad, ok := c.ads[id]
-		if !ok || math.IsInf(ad.pathETX, 1) {
-			return
+	for id, n := range c.neighbors {
+		ad := &n.ad
+		if !n.hasAd || math.IsInf(ad.pathETX, 1) {
+			continue
 		}
 		if ad.parent == self {
-			return // immediate loop
+			continue // immediate loop
 		}
 		if ad.hops >= c.cfg.MaxTHL {
-			return // advertised depth only gets there inside a loop
+			continue // advertised depth only gets there inside a loop
+		}
+		etx := n.link.ETX()
+		if etx == linkest.UnknownETX {
+			continue
 		}
 		cost := etx + ad.pathETX
 		if cost >= c.cfg.MaxPathETX {
-			return // beyond the valid-route bound
+			continue // beyond the valid-route bound
 		}
 		if cost < best.cost || cost == best.cost &&
 			(etx < best.etx || etx == best.etx && id < best.id) {
-			best = candidate{id: id, etx: etx, cost: cost}
+			best = candidate{id: id, etx: etx, cost: cost, hops: ad.hops}
 		}
-	})
+	}
 	return best
 }
 
@@ -453,13 +530,13 @@ func (c *CTP) evaluate() {
 	}
 	switch {
 	case c.parent == NoParent:
-		c.adopt(best.id, best.cost)
+		c.adopt(best)
 	case best.id != c.parent:
 		cur := c.currentCost()
 		if best.cost+parentSwitchThreshold < cur {
-			c.adopt(best.id, best.cost)
+			c.adopt(best)
 		} else if cur >= c.cfg.MaxPathETX {
-			c.adopt(best.id, best.cost)
+			c.adopt(best)
 		} else {
 			c.refreshCost()
 		}
@@ -484,24 +561,13 @@ func (c *CTP) detach() {
 	}
 }
 
-// currentCost recomputes the cost through the current parent.
-func (c *CTP) currentCost() float64 {
-	if c.parent == NoParent {
-		return math.Inf(1)
-	}
-	ad, ok := c.ads[c.parent]
-	if !ok {
-		return math.Inf(1)
-	}
-	etx := c.est.ETX(c.parent)
-	if etx == linkest.UnknownETX {
-		return math.Inf(1)
-	}
-	return etx + ad.pathETX
-}
+// currentCost recomputes the cost through the current parent (+Inf with
+// no parent: NoParent is never in the table).
+func (c *CTP) currentCost() float64 { return c.neighbors[c.parent].cost() }
 
 func (c *CTP) refreshCost() {
-	cost := c.currentCost()
+	n := c.neighbors[c.parent]
+	cost := n.cost()
 	if math.IsInf(cost, 1) {
 		return
 	}
@@ -510,29 +576,24 @@ func (c *CTP) refreshCost() {
 		math.Abs(cost-c.lastAdvertisedETX) > c.cfg.CostChangeDelta {
 		c.resetBeacons(&c.stats.BeaconResets.CostChange)
 	}
-	if ad, ok := c.ads[c.parent]; ok {
-		if ad.hops >= c.cfg.MaxTHL {
-			// Hop counts only grow like this inside a routing loop
-			// (each trip around the cycle adds one): break it by
-			// detaching; the orphan/help beacon exchange rebuilds a
-			// real route.
-			c.detach()
-			return
-		}
-		c.hops = ad.hops + 1
+	if n.ad.hops >= c.cfg.MaxTHL {
+		// Hop counts only grow like this inside a routing loop (each
+		// trip around the cycle adds one): break it by detaching; the
+		// orphan/help beacon exchange rebuilds a real route.
+		c.detach()
+		return
 	}
+	c.hops = n.ad.hops + 1
 }
 
-func (c *CTP) adopt(id radio.NodeID, cost float64) {
+func (c *CTP) adopt(best candidate) {
 	old := c.parent
-	c.parent = id
-	c.pathETX = cost
-	if ad, ok := c.ads[id]; ok {
-		c.hops = ad.hops + 1
-	}
+	c.parent = best.id
+	c.pathETX = best.cost
+	c.hops = best.hops + 1
 	c.resetBeacons(&c.stats.BeaconResets.Adopt)
 	for _, fn := range c.onParentChange {
-		fn(old, id)
+		fn(old, best.id)
 	}
 }
 
@@ -674,7 +735,7 @@ func (c *CTP) OnSendDone(f *radio.Frame, acker radio.NodeID, ok bool) {
 		return
 	}
 	delete(c.inflight, f)
-	c.est.OnDataOutcome(f.Dst, ok, c.eng.Now())
+	c.onDataOutcome(f.Dst, ok)
 	if ok {
 		return
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"sort"
 	"testing"
-	"time"
 
 	"teleadjust/internal/linkest"
 	"teleadjust/internal/radio"
@@ -16,9 +15,14 @@ import (
 // strictly cheaper candidate.
 func sortedScanPick(c *CTP) (radio.NodeID, float64) {
 	var ids []radio.NodeID
-	c.est.Each(func(id radio.NodeID, _ float64) { ids = append(ids, id) })
+	for id, n := range c.neighbors {
+		if n.link.ETX() != linkest.UnknownETX {
+			ids = append(ids, id)
+		}
+	}
+	etx := func(id radio.NodeID) float64 { return c.neighbors[id].link.ETX() }
 	sort.Slice(ids, func(i, j int) bool {
-		a, b := c.est.ETX(ids[i]), c.est.ETX(ids[j])
+		a, b := etx(ids[i]), etx(ids[j])
 		if a != b {
 			return a < b
 		}
@@ -26,11 +30,12 @@ func sortedScanPick(c *CTP) (radio.NodeID, float64) {
 	})
 	best, bestCost := NoParent, math.Inf(1)
 	for _, id := range ids {
-		ad, ok := c.ads[id]
-		if !ok || math.IsInf(ad.pathETX, 1) || ad.parent == c.node.ID() || ad.hops >= c.cfg.MaxTHL {
+		n := c.neighbors[id]
+		ad := n.ad
+		if !n.hasAd || math.IsInf(ad.pathETX, 1) || ad.parent == c.node.ID() || ad.hops >= c.cfg.MaxTHL {
 			continue
 		}
-		cost := c.est.ETX(id) + ad.pathETX
+		cost := etx(id) + ad.pathETX
 		if cost >= c.cfg.MaxPathETX {
 			continue
 		}
@@ -41,17 +46,17 @@ func sortedScanPick(c *CTP) (radio.NodeID, float64) {
 	return best, bestCost
 }
 
-// feedLink gives the estimator an entry for id of one of a few link
-// classes. Entries of one class carry bit-identical ETX values, which is
-// what forces ETX ties; class 0 stays without a usable estimate.
-func feedLink(est *linkest.Estimator, id radio.NodeID, class int) {
+// feedLink feeds a link of one of a few classes. Links of one class carry
+// bit-identical ETX values, which is what forces ETX ties; class 0 stays
+// without a usable estimate.
+func feedLink(l *linkest.Link, class int) {
 	beacons, step := []int{1, 8, 2, 16, 24, 12}[class], []int{1, 1, 1, 2, 3, 1}[class]
 	for i := 1; i <= beacons; i++ {
-		est.OnBeacon(id, uint32(i*step), time.Duration(i)*time.Second)
+		l.OnBeacon(uint32(i * step))
 	}
 	if class == 5 { // outbound quality 3/5 from data outcomes
 		for i := 0; i < 5; i++ {
-			est.OnDataOutcome(id, i%2 == 0, time.Minute)
+			l.OnDataOutcome(i%2 == 0)
 		}
 	}
 }
@@ -76,26 +81,24 @@ func tieCost(etx, cost float64) (p float64, ok bool) {
 // TestEvaluateMatchesSortedScan checks the one-pass parent pick against
 // the sorted scan it replaced, over seeded random neighbor tables with
 // forced cost ties and ETX ties, loops, deep and unreachable
-// advertisements, and entries present on only one side.
+// advertisements, and entries with no advertisement or no usable link.
 func TestEvaluateMatchesSortedScan(t *testing.T) {
 	cfg := DefaultConfig()
-	estCfg := linkest.DefaultConfig()
 	_, c := bareCTP(t, cfg)
 	rng := rand.New(rand.NewPCG(18, 1))
 	var byETX, byID int
 	for trial := 0; trial < 3000; trial++ {
-		c.est = linkest.New(estCfg)
-		c.ads = map[radio.NodeID]*neighborAd{}
-		n := 1 + rng.IntN(estCfg.MaxEntries)
+		c.neighbors = map[radio.NodeID]*neighbor{}
+		n := 1 + rng.IntN(maxNeighbors)
 		for i := 0; i < n; i++ {
 			id := radio.NodeID(1 + rng.IntN(48))
 			if rng.IntN(8) > 0 {
-				feedLink(c.est, id, rng.IntN(6))
+				feedLink(&c.entry(id).link, rng.IntN(6))
 			}
 			if rng.IntN(8) == 0 {
 				continue // no advertisement
 			}
-			ad := &neighborAd{pathETX: float64(rng.IntN(12)) / 2, parent: NoParent, hops: uint8(1 + rng.IntN(4))}
+			ad := advert{pathETX: float64(rng.IntN(12)) / 2, parent: NoParent, hops: uint8(1 + rng.IntN(4))}
 			switch rng.IntN(16) {
 			case 0:
 				ad.pathETX = math.Inf(1)
@@ -106,20 +109,21 @@ func TestEvaluateMatchesSortedScan(t *testing.T) {
 			case 3:
 				ad.pathETX = cfg.MaxPathETX - 0.5
 			}
-			c.ads[id] = ad
+			c.entry(id)
+			advertise(c, id, ad)
 		}
 		// Force exact cost ties between neighbors of different ETX.
 		var usable []radio.NodeID
-		c.est.Each(func(id radio.NodeID, _ float64) {
-			if ad, ok := c.ads[id]; ok && !math.IsInf(ad.pathETX, 1) {
+		for id, n := range c.neighbors {
+			if n.link.ETX() != linkest.UnknownETX && n.hasAd && !math.IsInf(n.ad.pathETX, 1) {
 				usable = append(usable, id)
 			}
-		})
+		}
 		sort.Slice(usable, func(i, j int) bool { return usable[i] < usable[j] })
 		for k := 0; k+1 < len(usable) && rng.IntN(3) > 0; k += 2 {
-			a, b := usable[k], usable[k+1]
-			if p, ok := tieCost(c.est.ETX(b), c.est.ETX(a)+c.ads[a].pathETX); ok && p >= 0 {
-				c.ads[b].pathETX = p
+			a, b := c.neighbors[usable[k]], c.neighbors[usable[k+1]]
+			if p, ok := tieCost(b.link.ETX(), a.link.ETX()+a.ad.pathETX); ok && p >= 0 {
+				b.ad.pathETX = p
 			}
 		}
 
@@ -133,18 +137,18 @@ func TestEvaluateMatchesSortedScan(t *testing.T) {
 		if got.id == NoParent {
 			continue
 		}
-		c.est.Each(func(id radio.NodeID, etx float64) {
-			ad, ok := c.ads[id]
-			if !ok || id == got.id || etx+ad.pathETX != got.cost ||
+		for id, n := range c.neighbors {
+			etx, ad := n.link.ETX(), n.ad
+			if etx == linkest.UnknownETX || !n.hasAd || id == got.id || etx+ad.pathETX != got.cost ||
 				ad.parent == c.node.ID() || ad.hops >= cfg.MaxTHL {
-				return
+				continue
 			}
 			if etx == got.etx {
 				byID++
 			} else {
 				byETX++
 			}
-		})
+		}
 	}
 	if byETX < 100 || byID < 100 {
 		t.Fatalf("cost ties broken: %d by ETX, %d by id; want at least 100 each", byETX, byID)
@@ -158,8 +162,8 @@ func evaluateFixture(tb testing.TB) *CTP {
 	_, c := bareCTP(tb, DefaultConfig())
 	for i := 1; i <= 24; i++ {
 		id := radio.NodeID(i)
-		feedLink(c.est, id, 1+i%5)
-		c.ads[id] = &neighborAd{pathETX: float64(i%7) + 1, parent: NoParent, hops: uint8(1 + i%4)}
+		feedLink(&c.entry(id).link, 1+i%5)
+		advertise(c, id, advert{pathETX: float64(i%7) + 1, parent: NoParent, hops: uint8(1 + i%4)})
 	}
 	c.evaluate()
 	if c.Parent() == NoParent {

@@ -51,7 +51,7 @@ func TestGrid1kSmoke(t *testing.T) {
 		if radio.NodeID(i) == net.Sink {
 			continue
 		}
-		if st.Ctp.Parent() != radio.NodeID(i) {
+		if st.Ctp.HasRoute() {
 			withParent++
 		}
 	}

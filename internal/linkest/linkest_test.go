@@ -3,228 +3,204 @@ package linkest
 import (
 	"math"
 	"testing"
-	"time"
-
-	"teleadjust/internal/radio"
 )
 
-func TestPerfectLink(t *testing.T) {
-	e := New(DefaultConfig())
-	for i := uint32(1); i <= 16; i++ {
-		e.OnBeacon(1, i, time.Duration(i)*time.Second)
+// beacons feeds l the beacon sequence numbers from, from+step, ... up to
+// and including to.
+func beacons(l *Link, from, to, step uint32) {
+	for seq := from; seq <= to; seq += step {
+		l.OnBeacon(seq)
 	}
-	if q := e.InQuality(1); q != 1 {
+}
+
+// inQuality returns l's inbound estimate, 0 when it has none.
+func inQuality(l *Link) float64 {
+	q, _ := l.inQualityOf()
+	return q
+}
+
+func TestPerfectLink(t *testing.T) {
+	var l Link
+	beacons(&l, 1, 16, 1)
+	if q := inQuality(&l); q != 1 {
 		t.Fatalf("in quality = %v, want 1", q)
 	}
-	if etx := e.ETX(1); etx != 1 {
+	if etx := l.ETX(); etx != 1 {
 		t.Fatalf("ETX = %v, want 1", etx)
 	}
 }
 
 func TestLossyLinkETX(t *testing.T) {
-	e := New(DefaultConfig())
+	var l Link
 	// Receive every other beacon: quality 0.5, ETX = 1/(0.5*0.5) = 4.
-	for i := uint32(2); i <= 64; i += 2 {
-		e.OnBeacon(1, i, time.Duration(i)*time.Second)
-	}
-	q := e.InQuality(1)
+	beacons(&l, 2, 64, 2)
+	q := inQuality(&l)
 	if q < 0.4 || q > 0.6 {
 		t.Fatalf("in quality = %v, want ~0.5", q)
 	}
-	etx := e.ETX(1)
+	etx := l.ETX()
 	if etx < 3 || etx > 5.5 {
 		t.Fatalf("ETX = %v, want ~4", etx)
 	}
 }
 
 func TestUnknownNeighbor(t *testing.T) {
-	e := New(DefaultConfig())
-	if e.ETX(9) != UnknownETX {
-		t.Fatal("unknown neighbor should have UnknownETX")
+	var l Link
+	if l.ETX() != UnknownETX {
+		t.Fatal("unheard link should have UnknownETX")
 	}
-	if e.InQuality(9) != 0 {
-		t.Fatal("unknown neighbor should have zero quality")
+	if _, have := l.inQualityOf(); have {
+		t.Fatal("unheard link should have no quality")
 	}
 	// A single beacon is below the window: still unknown ETX.
-	e.OnBeacon(9, 1, time.Second)
-	if e.ETX(9) != UnknownETX {
+	l.OnBeacon(1)
+	if l.ETX() != UnknownETX {
 		t.Fatal("sub-window estimate should be unknown")
-	}
-	if !e.Known(9) {
-		t.Fatal("neighbor should be in table after one beacon")
 	}
 }
 
 func TestDataOutcomeImprovesEstimate(t *testing.T) {
-	cfg := DefaultConfig()
-	e := New(cfg)
-	for i := uint32(1); i <= 16; i++ {
-		e.OnBeacon(2, i, time.Duration(i)*time.Second)
-	}
-	before := e.ETX(2) // 1.0: symmetric assumption
+	var l Link
+	beacons(&l, 1, 16, 1)
+	before := l.ETX() // 1.0: symmetric assumption
 	// Unicast acks mostly fail: outbound quality collapses.
 	for i := 0; i < 20; i++ {
-		e.OnDataOutcome(2, i%5 == 0, 20*time.Second)
+		l.OnDataOutcome(i%5 == 0)
 	}
-	after := e.ETX(2)
+	after := l.ETX()
 	if after <= before {
 		t.Fatalf("ETX %v -> %v; failed acks must worsen the estimate", before, after)
 	}
 }
 
 func TestDuplicateBeaconIgnored(t *testing.T) {
-	e := New(DefaultConfig())
+	var l Link
 	for i := 0; i < 20; i++ {
-		e.OnBeacon(3, 7, time.Second) // same seq over and over
+		l.OnBeacon(7) // same seq over and over
 	}
 	// One real reception, no window progress: quality still unknown.
-	if e.ETX(3) != UnknownETX {
-		t.Fatalf("duplicates should not build an estimate, got ETX %v", e.ETX(3))
+	if l.ETX() != UnknownETX {
+		t.Fatalf("duplicates should not build an estimate, got ETX %v", l.ETX())
 	}
 }
 
 func TestSequenceWrap(t *testing.T) {
-	e := New(DefaultConfig())
+	var l Link
 	start := uint32(math.MaxUint32 - 4)
 	for i := uint32(0); i < 16; i++ {
-		e.OnBeacon(4, start+i, time.Duration(i)*time.Second)
+		l.OnBeacon(start + i)
 	}
-	if q := e.InQuality(4); q != 1 {
+	if q := inQuality(&l); q != 1 {
 		t.Fatalf("quality across wrap = %v, want 1", q)
 	}
 }
 
-func TestEvictionCapsTable(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxEntries = 4
-	e := New(cfg)
-	for id := 0; id < 10; id++ {
-		for i := uint32(1); i <= 8; i++ {
-			e.OnBeacon(radio.NodeID(id), i, time.Duration(i)*time.Second)
-		}
+// TestETXIsInverseSquareWithoutData checks that without data feedback
+// ETX is 1/q² of the inbound quality q, so a half-heard link costs more
+// than a perfect one.
+func TestETXIsInverseSquareWithoutData(t *testing.T) {
+	var perfect, half Link
+	beacons(&perfect, 1, 16, 1)
+	beacons(&half, 2, 32, 2)
+	q := inQuality(&half)
+	if perfect.ETX() != 1 || half.ETX() != 1/(q*q) {
+		t.Fatalf("ETX %v and %v, want 1 and 1/q² = %v", perfect.ETX(), half.ETX(), 1/(q*q))
 	}
-	if e.Len() > 4 {
-		t.Fatalf("table size %d exceeds cap 4", e.Len())
-	}
-}
-
-func TestStaleEviction(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxEntries = 2
-	cfg.StaleAfter = 10 * time.Second
-	e := New(cfg)
-	for i := uint32(1); i <= 8; i++ {
-		e.OnBeacon(1, i, time.Duration(i)*time.Second)
-		e.OnBeacon(2, i, time.Duration(i)*time.Second)
-	}
-	// Much later, a new neighbor appears; the stale ones must make room.
-	e.OnBeacon(3, 1, time.Hour)
-	if !e.Known(3) {
-		t.Fatal("new neighbor not admitted after stale eviction")
+	if half.ETX() <= perfect.ETX() {
+		t.Fatalf("half-heard ETX %v not above perfect %v", half.ETX(), perfect.ETX())
 	}
 }
 
-func TestEachVisitsUsableNeighborsWithETX(t *testing.T) {
-	e := New(DefaultConfig())
-	// Neighbor 1: perfect. Neighbor 2: half. Neighbor 3: one beacon, no
-	// estimate yet.
-	for i := uint32(1); i <= 16; i++ {
-		e.OnBeacon(1, i, time.Duration(i)*time.Second)
+// TestRank checks the eviction order key: 0.01 until a beacon window has
+// folded in (a provisional estimate does not count), then the smoothed
+// inbound quality.
+func TestRank(t *testing.T) {
+	var l Link
+	if r := l.Rank(); r != 0.01 {
+		t.Fatalf("unheard link ranks %v, want 0.01", r)
 	}
-	for i := uint32(2); i <= 32; i += 2 {
-		e.OnBeacon(2, i, time.Duration(i)*time.Second)
+	beacons(&l, 1, 7, 1)
+	if l.ETX() == UnknownETX || l.Rank() != 0.01 {
+		t.Fatalf("provisional link: ETX %v, rank %v; want an estimate and rank 0.01", l.ETX(), l.Rank())
 	}
-	e.OnBeacon(3, 1, time.Second)
-	got := map[radio.NodeID]float64{}
-	e.Each(func(id radio.NodeID, etx float64) {
-		if _, dup := got[id]; dup {
-			t.Fatalf("neighbor %d visited twice", id)
-		}
-		got[id] = etx
-	})
-	// Without data feedback ETX is 1/q² of the inbound quality q.
-	q2 := e.InQuality(2)
-	want := map[radio.NodeID]float64{1: 1, 2: 1 / (q2 * q2)}
-	if len(got) != len(want) || got[2] <= got[1] {
-		t.Fatalf("visited %v, want neighbors 1 and 2 with ETX(1) < ETX(2)", got)
-	}
-	for id, etx := range want {
-		if got[id] != etx || e.ETX(id) != etx {
-			t.Fatalf("neighbor %d: visited ETX %v, ETX() %v, want %v", id, got[id], e.ETX(id), etx)
-		}
-	}
-}
-
-func TestForget(t *testing.T) {
-	e := New(DefaultConfig())
-	for i := uint32(1); i <= 8; i++ {
-		e.OnBeacon(1, i, time.Duration(i)*time.Second)
-	}
-	e.Forget(1)
-	if e.Known(1) {
-		t.Fatal("neighbor known after Forget")
+	l.OnBeacon(8)
+	if r := l.Rank(); r != 1 {
+		t.Fatalf("settled perfect link ranks %v, want 1", r)
 	}
 }
 
 func TestProvisionalEstimateAfterTwoBeacons(t *testing.T) {
-	e := New(DefaultConfig())
-	e.OnBeacon(5, 1, time.Second)
-	if e.ETX(5) != UnknownETX {
+	var l Link
+	l.OnBeacon(1)
+	if l.ETX() != UnknownETX {
 		t.Fatal("one beacon should not yield an estimate")
 	}
-	e.OnBeacon(5, 2, 2*time.Second)
-	if e.ETX(5) == UnknownETX {
+	l.OnBeacon(2)
+	if l.ETX() == UnknownETX {
 		t.Fatal("two consecutive beacons should yield a provisional estimate")
 	}
-	if q := e.InQuality(5); q != 1 {
+	if q := inQuality(&l); q != 1 {
 		t.Fatalf("provisional quality = %v, want 1", q)
 	}
 }
 
 func TestProvisionalEstimateReflectsLoss(t *testing.T) {
-	e := New(DefaultConfig())
-	e.OnBeacon(5, 1, time.Second)
-	e.OnBeacon(5, 4, 2*time.Second) // missed 2 and 3
-	q := e.InQuality(5)
+	var l Link
+	l.OnBeacon(1)
+	l.OnBeacon(4) // missed 2 and 3
+	q := inQuality(&l)
 	if q < 0.3 || q > 0.7 {
 		t.Fatalf("provisional quality = %v, want ~0.5", q)
 	}
 }
 
 func TestOutboundFloorAllowsRecovery(t *testing.T) {
-	e := New(DefaultConfig())
-	for i := uint32(1); i <= 16; i++ {
-		e.OnBeacon(2, i, time.Duration(i)*time.Second)
-	}
+	var l Link
+	beacons(&l, 1, 16, 1)
 	// A long failure streak must not make the link permanently unusable.
 	for i := 0; i < 50; i++ {
-		e.OnDataOutcome(2, false, 20*time.Second)
+		l.OnDataOutcome(false)
 	}
-	if e.ETX(2) == UnknownETX {
+	if l.ETX() == UnknownETX {
 		t.Fatal("failure streak pushed the link to Unknown; retries are impossible")
+	}
+	if l.outQuality != 0.1 {
+		t.Fatalf("outbound quality after a failure streak = %v, want the 0.1 floor", l.outQuality)
 	}
 	// Successes bring it back.
 	for i := 0; i < 50; i++ {
-		e.OnDataOutcome(2, true, 30*time.Second)
+		l.OnDataOutcome(true)
 	}
-	if etx := e.ETX(2); etx > 3 {
+	if etx := l.ETX(); etx > 3 {
 		t.Fatalf("link did not recover after successes: ETX %v", etx)
 	}
 }
 
 func TestMissPenaltyCapped(t *testing.T) {
-	cfg := DefaultConfig()
-	e := New(cfg)
-	for i := uint32(1); i <= 16; i++ {
-		e.OnBeacon(3, i, time.Duration(i)*time.Second)
-	}
-	before := e.InQuality(3)
+	var l Link
+	beacons(&l, 1, 16, 1)
+	before := inQuality(&l)
 	// One congested episode: a huge sequence gap in a single beacon.
-	e.OnBeacon(3, 60, 30*time.Second)
-	after := e.InQuality(3)
+	l.OnBeacon(60)
+	after := inQuality(&l)
 	// The gap folds at most one window of misses: quality must not
 	// collapse to near zero from a single event.
 	if after < before*0.3 {
 		t.Fatalf("single gap collapsed quality %v -> %v", before, after)
+	}
+}
+
+// TestETXCap checks that a link worse than 100 expected transmissions
+// has no usable estimate. Beacons and outcomes alone cannot get there
+// (the miss cap keeps inbound at 1/9 or more, the floor keeps outbound
+// at 0.1), so the estimate is set directly.
+func TestETXCap(t *testing.T) {
+	l := Link{inQuality: 0.125, haveIn: true, outQuality: 0.125, haveOut: true}
+	if etx := l.ETX(); etx != 64 {
+		t.Fatalf("ETX under the cap = %v, want 64", etx)
+	}
+	l.inQuality = 0.0625 // ETX 128
+	if etx := l.ETX(); etx != UnknownETX {
+		t.Fatalf("ETX past the cap = %v, want UnknownETX", etx)
 	}
 }
