@@ -110,25 +110,27 @@ bench:
 # concurrency speedup, the sparse medium's construction/per-frame
 # scaling and duty-cycled delivery, the windowed aggregator's alloc-free
 # fold, the CPM chain step and model build, the event engine's
-# scheduling, timer restart and callback chains, CTP's alloc-free parent
-# pick, the MAC's alloc-free receive path and Trickle's alloc-free
-# interval start) — fast enough for CI, still failing on regression.
+# scheduling, timer restart and callback chains, the MAC's rx table (a new
+# key, a duplicate, a window's sweep), CTP's alloc-free parent pick, the
+# MAC's alloc-free receive path and Trickle's alloc-free interval start) —
+# fast enough for CI, still failing on regression.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverhead|BenchmarkSinkSchedulerGoodput|BenchmarkCmdSvcBatching' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkMediumConstruction|BenchmarkMediumScale|BenchmarkMediumDutyCycled' -benchtime=1x ./internal/radio/
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregatorFold' -benchmem -benchtime=1x ./internal/obs/
 	$(GO) test -run '^$$' -bench 'BenchmarkSourceNext|BenchmarkSourceReadAt|BenchmarkTrain' -benchmem -benchtime=1x ./internal/noise/
 	$(GO) test -run '^$$' -bench 'BenchmarkScheduleAndRun|BenchmarkTimerRestart|BenchmarkEventChain' -benchmem -benchtime=1x ./internal/sim/
+	$(GO) test -run '^$$' -bench 'BenchmarkMACOnFrame' -benchmem -benchtime=1x ./internal/mac/
 	$(MAKE) alloc-free
 	$(GO) test -run 'TestBenchSpeedTrajectory' .
 
 # The hot paths' alloc-free tests (scheduler, in-callback scheduling and
 # timer re-arm, noise chain, frame path, duty-cycled field, MAC receive
-# and ack, parent pick, Trickle interval start, telemetry emit with no
-# subscriber, windowed-aggregator fold): the one list bench-smoke and CI
-# both run. ALLOC_FLAGS=-v lists them.
+# and ack, parent pick, a known neighbour's beacon, Trickle interval
+# start, telemetry emit with no subscriber, windowed-aggregator fold): the
+# one list bench-smoke and CI both run. ALLOC_FLAGS=-v lists them.
 alloc-free:
-	$(GO) test $(ALLOC_FLAGS) -run 'TestScheduleAllocFree|TestChainAndRearmAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree|TestMACReceiveAllocFree|TestSendAckAllocFree|TestEvaluateAllocFree|TestTrickleIntervalAllocFree|TestBusEmitNoSubscriberAllocFree|TestFoldAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/ ./internal/mac/ ./internal/ctp/ ./internal/trickle/ ./internal/telemetry/ ./internal/obs/
+	$(GO) test $(ALLOC_FLAGS) -run 'TestScheduleAllocFree|TestChainAndRearmAllocFree|TestSourceNextAllocFree|TestSuccessorLinksMatchResolve|TestTrainAllocBound|TestBroadcastAllocFree|TestDutyCycledAllocFree|TestMACReceiveAllocFree|TestSendAckAllocFree|TestEvaluateAllocFree|TestNeighborTableAllocFree|TestTrickleIntervalAllocFree|TestBusEmitNoSubscriberAllocFree|TestFoldAllocFree' ./internal/sim/ ./internal/noise/ ./internal/radio/ ./internal/mac/ ./internal/ctp/ ./internal/trickle/ ./internal/telemetry/ ./internal/obs/
 
 # CI-sized profile capture: a short line-scenario run proving the
 # -cpuprofile/-memprofile/-exectrace plumbing produces loadable captures.

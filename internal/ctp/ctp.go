@@ -202,8 +202,12 @@ type CTP struct {
 	beacons *trickle.Timer
 	evalTk  *sim.Ticker
 
-	// neighbors is the neighbour table, at most maxNeighbors entries.
-	neighbors map[radio.NodeID]*neighbor
+	// nbrIDs and nbrs are the neighbour table, at most maxNeighbors
+	// entries: nbrs[i] describes neighbour nbrIDs[i], in no particular
+	// order. A lookup scans nbrIDs, one cache line when full. Past
+	// len(nbrs) the array keeps removed entries for reuse.
+	nbrIDs []radio.NodeID
+	nbrs   []*neighbor
 
 	parent  radio.NodeID
 	pathETX float64
@@ -237,7 +241,6 @@ func New(n *node.Node, cfg Config, rng *rand.Rand, isSink bool) *CTP {
 		cfg:               cfg,
 		rng:               rng,
 		isSink:            isSink,
-		neighbors:         make(map[radio.NodeID]*neighbor),
 		parent:            NoParent,
 		pathETX:           math.Inf(1),
 		lastAdvertisedETX: math.Inf(1),
@@ -287,8 +290,8 @@ func (c *CTP) IsSink() bool { return c.isSink }
 // NeighborAd returns the last routing advertisement heard from a
 // neighbor in the table.
 func (c *CTP) NeighborAd(id radio.NodeID) (pathETX float64, parent radio.NodeID, hops uint8, ok bool) {
-	n, found := c.neighbors[id]
-	if !found || !n.hasAd {
+	n := c.lookup(id)
+	if n == nil || !n.hasAd {
 		return 0, NoParent, 0, false
 	}
 	return n.ad.pathETX, n.ad.parent, n.ad.hops, true
@@ -333,43 +336,69 @@ func (c *CTP) ReportLinkOutcome(to radio.NodeID, acked bool) {
 
 // --- Neighbour table ---
 
+// lookup returns the table entry for id, or nil.
+func (c *CTP) lookup(id radio.NodeID) *neighbor {
+	for i, nid := range c.nbrIDs {
+		if nid == id {
+			return c.nbrs[i]
+		}
+	}
+	return nil
+}
+
 // entry returns the table entry for id, adding one heard now if there is
 // none; a full table first makes room.
 func (c *CTP) entry(id radio.NodeID) *neighbor {
-	if n, ok := c.neighbors[id]; ok {
+	if n := c.lookup(id); n != nil {
 		return n
 	}
-	if len(c.neighbors) >= maxNeighbors {
+	if len(c.nbrIDs) >= maxNeighbors {
 		c.evict()
 	}
-	n := &neighbor{lastHeard: c.eng.Now()}
-	c.neighbors[id] = n
+	var n *neighbor
+	if k := len(c.nbrs); k < cap(c.nbrs) {
+		n = c.nbrs[:k+1][k] // an entry removed earlier, or nil
+	}
+	if n == nil {
+		n = new(neighbor)
+	}
+	*n = neighbor{lastHeard: c.eng.Now()}
+	c.nbrIDs = append(c.nbrIDs, id)
+	c.nbrs = append(c.nbrs, n)
 	return n
 }
 
 // evict drops every entry not heard for staleAfter and, if the table is
-// still full, the entry of lowest link rank.
+// still full, the entry of lowest link rank, ties to the lowest id.
 func (c *CTP) evict() {
 	now := c.eng.Now()
-	for id, n := range c.neighbors {
-		if now-n.lastHeard > staleAfter {
-			delete(c.neighbors, id)
+	for i := 0; i < len(c.nbrs); {
+		if now-c.nbrs[i].lastHeard > staleAfter {
+			c.remove(i) // the last entry moves into i
+			continue
 		}
+		i++
 	}
-	if len(c.neighbors) < maxNeighbors {
+	if len(c.nbrs) < maxNeighbors {
 		return
 	}
-	var worst radio.NodeID
-	worstQ := math.Inf(1)
-	for id, n := range c.neighbors {
-		// Ties broken by id: eviction must not depend on map iteration
-		// order, or dense networks lose run-to-run reproducibility.
-		if q := n.link.Rank(); q < worstQ || (q == worstQ && id < worst) {
-			worstQ = q
-			worst = id
+	worst, worstQ := 0, c.nbrs[0].link.Rank()
+	for i := 1; i < len(c.nbrs); i++ {
+		if q := c.nbrs[i].link.Rank(); q < worstQ || q == worstQ && c.nbrIDs[i] < c.nbrIDs[worst] {
+			worst, worstQ = i, q
 		}
 	}
-	delete(c.neighbors, worst)
+	c.remove(worst)
+}
+
+// remove moves the last entry into slot i and keeps entry i's record
+// past the end of the table for reuse.
+func (c *CTP) remove(i int) {
+	last := len(c.nbrs) - 1
+	c.nbrIDs[i] = c.nbrIDs[last]
+	c.nbrs[i], c.nbrs[last] = c.nbrs[last], c.nbrs[i]
+	c.nbrIDs = c.nbrIDs[:last]
+	c.nbrs = c.nbrs[:last]
 }
 
 // onDataOutcome feeds a unicast outcome on the link to a neighbor into
@@ -481,8 +510,8 @@ type candidate struct {
 func (c *CTP) bestCandidate() candidate {
 	best := candidate{id: NoParent, cost: math.Inf(1)}
 	self := c.node.ID()
-	for id, n := range c.neighbors {
-		ad := &n.ad
+	for i, n := range c.nbrs {
+		id, ad := c.nbrIDs[i], &n.ad
 		if !n.hasAd || math.IsInf(ad.pathETX, 1) {
 			continue
 		}
@@ -563,10 +592,10 @@ func (c *CTP) detach() {
 
 // currentCost recomputes the cost through the current parent (+Inf with
 // no parent: NoParent is never in the table).
-func (c *CTP) currentCost() float64 { return c.neighbors[c.parent].cost() }
+func (c *CTP) currentCost() float64 { return c.lookup(c.parent).cost() }
 
 func (c *CTP) refreshCost() {
-	n := c.neighbors[c.parent]
+	n := c.lookup(c.parent)
 	cost := n.cost()
 	if math.IsInf(cost, 1) {
 		return

@@ -44,7 +44,7 @@ func feedEstimate(c *CTP, id radio.NodeID, beacons int) {
 // advertise sets the last advertisement of id, which must be in the
 // neighbour table.
 func advertise(c *CTP, id radio.NodeID, ad advert) {
-	n := c.neighbors[id]
+	n := c.lookup(id)
 	n.ad, n.hasAd = ad, true
 }
 
@@ -109,7 +109,7 @@ func TestDetachOnCostBlowup(t *testing.T) {
 	var events []radio.NodeID
 	c.OnParentChange(func(old, new radio.NodeID) { events = append(events, new) })
 	// The parent's advertised cost explodes (count-to-infinity echo).
-	c.neighbors[1].ad.pathETX = cfg.MaxPathETX + 10
+	c.lookup(1).ad.pathETX = cfg.MaxPathETX + 10
 	c.evaluate()
 	if c.Parent() != NoParent {
 		t.Fatalf("still attached at cost %v", c.PathETX())
@@ -130,7 +130,7 @@ func TestRefreshCostTracksParentAd(t *testing.T) {
 	before := c.PathETX()
 	// Parent's cost rises moderately; ours must track it even when no
 	// better candidate exists (the stale-self-cost loop fuel).
-	c.neighbors[1].ad.pathETX = 8
+	c.lookup(1).ad.pathETX = 8
 	c.evaluate()
 	if c.PathETX() <= before {
 		t.Fatalf("cost did not track parent ad: %v -> %v", before, c.PathETX())
@@ -158,7 +158,7 @@ func TestHysteresisPreventsFlapping(t *testing.T) {
 		t.Fatalf("switched on a sub-threshold improvement (cur=%v)", cur)
 	}
 	// A decisive improvement must switch.
-	c.neighbors[7].ad.pathETX = 0.1
+	c.lookup(7).ad.pathETX = 0.1
 	c.evaluate()
 	if switches != 1 || c.Parent() != 7 {
 		t.Fatalf("did not switch on a decisive improvement: switches=%d parent=%v", switches, c.Parent())
@@ -277,17 +277,14 @@ func hear(t *testing.T, eng *sim.Engine, c *CTP, at time.Duration, id radio.Node
 		t.Fatal(err)
 	}
 	c.handleBeacon(id, &Beacon{Seq: seq, PathETX: pathETX, Parent: NoParent, Hops: 1})
-	if len(c.neighbors) > maxNeighbors {
-		t.Fatalf("neighbour table holds %d entries, cap %d", len(c.neighbors), maxNeighbors)
+	if len(c.nbrIDs) > maxNeighbors || len(c.nbrs) != len(c.nbrIDs) {
+		t.Fatalf("neighbour table holds %d ids and %d entries, cap %d", len(c.nbrIDs), len(c.nbrs), maxNeighbors)
 	}
 }
 
 // tableIDs returns the ids in c's neighbour table, sorted.
 func tableIDs(c *CTP) []radio.NodeID {
-	ids := make([]radio.NodeID, 0, len(c.neighbors))
-	for id := range c.neighbors {
-		ids = append(ids, id)
-	}
+	ids := slices.Clone(c.nbrIDs)
 	slices.Sort(ids)
 	return ids
 }
@@ -324,22 +321,22 @@ func TestStaleEviction(t *testing.T) {
 		for k := 0; k < beacons; k++ {
 			hear(t, eng, c, 0, id, 1+uint32(k)*step, 2)
 		}
-		if got := c.neighbors[id].link.Rank(); got != rank {
+		if got := c.lookup(id).link.Rank(); got != rank {
 			t.Fatalf("neighbor %d ranks %v, want %v", id, got, rank)
 		}
 	}
 	// Newcomer 33: the tie at 5/9 goes to the lower id.
 	hear(t, eng, c, time.Minute, 33, 1, 2)
-	if _, ok := c.neighbors[20]; ok {
+	if c.lookup(20) != nil {
 		t.Fatal("20 (lowest quality, lower id of a tie) not evicted")
 	}
-	if _, ok := c.neighbors[25]; !ok {
+	if c.lookup(25) == nil {
 		t.Fatal("25 evicted on the tie with 20")
 	}
 	// Newcomer 34: 33's single beacon settled no window, so it ranks
 	// below 25.
 	hear(t, eng, c, time.Minute, 34, 1, 2)
-	if _, ok := c.neighbors[33]; ok {
+	if c.lookup(33) != nil {
 		t.Fatal("unsettled 33 not evicted before 25")
 	}
 	// Everyone but 1 and 2 beacons again past staleAfter (a sequence gap
@@ -347,21 +344,21 @@ func TestStaleEviction(t *testing.T) {
 	// evicts both, not the lowest rank (25, 34).
 	later := staleAfter + 2*time.Minute
 	for id := radio.NodeID(3); id <= 34; id++ {
-		if c.neighbors[id] != nil {
+		if c.lookup(id) != nil {
 			hear(t, eng, c, later, id, 100, 2)
 		}
 	}
 	hear(t, eng, c, later, 35, 1, 2)
-	if len(c.neighbors) != maxNeighbors-1 {
-		t.Fatalf("table holds %d entries after dropping two stale ones, want %d", len(c.neighbors), maxNeighbors-1)
+	if len(c.nbrIDs) != maxNeighbors-1 {
+		t.Fatalf("table holds %d entries after dropping two stale ones, want %d", len(c.nbrIDs), maxNeighbors-1)
 	}
 	for _, id := range []radio.NodeID{1, 2} {
-		if _, ok := c.neighbors[id]; ok {
+		if c.lookup(id) != nil {
 			t.Fatalf("stale %d not evicted", id)
 		}
 	}
 	for _, id := range []radio.NodeID{25, 34, 35} {
-		if _, ok := c.neighbors[id]; !ok {
+		if c.lookup(id) == nil {
 			t.Fatalf("%d evicted while stale entries were there to drop", id)
 		}
 	}
@@ -408,5 +405,26 @@ func TestEvictedParentIsNoCostSource(t *testing.T) {
 	hear(t, eng, c, later, 1, 10, 1)
 	if c.Parent() != 1 || c.PathETX() != 2 {
 		t.Fatalf("parent %v at cost %v after two new beacons, want 1 at 2", c.Parent(), c.PathETX())
+	}
+}
+
+// TestEvictionDropsEveryStaleEntry makes the first and the last four
+// entries of a full table stale: a newcomer drops all five, including the
+// stale entries a removal moves into a slot the sweep has just visited.
+func TestEvictionDropsEveryStaleEntry(t *testing.T) {
+	eng, c := bareCTP(t, DefaultConfig())
+	for id := radio.NodeID(1); id <= maxNeighbors; id++ {
+		hear(t, eng, c, 0, id, 1, 2)
+	}
+	later := staleAfter + time.Minute
+	var want []radio.NodeID
+	for id := radio.NodeID(2); id <= maxNeighbors-4; id++ {
+		hear(t, eng, c, later, id, 2, 2)
+		want = append(want, id)
+	}
+	hear(t, eng, c, later, 40, 1, 2)
+	want = append(want, 40)
+	if got := tableIDs(c); !slices.Equal(got, want) {
+		t.Fatalf("table holds %v, want %v", got, want)
 	}
 }

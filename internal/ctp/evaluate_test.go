@@ -15,12 +15,12 @@ import (
 // strictly cheaper candidate.
 func sortedScanPick(c *CTP) (radio.NodeID, float64) {
 	var ids []radio.NodeID
-	for id, n := range c.neighbors {
+	for i, n := range c.nbrs {
 		if n.link.ETX() != linkest.UnknownETX {
-			ids = append(ids, id)
+			ids = append(ids, c.nbrIDs[i])
 		}
 	}
-	etx := func(id radio.NodeID) float64 { return c.neighbors[id].link.ETX() }
+	etx := func(id radio.NodeID) float64 { return c.lookup(id).link.ETX() }
 	sort.Slice(ids, func(i, j int) bool {
 		a, b := etx(ids[i]), etx(ids[j])
 		if a != b {
@@ -30,7 +30,7 @@ func sortedScanPick(c *CTP) (radio.NodeID, float64) {
 	})
 	best, bestCost := NoParent, math.Inf(1)
 	for _, id := range ids {
-		n := c.neighbors[id]
+		n := c.lookup(id)
 		ad := n.ad
 		if !n.hasAd || math.IsInf(ad.pathETX, 1) || ad.parent == c.node.ID() || ad.hops >= c.cfg.MaxTHL {
 			continue
@@ -88,7 +88,7 @@ func TestEvaluateMatchesSortedScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(18, 1))
 	var byETX, byID int
 	for trial := 0; trial < 3000; trial++ {
-		c.neighbors = map[radio.NodeID]*neighbor{}
+		c.nbrIDs, c.nbrs = c.nbrIDs[:0], c.nbrs[:0]
 		n := 1 + rng.IntN(maxNeighbors)
 		for i := 0; i < n; i++ {
 			id := radio.NodeID(1 + rng.IntN(48))
@@ -114,14 +114,14 @@ func TestEvaluateMatchesSortedScan(t *testing.T) {
 		}
 		// Force exact cost ties between neighbors of different ETX.
 		var usable []radio.NodeID
-		for id, n := range c.neighbors {
+		for i, n := range c.nbrs {
 			if n.link.ETX() != linkest.UnknownETX && n.hasAd && !math.IsInf(n.ad.pathETX, 1) {
-				usable = append(usable, id)
+				usable = append(usable, c.nbrIDs[i])
 			}
 		}
 		sort.Slice(usable, func(i, j int) bool { return usable[i] < usable[j] })
 		for k := 0; k+1 < len(usable) && rng.IntN(3) > 0; k += 2 {
-			a, b := c.neighbors[usable[k]], c.neighbors[usable[k+1]]
+			a, b := c.lookup(usable[k]), c.lookup(usable[k+1])
 			if p, ok := tieCost(b.link.ETX(), a.link.ETX()+a.ad.pathETX); ok && p >= 0 {
 				b.ad.pathETX = p
 			}
@@ -137,8 +137,8 @@ func TestEvaluateMatchesSortedScan(t *testing.T) {
 		if got.id == NoParent {
 			continue
 		}
-		for id, n := range c.neighbors {
-			etx, ad := n.link.ETX(), n.ad
+		for i, n := range c.nbrs {
+			id, etx, ad := c.nbrIDs[i], n.link.ETX(), n.ad
 			if etx == linkest.UnknownETX || !n.hasAd || id == got.id || etx+ad.pathETX != got.cost ||
 				ad.parent == c.node.ID() || ad.hops >= cfg.MaxTHL {
 				continue
@@ -178,6 +178,33 @@ func TestEvaluateAllocFree(t *testing.T) {
 	c := evaluateFixture(t)
 	if allocs := testing.AllocsPerRun(200, c.evaluate); allocs != 0 {
 		t.Fatalf("evaluate allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestNeighborTableAllocFree pins the neighbour table's hot path, a
+// beacon from a known neighbour (the lookup, the estimator update and the
+// parent pick it triggers), to zero allocations. The beacons cycle over
+// all 24 neighbours, so the lookups end at every position of the table.
+func TestNeighborTableAllocFree(t *testing.T) {
+	c := evaluateFixture(t)
+	b := &Beacon{Parent: NoParent}
+	id, seq := radio.NodeID(0), uint32(0)
+	hearOne := func() {
+		id = id%24 + 1
+		if id == 1 {
+			seq++
+		}
+		b.Seq, b.PathETX, b.Hops = seq, float64(id%7)+1, uint8(1+id%4)
+		c.handleBeacon(id, b)
+	}
+	for i := 0; i < 24*8; i++ {
+		hearOne()
+	}
+	if allocs := testing.AllocsPerRun(24*20, hearOne); allocs != 0 {
+		t.Fatalf("a known neighbour's beacon allocates %v times, want 0", allocs)
+	}
+	if len(c.nbrIDs) != 24 || c.Parent() == NoParent {
+		t.Fatalf("table holds %d neighbours, parent %v", len(c.nbrIDs), c.Parent())
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // pending: what hasPendingAcks used to compute.
 func pendingElections(m *MAC) int {
 	n := 0
-	for _, st := range m.rx {
-		if st.ackPending.Pending() {
+	for _, e := range m.rx.slots {
+		if e.k != 0 && e.elect != 0 {
 			n++
 		}
 	}
@@ -22,30 +22,54 @@ func pendingElections(m *MAC) int {
 }
 
 // checkRxTable asserts the rx table's bookkeeping: the election counter
-// equals a walk of the table, an entry holds its received frame exactly
-// while its election is pending, and no state sits both in the table and
-// on the free list (or twice on the free list).
+// equals a walk of the table and the number of pool records in use; an
+// entry with an election pending names a record of its own key, which
+// holds the received frame and a pending event, and no two entries share
+// a record; a free record holds nothing. It also checks the table:
+// its count matches its occupied slots, every entry is found from its
+// home slot, and the load stays at or below three quarters.
 func checkRxTable(t *testing.T, m *MAC) {
 	t.Helper()
-	if got, want := m.elections, pendingElections(m); got != want {
-		t.Fatalf("t=%v node %d (dead %v): election counter %d, rx table has %d pending",
-			m.eng.Now(), m.ID(), m.Dead(), got, want)
+	busy := 0
+	for _, el := range m.pool {
+		if el.frame != nil {
+			busy++
+		} else if *el != (election{}) {
+			t.Fatalf("t=%v node %d: a free election record holds %+v", m.eng.Now(), m.ID(), *el)
+		}
 	}
-	free := make(map[*rxState]bool, len(m.freeRx))
-	for _, st := range m.freeRx {
-		if free[st] {
-			t.Fatalf("t=%v node %d: a state is on the free list twice", m.eng.Now(), m.ID())
-		}
-		free[st] = true
+	if got, want := m.elections, pendingElections(m); got != want || busy != want {
+		t.Fatalf("t=%v node %d (dead %v): election counter %d, rx table has %d pending, pool %d in use",
+			m.eng.Now(), m.ID(), m.Dead(), got, want, busy)
 	}
-	for k, st := range m.rx {
-		if free[st] {
-			t.Fatalf("t=%v node %d: entry %#x is also on the free list", m.eng.Now(), m.ID(), uint64(k))
+	owner := make(map[uint16]rxKey)
+	occupied := 0
+	for i, e := range m.rx.slots {
+		if e.k == 0 {
+			continue
 		}
-		if pending := st.ackPending.Pending(); pending != (st.frame != nil) {
-			t.Fatalf("t=%v node %d: entry %#x has election pending %v but holds frame %v",
-				m.eng.Now(), m.ID(), uint64(k), pending, st.frame != nil)
+		occupied++
+		key := e.k - 1
+		if at := m.rx.find(key); at != i {
+			t.Fatalf("t=%v node %d: entry %#x sits in slot %d, found at %d", m.eng.Now(), m.ID(), uint64(key), i, at)
 		}
+		if e.elect == 0 {
+			continue
+		}
+		if prev, ok := owner[e.elect]; ok {
+			t.Fatalf("t=%v node %d: entries %#x and %#x share election record %d",
+				m.eng.Now(), m.ID(), uint64(prev), uint64(key), e.elect)
+		}
+		owner[e.elect] = key
+		el := m.pool[e.elect-1]
+		if el.key != key || el.frame == nil || !el.ev.Pending() {
+			t.Fatalf("t=%v node %d: entry %#x names election record %d for %#x (frame %v, pending %v)",
+				m.eng.Now(), m.ID(), uint64(key), e.elect, uint64(el.key), el.frame != nil, el.ev.Pending())
+		}
+	}
+	if occupied != m.rx.n || 4*m.rx.n > 3*len(m.rx.slots) {
+		t.Fatalf("t=%v node %d: table counts %d entries, holds %d in %d slots",
+			m.eng.Now(), m.ID(), m.rx.n, occupied, len(m.rx.slots))
 	}
 }
 
@@ -81,10 +105,10 @@ func anycastIn(id radio.NodeID) func(*radio.Frame) Classification {
 }
 
 // TestElectionCountMatchesRxTable checks the rx table's bookkeeping
-// (checkRxTable: the election counter behind hasPendingAcks, frames held
-// only during an election, the free list) after every event of the
-// anycast field. Node 2 is killed with an election pending and later
-// rebooted as a fresh MAC on the same radio; the dead instance is
+// (checkRxTable: the election counter behind hasPendingAcks, the
+// election records and their frames, the probe table) after every event
+// of the anycast field. Node 2 is killed with an election pending and
+// later rebooted as a fresh MAC on the same radio; the dead instance is
 // checked too.
 func TestElectionCountMatchesRxTable(t *testing.T) {
 	const nodes, victim = 6, 2
@@ -161,36 +185,60 @@ func TestElectionCountMatchesRxTable(t *testing.T) {
 	}
 }
 
-// TestRxTableBounded runs the anycast field for ten simulated minutes and
-// asserts that each MAC's rx table plus its free list of states stays
-// within the traffic of the dedup window. An entry outlives its last copy
-// by at most two windows (one to age, one until the next sweep), and a
-// packet's copies span at most one LPL stream, so a table holds the
-// packets its (nodes−1) neighbours started in the last
-// 2·dedupWindow + WakeInterval + streamSlack: at one packet per
-// sendEvery each, 5·⌈2.624 s / 0.5 s⌉ = 30. The free list only holds
-// states the table once held, so the sum is bounded the same way. The
-// measured peak is 20; a table swept only once it holds 256 entries
-// climbs to 256 here.
+// TestRxTableBounded runs the anycast field for ten simulated minutes
+// and holds each MAC's rx table to about one window of traffic. An entry
+// the sweep may not drop was heard within the last dedupWindow (or has
+// its election pending, a few milliseconds), and a packet's copies span
+// at most one LPL stream, so such live entries are the packets the
+// (nodes−1) neighbours started in the last
+// dedupWindow + WakeInterval + streamSlack: at one per sendEvery each,
+// 5·⌈1.6 s / 0.5 s⌉ = 20. A table at its load limit of three quarters
+// sweeps first and doubles only if at least three quarters of the limit
+// is live, so it never grows past the first size at which that exceeds
+// the live bound: 64 slots, 48 entries. The election pool only holds elections
+// pending at once. The sweep and the growth rule are what hold this: a
+// table that grew instead of sweeping would keep every packet of the
+// run.
 func TestRxTableBounded(t *testing.T) {
 	const nodes = 6
 	eng, macs, _ := anycastField(t, nodes)
 	cfg := DefaultConfig()
-	span := 2*cfg.dedupWindow() + cfg.WakeInterval + cfg.streamSlack()
-	bound := (nodes - 1) * int((span+sendEvery-1)/sendEvery)
-	peak := 0
+	span := cfg.dedupWindow() + cfg.WakeInterval + cfg.streamSlack()
+	liveBound := (nodes - 1) * int((span+sendEvery-1)/sendEvery)
+	slotBound := minRxSlots
+	for liveBound >= slotBound*3/4*3/4 {
+		slotBound *= 2
+	}
+	var peakLive, peakHeld, peakSlots, peakPool int
 	for eng.Now() < 10*time.Minute {
 		before := eng.Processed()
 		_ = eng.RunAll(1)
 		if eng.Processed() == before {
 			t.Fatal("the field ran out of events")
 		}
+		cutoff := eng.Now() - cfg.dedupWindow()
 		for _, m := range macs {
-			peak = max(peak, len(m.rx)+len(m.freeRx))
+			live := 0
+			for _, e := range m.rx.slots {
+				if e.k != 0 && (e.at >= cutoff || e.elect != 0) {
+					live++
+				}
+			}
+			peakLive = max(peakLive, live)
+			peakHeld = max(peakHeld, m.rx.n+len(m.pool))
+			peakSlots = max(peakSlots, len(m.rx.slots))
+			peakPool = max(peakPool, len(m.pool))
 		}
 	}
-	t.Logf("peak rx table + free list: %d states (bound %d)", peak, bound)
-	if peak > bound {
-		t.Fatalf("a MAC held %d rx states, want at most %d", peak, bound)
+	t.Logf("peak: %d live entries (bound %d), %d slots (bound %d), table plus election pool %d (pool %d)",
+		peakLive, liveBound, peakSlots, slotBound, peakHeld, peakPool)
+	if peakLive > liveBound {
+		t.Fatalf("a MAC held %d live rx entries, want at most %d", peakLive, liveBound)
+	}
+	if peakSlots > slotBound {
+		t.Fatalf("a MAC's rx table grew to %d slots, want at most %d", peakSlots, slotBound)
+	}
+	if heldBound := slotBound*3/4 + nodes - 1; peakHeld > heldBound {
+		t.Fatalf("a MAC held %d rx entries and election records, want at most %d", peakHeld, heldBound)
 	}
 }

@@ -138,23 +138,13 @@ type Stats struct {
 	Suppressed uint64
 }
 
-// rxState remembers the fate of a link-layer packet (src,seq).
-type rxState struct {
-	at        time.Duration
-	class     Classification
-	delivered bool
-	// suppressed means another node won the anycast election.
-	suppressed bool
-	ackPending sim.EventRef
-	// frame is the received copy the election acks and delivers; it is
-	// set only while ackPending is, so no frame outlives its election.
-	frame *radio.Frame
-}
-
 type outstanding struct {
 	frame    *radio.Frame
 	deadline time.Duration
 	attempts int
+	// expectsAck is whether the frame solicits link-layer acks, decided
+	// once when the send starts.
+	expectsAck bool
 }
 
 // MAC is one node's link layer instance.
@@ -187,17 +177,18 @@ type MAC struct {
 	idleTimer  *sim.Timer
 	ackWait    *sim.Timer
 	wakeTicker *sim.Ticker
+	// ackTimeout is how long a sent frame waits for its ack: the
+	// turnaround, every election slot, a guard and an ack's airtime.
+	ackTimeout time.Duration
 
-	rx map[rxKey]*rxState
-	// freeRx recycles the states the stale-entry path and the sweep
-	// remove, so receiving a new packet does not allocate; lastSweep is
-	// when gcRxStates last swept the table.
-	freeRx    []*rxState
-	lastSweep time.Duration
-	// elections counts the rx entries with an ack election pending: it
-	// rises where onData schedules one and falls where one fires
-	// (runElection), is cancelled by a peer's ack (onAck) or dies with
-	// the node (Kill).
+	// rx remembers every packet heard within the dedup window.
+	rx rxTable
+	// pool holds the records of pending ack elections, reused once
+	// resolved; an rx entry names its record by index. elections counts
+	// the records in use: it rises where onData starts an election and
+	// falls where one fires (runElection), is cancelled by a peer's ack
+	// (onAck) or dies with the node (Kill).
+	pool      []*election
 	elections int
 
 	// ack is the one frame every ack this MAC sends is filled into,
@@ -215,12 +206,6 @@ type MAC struct {
 	cancelling bool
 }
 
-// rxKey packs a link-layer packet's (src, seq) into one word, so the rx
-// table hashes it as an integer.
-type rxKey uint64
-
-func packetKey(src radio.NodeID, seq uint32) rxKey { return rxKey(src)<<32 | rxKey(seq) }
-
 var _ radio.Handler = (*MAC)(nil)
 
 // New creates a MAC bound to a radio. Call Start to begin duty cycling.
@@ -231,7 +216,8 @@ func New(eng *sim.Engine, r *radio.Radio, cfg Config, rng *rand.Rand, upper Uppe
 		cfg:   cfg,
 		rng:   rng,
 		upper: upper,
-		rx:    make(map[rxKey]*rxState),
+		ackTimeout: ackTurnaround + time.Duration(maxAckSlots)*ackSlot + ackGuard +
+			r.Params().Airtime(5),
 	}
 	r.SetHandler(m)
 	m.probeFn = m.probeStep
@@ -301,11 +287,10 @@ func (m *MAC) Kill() {
 	// Cancel pending ack elections eagerly: without this, a dead node's
 	// election events linger in the heap and fire later, delivering
 	// frames to a protocol stack that is supposed to be gone.
-	for _, st := range m.rx {
-		st.ackPending.Cancel()
+	for _, el := range m.pool {
+		el.ev.Cancel()
 	}
-	m.rx = make(map[rxKey]*rxState)
-	m.elections = 0
+	m.pool, m.rx, m.elections = nil, rxTable{}, 0
 	m.radio.ForceOff()
 }
 
@@ -399,8 +384,9 @@ func (m *MAC) kick() {
 	f := m.queue[0]
 	m.queue = slices.Delete(m.queue, 0, 1)
 	m.curBuf = outstanding{
-		frame:    f,
-		deadline: m.eng.Now() + m.cfg.WakeInterval + m.cfg.streamSlack(),
+		frame:      f,
+		deadline:   m.eng.Now() + m.cfg.WakeInterval + m.cfg.streamSlack(),
+		expectsAck: expectsAck(f),
 	}
 	m.cur = &m.curBuf
 	m.stats.SendsStarted++
@@ -419,7 +405,7 @@ func (m *MAC) csmaAttempt() {
 		return
 	}
 	if m.eng.Now() >= cur.deadline {
-		m.finishSend(radio.BroadcastID, cur.frame.Dst == radio.BroadcastID && !m.expectsAck(cur.frame))
+		m.finishSend(radio.BroadcastID, !cur.expectsAck)
 		return
 	}
 	if m.radio.CCABusy() || m.radio.Transmitting() {
@@ -449,7 +435,7 @@ func (m *MAC) backoff() {
 // expectsAck reports whether the frame solicits link-layer acks. All data
 // frames do except pure broadcasts (beacons, dissemination): those are
 // identified by the NoAck marker interface on the payload.
-func (m *MAC) expectsAck(f *radio.Frame) bool {
+func expectsAck(f *radio.Frame) bool {
 	if f.Dst != radio.BroadcastID {
 		return true
 	}
@@ -468,11 +454,8 @@ func (m *MAC) OnTxDone() {
 		m.maybeSleepSoon()
 		return
 	}
-	if m.expectsAck(cur.frame) {
-		wait := ackTurnaround +
-			time.Duration(maxAckSlots)*ackSlot +
-			ackGuard + m.ackAirtime()
-		m.ackWait.Start(wait)
+	if cur.expectsAck {
+		m.ackWait.Start(m.ackTimeout)
 		return
 	}
 	// Pure broadcast: stream until the deadline, leaving gaps wide enough
@@ -482,10 +465,6 @@ func (m *MAC) OnTxDone() {
 		return
 	}
 	m.eng.Schedule(broadcastGap, m.csmaFn)
-}
-
-func (m *MAC) ackAirtime() time.Duration {
-	return m.radio.Params().Airtime(5)
 }
 
 func (m *MAC) onAckTimeout() {
@@ -506,7 +485,7 @@ func (m *MAC) finishSend(acker radio.NodeID, ok bool) {
 	m.ackWait.Stop()
 	m.awakeForTx = len(m.queue) > 0
 	if ok {
-		if m.expectsAck(cur.frame) {
+		if cur.expectsAck {
 			m.stats.SendsAcked++
 		} else {
 			m.stats.SendsBroadcast++
@@ -519,7 +498,7 @@ func (m *MAC) finishSend(acker radio.NodeID, ok bool) {
 		switch {
 		case m.cancelling:
 			kind = telemetry.KindMacSendCancelled
-		case ok && m.expectsAck(cur.frame):
+		case ok && cur.expectsAck:
 			kind = telemetry.KindMacSendAcked
 		case ok:
 			kind = telemetry.KindMacSendBroadcastDone
@@ -541,7 +520,6 @@ func (m *MAC) finishSend(acker radio.NodeID, ok bool) {
 
 // OnFrame implements radio.Handler.
 func (m *MAC) OnFrame(f *radio.Frame) {
-	m.gcRxStates()
 	switch f.Kind {
 	case radio.FrameAck:
 		m.onAck(f)
@@ -559,51 +537,53 @@ func (m *MAC) onAck(f *radio.Frame) {
 		return
 	}
 	// Ack for someone else's frame: suppress my pending election entry.
-	key := packetKey(f.AckSrc, f.AckSeq)
-	if st, ok := m.rx[key]; ok && st.ackPending.Pending() {
-		st.ackPending.Cancel()
-		st.ackPending = sim.EventRef{}
-		m.elections--
-		st.suppressed = true
-		m.stats.Suppressed++
-		m.emitMac(telemetry.KindMacSuppressed, st.frame, f.Src, "peer acked first")
-		st.frame = nil
+	i := m.rx.find(packetKey(f.AckSrc, f.AckSeq))
+	if i < 0 || m.rx.slots[i].elect == 0 {
+		return
 	}
+	e := &m.rx.slots[i]
+	el := m.pool[e.elect-1]
+	e.elect = 0
+	e.suppressed = true
+	el.ev.Cancel()
+	frame := m.endElection(el)
+	m.stats.Suppressed++
+	m.emitMac(telemetry.KindMacSuppressed, frame, f.Src, "peer acked first")
 }
 
 func (m *MAC) onData(f *radio.Frame) {
+	now := m.eng.Now()
 	key := packetKey(f.Src, f.Seq)
-	st, seen := m.rx[key]
-	if seen && !st.ackPending.Pending() && m.eng.Now()-st.at > m.cfg.dedupWindow() {
-		// The dedup window has lapsed, so this is not a retransmission but
-		// a reuse of the (src,seq) pair — typically a rebooted neighbor
-		// restarting its sequence counter at 1. Forget the stale verdict
-		// and classify afresh; without this, every frame a rebooted node
-		// sends is swallowed as a duplicate until its counter climbs past
-		// its pre-crash value, and the node can never re-attach.
-		delete(m.rx, key)
-		m.putRx(st)
-		st, seen = nil, false
-	}
-	if seen {
-		st.at = m.eng.Now()
-		switch {
-		case st.suppressed:
-			// Someone else owns this packet; stay quiet.
-			m.earlySleep()
-			return
-		case st.class.Decision == AckAndDeliver && st.delivered:
-			// Sender missed our ack: re-ack (unless another ack is already
-			// on the air), don't re-deliver.
-			if !m.radio.CCABusy() {
-				m.sendAck(f)
+	i := m.rx.find(key)
+	if i >= 0 {
+		e := &m.rx.slots[i]
+		if e.elect == 0 && now-e.at > m.cfg.dedupWindow() {
+			// The dedup window has lapsed, so this is not a retransmission
+			// but a reuse of the (src,seq) pair — typically a rebooted
+			// neighbor restarting its sequence counter at 1. Forget the
+			// stale verdict and classify afresh; without this, every frame
+			// a rebooted node sends is swallowed as a duplicate until its
+			// counter climbs past its pre-crash value, and the node can
+			// never re-attach.
+			m.rx.deleteAt(i)
+		} else {
+			e.at = now
+			switch {
+			case e.suppressed:
+				// Someone else owns this packet; stay quiet.
+				m.earlySleep()
+			case e.decision == AckAndDeliver && e.delivered:
+				// Sender missed our ack: re-ack (unless another ack is
+				// already on the air), don't re-deliver.
+				if !m.radio.CCABusy() {
+					m.sendAck(f)
+				}
+			case e.elect != 0:
+				// Election in progress from an earlier copy; let it play
+				// out.
+			default:
+				m.earlySleep()
 			}
-			return
-		case st.ackPending.Pending():
-			// Election in progress from an earlier copy; let it play out.
-			return
-		default:
-			m.earlySleep()
 			return
 		}
 	}
@@ -611,12 +591,11 @@ func (m *MAC) onData(f *radio.Frame) {
 	if m.upper != nil {
 		class = m.upper.Classify(f)
 	}
-	st = m.newRx()
-	st.at, st.class = m.eng.Now(), class
-	m.rx[key] = st
+	e := &m.rx.slots[m.rx.add(key, now-m.cfg.dedupWindow())]
+	e.at, e.decision = now, class.Decision
 	switch class.Decision {
 	case Deliver:
-		st.delivered = true
+		e.delivered = true
 		if m.upper != nil {
 			m.upper.Deliver(f)
 		}
@@ -634,35 +613,58 @@ func (m *MAC) onData(f *radio.Frame) {
 		// yields.
 		jitter := time.Duration(m.rng.Int64N(int64(ackSlot / 3)))
 		delay := ackTurnaround + time.Duration(prio)*ackSlot + jitter
-		st.frame = f
-		st.ackPending = m.eng.ScheduleArg(delay, m.electFn, st)
-		m.elections++
+		e.elect = m.startElection(key, f, delay)
 	default:
 		// Not for us: the rest of this stream is someone else's.
 		m.earlySleep()
 	}
 }
 
-// runElection is the ack-election firing for one received packet: the
-// pre-bound target of the ScheduleArg call in onData (an equivalent
-// closure would allocate per received packet).
-func (m *MAC) runElection(a any) {
-	st := a.(*rxState)
-	f := st.frame
-	st.frame = nil
-	st.ackPending = sim.EventRef{}
+// startElection schedules the ack election for the packet key on a free
+// pool record and returns the record's index plus one.
+func (m *MAC) startElection(key rxKey, f *radio.Frame, delay time.Duration) uint16 {
+	i := 0
+	for i < len(m.pool) && m.pool[i].frame != nil {
+		i++
+	}
+	if i == len(m.pool) {
+		m.pool = append(m.pool, new(election))
+	}
+	el := m.pool[i]
+	el.key, el.frame = key, f
+	el.ev = m.eng.ScheduleArg(delay, m.electFn, el)
+	m.elections++
+	return uint16(i + 1)
+}
+
+// endElection frees a resolved election's record and returns its frame.
+func (m *MAC) endElection(el *election) *radio.Frame {
+	f := el.frame
+	*el = election{}
 	m.elections--
+	return f
+}
+
+// runElection is the ack-election firing for one received packet: the
+// pre-bound target of the ScheduleArg call in startElection (an
+// equivalent closure would allocate per received packet). A pending
+// election's entry is never deleted, so the lookup finds it.
+func (m *MAC) runElection(a any) {
+	el := a.(*election)
+	e := &m.rx.slots[m.rx.find(el.key)]
+	f := m.endElection(el)
+	e.elect = 0
 	if m.radio.CCABusy() || m.radio.State() == radio.StateReceiving {
 		// Another contender's ack (or other traffic) owns the
 		// channel: yield the election.
-		st.suppressed = true
+		e.suppressed = true
 		m.stats.Suppressed++
 		m.emitMac(telemetry.KindMacSuppressed, f, radio.BroadcastID, "election yield")
 		m.earlySleep()
 		return
 	}
+	e.delivered = true
 	m.sendAck(f)
-	st.delivered = true
 	if m.upper != nil {
 		m.upper.Deliver(f)
 	}
@@ -699,44 +701,6 @@ func (m *MAC) sendAck(f *radio.Frame) {
 	if err := m.radio.Transmit(m.ack, m.cfg.TxPowerDBm); err == nil {
 		m.stats.AcksSent++
 	}
-}
-
-// gcRxStates drops, at most once per dedupWindow, every entry older than
-// the window with no election pending. onData already treats such an
-// entry as unseen, and onAck and runElection read only pending ones, so
-// the sweep's timing changes no decision. The table then holds about two
-// windows of traffic however long the run.
-func (m *MAC) gcRxStates() {
-	now := m.eng.Now()
-	window := m.cfg.dedupWindow()
-	if now-m.lastSweep < window {
-		return
-	}
-	m.lastSweep = now
-	cutoff := now - window
-	for k, st := range m.rx {
-		if st.at < cutoff && !st.ackPending.Pending() {
-			delete(m.rx, k)
-			m.putRx(st)
-		}
-	}
-}
-
-// newRx takes a zeroed state from the free list, or allocates one.
-func (m *MAC) newRx() *rxState {
-	n := len(m.freeRx)
-	if n == 0 {
-		return new(rxState)
-	}
-	st := m.freeRx[n-1]
-	m.freeRx = m.freeRx[:n-1]
-	return st
-}
-
-// putRx zeroes a state removed from the table and keeps it for reuse.
-func (m *MAC) putRx(st *rxState) {
-	*st = rxState{}
-	m.freeRx = append(m.freeRx, st)
 }
 
 // --- Duty cycling ---

@@ -366,7 +366,7 @@ func (u *countUpper) Deliver(*radio.Frame)                        { u.delivered+
 func (u *countUpper) OnSendDone(*radio.Frame, radio.NodeID, bool) {}
 
 // TestMACReceiveAllocFree pins the receive path's alloc contract: once
-// the rx table, its free list and the engine's event pool are warm,
+// the rx table, the election pool and the engine's event pool are warm,
 // OnFrame allocates nothing for a new-key broadcast, a duplicate, a new
 // anycast frame that starts an election together with the peer's ack
 // that cancels it, or an ack for a packet with no election pending. Each
@@ -473,5 +473,131 @@ func TestSendAckAllocFree(t *testing.T) {
 	}
 	if n := m.Stats().AcksSent; n != 50+301 {
 		t.Fatalf("%d acks sent, want %d", n, 50+301)
+	}
+}
+
+// TestRxTableMatchesGoMap drives a bare rxTable and a Go map through
+// seeded sequences of adds, updates, lookups, deletes, explicit sweeps
+// and resolved elections, and after every step checks that the table
+// holds exactly the map's entries, each found from its home slot, at a
+// load of at most three quarters. An add at the load limit sweeps
+// before it grows; the map is swept with the same cutoff there. Half the
+// keys share home slot 0 or one of the last two slots at every table
+// size up to 64, so their probe runs collide and wrap around the end of
+// the array, and a backward shift must carry them across it; key 0
+// (node 0's packet with Seq 0) is among them.
+func TestRxTableMatchesGoMap(t *testing.T) {
+	keys := []rxKey{0}
+	wide := rxTable{shift: 64 - 6}
+	for k := rxKey(1); len(keys) < 32; k++ {
+		if h := wide.home(k + 1); h == 0 || h >= 62 {
+			keys = append(keys, k)
+		}
+	}
+	rng := rand.New(rand.NewPCG(34, 1))
+	for len(keys) < 64 {
+		keys = append(keys, packetKey(radio.NodeID(rng.IntN(4)), uint32(rng.IntN(1000))))
+	}
+	const unit = time.Millisecond
+	var wrappedDeletes, displaced, sweeps, grows int
+	for seed := uint64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 2))
+		var tab rxTable
+		ref := map[rxKey]rxEntry{}
+		var now time.Duration
+		check := func(step int, op string) {
+			t.Helper()
+			if tab.n != len(ref) || 4*tab.n > 3*len(tab.slots) {
+				t.Fatalf("seed %d step %d (%s): table counts %d entries in %d slots, map holds %d",
+					seed, step, op, tab.n, len(tab.slots), len(ref))
+			}
+			occupied := 0
+			for i, e := range tab.slots {
+				if e.k == 0 {
+					continue
+				}
+				occupied++
+				if want, ok := ref[e.k-1]; !ok || want != e {
+					t.Fatalf("seed %d step %d (%s): slot %d holds %+v, map has %+v (%v)", seed, step, op, i, e, want, ok)
+				}
+				if tab.home(e.k) != i {
+					displaced++
+				}
+			}
+			if occupied != tab.n {
+				t.Fatalf("seed %d step %d (%s): %d occupied slots, count %d", seed, step, op, occupied, tab.n)
+			}
+			for k, want := range ref {
+				if i := tab.find(k); i < 0 || tab.slots[i] != want {
+					t.Fatalf("seed %d step %d (%s): key %#x lost (slot %d)", seed, step, op, uint64(k), i)
+				}
+			}
+		}
+		sweepRef := func(cutoff time.Duration) {
+			for k, e := range ref {
+				if e.at < cutoff && e.elect == 0 {
+					delete(ref, k)
+				}
+			}
+		}
+		for step := 0; step < 3000; step++ {
+			now += time.Duration(rng.IntN(4)) * unit
+			key := keys[rng.IntN(len(keys))]
+			i := tab.find(key)
+			if _, ok := ref[key]; ok != (i >= 0) {
+				t.Fatalf("seed %d step %d: find(%#x) = %d, map has it %v", seed, step, uint64(key), i, ok)
+			}
+			op := ""
+			switch p := rng.IntN(100); {
+			case p < 45 && i >= 0:
+				op = "update"
+				tab.slots[i].at, tab.slots[i].delivered = now, !tab.slots[i].delivered
+			case p < 45:
+				op = "add"
+				cutoff := now - time.Duration(rng.IntN(40))*unit
+				if tab.n >= len(tab.slots)*3/4 {
+					sweepRef(cutoff)
+					sweeps++
+				}
+				size := len(tab.slots)
+				i = tab.add(key, cutoff)
+				if len(tab.slots) != size {
+					grows++
+				}
+				tab.slots[i].at, tab.slots[i].decision = now, Decision(1+rng.IntN(3))
+				if rng.IntN(4) == 0 {
+					tab.slots[i].elect = uint16(1 + rng.IntN(8))
+				}
+			case p < 70 && i >= 0:
+				op = "delete"
+				if tab.slots[0].k != 0 && tab.slots[len(tab.slots)-1].k != 0 {
+					wrappedDeletes++
+				}
+				tab.deleteAt(i)
+				delete(ref, key)
+				check(step, op)
+				if tab.find(key) >= 0 {
+					t.Fatalf("seed %d step %d: deleted key %#x still found", seed, step, uint64(key))
+				}
+				continue
+			case p < 80:
+				op = "sweep"
+				cutoff := now - time.Duration(rng.IntN(40))*unit
+				tab.sweep(cutoff)
+				sweepRef(cutoff)
+			case p < 90 && i >= 0:
+				op = "resolve"
+				tab.slots[i].elect = 0
+			}
+			if i >= 0 && op != "sweep" {
+				ref[key] = tab.slots[i]
+			}
+			check(step, op)
+		}
+	}
+	t.Logf("%d deletes in wrapped runs, %d displaced entries checked, %d sweeps before growth, %d growths",
+		wrappedDeletes, displaced, sweeps, grows)
+	if wrappedDeletes < 1000 || displaced < 10000 || sweeps < 50 || grows < 40 {
+		t.Fatal("the sequences did not exercise wrapped runs, collisions, sweeps and growth enough")
 	}
 }

@@ -529,17 +529,10 @@ func (m *Medium) startTransmission(src *Radio, f *Frame, powerDBm float64) *tran
 		tx = &transmission{rxDBm: make([]float64, m.rowCap), rcv: make([]int32, 0, m.rowCap)}
 	}
 	airtime := m.params.Airtime(f.Size)
-	*tx = transmission{
-		id:       m.seq,
-		src:      src.id,
-		srcRadio: src,
-		frame:    f,
-		power:    powerDBm,
-		end:      m.eng.Now() + airtime,
-		rowStart: m.linkStart[src.id],
-		rxDBm:    tx.rxDBm,
-		rcv:      tx.rcv,
-	}
+	// Field by field, keeping the pooled rxDBm and rcv buffers: a
+	// composite literal would build the record in a temporary and copy it.
+	tx.id, tx.src, tx.srcRadio, tx.frame = m.seq, src.id, src, f
+	tx.power, tx.end, tx.rowStart = powerDBm, m.eng.Now()+airtime, m.linkStart[src.id]
 	m.trace(TraceEvent{Kind: TraceTxStart, Node: src.id, Frame: f})
 	now := m.eng.Now()
 	// The jitter is drawn for every notified link, in link order, so the
