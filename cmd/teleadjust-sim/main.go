@@ -335,9 +335,6 @@ func checkService(c *cliConfig) error {
 	if min(o.BatchWindow, o.CacheTTL) < 0 || min(o.BatchBits, o.CacheCap, o.QueueDepth, o.HighWater) < 0 {
 		return fmt.Errorf("-batch-window, -batch-bits, -cache-ttl, -cache-cap, -queue-depth and -high-water must be >= 0")
 	}
-	if o.BatchBits > 56 {
-		return fmt.Errorf("-batch-bits must be <= 56 (prefix key width)")
-	}
 	if o.MaxBatch < 2 || o.MaxBatch > core.MaxBatchMembers {
 		return fmt.Errorf("-max-batch must be between 2 and %d (wire member bound)", core.MaxBatchMembers)
 	}

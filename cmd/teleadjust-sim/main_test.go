@@ -163,7 +163,6 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown shed policy", "-study service -shed drop", "-shed"},
 		{"max-batch below two", "-study service -max-batch 1", "-max-batch"},
 		{"max-batch above wire bound", "-study service -max-batch 300", "-max-batch"},
-		{"batch-bits above key width", "-study service -batch-bits 64", "-batch-bits"},
 		{"cache-ttl negative", "-study service -cache-ttl -1s", "-cache-ttl"},
 		{"high-water above queue-depth", "-study service -queue-depth 16 -high-water 32", "-high-water"},
 		{"service ops negative", "-study service -ops -1", "-ops"},

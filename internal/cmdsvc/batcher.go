@@ -87,7 +87,7 @@ type pendingCmd struct {
 
 // batchGroup is one open prefix group.
 type batchGroup struct {
-	key   uint64
+	key   groupKey
 	cmds  []pendingCmd
 	timer sim.EventRef
 }
@@ -114,7 +114,7 @@ type Batcher struct {
 	cache *RouteCache
 	cfg   BatcherConfig
 
-	groups map[uint64]*batchGroup
+	groups map[groupKey]*batchGroup
 	free   []*batchGroup
 	reqBuf []core.BatchRequest
 
@@ -141,7 +141,7 @@ func NewBatcher(eng *sim.Engine, inner sink.Dispatcher, cfg BatcherConfig) *Batc
 		eng:    eng,
 		inner:  inner,
 		cfg:    cfg.withDefaults(),
-		groups: make(map[uint64]*batchGroup),
+		groups: make(map[groupKey]*batchGroup),
 	}
 	b.batch, _ = inner.(batchSender)
 	b.opt, _ = inner.(optSender)
@@ -340,7 +340,7 @@ func (b *Batcher) emitBatch(g *batchGroup, uids []uint32) {
 }
 
 // takeGroup reuses a retired group or allocates a fresh one.
-func (b *Batcher) takeGroup(key uint64) *batchGroup {
+func (b *Batcher) takeGroup(key groupKey) *batchGroup {
 	if n := len(b.free); n > 0 {
 		g := b.free[n-1]
 		b.free = b.free[:n-1]
@@ -360,20 +360,25 @@ func (b *Batcher) putGroup(g *batchGroup) {
 	b.free = append(b.free, g)
 }
 
-// prefixKey packs the first min(bits, 56) bits of code plus the truncated
-// length into one allocation-free comparable key (the string GroupKey
-// would allocate per command on the hot path).
-func prefixKey(code core.PathCode, bits int) uint64 {
+// groupKey is a code prefix as an allocation-free comparable map key
+// (the string GroupKey would allocate per command on the hot path): its
+// bits packed first-bit-highest, and its length. Four words hold
+// core.MaxCodeBits, so the key is exact for every code.
+type groupKey struct {
+	bits [4]uint64
+	n    uint8
+}
+
+// prefixKey keys the first bits bits of code (the whole code when bits
+// <= 0 or the code is shorter).
+func prefixKey(code core.PathCode, bits int) groupKey {
 	n := code.Len()
 	if bits > 0 && n > bits {
 		n = bits
 	}
-	if n > 56 {
-		n = 56
-	}
-	var k uint64
+	k := groupKey{n: uint8(n)}
 	for i := 0; i < n; i++ {
-		k = k<<1 | uint64(code.Bit(i))
+		k.bits[i/64] |= uint64(code.Bit(i)) << (63 - i%64)
 	}
-	return k<<8 | uint64(n)
+	return k
 }

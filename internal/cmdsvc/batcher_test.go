@@ -2,6 +2,7 @@ package cmdsvc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -398,4 +399,28 @@ func TestPrefixKeyGroupsByPrefix(t *testing.T) {
 	if prefixKey(codes[2], 0) != prefixKey(codes[2], 0) {
 		t.Fatal("full-code key not stable")
 	}
+	// Long codes (Sparse-linear reaches ~90 bits) stay exact past any one
+	// word: a and b share their first 80 bits, c extends a by one 0 bit.
+	shared := strings.Repeat("0110", 20)
+	a := mustCode(t, shared+"0000000000")
+	b := mustCode(t, shared+"1000000000")
+	c := mustCode(t, shared+"00000000000")
+	if prefixKey(a, 0) == prefixKey(b, 0) {
+		t.Fatal("full-code keys collide for 90-bit codes differing at bit 80")
+	}
+	if prefixKey(a, 0) == prefixKey(c, 0) {
+		t.Fatal("full-code keys collide for a code and its one-bit extension")
+	}
+	if prefixKey(a, 80) != prefixKey(b, 80) || prefixKey(a, 81) == prefixKey(b, 81) {
+		t.Fatal("80-bit prefix keys must group a and b, 81-bit keys must not")
+	}
+}
+
+func mustCode(t *testing.T, bits string) core.PathCode {
+	t.Helper()
+	c, err := core.CodeFromBits(bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

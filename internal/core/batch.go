@@ -110,7 +110,7 @@ func (e *Engine) SendControlBatch(reqs []BatchRequest) ([]uint32, error) {
 	batch := make([]BatchMember, len(members))
 	for i, m := range members {
 		r := &reqs[m.idx]
-		uid := e.openOp(r.Dst, r.App, SendOpts{}, r.Cb)
+		uid := e.ops.Open(r.Dst, r.App, r.Cb).UID
 		uids[m.idx] = uid
 		batch[i] = BatchMember{
 			UID:     uid,

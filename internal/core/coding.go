@@ -424,7 +424,7 @@ func (e *Engine) handleCollect(origin radio.NodeID, app any) {
 				Src: origin, Hops: p.Depth})
 		}
 	case *E2EAck:
-		e.resolveAck(p)
+		e.ops.Ack(p.UID, p.From, p.Hops)
 	case *ScopeAck:
 		e.resolveScopeAck(p)
 	default:

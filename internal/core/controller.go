@@ -3,9 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"time"
 
+	"teleadjust/internal/protocol"
 	"teleadjust/internal/radio"
 	"teleadjust/internal/telemetry"
 )
@@ -54,35 +53,15 @@ func (e *Engine) SendControlWith(dst radio.NodeID, app any, opts SendOpts, cb fu
 // its first hop. Shared by the single-operation entry points and the
 // batch carrier's lone-member and no-shared-prefix fallbacks.
 func (e *Engine) launchControl(dst radio.NodeID, code PathCode, app any, opts SendOpts, cb func(Result)) uint32 {
-	uid := e.openOp(dst, app, opts, cb)
-	c := &Control{UID: uid, Op: uid, Dst: dst, DstCode: code, App: app}
-	e.forwardControl(e.newCtrl(uid, c, 0, false))
-	return uid
-}
-
-// openOp opens one operation at the sink: a fresh UID, its pending record
-// and timeout, and the op.issue span root.
-func (e *Engine) openOp(dst radio.NodeID, app any, opts SendOpts, cb func(Result)) uint32 {
-	p := &pendingControl{dst: dst, app: app, sentAt: e.eng.Now(), cb: cb, noRescue: opts.NoRescue}
-	p.op = e.armPending(p)
-	e.emitOp(telemetry.Event{Kind: telemetry.KindOpIssue, Op: p.op, UID: p.op, Dst: dst})
-	return p.op
-}
-
-// armPending files p under the next wire UID with a fresh timeout.
-func (e *Engine) armPending(p *pendingControl) uint32 {
-	e.uidSeq++
-	uid := e.uidSeq
-	p.timeout = e.eng.Schedule(e.cfg.ControlTimeout, func() { e.stalled(uid) })
-	e.pending[uid] = p
-	return uid
+	op := e.ops.Open(dst, app, cb)
+	op.NoRescue = opts.NoRescue
+	c := &Control{UID: op.UID, Op: op.UID, Dst: dst, DstCode: code, App: app}
+	e.forwardControl(e.newCtrl(op.UID, c, 0, false))
+	return op.UID
 }
 
 // KnowsCode reports whether the controller has a code for dst.
 func (e *Engine) KnowsCode(dst radio.NodeID) bool {
-	if e.registry == nil {
-		return false
-	}
 	_, ok := e.registry[dst]
 	return ok
 }
@@ -95,103 +74,54 @@ func (e *Engine) DstCode(dst radio.NodeID) (PathCode, bool) {
 	return info.Code, ok
 }
 
-// resolveAck completes a pending operation on the end-to-end ack.
-func (e *Engine) resolveAck(ack *E2EAck) {
-	p, ok := e.pending[ack.UID]
-	if !ok {
-		return
+// onStall is the operation table's timeout hook. No e2e ack arrived in
+// time, or the sink's own forwarding (backtracked packets included) gave
+// up first: either the packet never made it or its acknowledgement was
+// lost on a blocked upward path. Both are what the Section III-C4
+// countermeasure addresses (the rescue relay also carries the ack back on
+// its own tree), so one rescue attempt is made before giving up.
+func (e *Engine) onStall(op *protocol.Op) bool {
+	if e.tryRescue(op) {
+		return true
 	}
-	delete(e.pending, ack.UID)
-	p.timeout.Cancel()
-	lat := e.eng.Now() - p.sentAt
-	if e.bus.Wants(telemetry.LayerCore) {
-		e.emitOp(telemetry.Event{Kind: telemetry.KindOpE2EAck, Op: p.op, UID: ack.UID,
-			Src: ack.From, Hops: ack.Hops, Value: lat.Seconds()})
-		e.emitOp(telemetry.Event{Kind: telemetry.KindOpResult, Op: p.op, UID: ack.UID,
-			Dst: p.dst, Value: 1})
-	}
-	if p.cb != nil {
-		p.cb(Result{
-			UID:      ack.UID,
-			Dst:      ack.From,
-			OK:       true,
-			Latency:  lat,
-			E2EHops:  ack.Hops,
-			Detoured: p.detoured,
-		})
-	}
-}
-
-// stalled fires when no e2e ack arrived in time, or when the sink's own
-// forwarding (backtracked packets included) gives up first: either the
-// packet never made it or its acknowledgement was lost on a blocked upward
-// path. Both are what the Section III-C4 countermeasure addresses (the
-// rescue relay also carries the ack back on its own tree), so one rescue
-// attempt is made before giving up.
-func (e *Engine) stalled(uid uint32) {
-	p, ok := e.pending[uid]
-	if !ok {
-		return
-	}
-	if e.tryRescue(uid, p) {
-		return
-	}
-	e.failPending(uid, p)
-}
-
-func (e *Engine) failPending(uid uint32, p *pendingControl) {
-	delete(e.pending, uid)
-	p.timeout.Cancel()
 	e.stats.SendFailures++
-	e.emitOp(telemetry.Event{Kind: telemetry.KindOpResult, Op: p.op, UID: uid, Dst: p.dst, Value: 0})
-	if p.cb != nil {
-		p.cb(Result{
-			UID:      uid,
-			Dst:      p.dst,
-			OK:       false,
-			Latency:  e.eng.Now() - p.sentAt,
-			Detoured: p.detoured,
-		})
-	}
+	return false
 }
 
 // tryRescue implements the destination-unreachable countermeasure
 // (Section III-C4): route to a code-divergent neighbor K of the
 // destination with a good link, and have K deliver directly.
-func (e *Engine) tryRescue(uid uint32, p *pendingControl) bool {
-	if !e.cfg.Rescue || p.rescued || p.noRescue || e.oracle == nil {
+func (e *Engine) tryRescue(op *protocol.Op) bool {
+	if !e.cfg.Rescue || op.Detoured || op.NoRescue || e.oracle == nil {
 		return false
 	}
-	dstInfo, ok := e.registry[p.dst]
+	dstInfo, ok := e.registry[op.Dst]
 	if !ok {
 		return false
 	}
-	k := e.pickRescueRelay(p.dst, dstInfo.Code)
+	k := e.pickRescueRelay(op.Dst, dstInfo.Code)
 	if k == radio.BroadcastID {
 		return false
 	}
 	kInfo := e.registry[k]
-	p.rescued = true
-	p.detoured = true
+	op.Detoured = true
 	e.stats.Rescues++
 
 	// The rescue attempt gets its own UID on the wire so relays that
 	// already carry state for the original attempt participate afresh;
-	// both UIDs resolve to the same pending operation.
-	delete(e.pending, uid)
-	p.timeout.Cancel()
-	uid2 := e.armPending(p)
+	// acks for the first UID are ignored from here on.
+	uid2 := e.ops.Rearm(op)
 
-	e.emitOp(telemetry.Event{Kind: telemetry.KindOpRescue, Op: p.op, UID: uid2, Dst: k,
+	e.emitOp(telemetry.Event{Kind: telemetry.KindOpRescue, Op: op.ID, UID: uid2, Dst: k,
 		Note: "re-tele detour via rescue relay"})
 	c := &Control{
 		UID:      uid2,
-		Op:       p.op,
+		Op:       op.ID,
 		Dst:      k,
 		DstCode:  kInfo.Code,
 		Detour:   true,
-		FinalDst: p.dst,
-		App:      p.app,
+		FinalDst: op.Dst,
+		App:      op.App,
 	}
 	e.forwardControl(e.newCtrl(uid2, c, 0, false))
 	return true
@@ -236,23 +166,11 @@ func (e *Engine) pickRescueRelay(dst radio.NodeID, dstCode PathCode) radio.NodeI
 	return best
 }
 
-// PendingOp is a read-only snapshot of one in-flight control operation,
-// exposed for invariant checkers (liveness: every pending op must resolve
-// within a bounded multiple of the control timeout).
-type PendingOp struct {
-	UID     uint32
-	Op      uint32
-	Dst     radio.NodeID
-	SentAt  time.Duration
-	Rescued bool
-}
-
-// PendingOps returns the in-flight control operations sorted by UID.
-func (e *Engine) PendingOps() []PendingOp {
-	ops := make([]PendingOp, 0, len(e.pending))
-	for uid, p := range e.pending {
-		ops = append(ops, PendingOp{UID: uid, Op: p.op, Dst: p.dst, SentAt: p.sentAt, Rescued: p.rescued})
+// PendingOps returns a snapshot of the in-flight control operations
+// sorted by UID.
+func (e *Engine) PendingOps() []protocol.Op {
+	if e.ops == nil {
+		return nil
 	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].UID < ops[j].UID })
-	return ops
+	return e.ops.Pending()
 }

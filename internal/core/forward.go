@@ -353,7 +353,7 @@ func (e *Engine) returnUpstream(st *ctrlState, uid uint32) {
 		e.stats.FeedbackSends++
 		e.send(st.prev, feedbackFrameSize(fb), fb)
 	case e.isSink:
-		e.stalled(st.ctrl.UID)
+		e.ops.Stall(st.ctrl.UID)
 	}
 }
 

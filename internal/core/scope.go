@@ -73,8 +73,7 @@ func (e *Engine) SendScopeControl(scope PathCode, app any, cb func(ScopeResult))
 	if !e.isSink {
 		return 0, ErrNotSink
 	}
-	e.uidSeq++
-	uid := e.uidSeq
+	uid := e.ops.NextUID()
 	p := &pendingScope{
 		scope:  scope,
 		sentAt: e.eng.Now(),
@@ -93,9 +92,6 @@ func (e *Engine) SendScopeControl(scope PathCode, app any, cb func(ScopeResult))
 			p.cb(p.res)
 		}
 	})
-	if e.pendingScopes == nil {
-		e.pendingScopes = make(map[uint32]*pendingScope)
-	}
 	e.pendingScopes[uid] = p
 	sc := &ScopedControl{UID: uid, Scope: scope, App: app}
 	e.relayScope(sc)

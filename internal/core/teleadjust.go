@@ -213,8 +213,7 @@ type Engine struct {
 
 	// Sink-side controller state.
 	registry  map[radio.NodeID]CodeInfo
-	pending   map[uint32]*pendingControl
-	uidSeq    uint32
+	ops       *protocol.Ops
 	oracle    Oracle
 	appDelive func(origin radio.NodeID, app any)
 
@@ -246,18 +245,6 @@ type Oracle interface {
 	// LinkQuality returns the expected delivery ratio of the directed
 	// link a→b in [0,1].
 	LinkQuality(a, b radio.NodeID) float64
-}
-
-type pendingControl struct {
-	op       uint32
-	dst      radio.NodeID
-	app      any
-	sentAt   time.Duration
-	cb       func(Result)
-	timeout  sim.EventRef
-	detoured bool
-	rescued  bool
-	noRescue bool
 }
 
 // Result reports the outcome of a control operation at the sink.
@@ -297,7 +284,9 @@ func New(n *node.Node, c *ctp.CTP, cfg Config, rng *rand.Rand) *Engine {
 		e.haveCode = true
 		e.depth = 0
 		e.registry = make(map[radio.NodeID]CodeInfo)
-		e.pending = make(map[uint32]*pendingControl)
+		e.pendingScopes = make(map[uint32]*pendingScope)
+		e.ops = protocol.NewOps(e.eng, cfg.ControlTimeout)
+		e.ops.OnStall(e.onStall)
 		c.SetDeliverFunc(e.handleCollect)
 	}
 	e.allocTimer = sim.NewTimer(e.eng, e.maybeAllocate)
@@ -392,7 +381,12 @@ func (e *Engine) SetOracle(o Oracle) { e.oracle = o }
 
 // SetTelemetry attaches the event bus for operation span emissions (nil
 // disables them). The engine's counters are read through Stats.
-func (e *Engine) SetTelemetry(bus *telemetry.Bus) { e.bus = bus }
+func (e *Engine) SetTelemetry(bus *telemetry.Bus) {
+	e.bus = bus
+	if e.ops != nil {
+		e.ops.SetTelemetry(bus, e.node.ID())
+	}
+}
 
 // emitOp publishes a core-layer event attributed to this node. The bus
 // rejects it on one mask test when nobody listens; hot paths additionally

@@ -86,13 +86,6 @@ type valueState struct {
 	timer   *trickle.Timer
 }
 
-type pendingCmd struct {
-	dst     radio.NodeID
-	sentAt  time.Duration
-	cb      func(Result)
-	timeout sim.EventRef
-}
-
 // Drip is one node's dissemination instance.
 type Drip struct {
 	node   *node.Node
@@ -104,9 +97,7 @@ type Drip struct {
 
 	values map[uint16]*valueState
 
-	// Sink-side control state.
-	pending map[uint32]*pendingCmd
-	uidSeq  uint32
+	ops *protocol.Ops // sink only
 
 	onUpdate  func(key uint16, version uint32, payload any)
 	deliverFn func(uid uint32, hops uint8)
@@ -147,7 +138,7 @@ func New(n *node.Node, c *ctp.CTP, cfg Config, rng *rand.Rand) *Drip {
 		values: make(map[uint16]*valueState),
 	}
 	if d.isSink {
-		d.pending = make(map[uint32]*pendingCmd)
+		d.ops = protocol.NewOps(d.eng, cfg.ControlTimeout)
 		c.SetDeliverFunc(d.handleCollect)
 	}
 	n.Register(d)
@@ -222,19 +213,7 @@ func (d *Drip) SendControl(dst radio.NodeID, app any, cb func(Result)) (uint32, 
 	if !d.isSink {
 		return 0, ErrNotSink
 	}
-	d.uidSeq++
-	uid := d.uidSeq
-	p := &pendingCmd{dst: dst, sentAt: d.eng.Now(), cb: cb}
-	p.timeout = d.eng.Schedule(d.cfg.ControlTimeout, func() {
-		if _, ok := d.pending[uid]; !ok {
-			return
-		}
-		delete(d.pending, uid)
-		if cb != nil {
-			cb(Result{UID: uid, Dst: dst, OK: false, Latency: d.eng.Now() - p.sentAt})
-		}
-	})
-	d.pending[uid] = p
+	uid := d.ops.Open(dst, app, cb).UID
 	d.Disseminate(controlKey, &Command{UID: uid, Dst: dst, App: app})
 	return uid, nil
 }
@@ -311,23 +290,8 @@ func (d *Drip) adopt(u *Update) {
 
 // handleCollect is the sink's CTP delivery hook: resolve command acks.
 func (d *Drip) handleCollect(origin radio.NodeID, app any) {
-	ack, ok := app.(*CmdAck)
-	if !ok {
-		return
-	}
-	p, ok := d.pending[ack.UID]
-	if !ok {
-		return
-	}
-	delete(d.pending, ack.UID)
-	p.timeout.Cancel()
-	if p.cb != nil {
-		p.cb(Result{
-			UID:     ack.UID,
-			Dst:     ack.From,
-			OK:      true,
-			Latency: d.eng.Now() - p.sentAt,
-		})
+	if ack, ok := app.(*CmdAck); ok {
+		d.ops.Ack(ack.UID, ack.From, 0)
 	}
 }
 

@@ -127,7 +127,9 @@ func (l *Link) Rank() float64 {
 // ETX returns the expected transmissions for one successful bidirectional
 // exchange on the link: 1/(p_in · p_out). Links without an estimate
 // return UnknownETX. Without data-plane feedback the outbound estimate
-// defaults to the inbound one.
+// defaults to the inbound one. Every estimate is bounded away from zero
+// (the miss cap keeps inbound quality at 1/9 or more, outFloor keeps
+// outbound at 0.1 or more), so ETX never exceeds 90.
 func (l *Link) ETX() float64 {
 	in, have := l.inQualityOf()
 	if !have {
@@ -137,12 +139,5 @@ func (l *Link) ETX() float64 {
 	if !l.haveOut {
 		out = in
 	}
-	if in <= 0 || out <= 0 {
-		return UnknownETX
-	}
-	etx := 1 / (in * out)
-	if etx > 100 {
-		return UnknownETX
-	}
-	return etx
+	return 1 / (in * out)
 }

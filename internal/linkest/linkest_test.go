@@ -194,13 +194,19 @@ func TestMissPenaltyCapped(t *testing.T) {
 // has no usable estimate. Beacons and outcomes alone cannot get there
 // (the miss cap keeps inbound at 1/9 or more, the floor keeps outbound
 // at 0.1), so the estimate is set directly.
-func TestETXCap(t *testing.T) {
-	l := Link{inQuality: 0.125, haveIn: true, outQuality: 0.125, haveOut: true}
-	if etx := l.ETX(); etx != 64 {
-		t.Fatalf("ETX under the cap = %v, want 64", etx)
+func TestWorstReachableLinkETX(t *testing.T) {
+	var l Link
+	// Every beacon arrives after a gap of ten, so each is charged the
+	// capped eight misses: the lowest inbound sample the estimator takes.
+	beacons(&l, 1, 2000, 10)
+	for i := 0; i < 100; i++ {
+		l.OnDataOutcome(false)
 	}
-	l.inQuality = 0.0625 // ETX 128
-	if etx := l.ETX(); etx != UnknownETX {
-		t.Fatalf("ETX past the cap = %v, want UnknownETX", etx)
+	etx := l.ETX()
+	if math.IsInf(etx, 0) || math.IsNaN(etx) || etx == UnknownETX || etx > 90+1e-9 {
+		t.Fatalf("worst reachable ETX = %v, want finite and at most 90", etx)
+	}
+	if etx < 80 {
+		t.Fatalf("worst reachable ETX = %v, want near 90 (in %v)", etx, inQuality(&l))
 	}
 }

@@ -39,10 +39,11 @@ type rxTable struct {
 	// shift is 64 − log2(len(slots)): a key's home slot is the top bits
 	// of its Fibonacci hash.
 	shift uint8
+	lows  uint8 // sweeps in a row that left the table under an eighth full
 }
 
 // minRxSlots is the size of a table's first slot array.
-const minRxSlots = 8
+const minRxSlots, shrinkSweeps = 8, 4
 
 func (t *rxTable) home(k rxKey) int { return int(uint64(k) * 0x9E3779B97F4A7C15 >> t.shift) }
 
@@ -67,12 +68,21 @@ func (t *rxTable) find(key rxKey) int {
 // entry older than cutoff with no election pending, and doubles only if
 // the sweep left it at least three quarters of the limit full; so a
 // sweep that does not grow the table leaves room for a quarter of the
-// limit, and its cost spreads over as many adds.
+// limit, and its cost spreads over as many adds. After shrinkSweeps low
+// sweeps in a row (under an eighth full) it halves, down to minRxSlots: a
+// table grown by a burst gives memory back; a swinging load keeps its size.
 func (t *rxTable) add(key rxKey, cutoff time.Duration) int {
 	if limit := len(t.slots) * 3 / 4; t.n >= limit {
 		t.sweep(cutoff)
-		if t.n >= limit*3/4 {
+		if t.lows++; t.n >= len(t.slots)/8 || len(t.slots) == minRxSlots {
+			t.lows = 0
+		}
+		switch {
+		case t.n >= limit*3/4:
 			t.resize(max(2*len(t.slots), minRxSlots))
+		case t.lows == shrinkSweeps:
+			t.lows = 0
+			t.resize(len(t.slots) / 2)
 		}
 	}
 	k, mask := key+1, len(t.slots)-1

@@ -561,7 +561,7 @@ func TestRxTableMatchesGoMap(t *testing.T) {
 				}
 				size := len(tab.slots)
 				i = tab.add(key, cutoff)
-				if len(tab.slots) != size {
+				if len(tab.slots) > size {
 					grows++
 				}
 				tab.slots[i].at, tab.slots[i].decision = now, Decision(1+rng.IntN(3))
@@ -599,5 +599,51 @@ func TestRxTableMatchesGoMap(t *testing.T) {
 		wrappedDeletes, displaced, sweeps, grows)
 	if wrappedDeletes < 1000 || displaced < 10000 || sweeps < 50 || grows < 40 {
 		t.Fatal("the sequences did not exercise wrapped runs, collisions, sweeps and growth enough")
+	}
+}
+
+// TestRxTableShrinksAfterBurst grows a bare rxTable with a burst of
+// distinct keys, then feeds it a trickle of one key every 100 ms against
+// a one-second dedup window. The sweeps at the load limit must halve the
+// table (once per shrinkSweeps low sweeps) back to a size the trickle
+// fills, never below minRxSlots, and
+// every key heard within the window, plus the burst key with an election
+// pending, must stay findable throughout.
+func TestRxTableShrinksAfterBurst(t *testing.T) {
+	const window = time.Second
+	var tab rxTable
+	var now time.Duration
+	add := func(k rxKey) int {
+		i := tab.add(k, now-window)
+		tab.slots[i].at = now
+		return i
+	}
+	for seq := uint32(0); seq < 1000; seq++ {
+		now += time.Microsecond
+		if i := add(packetKey(1, seq)); seq == 500 {
+			tab.slots[i].elect = 1
+		}
+	}
+	peak := len(tab.slots)
+	var trickle []rxKey
+	for seq := uint32(0); seq < 20000; seq++ {
+		now += 100 * time.Millisecond
+		trickle = append(trickle, packetKey(2, seq))
+		add(trickle[len(trickle)-1])
+		if len(tab.slots) < minRxSlots {
+			t.Fatalf("table shrank to %d slots, below %d", len(tab.slots), minRxSlots)
+		}
+		for _, k := range trickle[max(0, len(trickle)-10):] {
+			if tab.find(k) < 0 {
+				t.Fatalf("after %d trickle keys: live key %#x lost in %d slots", seq+1, uint64(k), len(tab.slots))
+			}
+		}
+		if tab.find(packetKey(1, 500)) < 0 {
+			t.Fatalf("after %d trickle keys: key with a pending election lost", seq+1)
+		}
+	}
+	t.Logf("%d slots after the burst, %d after the trickle", peak, len(tab.slots))
+	if peak < 1024 || len(tab.slots) > 128 {
+		t.Fatalf("%d slots after the burst, %d after the trickle: want at least 1024, then at most 128", peak, len(tab.slots))
 	}
 }

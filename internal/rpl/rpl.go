@@ -90,13 +90,6 @@ type route struct {
 	at   time.Duration
 }
 
-type pendingDown struct {
-	dst     radio.NodeID
-	sentAt  time.Duration
-	cb      func(Result)
-	timeout sim.EventRef
-}
-
 type inflight struct {
 	pkt     *Downward
 	retries int
@@ -117,8 +110,7 @@ type RPL struct {
 
 	inflightByFrame map[*radio.Frame]*inflight
 
-	pending   map[uint32]*pendingDown
-	uidSeq    uint32
+	ops       *protocol.Ops // sink only
 	deliverFn func(uid uint32, hops uint8)
 
 	athx  []ATHXSample
@@ -149,7 +141,7 @@ func New(n *node.Node, c *ctp.CTP, cfg Config, rng *rand.Rand) *RPL {
 		inflightByFrame: make(map[*radio.Frame]*inflight),
 	}
 	if r.isSink {
-		r.pending = make(map[uint32]*pendingDown)
+		r.ops = protocol.NewOps(r.eng, cfg.ControlTimeout)
 		c.SetDeliverFunc(r.handleCollect)
 	}
 	n.Register(r)
@@ -228,19 +220,7 @@ func (r *RPL) SendControl(dst radio.NodeID, app any, cb func(Result)) (uint32, e
 	if !r.HasRoute(dst) {
 		return 0, ErrNoRoute
 	}
-	r.uidSeq++
-	uid := r.uidSeq
-	p := &pendingDown{dst: dst, sentAt: r.eng.Now(), cb: cb}
-	p.timeout = r.eng.Schedule(r.cfg.ControlTimeout, func() {
-		if _, ok := r.pending[uid]; !ok {
-			return
-		}
-		delete(r.pending, uid)
-		if cb != nil {
-			cb(Result{UID: uid, Dst: dst, OK: false, Latency: r.eng.Now() - p.sentAt})
-		}
-	})
-	r.pending[uid] = p
+	uid := r.ops.Open(dst, app, cb).UID
 	r.forward(&Downward{UID: uid, Dst: dst, Hops: 1, App: app})
 	return uid, nil
 }
@@ -296,13 +276,18 @@ func (r *RPL) forward(pkt *Downward) {
 		r.stats.DropNoRoute++
 		return
 	}
+	r.sendDown(rt.next, &inflight{pkt: pkt, retries: maxRetries})
+}
+
+// sendDown transmits one attempt of a downward packet to next.
+func (r *RPL) sendDown(next radio.NodeID, inf *inflight) {
 	f := &radio.Frame{
 		Kind:    radio.FrameData,
-		Dst:     rt.next,
+		Dst:     next,
 		Size:    downSize,
-		Payload: pkt,
+		Payload: inf.pkt,
 	}
-	r.inflightByFrame[f] = &inflight{pkt: pkt, retries: maxRetries}
+	r.inflightByFrame[f] = inf
 	if err := r.node.Send(f); err != nil {
 		delete(r.inflightByFrame, f)
 		r.stats.DropRetry++
@@ -327,24 +312,8 @@ func (r *RPL) handleDownward(pkt *Downward) {
 
 // handleCollect resolves end-to-end acks at the sink.
 func (r *RPL) handleCollect(origin radio.NodeID, app any) {
-	ack, ok := app.(*DownAck)
-	if !ok {
-		return
-	}
-	p, ok := r.pending[ack.UID]
-	if !ok {
-		return
-	}
-	delete(r.pending, ack.UID)
-	p.timeout.Cancel()
-	if p.cb != nil {
-		p.cb(Result{
-			UID:     ack.UID,
-			Dst:     ack.From,
-			OK:      true,
-			Latency: r.eng.Now() - p.sentAt,
-			E2EHops: ack.Hops,
-		})
+	if ack, ok := app.(*DownAck); ok {
+		r.ops.Ack(ack.UID, ack.From, ack.Hops)
 	}
 }
 
@@ -397,17 +366,5 @@ func (r *RPL) OnSendDone(f *radio.Frame, acker radio.NodeID, ok bool) {
 	}
 	// Deterministic retry through the same stored route (RPL has no
 	// anycast alternative — the paper's point).
-	nf := &radio.Frame{
-		Kind:    radio.FrameData,
-		Dst:     f.Dst,
-		Size:    downSize,
-		Payload: inf.pkt,
-	}
-	r.inflightByFrame[nf] = inf
-	if err := r.node.Send(nf); err != nil {
-		delete(r.inflightByFrame, nf)
-		r.stats.DropRetry++
-		return
-	}
-	r.stats.DownSends++
+	r.sendDown(f.Dst, inf)
 }
