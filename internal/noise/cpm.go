@@ -33,26 +33,21 @@ const (
 // indistinguishable and keeps long idle gaps O(1)).
 const maxCatchUpSteps = 64
 
-// patEntry is one bucket of a patTable: a packed history key and its
-// model slot (-1 marks an empty bucket). Key and slot share a bucket so a
-// probe touches one cache line, not two.
-type patEntry struct {
-	key  uint64
-	slot int32
-}
-
 // patTable is an open-addressed hash index from a packed history key to a
-// model slot. Lookups are one multiply-shift hash plus a linear probe
-// over a flat bucket array — no map machinery, no string([]byte)
-// conversion, no per-lookup allocation. Bucket count is always a power
-// of two, so probing wraps with a mask.
+// model slot. A bucket holds only the slot (-1 marks an empty one); the
+// slot's key is stored once, in the model's slot-indexed keys array,
+// which a probe compares against. Lookups are one multiply-shift hash
+// plus a linear probe over a flat bucket array — no map machinery, no
+// string([]byte) conversion, no per-lookup allocation. Bucket count is a
+// power of two, so probing wraps with a mask.
 type patTable struct {
-	entries []patEntry
-	mask    uint64
-	n       int
+	slots []int32
+	mask  uint64
+	n     int
 }
 
-const patTableInitBuckets = 16
+// minTableBuckets is the smallest bucket count of a pattern table.
+const minTableBuckets = 16
 
 // hashKey mixes a packed history key (splitmix64 finalizer) so linear
 // probing sees a uniform distribution even for near-identical histories.
@@ -65,63 +60,58 @@ func hashKey(key uint64) uint64 {
 	return key
 }
 
+// bucket returns the bucket holding key's slot, or the empty bucket
+// that ends key's probe sequence when the key is absent. keys is the
+// model's slot-indexed key array.
+func (t *patTable) bucket(keys []uint64, key uint64) uint64 {
+	i := hashKey(key) & t.mask
+	for t.slots[i] >= 0 && keys[t.slots[i]] != key {
+		i = (i + 1) & t.mask
+	}
+	return i
+}
+
 // get returns the model slot for key, or -1 when the pattern was
 // never seen in training. A chain step probes only when its successor
 // slot is not precomputed (after a shorter-history match or a reseed).
-func (t *patTable) get(key uint64) int32 {
+func (t *patTable) get(keys []uint64, key uint64) int32 {
 	if t.n == 0 {
 		return -1
 	}
-	i := hashKey(key) & t.mask
-	for {
-		e := t.entries[i]
-		if e.slot < 0 || e.key == key {
-			return e.slot
-		}
-		i = (i + 1) & t.mask
-	}
+	return t.slots[t.bucket(keys, key)]
 }
 
-// put inserts key→slot, growing at 1/2 load (lookup speed over training
-// memory: probes on the per-sample path stay short). Training-time only.
-func (t *patTable) put(key uint64, slot int32) {
-	if t.entries == nil {
-		t.entries = newPatBuckets(patTableInitBuckets)
-		t.mask = patTableInitBuckets - 1
-	} else if uint64(t.n+1) > (t.mask+1)/2 {
-		t.grow()
+// tableSize returns the bucket count that holds n patterns at no more
+// than half load (lookup speed over memory: probes on the per-sample
+// path stay short).
+func tableSize(n int) uint64 {
+	size := uint64(minTableBuckets)
+	for uint64(n) > size/2 {
+		size *= 2
 	}
-	i := hashKey(key) & t.mask
-	for t.entries[i].slot >= 0 {
-		i = (i + 1) & t.mask
-	}
-	t.entries[i] = patEntry{key: key, slot: slot}
-	t.n++
+	return size
 }
 
-func newPatBuckets(size uint64) []patEntry {
-	entries := make([]patEntry, size)
-	for i := range entries {
-		entries[i].slot = -1
+// reset empties the table and sizes it for n patterns, reusing the
+// bucket array when it is large enough.
+func (t *patTable) reset(n int) {
+	size := tableSize(n)
+	if uint64(cap(t.slots)) < size {
+		t.slots = make([]int32, size)
 	}
-	return entries
-}
-
-func (t *patTable) grow() {
-	old := t.entries
-	size := (t.mask + 1) * 2
-	t.entries = newPatBuckets(size)
+	t.slots = t.slots[:size]
+	for i := range t.slots {
+		t.slots[i] = -1
+	}
 	t.mask = size - 1
-	for _, e := range old {
-		if e.slot < 0 {
-			continue
-		}
-		j := hashKey(e.key) & t.mask
-		for t.entries[j].slot >= 0 {
-			j = (j + 1) & t.mask
-		}
-		t.entries[j] = e
-	}
+	t.n = 0
+}
+
+// insert indexes slot under its key, keys[slot]. The key must be
+// absent and the table below half load. Training-time only.
+func (t *patTable) insert(keys []uint64, slot int32) {
+	t.slots[t.bucket(keys, keys[slot])] = slot
+	t.n++
 }
 
 // unknown marks a successor slot the model cannot precompute: after a
@@ -130,14 +120,35 @@ func (t *patTable) grow() {
 // the pattern tables.
 const unknown int32 = -1
 
-// transition is one bin of a slot's conditional distribution. cum is the
-// running count through this bin, so a draw target picks the first
-// transition with target < cum; next is the slot the chain moves to
-// after emitting bin (unknown outside the longest history length).
+// A transition's link packs the emitted bin in its low linkBinBits bits
+// and the successor slot plus one above them, so a link with nothing
+// above the bin reads as unknown. maxSlots is the slot count the
+// successor field can hold, the marginal included.
+const (
+	linkBinBits = 8
+	maxSlots    = 1<<(32-linkBinBits) - 1
+)
+
+// transition is one bin of a slot's conditional distribution, 8 bytes.
+// cum is the running count through this bin, so a draw target picks the
+// first transition with target < cum; link holds the bin and the slot
+// the chain moves to after emitting it (unknown outside the longest
+// history length).
 type transition struct {
 	cum  uint32
-	next int32
-	bin  uint8
+	link uint32
+}
+
+func newTransition(bin uint8) transition {
+	return transition{link: uint32(bin)}
+}
+
+func (t transition) bin() uint8 { return uint8(t.link) }
+
+func (t transition) next() int32 { return int32(t.link>>linkBinBits) - 1 }
+
+func (t *transition) setNext(slot int32) {
+	t.link = uint32(slot+1)<<linkBinBits | uint32(t.bin())
 }
 
 // Model is a trained CPM noise model. It is immutable after Train and safe
@@ -148,6 +159,9 @@ type Model struct {
 	// history; tables[i] maps the patterns of that length to slots.
 	histMask []uint64
 	tables   []patTable
+	// keys[s] is slot s's packed pattern, whatever its length; the
+	// marginal has none.
+	keys []uint64
 	// Slot s's distribution is trans[slotOff[s]:slotOff[s+1]], bins in
 	// first-seen training order. Longest-history slots come first, in
 	// training order, so a chain walking the training trace reads
@@ -166,6 +180,9 @@ func histMaskFor(hl int) uint64 {
 }
 
 // Train builds a CPM model from a noise trace (dBm samples at 1 kHz).
+// It panics when the trace holds more patterns than a transition's
+// successor field can number (maxSlots, some 16.7 million: a trace of
+// hours).
 func Train(trace []float64) *Model {
 	m := &Model{histLens: defaultHistLens}
 	if m.histLens[0] > maxPackedHist {
@@ -176,48 +193,87 @@ func Train(trace []float64) *Model {
 	for i, hl := range m.histLens {
 		m.histMask[i] = histMaskFor(hl)
 	}
-	m.tables = make([]patTable, len(m.histLens))
 	q := make([]uint8, len(trace))
 	for i, v := range trace {
 		q[i] = quantize(v)
 	}
-	m.layout(m.index(q))
-	m.linkSuccessors()
+	pairSlot, pairBin := m.index(q)
+	m.layout(pairSlot, pairBin)
+	m.linkSuccessors(q, pairSlot[:max(len(q)-m.histLens[0], 0)])
 	return m
 }
 
-// index fills the pattern tables from the quantized trace and returns
-// every training observation as a (slot, bin) pair: one per sample and
-// history length, level by level so the longest history's slots are
-// numbered first, then one per sample for the marginal, the last slot.
+// checkSlots reports a slot count the transitions' successor field
+// cannot number.
+func checkSlots(n int) error {
+	if n > maxSlots {
+		return fmt.Errorf("noise: trace yields %d model slots, a transition links at most %d", n, maxSlots)
+	}
+	return nil
+}
+
+// patternBound returns the most distinct length-hl patterns a trace of
+// n samples can hold: one per window, and no more than the bin
+// alphabet allows.
+func patternBound(n, hl int) int {
+	bound := max(n-hl, 0)
+	alphabet := 1
+	for i := 0; i < hl && alphabet < bound; i++ {
+		alphabet *= quantBins
+	}
+	return min(bound, alphabet)
+}
+
+// index fills the pattern tables and keys from the quantized trace and
+// returns every training observation as a (slot, bin) pair: one per
+// sample and history length, level by level so the longest history's
+// slots are numbered first, then one per sample for the marginal, the
+// last slot. Each level is indexed in one scratch table sized for its
+// pattern bound, then copied into a table sized for the patterns found.
 func (m *Model) index(q []uint8) (pairSlot []int32, pairBin []uint8) {
-	nPairs := len(q)
+	nPairs, nKeys, maxBound := len(q), 0, 0
 	for _, hl := range m.histLens {
 		nPairs += max(len(q)-hl, 0)
+		nKeys += patternBound(len(q), hl)
+		maxBound = max(maxBound, patternBound(len(q), hl))
 	}
 	pairSlot = make([]int32, 0, nPairs)
 	pairBin = make([]uint8, 0, nPairs)
-	var nSlots int32
+	keys := make([]uint64, 0, nKeys)
+	m.tables = make([]patTable, len(m.histLens))
+	scratch := patTable{slots: make([]int32, 0, tableSize(maxBound))}
 	for li, hl := range m.histLens {
+		scratch.reset(patternBound(len(q), hl))
+		first := int32(len(keys))
 		// packed carries the most recent bins, newest in the low byte,
 		// so packed&histMask[li] is the length-hl window q[i-hl:i].
 		var packed uint64
 		for i, bin := range q {
 			if i >= hl {
 				key := packed & m.histMask[li]
-				slot := m.tables[li].get(key)
+				slot := scratch.get(keys, key)
 				if slot < 0 {
-					slot = nSlots
-					nSlots++
-					m.tables[li].put(key, slot)
+					slot = int32(len(keys))
+					keys = append(keys, key)
+					scratch.insert(keys, slot)
 				}
 				pairSlot = append(pairSlot, slot)
 				pairBin = append(pairBin, bin)
 			}
 			packed = packed<<histShift | uint64(bin)
 		}
+		t := &m.tables[li]
+		t.reset(scratch.n)
+		for slot := first; slot < int32(len(keys)); slot++ {
+			t.insert(keys, slot)
+		}
 	}
-	m.marginal = nSlots
+	if err := checkSlots(len(keys) + 1); err != nil {
+		panic(err)
+	}
+	m.keys = make([]uint64, len(keys))
+	copy(m.keys, keys)
+	m.marginal = int32(len(keys))
 	for _, bin := range q {
 		pairSlot = append(pairSlot, m.marginal)
 		pairBin = append(pairBin, bin)
@@ -269,7 +325,7 @@ func (m *Model) layout(pairSlot []int32, pairBin []uint8) {
 			if seen[b] != -(s + 1) {
 				seen[b] = -(s + 1)
 				at[b] = w
-				m.trans[w] = transition{bin: b, next: unknown}
+				m.trans[w] = newTransition(b)
 				w++
 			}
 			m.trans[at[b]].cum++
@@ -280,17 +336,34 @@ func (m *Model) layout(pairSlot []int32, pairBin []uint8) {
 	}
 }
 
-// linkSuccessors fills next for every longest-history slot: after such a
-// match the next history is the pattern shifted by the emitted bin, so
-// its longest match is fixed at train time.
-func (m *Model) linkSuccessors() {
-	for _, e := range m.tables[0].entries {
-		if e.slot < 0 {
-			continue
+// linkSuccessors fills next for every longest-history transition: after
+// such a match the next history is the pattern shifted by the emitted
+// bin, so its longest match is fixed at train time. top holds the
+// longest-history slot of each trace position from histLens[0] on, and
+// the history after the transition taken at position i is the window
+// matched at position i+1, so its slot is top[i+1]. Only the last
+// position's history may never have been indexed; it alone needs a
+// longest-first resolve.
+func (m *Model) linkSuccessors(q []uint8, top []int32) {
+	hl := m.histLens[0]
+	for p, slot := range top {
+		var next int32
+		if p+1 < len(top) {
+			next = top[p+1]
+		} else {
+			var last uint64
+			for _, bin := range q[len(q)-hl:] {
+				last = last<<histShift | uint64(bin)
+			}
+			next = m.resolve(last)
 		}
-		for t := m.slotOff[e.slot]; t < m.slotOff[e.slot+1]; t++ {
-			m.trans[t].next = m.resolve(e.key<<histShift | uint64(m.trans[t].bin))
+		bin := q[hl+p]
+		ts := m.trans[m.slotOff[slot]:m.slotOff[slot+1]]
+		i := 0
+		for ts[i].bin() != bin {
+			i++
 		}
+		ts[i].setNext(next)
 	}
 }
 
@@ -298,7 +371,7 @@ func (m *Model) linkSuccessors() {
 // packed history, backing off to the marginal: closest-pattern matching.
 func (m *Model) resolve(packed uint64) int32 {
 	for li := range m.tables {
-		if slot := m.tables[li].get(packed & m.histMask[li]); slot >= 0 {
+		if slot := m.tables[li].get(m.keys, packed&m.histMask[li]); slot >= 0 {
 			return slot
 		}
 	}
@@ -318,7 +391,7 @@ func (m *Model) draw(slot int32, rng *rand.Rand) (bin uint8, next int32) {
 	for target >= ts[i].cum {
 		i++
 	}
-	return ts[i].bin, ts[i].next
+	return ts[i].bin(), ts[i].next()
 }
 
 // Patterns returns the number of distinct patterns at the longest history

@@ -3,8 +3,10 @@ package noise
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"teleadjust/internal/sim"
 )
@@ -181,9 +183,91 @@ func assertSlot(t *testing.T, m *Model, slot int32, rd *refDist, what string) {
 	var acc uint32
 	for i, tr := range ts {
 		acc += rd.counts[i]
-		if tr.bin != rd.bins[i] || tr.cum != acc {
+		if tr.bin() != rd.bins[i] || tr.cum != acc {
 			t.Fatalf("%s: transition %d is bin %d cum %d, reference bin %d running sum %d",
-				what, i, tr.bin, tr.cum, rd.bins[i], acc)
+				what, i, tr.bin(), tr.cum, rd.bins[i], acc)
+		}
+	}
+}
+
+// assertSamePatterns checks the flat index and layout against the map
+// reference: each level holds exactly the reference's pattern set, its
+// slots numbered in one block after the longer levels' blocks, each
+// slot's key stored once, and every distribution (the marginal's too)
+// equal bin for bin.
+func assertSamePatterns(t *testing.T, name string, flat *Model, ref *mapModel) {
+	t.Helper()
+	if got, want := flat.Patterns(), len(ref.tables[0]); got != want {
+		t.Fatalf("%s: Patterns() = %d, map reference has %d", name, got, want)
+	}
+	var first int32 // the level's first slot
+	for li := range flat.histLens {
+		n := len(ref.tables[li])
+		if flat.tables[li].n != n {
+			t.Fatalf("%s level %d: flat %d patterns, map %d", name, li, flat.tables[li].n, n)
+		}
+		for key, rd := range ref.tables[li] {
+			slot := flat.tables[li].get(flat.keys, packKey(key))
+			if slot < 0 {
+				t.Fatalf("%s level %d: pattern %x missing from flat index", name, li, key)
+			}
+			if slot < first || slot >= first+int32(n) {
+				t.Fatalf("%s level %d: pattern %x in slot %d, outside the level's slots [%d, %d)",
+					name, li, key, slot, first, first+int32(n))
+			}
+			assertSlot(t, flat, slot, rd, name+" pattern "+fmt.Sprintf("%x", key))
+		}
+		first += int32(n)
+	}
+	if got := len(flat.slotOff) - 1; got != int(first)+1 {
+		t.Fatalf("%s: flat layout has %d slots, reference %d patterns + marginal", name, got, first)
+	}
+	if len(flat.keys) != int(first) || flat.marginal != first {
+		t.Fatalf("%s: %d keys and marginal slot %d, want one key per pattern (%d) and the marginal last",
+			name, len(flat.keys), flat.marginal, first)
+	}
+	assertSlot(t, flat, flat.marginal, &ref.marginal, name+" marginal")
+}
+
+// assertSameStreams drives flat and reference sources from equal seeds
+// through steps plain chain steps and then ReadAt catch-up gaps of every
+// size up to past the reseed threshold, and requires bit-identical
+// samples. matched accumulates the reference's back-off level counts.
+func assertSameStreams(t *testing.T, name string, flat *Model, ref *mapModel, steps int, matched []int) {
+	t.Helper()
+	for _, seed := range []uint64{77, 3, 1 << 40} {
+		fs := flat.NewSource(sim.NewRNG(seed))
+		ms := ref.newSource(sim.NewRNG(seed))
+		if fs.last != ms.last {
+			t.Fatalf("%s seed %d: reseed value flat %v, map %v", name, seed, fs.last, ms.last)
+		}
+		for i := 0; i < steps; i++ {
+			if fv, mv := fs.next(), ms.next(); fv != mv {
+				t.Fatalf("%s seed %d step %d: flat %v, map %v", name, seed, i, fv, mv)
+			}
+		}
+		// Drive ReadAt through catch-up gaps of every size up to
+		// past the reseed threshold; mirror each gap on the
+		// reference chain.
+		now := fs.step
+		for gap := int64(1); gap <= maxCatchUpSteps+3; gap++ {
+			now += gap
+			fv := fs.ReadAt(time.Duration(now) * SamplePeriodMS * time.Millisecond)
+			var mv float64
+			if gap > maxCatchUpSteps {
+				ms.reseed()
+				mv = ms.last
+			} else {
+				for i := int64(0); i < gap; i++ {
+					mv = ms.next()
+				}
+			}
+			if fv != mv {
+				t.Fatalf("%s seed %d gap %d: flat %v, map %v", name, seed, gap, fv, mv)
+			}
+		}
+		for i, c := range ms.matched {
+			matched[i] += c
 		}
 	}
 }
@@ -200,67 +284,9 @@ func TestDenseModelMatchesMapModel(t *testing.T) {
 	}
 	matched := make([]int, len(defaultHistLens)+1)
 	for name, trace := range equivTraces() {
-		flat := Train(trace)
-		ref := trainMap(trace)
-
-		if got, want := flat.Patterns(), len(ref.tables[0]); got != want {
-			t.Fatalf("%s: Patterns() = %d, map reference has %d", name, got, want)
-		}
-		slots := 1 // the marginal
-		for li := range flat.histLens {
-			if flat.tables[li].n != len(ref.tables[li]) {
-				t.Fatalf("%s level %d: flat %d patterns, map %d",
-					name, li, flat.tables[li].n, len(ref.tables[li]))
-			}
-			slots += len(ref.tables[li])
-			for key, rd := range ref.tables[li] {
-				slot := flat.tables[li].get(packKey(key))
-				if slot < 0 {
-					t.Fatalf("%s level %d: pattern %x missing from flat index", name, li, key)
-				}
-				assertSlot(t, flat, slot, rd, name+" pattern "+fmt.Sprintf("%x", key))
-			}
-		}
-		if got := len(flat.slotOff) - 1; got != slots {
-			t.Fatalf("%s: flat layout has %d slots, reference %d patterns + marginal", name, got, slots)
-		}
-		assertSlot(t, flat, flat.marginal, &ref.marginal, name+" marginal")
-
-		for _, seed := range []uint64{77, 3, 1 << 40} {
-			fs := flat.NewSource(sim.NewRNG(seed))
-			ms := ref.newSource(sim.NewRNG(seed))
-			if fs.last != ms.last {
-				t.Fatalf("%s seed %d: reseed value flat %v, map %v", name, seed, fs.last, ms.last)
-			}
-			for i := 0; i < steps; i++ {
-				if fv, mv := fs.next(), ms.next(); fv != mv {
-					t.Fatalf("%s seed %d step %d: flat %v, map %v", name, seed, i, fv, mv)
-				}
-			}
-			// Drive ReadAt through catch-up gaps of every size up to
-			// past the reseed threshold; mirror each gap on the
-			// reference chain.
-			now := fs.step
-			for gap := int64(1); gap <= maxCatchUpSteps+3; gap++ {
-				now += gap
-				fv := fs.ReadAt(time.Duration(now) * SamplePeriodMS * time.Millisecond)
-				var mv float64
-				if gap > maxCatchUpSteps {
-					ms.reseed()
-					mv = ms.last
-				} else {
-					for i := int64(0); i < gap; i++ {
-						mv = ms.next()
-					}
-				}
-				if fv != mv {
-					t.Fatalf("%s seed %d gap %d: flat %v, map %v", name, seed, gap, fv, mv)
-				}
-			}
-			for i, c := range ms.matched {
-				matched[i] += c
-			}
-		}
+		flat, ref := Train(trace), trainMap(trace)
+		assertSamePatterns(t, name, flat, ref)
+		assertSameStreams(t, name, flat, ref, steps, matched)
 	}
 	// The streams must have exercised every back-off level, or the
 	// successor links and the probe fallback were not both compared.
@@ -271,54 +297,231 @@ func TestDenseModelMatchesMapModel(t *testing.T) {
 	}
 }
 
+// freshResolve is a longest-first resolve of a packed history written
+// out from the tables, independent of Model.resolve.
+func freshResolve(m *Model, hist uint64) int32 {
+	for li, hl := range m.histLens {
+		if slot := m.tables[li].get(m.keys, hist&histMaskFor(hl)); slot >= 0 {
+			return slot
+		}
+	}
+	return m.marginal
+}
+
+// assertLinks checks every precomputed successor, reached through the
+// longest-history index's buckets, against a fresh longest-first hash
+// resolve of the shifted history; that longest-history slots are
+// numbered first; and that only their transitions carry a successor.
+func assertLinks(t *testing.T, name string, m *Model) {
+	t.Helper()
+	top := int32(m.tables[0].n)
+	linked, indexed := 0, 0
+	for _, slot := range m.tables[0].slots {
+		if slot < 0 {
+			continue
+		}
+		indexed++
+		if slot >= top {
+			t.Fatalf("%s: longest-history slot %d not numbered before the %d others", name, slot, top)
+		}
+		key := m.keys[slot]
+		for _, tr := range m.trans[m.slotOff[slot]:m.slotOff[slot+1]] {
+			if want := freshResolve(m, key<<histShift|uint64(tr.bin())); tr.next() != want {
+				t.Fatalf("%s: pattern %016x bin %d links to slot %d, resolve gives %d",
+					name, key, tr.bin(), tr.next(), want)
+			}
+			linked++
+		}
+	}
+	if indexed != int(top) {
+		t.Fatalf("%s: longest-history index holds %d slots, counts %d", name, indexed, top)
+	}
+	if want := int(m.slotOff[top]); linked != want {
+		t.Fatalf("%s: checked %d links, longest-history slots hold %d transitions", name, linked, want)
+	}
+	for i, tr := range m.trans[m.slotOff[top]:] {
+		if tr.next() != unknown {
+			t.Fatalf("%s: shorter-history transition %d has successor %d, want unknown", name, i, tr.next())
+		}
+	}
+}
+
 // TestSuccessorLinksMatchResolve checks every precomputed successor
 // against a fresh longest-first hash resolve of the shifted history,
 // and that only longest-history slots carry one.
 func TestSuccessorLinksMatchResolve(t *testing.T) {
 	for name, trace := range equivTraces() {
-		m := Train(trace)
-		top := int32(m.tables[0].n)
-		linked := 0
-		for _, e := range m.tables[0].entries {
-			if e.slot < 0 {
-				continue
-			}
-			if e.slot >= top {
-				t.Fatalf("%s: longest-history slot %d not numbered before the %d others", name, e.slot, top)
-			}
-			for _, tr := range m.trans[m.slotOff[e.slot]:m.slotOff[e.slot+1]] {
-				hist := e.key<<histShift | uint64(tr.bin)
-				want := m.marginal
-				for li, hl := range m.histLens {
-					if slot := m.tables[li].get(hist & histMaskFor(hl)); slot >= 0 {
-						want = slot
-						break
-					}
-				}
-				if tr.next != want {
-					t.Fatalf("%s: pattern %016x bin %d links to slot %d, resolve gives %d",
-						name, e.key, tr.bin, tr.next, want)
-				}
-				linked++
-			}
+		assertLinks(t, name, Train(trace))
+	}
+}
+
+// slotLevel returns the history level whose slot block holds slot,
+// len(histLens) for the marginal.
+func slotLevel(m *Model, slot int32) int {
+	for li := range m.tables {
+		if slot < int32(m.tables[li].n) {
+			return li
 		}
-		if want := int(m.slotOff[top]); linked != want {
-			t.Fatalf("%s: checked %d links, longest-history slots hold %d transitions", name, linked, want)
+		slot -= int32(m.tables[li].n)
+	}
+	return len(m.tables)
+}
+
+// TestSuccessorsReadOffTrace covers the trace ends of linkSuccessors,
+// which reads each longest-history successor off the next trace
+// position and resolves only the last one: traces too short for any
+// longest-history pattern or with exactly one, a last history seen
+// nowhere earlier (the last transition backs off to a shorter level or
+// the marginal) and one that repeats earlier (it links to a
+// longest-history slot). Each model must match the map reference and
+// a fresh resolve.
+func TestSuccessorsReadOffTrace(t *testing.T) {
+	rng := sim.NewRNG(21)
+	levels := []float64{-98, -90, -80, -70}
+	random := func(n int) []float64 {
+		tr := make([]float64, n)
+		for i := range tr {
+			tr[i] = levels[rng.IntN(len(levels))]
 		}
-		for i, tr := range m.trans[m.slotOff[top]:] {
-			if tr.next != unknown {
-				t.Fatalf("%s: shorter-history transition %d has successor %d, want unknown", name, i, tr.next)
+		return tr
+	}
+	base := random(400)
+	// A bin seen nowhere else, then a 4-window seen at the start: the
+	// last 8-bin history is new, its last 4 bins are not.
+	uniqueTail := append(append(slices.Clone(base), -40), base[:4]...)
+	// A period-5 cycle: every 8-bin history recurs every 5 samples.
+	cycle := make([]float64, 203)
+	for i := range cycle {
+		cycle[i] = levels[i%5%len(levels)] - float64(i%5)
+	}
+	cases := []struct {
+		name  string
+		trace []float64
+		// lastLevel is the history level the last transition must link
+		// to, -1 where the trace has no longest-history pattern.
+		lastLevel int
+	}{
+		{"empty", nil, -1},
+		{"len1", random(1), -1},
+		{"len8", random(8), -1},
+		{"len9", []float64{-98, -90, -80, -70, -98, -90, -80, -70, -98}, 1},
+		{"unique-final-marginal", append(slices.Clone(base), -40), len(defaultHistLens)},
+		{"unique-final-level4", uniqueTail, 1},
+		{"repeated-final", cycle, 0},
+	}
+	matched := make([]int, len(defaultHistLens)+1)
+	for _, tc := range cases {
+		m, ref := Train(tc.trace), trainMap(tc.trace)
+		assertSamePatterns(t, tc.name, m, ref)
+		assertLinks(t, tc.name, m)
+		assertSameStreams(t, tc.name, m, ref, 2000, matched)
+
+		hl := m.histLens[0]
+		if tc.lastLevel < 0 {
+			if m.Patterns() != 0 {
+				t.Fatalf("%s: %d longest-history patterns from %d samples", tc.name, m.Patterns(), len(tc.trace))
 			}
+			continue
+		}
+		n := len(tc.trace)
+		var hist uint64
+		for _, v := range tc.trace[n-1-hl : n-1] {
+			hist = hist<<histShift | uint64(quantize(v))
+		}
+		slot := m.tables[0].get(m.keys, hist)
+		if slot < 0 {
+			t.Fatalf("%s: last longest-history window not indexed", tc.name)
+		}
+		bin := quantize(tc.trace[n-1])
+		ts := m.trans[m.slotOff[slot]:m.slotOff[slot+1]]
+		i := slices.IndexFunc(ts, func(tr transition) bool { return tr.bin() == bin })
+		if i < 0 {
+			t.Fatalf("%s: last transition (slot %d, bin %d) missing", tc.name, slot, bin)
+		}
+		if got := slotLevel(m, ts[i].next()); got != tc.lastLevel {
+			t.Fatalf("%s: last transition links to slot %d at level %d, want level %d",
+				tc.name, ts[i].next(), got, tc.lastLevel)
 		}
 	}
 }
 
-// TestTrainAllocBound pins the flat build: a handful of slices per model
-// plus the pattern tables' growth, not a distribution per pattern.
+// TestSlotCountLimit pins the successor packing: the highest slot
+// Train accepts and the unknown successor round-trip through a
+// transition's link beside any bin, and Train's check rejects one slot
+// more than the link can number. A trace that large (hours of samples)
+// would take gigabytes to train, so the check is exercised directly.
+func TestSlotCountLimit(t *testing.T) {
+	for _, bin := range []uint8{0, 1, quantBins - 1, 255} {
+		tr := newTransition(bin)
+		if tr.next() != unknown || tr.bin() != bin {
+			t.Fatalf("new transition for bin %d reads bin %d next %d", bin, tr.bin(), tr.next())
+		}
+		for _, slot := range []int32{0, 1, maxSlots - 1, unknown} {
+			tr.setNext(slot)
+			if tr.next() != slot || tr.bin() != bin {
+				t.Fatalf("bin %d next %d reads back bin %d next %d", bin, slot, tr.bin(), tr.next())
+			}
+		}
+	}
+	if err := checkSlots(maxSlots); err != nil {
+		t.Fatalf("%d slots rejected: %v", maxSlots, err)
+	}
+	if err := checkSlots(maxSlots + 1); err == nil {
+		t.Fatalf("%d slots accepted, but the link field holds slots below %d only", maxSlots+1, maxSlots)
+	}
+}
+
+// TestModelFootprint bounds the memory a trained model retains: the
+// capacities of every slice it keeps, for the default 60k-sample
+// training trace. The history-8 index and the transitions dominate.
+func TestModelFootprint(t *testing.T) {
+	m := Train(GenerateTrace(60000, 1^0x77))
+	parts := []struct {
+		name  string
+		bytes uintptr
+	}{
+		{"model", unsafe.Sizeof(*m)},
+		{"histLens", uintptr(cap(m.histLens)) * unsafe.Sizeof(m.histLens[0])},
+		{"histMask", uintptr(cap(m.histMask)) * unsafe.Sizeof(m.histMask[0])},
+		{"tables", uintptr(cap(m.tables)) * unsafe.Sizeof(m.tables[0])},
+	}
+	for li := range m.tables {
+		parts = append(parts, struct {
+			name  string
+			bytes uintptr
+		}{fmt.Sprintf("tables[%d].slots", li), uintptr(cap(m.tables[li].slots)) * unsafe.Sizeof(int32(0))})
+	}
+	parts = append(parts, []struct {
+		name  string
+		bytes uintptr
+	}{
+		{"keys", uintptr(cap(m.keys)) * unsafe.Sizeof(m.keys[0])},
+		{"slotOff", uintptr(cap(m.slotOff)) * unsafe.Sizeof(m.slotOff[0])},
+		{"trans", uintptr(cap(m.trans)) * unsafe.Sizeof(m.trans[0])},
+	}...)
+	var total uintptr
+	split := ""
+	for _, p := range parts {
+		total += p.bytes
+		split += fmt.Sprintf(" %s=%d", p.name, p.bytes)
+	}
+	const bound = 2_300_000
+	msg := fmt.Sprintf("model retains %d B for %d slots (%d longest-history) and %d transitions:%s",
+		total, len(m.slotOff)-1, m.Patterns(), len(m.trans), split)
+	if total > bound {
+		t.Fatalf("%s; want <= %d", msg, bound)
+	}
+	t.Log(msg)
+}
+
+// TestTrainAllocBound pins the flat build: a fixed set of 18 slices per
+// model (the model's own, the quantized trace, the observation pairs and
+// their sort, one scratch index and one key array), none per pattern and
+// none for table growth.
 func TestTrainAllocBound(t *testing.T) {
 	trace := GenerateTrace(60000, 2)
-	if allocs := testing.AllocsPerRun(3, func() { Train(trace) }); allocs > 100 {
-		t.Fatalf("Train allocates %v times for a 60k-sample trace, want <= 100", allocs)
+	if allocs := testing.AllocsPerRun(3, func() { Train(trace) }); allocs > 18 {
+		t.Fatalf("Train allocates %v times for a 60k-sample trace, want <= 18", allocs)
 	}
 }
 
